@@ -1,19 +1,32 @@
-"""Native compiled backend for the fused hierarchy walk.
+"""Native compiled cache kernels.
 
-Compiles a small C kernel — the sequential per-access direct-mapped
-hierarchy walk, the same reference semantics as
-``CacheLevel._access_direct_mapped_reference`` — with the host C
-compiler at first use, and loads it through :mod:`ctypes`.  The build is
-content-addressed (the object file name embeds a hash of the source and
-compiler), so it compiles once per machine and is reused by every
-process, including parallel workers racing to create it (writes go to a
-temporary file followed by an atomic rename).
+Compiles a small C source with the host C compiler at first use and
+loads it through :mod:`ctypes`.  It holds three kernels, all sequential
+per-access loops with exactly the semantics of the oracle loops in
+:mod:`repro.cache.cache`:
+
+* ``repro_dm_hierarchy`` walks a direct-mapped L1I/L1D -> L2 -> L3
+  hierarchy over one fused chunk (:class:`~repro.cache.fused.FusedHierarchy`);
+* ``repro_dm_level`` runs one batch through one direct-mapped level,
+  on its ``_resident``/``_dirty`` arrays;
+* ``repro_lru_level`` runs one batch through one set-associative LRU
+  level, on the packed ``_way_state`` array the wave path keeps.
+
+The two direct-mapped kernels share one ``static inline`` step, so
+direct-mapped semantics are written once.  Every kernel works in place
+on the state :class:`~repro.cache.cache.CacheLevel` keeps, so native and
+numpy passes interleave on one level.
+
+The build is content-addressed (the object file name embeds a hash of
+the source and compiler), so it compiles once per machine and is reused
+by every process, including parallel workers racing to create it
+(writes go to a temporary file followed by an atomic rename).
 
 Everything degrades gracefully: no compiler, a failed build, or a
 failed load all surface as :func:`load_kernel` returning ``None``, and
-the caller falls back to the fused numpy backend.  The kernel is a pure
-function of its inputs — determinism is unaffected by which backend
-runs.
+the caller falls back to the numpy strategies.  The kernels are pure
+functions of their inputs and state — determinism is unaffected by
+which backend runs.
 """
 
 from __future__ import annotations
@@ -32,13 +45,25 @@ import numpy as np
 _SOURCE = r"""
 #include <stdint.h>
 
+/* One access to a direct-mapped level: write-allocate, write-back.
+ * `res` holds one tag per set (-1 = empty) and `dir` one dirty flag per
+ * set -- the state CacheLevel keeps.  Returns 1 on a miss; a miss that
+ * evicts a dirty line adds one to *writebacks. */
+static inline int dm_step(
+    int64_t *res, uint8_t *dir, int64_t mask, int64_t shift,
+    int64_t line, uint8_t w, int64_t *writebacks)
+{
+    int64_t s = line & mask, tag = line >> shift;
+    if (res[s] == tag) { if (w) dir[s] = 1; return 0; }
+    if (res[s] >= 0 && dir[s]) (*writebacks)++;
+    res[s] = tag; dir[s] = w;
+    return 1;
+}
+
 /* One pass over an interleaved ifetch+data reference stream through a
- * direct-mapped L1I/L1D -> L2 -> L3 hierarchy with miss filtering,
- * write-allocate, and write-back accounting.  `resident` holds one tag
- * per set (-1 = empty) and `dirty` one flag per set -- the exact state
- * representation CacheLevel keeps, so native and numpy passes can
- * interleave on the same hierarchy.  `counts` is a 4x3 row-major table:
- * rows L1I,L1D,L2,L3; columns accesses,misses,writebacks. */
+ * direct-mapped L1I/L1D -> L2 -> L3 hierarchy with miss filtering.
+ * `counts` is a 4x3 row-major table: rows L1I,L1D,L2,L3; columns
+ * accesses,misses,writebacks. */
 void repro_dm_hierarchy(
     const int64_t *lines, const uint8_t *writes, const uint8_t *is_data,
     int64_t n,
@@ -59,27 +84,65 @@ void repro_dm_hierarchy(
             res = res_l1i; dir = dir_l1i; mask = mask_l1i; shift = shift_l1i;
             c = counts + 0; w = 0;
         }
-        int64_t s = line & mask, tag = line >> shift;
         c[0]++;
-        if (res[s] == tag) { if (w) dir[s] = 1; continue; }
+        if (!dm_step(res, dir, mask, shift, line, w, c + 2)) continue;
         c[1]++;
-        if (res[s] >= 0 && dir[s]) c[2]++;
-        res[s] = tag; dir[s] = w;
-
-        s = line & mask_l2; tag = line >> shift_l2;
         counts[6]++;
-        if (res_l2[s] == tag) { if (w) dir_l2[s] = 1; continue; }
+        if (!dm_step(res_l2, dir_l2, mask_l2, shift_l2, line, w, counts + 8))
+            continue;
         counts[7]++;
-        if (res_l2[s] >= 0 && dir_l2[s]) counts[8]++;
-        res_l2[s] = tag; dir_l2[s] = w;
-
-        s = line & mask_l3; tag = line >> shift_l3;
         counts[9]++;
-        if (res_l3[s] == tag) { if (w) dir_l3[s] = 1; continue; }
-        counts[10]++;
-        if (res_l3[s] >= 0 && dir_l3[s]) counts[11]++;
-        res_l3[s] = tag; dir_l3[s] = w;
+        if (dm_step(res_l3, dir_l3, mask_l3, shift_l3, line, w, counts + 11))
+            counts[10]++;
     }
+}
+
+/* A batch through one direct-mapped level.  Sets miss[i] to 1 where
+ * lines[i] missed; returns the batch's dirty evictions. */
+int64_t repro_dm_level(
+    const int64_t *lines, const uint8_t *writes, int64_t n,
+    int64_t *res, uint8_t *dir, int64_t mask, int64_t shift, uint8_t *miss)
+{
+    int64_t writebacks = 0;
+    for (int64_t i = 0; i < n; i++)
+        miss[i] = dm_step(res, dir, mask, shift, lines[i], writes[i],
+                          &writebacks);
+    return writebacks;
+}
+
+/* A batch through one set-associative LRU level.  `ways` is the packed
+ * (sets x assoc) row-major state the wave path keeps: way 0 = MRU, each
+ * entry tag << 1 | dirty, -1 = empty, valid entries a prefix of the
+ * row.  A hit promotes its way to MRU and ORs in the write; a miss
+ * fills the first empty way or evicts the LRU one.  Same outputs as
+ * repro_dm_level. */
+int64_t repro_lru_level(
+    const int64_t *lines, const uint8_t *writes, int64_t n,
+    int64_t *ways, int64_t assoc, int64_t mask, int64_t shift, uint8_t *miss)
+{
+    int64_t writebacks = 0;
+    for (int64_t i = 0; i < n; i++) {
+        int64_t *row = ways + (lines[i] & mask) * assoc;
+        int64_t tag = lines[i] >> shift, entry;
+        int64_t way = 0;
+        while (way < assoc && row[way] >= 0 && (row[way] >> 1) != tag)
+            way++;
+        if (way < assoc && row[way] >= 0) {
+            entry = row[way] | writes[i];
+            miss[i] = 0;
+        } else {
+            if (way == assoc) {
+                way = assoc - 1;
+                writebacks += row[way] & 1;
+            }
+            entry = tag << 1 | writes[i];
+            miss[i] = 1;
+        }
+        for (; way > 0; way--)
+            row[way] = row[way - 1];
+        row[0] = entry;
+    }
+    return writebacks;
 }
 """
 
@@ -133,26 +196,35 @@ def _build(compiler: str) -> Optional[Path]:
     return lib_path
 
 
-def _bind(lib_path: Path):
+def _bind(lib_path: Path) -> "NativeKernel":
     lib = ctypes.CDLL(str(lib_path))
-    fn = lib.repro_dm_hierarchy
-    i64p = ctypes.POINTER(ctypes.c_int64)
-    u8p = ctypes.POINTER(ctypes.c_uint8)
+    ptr = ctypes.c_void_p
     i64 = ctypes.c_int64
-    fn.restype = None
-    fn.argtypes = (
-        [i64p, u8p, u8p, i64]
-        + [i64p, u8p, i64, i64] * 4
-        + [i64p]
-    )
-    return fn
+    walk = lib.repro_dm_hierarchy
+    walk.restype = None
+    walk.argtypes = [ptr, ptr, ptr, i64] + [ptr, ptr, i64, i64] * 4 + [ptr]
+    dm_level = lib.repro_dm_level
+    dm_level.restype = i64
+    dm_level.argtypes = [ptr, ptr, i64, ptr, ptr, i64, i64, ptr]
+    lru_level = lib.repro_lru_level
+    lru_level.restype = i64
+    lru_level.argtypes = [ptr, ptr, i64, ptr, i64, i64, i64, ptr]
+    return NativeKernel(walk, dm_level, lru_level)
 
 
 class NativeKernel:
-    """ctypes binding of the compiled hierarchy walk."""
+    """ctypes bindings of the compiled hierarchy walk and level steps.
 
-    def __init__(self, fn) -> None:
-        self._fn = fn
+    Arrays cross the boundary as raw data pointers, so every array
+    handed to C is C-contiguous with the dtype the kernel reads: the
+    level-state arrays are by construction, and the per-batch inputs
+    are made so here.
+    """
+
+    def __init__(self, walk, dm_level, lru_level) -> None:
+        self._walk = walk
+        self._dm_level = dm_level
+        self._lru_level = lru_level
 
     def __call__(
         self,
@@ -162,7 +234,7 @@ class NativeKernel:
         level_state,
         counts: np.ndarray,
     ) -> None:
-        """Run one chunk.
+        """Run one chunk of the direct-mapped hierarchy walk.
 
         Args:
             lines: Granularity-shifted int64 line addresses, program order.
@@ -173,23 +245,62 @@ class NativeKernel:
             counts: int64 ``(4, 3)`` array accumulating accesses, misses
                 and writebacks per level.
         """
-        i64p = ctypes.POINTER(ctypes.c_int64)
-        u8p = ctypes.POINTER(ctypes.c_uint8)
         args = [
-            lines.ctypes.data_as(i64p),
-            writes.ctypes.data_as(u8p),
-            is_data.ctypes.data_as(u8p),
+            lines.ctypes.data, writes.ctypes.data, is_data.ctypes.data,
             lines.size,
         ]
         for resident, dirty, set_mask, set_shift in level_state:
-            args += [
-                resident.ctypes.data_as(i64p),
-                dirty.ctypes.data_as(u8p),
-                set_mask,
-                set_shift,
-            ]
-        args.append(counts.ctypes.data_as(i64p))
-        self._fn(*args)
+            args += [resident.ctypes.data, dirty.ctypes.data, set_mask,
+                     set_shift]
+        args.append(counts.ctypes.data)
+        self._walk(*args)
+
+    def dm_level(self, lines, writes, resident, dirty, set_mask, set_shift):
+        """One batch through a direct-mapped level, state updated in place.
+
+        Args:
+            lines: Granularity-shifted line addresses, program order.
+            writes: Boolean write flags aligned with ``lines``.
+            resident: The level's per-set tags (-1 empty).
+            dirty: The level's per-set boolean dirty flags.
+            set_mask: ``num_sets - 1``.
+            set_shift: Bits to shift a line address down to its tag.
+
+        Returns:
+            ``(miss, writebacks)``: program-order boolean miss array and
+            the batch's dirty-eviction count.
+        """
+        lines, writes, miss = _batch(lines, writes)
+        writebacks = self._dm_level(
+            lines.ctypes.data, writes.ctypes.data, lines.size,
+            resident.ctypes.data, dirty.ctypes.data, set_mask, set_shift,
+            miss.ctypes.data,
+        )
+        return miss, writebacks
+
+    def lru_level(self, lines, writes, ways, set_mask, set_shift):
+        """One batch through a set-associative LRU level, in place.
+
+        ``ways`` is the level's packed ``(num_sets, assoc)`` int64 LRU
+        state (way 0 = MRU, ``tag << 1 | dirty``, -1 empty); the other
+        arguments and the result are as for :meth:`dm_level`.
+        """
+        lines, writes, miss = _batch(lines, writes)
+        writebacks = self._lru_level(
+            lines.ctypes.data, writes.ctypes.data, lines.size,
+            ways.ctypes.data, ways.shape[1], set_mask, set_shift,
+            miss.ctypes.data,
+        )
+        return miss, writebacks
+
+
+def _batch(lines: np.ndarray, writes: np.ndarray):
+    """A level kernel's inputs as C arrays, plus its miss output."""
+    lines = np.ascontiguousarray(lines, dtype=np.int64)
+    writes = np.ascontiguousarray(writes, dtype=bool)
+    if writes.shape != lines.shape:
+        raise ValueError("write flags must align with lines")
+    return lines, writes, np.empty(lines.size, dtype=bool)
 
 
 def load_kernel() -> Optional[NativeKernel]:
@@ -202,7 +313,7 @@ def load_kernel() -> Optional[NativeKernel]:
         lib_path = _build(compiler)
         if lib_path is not None:
             try:
-                kernel = NativeKernel(_bind(lib_path))
+                kernel = _bind(lib_path)
             except OSError:
                 kernel = None
     _LOADED.append(kernel)

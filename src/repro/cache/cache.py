@@ -1,6 +1,9 @@
 """A single cache level with LRU replacement.
 
-Two execution strategies share one external behaviour:
+Under the ``native`` backend every level, whatever its associativity,
+runs a compiled per-access kernel (:mod:`repro.cache._native`) in place
+on the state arrays described below.  Otherwise two numpy execution
+strategies share one external behaviour:
 
 * ``associativity == 1`` (the paper's Table I L2/L3) uses the exact,
   fully vectorized run-collapse sweep (:func:`dm_sweep`): the batch is
@@ -25,7 +28,7 @@ Two execution strategies share one external behaviour:
   also serves as the differential-testing oracle (``reference=True``,
   and ``_access_direct_mapped_reference`` for the direct-mapped case).
 
-Both paths are *stateful across batches*, which is essential: replaying a
+Every path is *stateful across batches*, which is essential: replaying a
 regional pinball on a fresh hierarchy reproduces the cold-start misses the
 paper measures, while consecutive slices of a whole run keep each other's
 working sets warm.
@@ -38,6 +41,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from repro.cache import _native
 from repro.cache.stats import CacheStats
 from repro.config import CacheConfig, TRACE_LINE_BYTES
 from repro.errors import SimulationError
@@ -176,10 +180,15 @@ class CacheLevel:
     Args:
         config: Geometry of the level.
         recording: Whether statistics accumulate (turned off for warmup).
-        reference: Pin associative sets to the sequential ordered-dict
-            LRU loop instead of choosing a strategy adaptively.  The
-            two strategies are bit-identical; the reference exists as a
+        reference: Pin the level to the sequential per-access loops
+            (the ordered-dict LRU loop when associative) instead of
+            choosing a strategy from the backend and the traffic.  All
+            strategies are bit-identical; the reference exists as a
             differential-testing oracle.
+        backend: Cache backend whose strategies the level runs
+            (``numpy``, ``fused`` or ``native``; a hierarchy hands its
+            own down).  ``None`` consults ``REPRO_CACHE_BACKEND`` when
+            the level first sees traffic.
     """
 
     #: Minimum accesses a wave must amortize for the vectorized path to
@@ -194,6 +203,7 @@ class CacheLevel:
         config: CacheConfig,
         recording: bool = True,
         reference: bool = False,
+        backend: Optional[str] = None,
     ) -> None:
         if config.line_size < TRACE_LINE_BYTES:
             raise SimulationError(
@@ -204,6 +214,7 @@ class CacheLevel:
         self.stats = CacheStats()
         self.recording = recording
         self.reference = reference
+        self.backend = backend
         self._granularity_shift = (
             config.line_size // TRACE_LINE_BYTES
         ).bit_length() - 1
@@ -215,6 +226,12 @@ class CacheLevel:
         self._dirty = None
         self._sets: Optional[List[OrderedDict]] = None
         self._way_state: Optional[np.ndarray] = None
+        self._kernel = None
+        # How batches run: "native", "sweep", "wave" or "sequential".
+        # A reference level is pinned to the sequential oracle loops;
+        # any other picks its strategy (and associative state) when it
+        # first sees traffic, in _ensure_strategy.
+        self._strategy: Optional[str] = "sequential" if reference else None
         if self._assoc == 1:
             # Direct-mapped: one resident tag per set; -1 means empty.
             self._resident = np.full(self._num_sets, -1, dtype=np.int64)
@@ -222,8 +239,6 @@ class CacheLevel:
         elif reference:
             # Each set maps tag -> dirty flag, in LRU order (last = MRU).
             self._sets = [OrderedDict() for _ in range(self._num_sets)]
-        # Otherwise the strategy (and its state) is chosen lazily from
-        # the shape of the first batch, in _ensure_associative_state.
 
     @property
     def name(self) -> str:
@@ -313,14 +328,26 @@ class CacheLevel:
             ``(miss, writebacks)`` — program-order boolean miss array
             and the batch's dirty-eviction count.
         """
-        if self._assoc == 1:
-            if self.reference:
-                return self._access_direct_mapped_reference(lines, writes)
+        if self._strategy is None:
+            self._ensure_strategy(lines)
+        strategy = self._strategy
+        if strategy == "native":
+            if self._assoc == 1:
+                return self._kernel.dm_level(
+                    lines, writes, self._resident, self._dirty,
+                    self._set_mask, self._set_shift,
+                )
+            return self._kernel.lru_level(
+                lines, writes, self._way_state, self._set_mask,
+                self._set_shift,
+            )
+        if strategy == "sweep":
             return self._access_direct_mapped(lines, writes)
-        self._ensure_associative_state(lines)
-        if self._sets is not None:
-            return self._access_associative_reference(lines, writes)
-        return self._access_associative(lines, writes)
+        if strategy == "wave":
+            return self._access_associative(lines, writes)
+        if self._assoc == 1:
+            return self._access_direct_mapped_reference(lines, writes)
+        return self._access_associative_reference(lines, writes)
 
     def _access_direct_mapped(self, lines: np.ndarray, writes: np.ndarray):
         miss_idx, writebacks = dm_sweep(
@@ -378,12 +405,13 @@ class CacheLevel:
             self._resident[sets] = lines >> self._set_shift
             self._dirty[sets] = False
             return
-        self._ensure_associative_state(lines)
+        if self._strategy is None:
+            self._ensure_strategy(lines)
         if self._sets is None:
             # An install is an access that inserts clean, keeps a hit's
-            # dirty bit, and never accounts: run the wave update and
-            # drop its miss/writeback outputs.
-            self._access_associative(lines, np.zeros(lines.size, dtype=bool))
+            # dirty bit, and never accounts: run the native or wave
+            # update and drop its miss/writeback outputs.
+            self._simulate(lines, np.zeros(lines.size, dtype=bool))
             return
         table = self._sets
         set_mask = self._set_mask
@@ -420,39 +448,53 @@ class CacheLevel:
                     entry.popitem(last=False)
                 entry[tag] = False
 
-    def _ensure_associative_state(self, lines: np.ndarray) -> None:
-        """Pick the associative strategy from the first batch's shape.
+    def _ensure_strategy(self, lines: np.ndarray) -> None:
+        """Pick how this level simulates, once, from its first batch.
 
-        The wave path costs a fixed number of numpy passes per *wave*
-        (deepest per-set run count), so it only pays off when each wave
-        retires enough accesses to amortize that overhead.  Traffic that
-        concentrates into few sets gets the sequential loop.  Both
-        strategies are bit-identical, so the choice — made once, when a
-        level first sees traffic — can never change simulated results.
+        When the level's backend resolves to ``native``
+        (:func:`~repro.cache.fused.resolve_backend`) every geometry runs
+        a compiled per-access kernel on the level's own state arrays.
+        Otherwise a direct-mapped level takes the run-collapse sweep, and an
+        associative level weighs the wave path — a fixed number of numpy
+        passes per *wave* (deepest per-set run count), which only pays
+        off when each wave retires enough accesses to amortize that
+        overhead — against the sequential loop, which traffic
+        concentrated into few sets gets.  Every strategy is
+        bit-identical, so the choice can never change simulated results;
+        ``cache.strategy{path=...}`` records it.
         """
-        if self._sets is not None or self._way_state is not None:
-            return
-        set_idx = lines & self._set_mask
-        deepest = int(np.bincount(set_idx, minlength=1).max())
-        wave = lines.size >= self._WAVE_AMORTIZE * deepest
-        recorder = get_recorder()
-        if recorder is not None:
-            recorder.count(
-                "cache.strategy",
-                path="wave" if wave else "sequential",
-                level=self.name,
-            )
-        if wave:
+        # fused.py imports this module, so resolve lazily.  Every level
+        # resolves on its own, so a native request that falls back is
+        # not counted here: cache.fused.fallback stays one event per
+        # hierarchy built.
+        from repro.cache.fused import resolve_backend
+
+        if resolve_backend(self.backend, count_fallback=False) == "native":
+            self._kernel = _native.load_kernel()
+            strategy = "native"
+        elif self._assoc == 1:
+            strategy = "sweep"
+        else:
+            set_idx = lines & self._set_mask
+            deepest = int(np.bincount(set_idx, minlength=1).max())
+            wave = lines.size >= self._WAVE_AMORTIZE * deepest
+            strategy = "wave" if wave else "sequential"
+        if strategy == "sequential":
+            self._sets = [OrderedDict() for _ in range(self._num_sets)]
+        elif self._assoc > 1:
             # LRU stacks, way 0 = MRU, packed as tag << 1 | dirty; -1
             # means empty.  Valid tags always occupy a prefix of the
             # ways (inserts shift empties toward the LRU end and hits
             # never move them back up), so the victim way being -1
-            # means "set not full".
+            # means "set not full".  The native kernel and the wave
+            # path both update this array in place.
             self._way_state = np.full(
                 (self._num_sets, self._assoc), -1, dtype=np.int64
             )
-        else:
-            self._sets = [OrderedDict() for _ in range(self._num_sets)]
+        self._strategy = strategy
+        recorder = get_recorder()
+        if recorder is not None:
+            recorder.count("cache.strategy", path=strategy, level=self.name)
 
     def _access_associative(self, lines: np.ndarray, writes: np.ndarray):
         """Vectorized wave-by-wave LRU update (see module docstring).

@@ -5,29 +5,36 @@ boolean re-indexing between levels, a :class:`FusedHierarchy` buffers
 whole slices and simulates the combined reference stream across
 L1I/L1D -> L2 -> L3 in one pass per chunk:
 
-* the **fused** (numpy) backend runs one set-partitioned
-  :func:`~repro.cache.cache.dm_sweep` per level.  Each sweep returns its
-  misses as *global stream positions*; sorting the union of the L1I and
-  L1D miss positions reconstructs the next level's stream in exactly the
-  program order the legacy per-batch path produced, without ever
-  scattering a miss mask back to program order;
+* the **fused** (numpy) backend runs each level's numpy strategy once
+  per chunk (the set-partitioned :func:`~repro.cache.cache.dm_sweep`
+  for a direct-mapped level).  Each level's misses map to *global
+  stream positions*; sorting the union of the L1I and L1D miss
+  positions reconstructs the next level's stream in exactly the program
+  order the legacy per-batch path produced;
 * the **native** backend compiles the sequential per-access hierarchy
   walk with the host C compiler (:mod:`repro.cache._native`) and runs
-  each chunk through it;
-* the **numba** backend JIT-compiles the same walk when numba is
-  installed (:mod:`repro.cache._numba`).
+  each chunk through it.
 
-All backends operate on the same per-level ``resident``/``dirty`` state
-arrays as :class:`~repro.cache.cache.CacheLevel` and are bit-identical
-to the sequential reference oracle; which backend runs can never change
-simulated results.  Compiled backends degrade gracefully: a missing
-toolchain or a missing numba falls back to the fused numpy path (the
+The same backend also drives every per-batch
+:class:`~repro.cache.cache.CacheLevel`, whatever its associativity: a
+built hierarchy hands its backend to its levels, and a level built on
+its own (Sniper, the SPECrate runner, ``NativeMachine``) resolves the
+environment.  Under ``native`` each level runs the compiled
+direct-mapped or LRU step on its own state, otherwise the numpy sweep,
+wave or sequential strategy.  Each level records the strategy that ran
+as ``cache.strategy{path=...}``.
+
+All backends operate on the same per-level state arrays as
+:class:`~repro.cache.cache.CacheLevel` and are bit-identical to the
+sequential reference oracle; which backend runs can never change
+simulated results.  The compiled backend degrades gracefully: a missing
+toolchain falls back to the fused numpy path (the
 ``cache.fused.fallback`` counter records it).
 
 Backend selection: the ``REPRO_CACHE_BACKEND`` environment variable
-(``numpy`` | ``fused`` | ``native`` | ``numba``), or an explicit
-``backend=`` argument, defaulting to ``auto`` — native when a compiler
-is available, fused otherwise.
+(``numpy`` | ``fused`` | ``native``), or an explicit ``backend=``
+argument, defaulting to ``auto`` — native when a compiler is available,
+fused otherwise.
 
 Buffering is slice-granular (a flush happens on slice boundaries once
 roughly ``REPRO_CACHE_CHUNK`` references are pending, default 262144)
@@ -45,16 +52,15 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.cache.cache import CacheLevel, dm_sweep
 from repro.cache.hierarchy import CacheHierarchy
-from repro.cache import _native, _numba
+from repro.cache import _native
 from repro.config import ALLCACHE_SIM, CacheHierarchyConfig
 from repro.errors import ConfigError, SimulationError
 from repro.isa.trace import SliceTrace
 from repro.telemetry.recorder import get_recorder
 
 #: Recognized backend names (plus "auto").
-BACKENDS = ("numpy", "fused", "native", "numba")
+BACKENDS = ("numpy", "fused", "native")
 
 #: Default flush threshold, in buffered references.
 DEFAULT_CHUNK_REFS = 262144
@@ -119,18 +125,23 @@ def apply_backend(backend: Optional[str] = None) -> str:
     return inherited or "auto"
 
 
-def resolve_backend(backend: Optional[str] = None) -> str:
+def resolve_backend(
+    backend: Optional[str] = None, count_fallback: bool = True
+) -> str:
     """Resolve a backend request to an available backend.
 
     Args:
         backend: Explicit request, or ``None`` to consult the
             ``REPRO_CACHE_BACKEND`` environment variable (default
             ``auto``).
+        count_fallback: Whether a native request that falls back counts
+            ``cache.fused.fallback``.  Per-level lookups pass ``False``
+            so the counter stays one event per selection.
 
     Returns:
-        One of ``numpy``, ``fused``, ``native``, ``numba`` — guaranteed
-        available.  Unavailable compiled backends resolve to ``fused``
-        and count ``cache.fused.fallback``.
+        One of ``numpy``, ``fused``, ``native`` — guaranteed
+        available.  An unavailable native backend resolves to ``fused``
+        and counts ``cache.fused.fallback``.
 
     Raises:
         ConfigError: On an unrecognized backend name.
@@ -144,10 +155,8 @@ def resolve_backend(backend: Optional[str] = None) -> str:
     if requested == "auto":
         return "native" if _native.load_kernel() is not None else "fused"
     if requested == "native" and _native.load_kernel() is None:
-        _count_fallback("native", "fused")
-        return "fused"
-    if requested == "numba" and _numba.load_kernel() is None:
-        _count_fallback("numba", "fused")
+        if count_fallback:
+            _count_fallback("native", "fused")
         return "fused"
     return requested
 
@@ -159,12 +168,13 @@ def build_hierarchy(
     """Build a hierarchy for the resolved backend.
 
     ``numpy`` gives the legacy per-batch :class:`CacheHierarchy`; every
-    other backend gives a :class:`FusedHierarchy`.
+    other backend gives a :class:`FusedHierarchy`.  Either way the
+    levels run the same backend's strategies.
     """
     config = config if config is not None else ALLCACHE_SIM
     resolved = resolve_backend(backend)
     if resolved == "numpy":
-        return CacheHierarchy(config)
+        return CacheHierarchy(config, backend=resolved)
     return FusedHierarchy(config, backend=resolved)
 
 
@@ -178,8 +188,9 @@ class FusedHierarchy(CacheHierarchy):
 
     Args:
         config: Hierarchy geometry.
-        backend: ``fused``, ``native`` or ``numba`` (already resolved —
-            use :func:`build_hierarchy` for env-driven selection).
+        backend: ``fused`` or ``native`` (already resolved —
+            use :func:`build_hierarchy` for env-driven selection); the
+            levels run it too.
         chunk_refs: Flush threshold in buffered references; defaults to
             ``REPRO_CACHE_CHUNK`` or :data:`DEFAULT_CHUNK_REFS`.
     """
@@ -190,9 +201,9 @@ class FusedHierarchy(CacheHierarchy):
         backend: str = "fused",
         chunk_refs: Optional[int] = None,
     ) -> None:
-        super().__init__(config)
-        if backend not in ("fused", "native", "numba"):
+        if backend not in ("fused", "native"):
             raise ConfigError(f"not a fused backend: {backend!r}")
+        super().__init__(config, backend=backend)
         self.backend = backend
         self._chunk = chunk_refs if chunk_refs is not None else _chunk_refs()
         if self._chunk < 1:
@@ -208,16 +219,14 @@ class FusedHierarchy(CacheHierarchy):
         self._kernel = None
         if backend == "native":
             self._kernel = _native.load_kernel()
-        elif backend == "numba":
-            self._kernel = _numba.load_kernel()
-        if backend != "fused" and self._kernel is None:
-            raise ConfigError(
-                f"backend {backend!r} is unavailable; "
-                "resolve_backend() selects an available one"
-            )
+            if self._kernel is None:
+                raise ConfigError(
+                    "backend 'native' is unavailable; "
+                    "resolve_backend() selects an available one"
+                )
         # The compiled walk handles direct-mapped levels only; an
-        # associative or reference level sends chunks down the numpy
-        # sweeps, which handle any geometry.
+        # associative or reference level sends chunks down the per-level
+        # sweeps, where each level runs its own strategy.
         self._walkable = all(
             level._assoc == 1 and not level.reference
             for level in self.levels
@@ -383,7 +392,6 @@ class FusedHierarchy(CacheHierarchy):
         pos3 = self._sweep_level(
             self.l2, 2, counts, combined[pos2], writes_all[pos2], pos2
         )
-        pos3 = np.sort(pos3)
         if pos3.size:
             self._sweep_level(
                 self.l3, 3, counts, combined[pos3], writes_all[pos3], pos3
@@ -393,24 +401,13 @@ class FusedHierarchy(CacheHierarchy):
     def _sweep_level(
         self, level, row, counts, lines, writes, pos
     ) -> np.ndarray:
-        """One level's sweep; returns miss positions (unsorted)."""
+        """One level's sweep; returns its miss positions, ascending."""
         if lines is None or not lines.size:
             return np.zeros(0, dtype=np.int64)
-        if level._assoc == 1 and not level.reference:
-            miss_idx, writebacks = dm_sweep(
-                level._resident,
-                level._dirty,
-                level._set_mask,
-                level._set_shift,
-                lines,
-                writes,
-            )
-            miss_pos = pos[miss_idx]
-        else:
-            if writes is None:
-                writes = np.zeros(lines.size, dtype=bool)
-            miss, writebacks = level._simulate(lines, writes)
-            miss_pos = pos[miss]
+        if writes is None:
+            writes = np.zeros(lines.size, dtype=bool)
+        miss, writebacks = level._simulate(lines, writes)
+        miss_pos = pos[miss]
         counts[row, 0] = lines.size
         counts[row, 1] = miss_pos.size
         counts[row, 2] = writebacks

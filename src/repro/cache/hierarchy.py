@@ -11,7 +11,7 @@ processor".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -40,14 +40,19 @@ class CacheHierarchy:
 
     Args:
         config: Geometry for all four levels.
+        backend: Cache backend every level runs (see
+            :class:`~repro.cache.cache.CacheLevel`); ``None`` leaves it to
+            ``REPRO_CACHE_BACKEND``.
     """
 
-    def __init__(self, config: CacheHierarchyConfig) -> None:
+    def __init__(
+        self, config: CacheHierarchyConfig, backend: Optional[str] = None
+    ) -> None:
         self.config = config
-        self.l1i = CacheLevel(config.l1i)
-        self.l1d = CacheLevel(config.l1d)
-        self.l2 = CacheLevel(config.l2)
-        self.l3 = CacheLevel(config.l3)
+        self.l1i = CacheLevel(config.l1i, backend=backend)
+        self.l1d = CacheLevel(config.l1d, backend=backend)
+        self.l2 = CacheLevel(config.l2, backend=backend)
+        self.l3 = CacheLevel(config.l3, backend=backend)
 
     @property
     def levels(self) -> tuple:

@@ -152,16 +152,18 @@ class HeartbeatPump(threading.Thread):
         super().__init__(name="campaign-heartbeat", daemon=True)
         self.recorder = recorder
         self.interval_s = float(interval_s)
-        self._stop = threading.Event()
+        # Not ``_stop``: that would shadow ``Thread._stop()``, which
+        # ``threading`` calls on every other thread in a forked child.
+        self._stop_event = threading.Event()
         self._beats = 0
 
     def run(self) -> None:
-        while not self._stop.wait(self.interval_s):
+        while not self._stop_event.wait(self.interval_s):
             self._beats += 1
             self.recorder.beat(self._beats)
 
     def stop(self) -> None:
-        self._stop.set()
+        self._stop_event.set()
 
 
 def run_job(payload: dict) -> dict:

@@ -5,9 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import telemetry
 from repro.cache import CacheHierarchy, CacheLevel, CacheStats
+from repro.cache import _native
 from repro.config import CacheConfig, CacheHierarchyConfig
 from repro.errors import SimulationError
+
+HAVE_NATIVE = _native.load_kernel() is not None
 
 
 def reference_lru_misses(lines, num_sets, associativity, granularity_shift=0):
@@ -263,6 +267,12 @@ def make_pinned_level(assoc, monkeypatch, wave):
 class TestWaveStrategy:
     """The vectorized wave path against the sequential oracle."""
 
+    @pytest.fixture(autouse=True)
+    def _numpy_strategies(self, monkeypatch):
+        # These tests are about the numpy heuristic; under the native
+        # backend every level runs the compiled kernel instead.
+        monkeypatch.setenv("REPRO_CACHE_BACKEND", "fused")
+
     @pytest.mark.parametrize("assoc", [2, 4, 8, 16, 32])
     def test_differential_against_oracle(self, assoc, rng, monkeypatch):
         wave = make_pinned_level(assoc, monkeypatch, wave=True)
@@ -339,3 +349,130 @@ class TestWaveStrategy:
         assert level.resident_line_count() == 0
         level.flush()  # no state allocated yet: a no-op
         assert level.resident_line_count() == 0
+
+
+def lru_rows(level):
+    """Each set's resident lines, MRU first, as ``(tag, dirty)`` pairs.
+
+    Reads either associative representation, so the ordered-dict
+    oracle and the packed way state compare directly.
+    """
+    if level._sets is not None:
+        return [
+            [(tag, bool(dirty)) for tag, dirty in reversed(entry.items())]
+            for entry in level._sets
+        ]
+    return [
+        [(int(way) >> 1, bool(way & 1)) for way in row if way >= 0]
+        for row in level._way_state.tolist()
+    ]
+
+
+def level_state(level):
+    if level._assoc == 1:
+        return level._resident.tolist(), level._dirty.tolist()
+    return lru_rows(level)
+
+
+@pytest.mark.skipif(not HAVE_NATIVE, reason="no working C compiler")
+class TestNativeKernels:
+    """The compiled per-level kernels against the sequential oracle."""
+
+    @pytest.fixture(autouse=True)
+    def _native_backend(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_BACKEND", "native")
+
+    @pytest.mark.parametrize("line", [32, 64], ids=["32B", "64B"])
+    @pytest.mark.parametrize("assoc", [1, 2, 4, 8, 16, 32])
+    def test_differential_against_oracle(self, assoc, line, rng):
+        config = CacheConfig("T", size_bytes=line * 16 * assoc,
+                             line_size=line, associativity=assoc)
+        native = CacheLevel(config)
+        oracle = CacheLevel(config, reference=True)
+        for round_index in range(24):
+            n = int(rng.integers(1, 2000))
+            lines = rng.integers(0, int(rng.integers(40, 2000)), size=n)
+            # Clean batches every third round; writes otherwise.
+            writes = rng.random(n) < 0.3 if round_index % 3 else None
+            assert np.array_equal(
+                native.access_many(lines, writes),
+                oracle.access_many(lines, writes),
+            )
+            if round_index % 4 == 1:
+                installs = rng.integers(0, 500, size=64)
+                native.install(installs)
+                oracle.install(installs)
+            assert native.stats == oracle.stats
+        assert native._strategy == "native"
+        assert level_state(native) == level_state(oracle)
+
+    def test_install_is_a_clean_access_without_statistics(self):
+        config = CacheConfig("T", size_bytes=32 * 4 * 2, line_size=32,
+                             associativity=2)
+        native = CacheLevel(config)
+        oracle = CacheLevel(config, reference=True)
+        for level in (native, oracle):
+            # Lines 0, 4 and 8 share set 0 (tags 0, 1, 2).  Reinstalling
+            # the dirty line 0 keeps its dirt ...
+            level.access_many(np.array([0]), np.array([True]))
+            level.install(np.array([0, 4]))
+        assert lru_rows(native)[0] == [(1, False), (0, True)]
+        for level in (native, oracle):
+            # ... and evicting it by an install writes nothing back.
+            level.install(np.array([8]))
+        assert lru_rows(native)[0] == [(2, False), (1, False)]
+        assert level_state(native) == level_state(oracle)
+        assert native.stats == oracle.stats
+        assert native.stats.accesses == 1 and native.stats.writebacks == 0
+
+    def test_alternates_with_wave_path_on_shared_way_state(self, rng):
+        config = CacheConfig("T", size_bytes=32 * 64 * 8, line_size=32,
+                             associativity=8)
+        level = CacheLevel(config)
+        oracle = CacheLevel(config, reference=True)
+        for round_index in range(16):
+            if round_index:
+                # The first batch resolves the backend; afterwards flip
+                # the strategy so each path picks up the other's state.
+                level._strategy = "wave" if round_index % 2 else "native"
+            n = int(rng.integers(200, 3000))
+            lines = rng.integers(0, 1500, size=n)
+            writes = rng.random(n) < 0.3
+            assert np.array_equal(
+                level.access_many(lines, writes),
+                oracle.access_many(lines, writes),
+            )
+            if round_index % 3 == 2:
+                installs = rng.integers(0, 1500, size=100)
+                level.install(installs)
+                oracle.install(installs)
+            assert lru_rows(level) == lru_rows(oracle)
+        assert level.stats == oracle.stats
+
+    def test_strategy_is_recorded_once_per_level(self, rng):
+        recorder = telemetry.TraceRecorder()
+        with telemetry.using_recorder(recorder):
+            for assoc in (1, 8):
+                level = make_level(size=32 * 64 * assoc, assoc=assoc)
+                for _ in range(3):
+                    level.access_many(rng.integers(0, 4000, size=500))
+        counters = recorder.metrics.counters
+        assert counters["cache.strategy{level=T,path=native}"] == 2
+
+    def test_misaligned_writes_rejected_before_the_kernel(self):
+        kernel = _native.load_kernel()
+        resident = np.full(4, -1, dtype=np.int64)
+        dirty = np.zeros(4, dtype=bool)
+        with pytest.raises(ValueError, match="align"):
+            kernel.dm_level(np.arange(8), np.zeros(4, dtype=bool),
+                            resident, dirty, 3, 2)
+        assert (resident == -1).all()
+
+    def test_reference_level_keeps_the_oracle_loop(self):
+        level = CacheLevel(
+            CacheConfig("T", size_bytes=1024, line_size=32, associativity=4),
+            reference=True,
+        )
+        level.access_many(np.arange(100))
+        assert level._strategy == "sequential"
+        assert level._way_state is None

@@ -2,9 +2,9 @@
 
 The load-bearing invariant of ``repro.cache.fused``: every backend
 (``numpy`` per-batch, ``fused`` chunked sweeps, ``native`` compiled
-walk, ``numba`` when importable) produces **bit-identical** results —
-same per-level miss counts, same writeback counts, same rendered
-experiment bytes — differing only in speed.  These tests pin that
+kernels) produces **bit-identical** results — same per-level miss
+counts, same writeback counts, same rendered experiment bytes —
+differing only in speed.  These tests pin that
 invariant across the matrix of geometries (direct-mapped and
 associative), write traffic (dirty and clean), and warmup, plus the
 kernels' own oracles (the sequential per-access loops).
@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro import telemetry
-from repro.cache import build_hierarchy, resolve_backend
+from repro.cache import _native, build_hierarchy, resolve_backend
 from repro.cache.cache import CacheLevel, dm_sweep, set_order
 from repro.cache.fused import BACKENDS, FusedHierarchy
 from repro.cache.hierarchy import CacheHierarchy
@@ -25,13 +25,6 @@ from repro.errors import ConfigError
 from repro.isa.trace import SliceTrace
 from repro.pin.engine import Engine
 from repro.pin.tools.allcache import AllCache
-
-try:
-    import numba  # noqa: F401 -- availability probe only
-
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
 
 #: Backends that resolve to themselves on this machine.
 AVAILABLE = [b for b in BACKENDS if resolve_backend(b) == b]
@@ -230,16 +223,52 @@ class TestBackendResolution:
         built = build_hierarchy(ALLCACHE_SIM)
         assert not isinstance(built, FusedHierarchy)
 
-    @pytest.mark.skipif(HAVE_NUMBA, reason="numba installed here")
-    def test_missing_numba_falls_back_to_fused_with_counter(self):
+    def test_missing_native_falls_back_to_fused_with_counter(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(_native, "load_kernel", lambda: None)
         recorder = telemetry.TraceRecorder()
         with telemetry.using_recorder(recorder):
-            assert resolve_backend("numba") == "fused"
-        key = "cache.fused.fallback{requested=numba,to=fused}"
+            assert resolve_backend("native") == "fused"
+        key = "cache.fused.fallback{requested=native,to=fused}"
         assert recorder.metrics.counters.get(key, 0) == 1
 
     def test_auto_resolves_to_available_backend(self):
         assert resolve_backend("auto") in ("native", "fused")
+
+    @pytest.mark.parametrize("backend", AVAILABLE)
+    def test_hierarchy_backend_reaches_its_levels(self, backend, monkeypatch):
+        # The environment asks for another backend; the explicit one
+        # still picks every level's strategy.
+        other = "fused" if backend == "native" else "native"
+        monkeypatch.setenv("REPRO_CACHE_BACKEND", other)
+        tool = AllCache(config=SNIPER_TABLE_III.caches, backend=backend)
+        Engine([tool]).run([make_trace(np.random.default_rng(2))])
+        strategies = {level._strategy for level in tool.hierarchy.levels}
+        if backend == "native":
+            assert strategies == {"native"}
+        else:
+            assert "native" not in strategies
+
+    def test_fallback_counted_once_per_hierarchy_not_per_level(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(_native, "load_kernel", lambda: None)
+        monkeypatch.setenv("REPRO_CACHE_BACKEND", "native")
+        trace = make_trace(np.random.default_rng(4))
+        key = "cache.fused.fallback{requested=native,to=fused}"
+        recorder = telemetry.TraceRecorder()
+        with telemetry.using_recorder(recorder):
+            # Levels that resolve the environment themselves (Sniper's
+            # hierarchy) fall back silently ...
+            CacheHierarchy(SNIPER_TABLE_III.caches).process_trace(trace)
+            assert recorder.metrics.counters.get(key, 0) == 0
+            # ... and a built hierarchy counts its one selection.
+            built = build_hierarchy(SNIPER_TABLE_III.caches)
+            built.process_trace(trace)
+            built.drain()
+        assert recorder.metrics.counters.get(key, 0) == 1
+        assert all(level._strategy != "native" for level in built.levels)
 
 
 class TestFusedTelemetry:
@@ -258,15 +287,14 @@ class TestFusedTelemetry:
 
 
 class TestExperimentBytes:
-    """fig8/fig10 rendered output is backend-independent, byte for byte."""
+    """fig8/fig10/fig12 rendered output is backend-independent, byte for
+    byte (fig12 replays Sniper's associative hierarchy per batch)."""
 
     BENCH = ["620.omnetpp_s"]
 
-    def _sweep(self, backend, tmp_path, monkeypatch):
+    def _sweep(self, backend, tmp_path, monkeypatch, figures):
         from repro.experiments import common
         from repro.experiments.common import configure_cache
-        from repro.experiments.fig8 import render_fig8, run_fig8
-        from repro.experiments.fig10 import render_fig10, run_fig10
 
         monkeypatch.setenv("REPRO_CACHE_BACKEND", backend)
         configure_cache(tmp_path / backend)
@@ -274,19 +302,36 @@ class TestExperimentBytes:
         common._WHOLE_CACHE.clear()
         common._POINTS_CACHE.clear()
         quick = dict(slice_size=3000, total_slices=120)
-        return "\n".join([
-            render_fig8(run_fig8(self.BENCH, jobs=1, **quick)),
-            render_fig10(run_fig10(self.BENCH, jobs=1, **quick)),
-        ])
+        return "\n".join(
+            render(run(self.BENCH, jobs=1, **quick))
+            for run, render in figures
+        )
 
-    def test_fig8_fig10_bytes_identical_across_backends(
-        self, tmp_path, monkeypatch
-    ):
+    def _assert_identical(self, tmp_path, monkeypatch, figures):
         renders = {
-            backend: self._sweep(backend, tmp_path, monkeypatch)
+            backend: self._sweep(backend, tmp_path, monkeypatch, figures)
             for backend in AVAILABLE
         }
         reference = renders["numpy"]
         assert "620.omnetpp_s" in reference
         for backend, text in renders.items():
             assert text == reference, f"{backend} diverged from numpy"
+
+    def test_fig8_fig10_bytes_identical_across_backends(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.experiments.fig8 import render_fig8, run_fig8
+        from repro.experiments.fig10 import render_fig10, run_fig10
+
+        self._assert_identical(tmp_path, monkeypatch, [
+            (run_fig8, render_fig8), (run_fig10, render_fig10),
+        ])
+
+    def test_fig12_bytes_identical_across_backends(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.experiments.fig12 import render_fig12, run_fig12
+
+        self._assert_identical(tmp_path, monkeypatch, [
+            (run_fig12, render_fig12),
+        ])

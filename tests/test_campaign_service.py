@@ -289,3 +289,46 @@ class TestServiceEndToEnd:
         client = CampaignClient(tmp_path / "nothing.sock")
         with pytest.raises(CampaignServiceError, match="cannot reach"):
             client.ping()
+
+
+#: Starts a heartbeat pump, forks while it beats, and reports the
+#: child's exit code; the child exits at once.  Python 3.12+ warns on
+#: every fork of a multi-threaded process (the pump is a thread); that
+#: warning is the parent's and expected, so only it is silenced.
+_FORK_WHILE_BEATING = """
+import os, sys, time, warnings
+from repro.campaign.worker import HeartbeatPump, ProgressRecorder
+
+warnings.filterwarnings(
+    "ignore", "This process .* is multi-threaded", DeprecationWarning
+)
+
+pump = HeartbeatPump(ProgressRecorder(sys.argv[1]), 0.01)
+pump.start()
+time.sleep(0.05)
+pid = os.fork()
+if pid == 0:
+    os._exit(0)
+_, status = os.waitpid(pid, 0)
+pump.stop()
+pump.join(timeout=5)
+if pump.is_alive():
+    sys.exit("heartbeat pump did not stop")
+sys.exit(os.waitstatus_to_exitcode(status))
+"""
+
+
+class TestHeartbeatPumpFork:
+    def test_fork_while_pump_runs_leaves_child_stderr_clean(self, tmp_path):
+        # A job's pool fans out by forking while its heartbeat pump
+        # runs; each child resets the thread table it inherits, which
+        # calls Thread._stop() on the pump.
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", _FORK_WHILE_BEATING,
+             str(tmp_path / "progress.jsonl")],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0
+        assert done.stderr == ""
