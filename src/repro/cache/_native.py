@@ -48,14 +48,15 @@ _SOURCE = r"""
 /* One access to a direct-mapped level: write-allocate, write-back.
  * `res` holds one tag per set (-1 = empty) and `dir` one dirty flag per
  * set -- the state CacheLevel keeps.  Returns 1 on a miss; a miss that
- * evicts a dirty line adds one to *writebacks. */
+ * evicts a dirty line adds one to *writebacks.  Dirty and write flags
+ * must be 0 or 1: the update and the eviction count are branch-free. */
 static inline int dm_step(
-    int64_t *res, uint8_t *dir, int64_t mask, int64_t shift,
-    int64_t line, uint8_t w, int64_t *writebacks)
+    int64_t *restrict res, uint8_t *restrict dir, int64_t mask,
+    int64_t shift, int64_t line, uint8_t w, int64_t *restrict writebacks)
 {
     int64_t s = line & mask, tag = line >> shift;
-    if (res[s] == tag) { if (w) dir[s] = 1; return 0; }
-    if (res[s] >= 0 && dir[s]) (*writebacks)++;
+    if (res[s] == tag) { dir[s] |= w; return 0; }
+    *writebacks += (res[s] >= 0) & dir[s];
     res[s] = tag; dir[s] = w;
     return 1;
 }
@@ -63,45 +64,62 @@ static inline int dm_step(
 /* One pass over an interleaved ifetch+data reference stream through a
  * direct-mapped L1I/L1D -> L2 -> L3 hierarchy with miss filtering.
  * `counts` is a 4x3 row-major table: rows L1I,L1D,L2,L3; columns
- * accesses,misses,writebacks. */
+ * accesses,misses,writebacks.  The walk counts in locals and adds them
+ * to `counts` once, at the end.  The four levels' state arrays must not
+ * overlap one another. */
 void repro_dm_hierarchy(
-    const int64_t *lines, const uint8_t *writes, const uint8_t *is_data,
-    int64_t n,
-    int64_t *res_l1i, uint8_t *dir_l1i, int64_t mask_l1i, int64_t shift_l1i,
-    int64_t *res_l1d, uint8_t *dir_l1d, int64_t mask_l1d, int64_t shift_l1d,
-    int64_t *res_l2,  uint8_t *dir_l2,  int64_t mask_l2,  int64_t shift_l2,
-    int64_t *res_l3,  uint8_t *dir_l3,  int64_t mask_l3,  int64_t shift_l3,
-    int64_t *counts)
+    const int64_t *restrict lines, const uint8_t *restrict writes,
+    const uint8_t *restrict is_data, int64_t n,
+    int64_t *restrict res_l1i, uint8_t *restrict dir_l1i,
+    int64_t mask_l1i, int64_t shift_l1i,
+    int64_t *restrict res_l1d, uint8_t *restrict dir_l1d,
+    int64_t mask_l1d, int64_t shift_l1d,
+    int64_t *restrict res_l2, uint8_t *restrict dir_l2,
+    int64_t mask_l2, int64_t shift_l2,
+    int64_t *restrict res_l3, uint8_t *restrict dir_l3,
+    int64_t mask_l3, int64_t shift_l3,
+    int64_t *restrict counts)
 {
+    int64_t acc_i = 0, miss_i = 0, wb_i = 0;
+    int64_t acc_d = 0, miss_d = 0, wb_d = 0;
+    int64_t acc_2 = 0, miss_2 = 0, wb_2 = 0;
+    int64_t acc_3 = 0, miss_3 = 0, wb_3 = 0;
     for (int64_t i = 0; i < n; i++) {
         int64_t line = lines[i];
-        uint8_t w;
-        int64_t *res; uint8_t *dir; int64_t mask, shift, *c;
+        uint8_t w = 0;
         if (is_data[i]) {
-            res = res_l1d; dir = dir_l1d; mask = mask_l1d; shift = shift_l1d;
-            c = counts + 3; w = writes[i];
+            w = writes[i];
+            acc_d++;
+            if (!dm_step(res_l1d, dir_l1d, mask_l1d, shift_l1d, line, w,
+                         &wb_d))
+                continue;
+            miss_d++;
         } else {
-            res = res_l1i; dir = dir_l1i; mask = mask_l1i; shift = shift_l1i;
-            c = counts + 0; w = 0;
+            acc_i++;
+            if (!dm_step(res_l1i, dir_l1i, mask_l1i, shift_l1i, line, 0,
+                         &wb_i))
+                continue;
+            miss_i++;
         }
-        c[0]++;
-        if (!dm_step(res, dir, mask, shift, line, w, c + 2)) continue;
-        c[1]++;
-        counts[6]++;
-        if (!dm_step(res_l2, dir_l2, mask_l2, shift_l2, line, w, counts + 8))
+        acc_2++;
+        if (!dm_step(res_l2, dir_l2, mask_l2, shift_l2, line, w, &wb_2))
             continue;
-        counts[7]++;
-        counts[9]++;
-        if (dm_step(res_l3, dir_l3, mask_l3, shift_l3, line, w, counts + 11))
-            counts[10]++;
+        miss_2++;
+        acc_3++;
+        miss_3 += dm_step(res_l3, dir_l3, mask_l3, shift_l3, line, w, &wb_3);
     }
+    counts[0] += acc_i; counts[1] += miss_i; counts[2] += wb_i;
+    counts[3] += acc_d; counts[4] += miss_d; counts[5] += wb_d;
+    counts[6] += acc_2; counts[7] += miss_2; counts[8] += wb_2;
+    counts[9] += acc_3; counts[10] += miss_3; counts[11] += wb_3;
 }
 
 /* A batch through one direct-mapped level.  Sets miss[i] to 1 where
  * lines[i] missed; returns the batch's dirty evictions. */
 int64_t repro_dm_level(
-    const int64_t *lines, const uint8_t *writes, int64_t n,
-    int64_t *res, uint8_t *dir, int64_t mask, int64_t shift, uint8_t *miss)
+    const int64_t *restrict lines, const uint8_t *restrict writes,
+    int64_t n, int64_t *restrict res, uint8_t *restrict dir, int64_t mask,
+    int64_t shift, uint8_t *restrict miss)
 {
     int64_t writebacks = 0;
     for (int64_t i = 0; i < n; i++)
@@ -238,10 +256,11 @@ class NativeKernel:
 
         Args:
             lines: Granularity-shifted int64 line addresses, program order.
-            writes: uint8 write flags aligned with ``lines``.
+            writes: uint8 write flags, each 0 or 1, aligned with ``lines``.
             is_data: uint8 flags, 1 = data reference, 0 = ifetch.
             level_state: Four ``(resident, dirty, set_mask, set_shift)``
-                tuples in L1I, L1D, L2, L3 order.
+                tuples in L1I, L1D, L2, L3 order; no two levels share an
+                array.
             counts: int64 ``(4, 3)`` array accumulating accesses, misses
                 and writebacks per level.
         """

@@ -51,11 +51,24 @@ class KMeansResult:
         return float(self.cluster_variances[nonempty].mean())
 
 
-def _pairwise_sq_dists(data: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """``(n, k)`` squared Euclidean distances via the expansion trick."""
-    data_sq = np.einsum("ij,ij->i", data, data)[:, None]
-    center_sq = np.einsum("ij,ij->i", centers, centers)[None, :]
-    dists = data_sq + center_sq - 2.0 * (data @ centers.T)
+def _sq_norms(points: np.ndarray) -> np.ndarray:
+    """``(m,)`` squared Euclidean norm of each row."""
+    return np.einsum("ij,ij->i", points, points)
+
+
+def _pairwise_sq_dists(
+    data: np.ndarray, data_sq: np.ndarray, centers: np.ndarray
+) -> np.ndarray:
+    """``(n, k)`` squared Euclidean distances via the expansion trick.
+
+    ``data_sq`` is ``_sq_norms(data)``, computed once by the caller.  The
+    association is ``(data_sq + center_sq) - 2 * cross``; doubling the
+    cross term in place is exact.
+    """
+    cross = data @ centers.T
+    cross *= 2.0
+    dists = data_sq[:, None] + _sq_norms(centers)[None, :]
+    dists -= cross
     np.maximum(dists, 0.0, out=dists)
     return dists
 
@@ -63,9 +76,10 @@ def _pairwise_sq_dists(data: np.ndarray, centers: np.ndarray) -> np.ndarray:
 def _kmeans_pp_init(data: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """K-means++ seeding: spread initial centers proportionally to D^2."""
     n = data.shape[0]
+    data_sq = _sq_norms(data)
     centers = np.empty((k, data.shape[1]), dtype=np.float64)
     centers[0] = data[int(rng.integers(n))]
-    closest_sq = _pairwise_sq_dists(data, centers[:1]).ravel()
+    closest_sq = _pairwise_sq_dists(data, data_sq, centers[:1]).ravel()
     for i in range(1, k):
         total = closest_sq.sum()
         if total <= 0.0:
@@ -75,7 +89,8 @@ def _kmeans_pp_init(data: np.ndarray, k: int, rng: np.random.Generator) -> np.nd
             idx = int(rng.choice(n, p=closest_sq / total))
         centers[i] = data[idx]
         np.minimum(
-            closest_sq, _pairwise_sq_dists(data, centers[i : i + 1]).ravel(),
+            closest_sq,
+            _pairwise_sq_dists(data, data_sq, centers[i : i + 1]).ravel(),
             out=closest_sq,
         )
     return centers
@@ -98,44 +113,62 @@ def _maximin_init(data: np.ndarray, k: int, rng: np.random.Generator) -> np.ndar
     can leave a two-slice phase unseeded.
     """
     n = data.shape[0]
+    data_sq = _sq_norms(data)
     centers = np.empty((k, data.shape[1]), dtype=np.float64)
     centers[0] = data[int(rng.integers(n))]
-    closest_sq = _pairwise_sq_dists(data, centers[:1]).ravel()
+    closest_sq = _pairwise_sq_dists(data, data_sq, centers[:1]).ravel()
     for i in range(1, k):
         idx = int(closest_sq.argmax())
         centers[i] = data[idx]
         np.minimum(
-            closest_sq, _pairwise_sq_dists(data, centers[i : i + 1]).ravel(),
+            closest_sq,
+            _pairwise_sq_dists(data, data_sq, centers[i : i + 1]).ravel(),
             out=closest_sq,
         )
     return centers
 
 
 def _lloyd(data: np.ndarray, centers: np.ndarray, max_iter: int, tol: float):
-    """Lloyd iterations with farthest-point reseeding of empty clusters."""
+    """Lloyd iterations with farthest-point reseeding of empty clusters.
+
+    Every centroid sum comes from one ``bincount`` over
+    ``label * d + column``, weighted by the row-major flattened data, so
+    each cluster's members are added in index order starting from 0.0.
+    That is exactly how ``data[labels == c].mean(axis=0)`` reduces two or
+    more columns, so the centroids match it bit for bit.  (On a single
+    column ``mean`` sums pairwise instead, so a centroid may differ from
+    it in its last few bits.)
+    """
+    n, d = data.shape
     k = centers.shape[0]
+    data_sq = _sq_norms(data)
+    flat = data.reshape(-1)
+    columns = np.arange(d)
+    rows = np.arange(n)
     iteration = 0
     for iteration in range(1, max_iter + 1):
-        dists = _pairwise_sq_dists(data, centers)
+        dists = _pairwise_sq_dists(data, data_sq, centers)
         labels = dists.argmin(axis=1)
-        point_costs = dists[np.arange(data.shape[0]), labels]
-        new_centers = np.empty_like(centers)
+        point_costs = dists[rows, labels]
         counts = np.bincount(labels, minlength=k)
-        for cluster in range(k):
-            if counts[cluster] == 0:
-                # Reseed an empty cluster at the most expensive point.
-                worst = int(point_costs.argmax())
-                new_centers[cluster] = data[worst]
-                point_costs[worst] = 0.0
-            else:
-                new_centers[cluster] = data[labels == cluster].mean(axis=0)
+        bins = (labels[:, None] * d + columns).reshape(-1)
+        new_centers = np.bincount(
+            bins, weights=flat, minlength=k * d
+        ).reshape(k, d)
+        np.divide(new_centers, counts[:, None], out=new_centers,
+                  where=counts[:, None] > 0)
+        for cluster in np.flatnonzero(counts == 0):
+            # Reseed an empty cluster at the most expensive point.
+            worst = int(point_costs.argmax())
+            new_centers[cluster] = data[worst]
+            point_costs[worst] = 0.0
         shift = float(np.abs(new_centers - centers).max())
         centers = new_centers
         if shift <= tol:
             break
-    dists = _pairwise_sq_dists(data, centers)
+    dists = _pairwise_sq_dists(data, data_sq, centers)
     labels = dists.argmin(axis=1)
-    point_costs = dists[np.arange(data.shape[0]), labels]
+    point_costs = dists[rows, labels]
     inertia = float(point_costs.sum())
     return labels, centers, inertia, point_costs, iteration
 

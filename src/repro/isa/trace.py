@@ -38,7 +38,7 @@ class SliceTrace:
         mem_lines: ``(n_mem,)`` int64 — data cache-line addresses in
             program order.
         mem_is_write: ``(n_mem,)`` bool — whether each data reference is a
-            write.
+            write (other dtypes are coerced to bool on construction).
         ifetch_lines: ``(n_ifetch,)`` int64 — instruction cache-line
             addresses (sampled fetch stream).
         branch_count: Number of conditional branches executed.
@@ -58,6 +58,9 @@ class SliceTrace:
     branch_entropy: float
 
     def __post_init__(self) -> None:
+        # Cache kernels read the flags as one byte per reference; a bool
+        # array passes through without a copy.
+        self.mem_is_write = np.asarray(self.mem_is_write, dtype=bool)
         if self.instruction_count <= 0:
             raise WorkloadError("slice must contain at least one instruction")
         if len(self.class_counts) != 4:

@@ -12,6 +12,8 @@ kernels' own oracles (the sequential per-access loops).
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,12 @@ from repro.cache import _native, build_hierarchy, resolve_backend
 from repro.cache.cache import CacheLevel, dm_sweep, set_order
 from repro.cache.fused import BACKENDS, FusedHierarchy
 from repro.cache.hierarchy import CacheHierarchy
-from repro.config import ALLCACHE_SIM, SNIPER_TABLE_III, CacheConfig
+from repro.config import (
+    ALLCACHE_SIM,
+    SNIPER_TABLE_III,
+    CacheConfig,
+    CacheHierarchyConfig,
+)
 from repro.errors import ConfigError
 from repro.isa.trace import SliceTrace
 from repro.pin.engine import Engine
@@ -30,7 +37,8 @@ from repro.pin.tools.allcache import AllCache
 AVAILABLE = [b for b in BACKENDS if resolve_backend(b) == b]
 
 
-def make_trace(rng, index=0, n_mem=300, n_if=60, writes=True, span=2000):
+def make_trace(rng, index=0, n_mem=300, n_if=60, writes=True, span=2000,
+               flag_dtype=bool):
     """A small random slice trace over a bounded address span."""
     mem = rng.integers(0, span, size=n_mem).astype(np.int64)
     if writes:
@@ -44,7 +52,7 @@ def make_trace(rng, index=0, n_mem=300, n_if=60, writes=True, span=2000):
         block_counts=np.array([1000], dtype=np.int64),
         class_counts=np.array([700, 200, 100, 0], dtype=np.int64),
         mem_lines=mem,
-        mem_is_write=is_write,
+        mem_is_write=is_write.astype(flag_dtype),
         ifetch_lines=rng.integers(4096, 4096 + 300, size=n_if).astype(
             np.int64
         ),
@@ -207,6 +215,86 @@ class TestChunkInvariance:
             # the slice's effects, i.e. drain before accessing.
             hierarchy.access_data(extra)
         assert fused.snapshot() == reference.snapshot()
+
+
+class TestWriteFlags:
+    """Write flags reach every kernel as one 0/1 byte per reference."""
+
+    def test_bool_flags_are_kept_without_a_copy(self):
+        trace = make_trace(np.random.default_rng(1))
+        flags = trace.mem_is_write
+        assert flags.dtype == bool
+        assert dataclasses.replace(trace).mem_is_write is flags
+
+    @pytest.mark.parametrize("backend", AVAILABLE)
+    def test_integer_flags_count_like_booleans(self, backend):
+        def replay(b, flag_dtype):
+            rng = np.random.default_rng(8)
+            traces = [
+                make_trace(rng, index=i, n_mem=3000, flag_dtype=flag_dtype)
+                for i in range(6)
+            ]
+            tool = AllCache(config=ALLCACHE_SIM, backend=b)
+            Engine([tool]).run(traces)
+            return level_stats(tool)
+
+        reference = replay("numpy", bool)
+        assert replay(backend, np.int64) == reference
+        assert reference["L1D"][2] > 0 and reference["L2"][2] > 0
+
+
+def reference_hierarchy(config):
+    """A per-batch hierarchy whose levels run the sequential oracle."""
+    hierarchy = CacheHierarchy(config)
+    hierarchy.l1i, hierarchy.l1d, hierarchy.l2, hierarchy.l3 = (
+        CacheLevel(level, reference=True) for level in config.levels()
+    )
+    return hierarchy
+
+
+@pytest.mark.skipif("native" not in AVAILABLE,
+                    reason="no working C compiler")
+class TestNativeWalk:
+    """The compiled direct-mapped walk against the sequential oracle
+    levels: per-level statistics and the full per-set state."""
+
+    #: Small enough that every data level evicts dirty lines.
+    TINY = CacheHierarchyConfig(
+        l1i=CacheConfig("L1I", size_bytes=32 * 8, line_size=32,
+                        associativity=1),
+        l1d=CacheConfig("L1D", size_bytes=32 * 16, line_size=32,
+                        associativity=1),
+        l2=CacheConfig("L2", size_bytes=32 * 64, line_size=32,
+                       associativity=1),
+        l3=CacheConfig("L3", size_bytes=32 * 256, line_size=32,
+                       associativity=1),
+    )
+
+    @pytest.mark.parametrize("chunk", [1, 997, 10**9])
+    def test_fuzz_matches_reference_levels(self, chunk):
+        rng = np.random.default_rng(29)
+        walk = FusedHierarchy(self.TINY, backend="native", chunk_refs=chunk)
+        assert walk._walkable and walk._kernel is not None
+        oracle = reference_hierarchy(self.TINY)
+        for index in range(40):
+            # Mixed, ifetch-only and data-only slices, in random order.
+            kind = int(rng.integers(3))
+            trace = make_trace(
+                rng, index=index,
+                n_mem=0 if kind == 1 else int(rng.integers(1, 400)),
+                n_if=0 if kind == 2 else int(rng.integers(1, 120)),
+            )
+            for hierarchy in (walk, oracle):
+                hierarchy.set_recording(index >= 4)
+                hierarchy.process_trace(trace)
+        walk.drain()
+        assert walk.snapshot() == oracle.snapshot()
+        for fast, slow in zip(walk.levels, oracle.levels):
+            np.testing.assert_array_equal(fast._resident, slow._resident)
+            np.testing.assert_array_equal(fast._dirty, slow._dirty)
+        assert all(
+            level.stats.writebacks > 0 for level in oracle.levels[1:]
+        )
 
 
 class TestBackendResolution:

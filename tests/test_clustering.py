@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kmeans_oracle import lloyd as reference_lloyd, reference_kmeans
 from repro.clustering import (
     bic_score,
     choose_k,
@@ -12,6 +13,7 @@ from repro.clustering import (
     project,
     random_projection_matrix,
 )
+from repro.clustering.kmeans import _lloyd
 from repro.errors import ClusteringError
 
 
@@ -119,6 +121,118 @@ class TestKMeans:
         result = kmeans(data, k, seed=seed)
         assert result.labels.size == n
         assert result.cluster_sizes().sum() == n
+
+
+def bits(values) -> np.ndarray:
+    """Float64 values as their int64 bit patterns."""
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+def assert_bit_identical(got, want):
+    assert np.array_equal(got.labels, want.labels)
+    assert got.iterations == want.iterations
+    assert bits(got.inertia) == bits(want.inertia)
+    assert np.array_equal(bits(got.centers), bits(want.centers))
+    assert np.array_equal(
+        bits(got.cluster_variances), bits(want.cluster_variances)
+    )
+
+
+def assert_lloyd_identical(data, centers):
+    """Labels, centers, inertia, per-point costs and iterations."""
+    got = _lloyd(data, centers, 100, 1e-7)
+    want = reference_lloyd(data, centers, 100, 1e-7)
+    assert np.array_equal(got[0], want[0])
+    for got_values, want_values in zip(got[1:4], want[1:4]):
+        assert np.array_equal(bits(got_values), bits(want_values))
+    assert got[4] == want[4]
+
+
+def fuzz_points(rng, n, dim):
+    """Noise, blobs, or duplicated points (which force empty clusters)."""
+    kind = int(rng.integers(3))
+    if kind == 0:
+        return rng.normal(size=(n, dim))
+    if kind == 1:
+        return blobs(rng, k=3, per=n // 3 + 1, dim=dim, spread=0.3)[0][:n]
+    pool = rng.normal(size=(max(1, n // 5), dim))
+    return pool[rng.integers(len(pool), size=n)]
+
+
+def real_bbvs(name):
+    """The whole-run BBV matrix of a registered benchmark."""
+    from repro.pin.engine import Engine
+    from repro.pin.tools.bbv import BBVProfiler
+    from repro.workloads.spec2017 import build_program
+
+    program = build_program(name)
+    profiler = BBVProfiler(program.block_sizes)
+    Engine([profiler]).run(program.iter_slices())
+    return profiler.matrix()
+
+
+class TestLloydOracle:
+    """The one-bincount Lloyd update against the per-cluster oracle in
+    ``kmeans_oracle.py``: bit for bit on two or more columns."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 15, 16, 64])
+    @pytest.mark.parametrize("init", ["maximin", "k-means++", "random"])
+    def test_kmeans_fuzz_is_bit_identical(self, init, dim):
+        rng = np.random.default_rng(100 * dim + len(init))
+        for case in range(12):
+            n = int(rng.integers(1, 90))
+            data = fuzz_points(rng, n, dim)
+            k = n if case % 4 == 0 else int(rng.integers(1, n + 1))
+            kwargs = dict(seed=int(rng.integers(1000)),
+                          n_init=int(rng.integers(1, 4)), init=init)
+            assert_bit_identical(
+                kmeans(data, k, **kwargs), reference_kmeans(data, k, **kwargs)
+            )
+            # Seeds drawn with replacement: duplicates leave clusters empty.
+            assert_lloyd_identical(data, data[rng.integers(n, size=k)])
+
+    @pytest.mark.parametrize("dim", [2, 15, 64])
+    def test_lloyd_reseeds_empty_clusters_identically(self, dim):
+        rng = np.random.default_rng(dim)
+        pool = rng.normal(size=(3, dim))
+        data = pool[rng.integers(3, size=60)]
+        # Eight seeds from three distinct points: duplicated seeds leave
+        # clusters empty, so the reseed path runs.
+        centers = data[:8].copy()
+        assert len(np.unique(centers, axis=0)) < len(centers)
+        assert_lloyd_identical(data, centers)
+
+    @pytest.mark.parametrize("name", ["505.mcf_r", "623.xalancbmk_s"])
+    def test_analyze_on_real_bbvs_is_bit_identical(self, name, monkeypatch):
+        from repro.simpoint import simpoints
+
+        bbvs = real_bbvs(name)
+        got = simpoints.SimPointAnalysis(seed=3).analyze(bbvs)
+        monkeypatch.setattr(simpoints, "kmeans", reference_kmeans)
+        want = simpoints.SimPointAnalysis(seed=3).analyze(bbvs)
+        assert got.k == want.k
+        assert got.points == want.points
+        assert np.array_equal(bits(got.bic_scores), bits(want.bic_scores))
+
+    def test_one_column_centers_within_one_ulp(self, monkeypatch):
+        # A one-column mean sums pairwise, the bincount sequentially, so
+        # only here may a centroid move: by a few ulp in general, by at
+        # most one on this input.
+        from repro.simpoint import simpoints
+
+        bbvs = real_bbvs("505.mcf_r")
+        analysis = simpoints.SimPointAnalysis(seed=3, projection_dim=1)
+        got = analysis.analyze(bbvs)
+        got_centers = analysis.cluster_at_k(bbvs, got.k)
+        monkeypatch.setattr(simpoints, "kmeans", reference_kmeans)
+        want = analysis.analyze(bbvs)
+        want_centers = analysis.cluster_at_k(bbvs, want.k)
+        assert got.k == want.k
+        assert np.array_equal(got.labels, want.labels)
+        assert np.array_equal(got_centers.labels, want_centers.labels)
+        np.testing.assert_array_max_ulp(
+            got_centers.centers, want_centers.centers, maxulp=1
+        )
 
 
 class TestBic:
