@@ -10,12 +10,14 @@ regional checkpoint is replayed in isolation.
 ``repro.cache.fused`` adds the fused single-pass engine: whole slices
 buffered and swept through all four levels in one chunked pass, with
 interchangeable numpy / native backends that are bit-identical to the
-per-batch reference (see DESIGN.md section 13).  The backend also picks
-how every per-batch level of any associativity runs: a hierarchy hands
-its own down, and a level built without one (Sniper, SPECrate,
-``NativeMachine``) resolves ``REPRO_CACHE_BACKEND``.  Under ``native`` a
-level runs a compiled direct-mapped or LRU step, and the strategy that
-ran is recorded as ``cache.strategy{path=...}``.
+per-batch reference (see DESIGN.md section 13).  Under ``native`` one
+compiled walk serves every geometry, and Sniper's timing model and
+``NativeMachine`` feed it too.  The backend also picks how every
+per-batch level of any associativity runs: a hierarchy hands its own
+down, and a level built without one (the SPECrate runner's) resolves
+``REPRO_CACHE_BACKEND``.  Under ``native`` a level runs a compiled
+direct-mapped or LRU step, and the strategy that ran is recorded as
+``cache.strategy{path=...}``.
 """
 
 from repro.cache.stats import CacheStats

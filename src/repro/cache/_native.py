@@ -5,17 +5,20 @@ loads it through :mod:`ctypes`.  It holds three kernels, all sequential
 per-access loops with exactly the semantics of the oracle loops in
 :mod:`repro.cache.cache`:
 
-* ``repro_dm_hierarchy`` walks a direct-mapped L1I/L1D -> L2 -> L3
-  hierarchy over one fused chunk (:class:`~repro.cache.fused.FusedHierarchy`);
+* ``repro_walk`` walks an L1I/L1D -> L2 -> L3 hierarchy of any
+  associativity over one fused chunk
+  (:class:`~repro.cache.fused.FusedHierarchy`), read straight from each
+  slice's own arrays;
 * ``repro_dm_level`` runs one batch through one direct-mapped level,
   on its ``_resident``/``_dirty`` arrays;
 * ``repro_lru_level`` runs one batch through one set-associative LRU
   level, on the packed ``_way_state`` array the wave path keeps.
 
-The two direct-mapped kernels share one ``static inline`` step, so
-direct-mapped semantics are written once.  Every kernel works in place
-on the state :class:`~repro.cache.cache.CacheLevel` keeps, so native and
-numpy passes interleave on one level.
+Each level kind has one ``static inline`` step (``dm_step`` and
+``lru_step``) that both the walk and that kind's level kernel call, so
+direct-mapped and LRU semantics are each written once.  Every kernel
+works in place on the state :class:`~repro.cache.cache.CacheLevel`
+keeps, so native and numpy passes interleave on one level.
 
 The build is content-addressed (the object file name embeds a hash of
 the source and compiler), so it compiles once per machine and is reused
@@ -43,6 +46,7 @@ from typing import Optional
 import numpy as np
 
 _SOURCE = r"""
+#include <stddef.h>
 #include <stdint.h>
 
 /* One access to a direct-mapped level: write-allocate, write-back.
@@ -61,52 +65,121 @@ static inline int dm_step(
     return 1;
 }
 
-/* One pass over an interleaved ifetch+data reference stream through a
- * direct-mapped L1I/L1D -> L2 -> L3 hierarchy with miss filtering.
- * `counts` is a 4x3 row-major table: rows L1I,L1D,L2,L3; columns
- * accesses,misses,writebacks.  The walk counts in locals and adds them
- * to `counts` once, at the end.  The four levels' state arrays must not
- * overlap one another. */
-void repro_dm_hierarchy(
-    const int64_t *restrict lines, const uint8_t *restrict writes,
-    const uint8_t *restrict is_data, int64_t n,
-    int64_t *restrict res_l1i, uint8_t *restrict dir_l1i,
-    int64_t mask_l1i, int64_t shift_l1i,
-    int64_t *restrict res_l1d, uint8_t *restrict dir_l1d,
-    int64_t mask_l1d, int64_t shift_l1d,
-    int64_t *restrict res_l2, uint8_t *restrict dir_l2,
-    int64_t mask_l2, int64_t shift_l2,
-    int64_t *restrict res_l3, uint8_t *restrict dir_l3,
-    int64_t mask_l3, int64_t shift_l3,
-    int64_t *restrict counts)
+/* One access to a set-associative LRU level.  `ways` is the packed
+ * (sets x assoc) row-major state the wave path keeps: way 0 = MRU, each
+ * entry tag << 1 | dirty, -1 = empty, valid entries a prefix of the
+ * row.  A hit promotes its way to MRU and ORs in the write; a miss
+ * fills the first empty way or evicts the LRU one.  Same result and
+ * write-back count as dm_step. */
+static inline int lru_step(
+    int64_t *restrict ways, int64_t assoc, int64_t mask, int64_t shift,
+    int64_t line, uint8_t w, int64_t *restrict writebacks)
+{
+    int64_t *row = ways + (line & mask) * assoc;
+    int64_t tag = line >> shift, entry;
+    int64_t way = 0;
+    int miss;
+    while (way < assoc && row[way] >= 0 && (row[way] >> 1) != tag)
+        way++;
+    if (way < assoc && row[way] >= 0) {
+        entry = row[way] | w;
+        miss = 0;
+    } else {
+        if (way == assoc) {
+            way = assoc - 1;
+            *writebacks += row[way] & 1;
+        }
+        entry = tag << 1 | w;
+        miss = 1;
+    }
+    for (; way > 0; way--)
+        row[way] = row[way - 1];
+    row[0] = entry;
+    return miss;
+}
+
+#if defined(__GNUC__)
+#define LIKELY(x) __builtin_expect(!!(x), 1)
+#else
+#define LIKELY(x) (x)
+#endif
+
+/* One access to a level of either kind: associativity 1 steps dm_step
+ * on per-set tags (`state`) and dirty flags (`dir`), any other
+ * associativity steps lru_step on the packed ways (`state`; `dir` is
+ * unused).  Laying the direct-mapped step out as the fall-through path
+ * keeps an all-direct-mapped walk as fast as one without the dispatch;
+ * associative levels lose nothing measurable. */
+static inline int level_step(
+    int64_t *restrict state, uint8_t *restrict dir, int64_t assoc,
+    int64_t mask, int64_t shift, int64_t line, uint8_t w,
+    int64_t *restrict writebacks)
+{
+    if (LIKELY(assoc == 1))
+        return dm_step(state, dir, mask, shift, line, w, writebacks);
+    return lru_step(state, assoc, mask, shift, line, w, writebacks);
+}
+
+#define LEVEL(x) \
+    int64_t *restrict st_##x, uint8_t *restrict dir_##x, int64_t assoc_##x, \
+    int64_t mask_##x, int64_t shift_##x
+#define STEP(x, line, w) \
+    level_step(st_##x, dir_##x, assoc_##x, mask_##x, shift_##x, line, w, \
+               &wb_##x)
+
+/* An L1 miss continues to L2, and an L2 miss to L3. */
+#define BELOW_L1(line, w) do { \
+        acc_2++; \
+        if (STEP(2, line, w)) { \
+            miss_2++; \
+            acc_3++; \
+            miss_3 += STEP(3, line, w); \
+        } \
+    } while (0)
+
+/* One pass over a chunk of slice streams through an L1I/L1D -> L2 -> L3
+ * hierarchy with miss filtering.  The chunk is `nseg` segments in
+ * program order; segment k is `seg_len[k]` trace line addresses at
+ * `seg_lines[k]` with write flags at `seg_writes[k]` (a data stream, to
+ * L1D) or NULL (an ifetch stream, to L1I).  Each address is shifted
+ * down by `gshift` to the levels' line size.  Each level passes its
+ * state as for level_step.  `counts` is a 4x3 row-major table: rows
+ * L1I,L1D,L2,L3; columns accesses,misses,writebacks.  The walk counts
+ * in locals and adds them to `counts` once, at the end.  The four
+ * levels' state arrays must not overlap one another. */
+void repro_walk(
+    const int64_t *const *seg_lines, const uint8_t *const *seg_writes,
+    const int64_t *seg_len, int64_t nseg, int64_t gshift,
+    LEVEL(i), LEVEL(d), LEVEL(2), LEVEL(3), int64_t *restrict counts)
 {
     int64_t acc_i = 0, miss_i = 0, wb_i = 0;
     int64_t acc_d = 0, miss_d = 0, wb_d = 0;
     int64_t acc_2 = 0, miss_2 = 0, wb_2 = 0;
     int64_t acc_3 = 0, miss_3 = 0, wb_3 = 0;
-    for (int64_t i = 0; i < n; i++) {
-        int64_t line = lines[i];
-        uint8_t w = 0;
-        if (is_data[i]) {
-            w = writes[i];
-            acc_d++;
-            if (!dm_step(res_l1d, dir_l1d, mask_l1d, shift_l1d, line, w,
-                         &wb_d))
-                continue;
-            miss_d++;
+    for (int64_t k = 0; k < nseg; k++) {
+        const int64_t *restrict lines = seg_lines[k];
+        const uint8_t *restrict writes = seg_writes[k];
+        int64_t n = seg_len[k];
+        if (writes == NULL) {
+            acc_i += n;
+            for (int64_t i = 0; i < n; i++) {
+                int64_t line = lines[i] >> gshift;
+                if (!STEP(i, line, 0))
+                    continue;
+                miss_i++;
+                BELOW_L1(line, 0);
+            }
         } else {
-            acc_i++;
-            if (!dm_step(res_l1i, dir_l1i, mask_l1i, shift_l1i, line, 0,
-                         &wb_i))
-                continue;
-            miss_i++;
+            acc_d += n;
+            for (int64_t i = 0; i < n; i++) {
+                int64_t line = lines[i] >> gshift;
+                uint8_t w = writes[i];
+                if (!STEP(d, line, w))
+                    continue;
+                miss_d++;
+                BELOW_L1(line, w);
+            }
         }
-        acc_2++;
-        if (!dm_step(res_l2, dir_l2, mask_l2, shift_l2, line, w, &wb_2))
-            continue;
-        miss_2++;
-        acc_3++;
-        miss_3 += dm_step(res_l3, dir_l3, mask_l3, shift_l3, line, w, &wb_3);
     }
     counts[0] += acc_i; counts[1] += miss_i; counts[2] += wb_i;
     counts[3] += acc_d; counts[4] += miss_d; counts[5] += wb_d;
@@ -128,38 +201,17 @@ int64_t repro_dm_level(
     return writebacks;
 }
 
-/* A batch through one set-associative LRU level.  `ways` is the packed
- * (sets x assoc) row-major state the wave path keeps: way 0 = MRU, each
- * entry tag << 1 | dirty, -1 = empty, valid entries a prefix of the
- * row.  A hit promotes its way to MRU and ORs in the write; a miss
- * fills the first empty way or evicts the LRU one.  Same outputs as
- * repro_dm_level. */
+/* A batch through one set-associative LRU level, on the packed ways
+ * lru_step reads.  Same outputs as repro_dm_level. */
 int64_t repro_lru_level(
-    const int64_t *lines, const uint8_t *writes, int64_t n,
-    int64_t *ways, int64_t assoc, int64_t mask, int64_t shift, uint8_t *miss)
+    const int64_t *restrict lines, const uint8_t *restrict writes,
+    int64_t n, int64_t *restrict ways, int64_t assoc, int64_t mask,
+    int64_t shift, uint8_t *restrict miss)
 {
     int64_t writebacks = 0;
-    for (int64_t i = 0; i < n; i++) {
-        int64_t *row = ways + (lines[i] & mask) * assoc;
-        int64_t tag = lines[i] >> shift, entry;
-        int64_t way = 0;
-        while (way < assoc && row[way] >= 0 && (row[way] >> 1) != tag)
-            way++;
-        if (way < assoc && row[way] >= 0) {
-            entry = row[way] | writes[i];
-            miss[i] = 0;
-        } else {
-            if (way == assoc) {
-                way = assoc - 1;
-                writebacks += row[way] & 1;
-            }
-            entry = tag << 1 | writes[i];
-            miss[i] = 1;
-        }
-        for (; way > 0; way--)
-            row[way] = row[way - 1];
-        row[0] = entry;
-    }
+    for (int64_t i = 0; i < n; i++)
+        miss[i] = lru_step(ways, assoc, mask, shift, lines[i], writes[i],
+                           &writebacks);
     return writebacks;
 }
 """
@@ -218,9 +270,10 @@ def _bind(lib_path: Path) -> "NativeKernel":
     lib = ctypes.CDLL(str(lib_path))
     ptr = ctypes.c_void_p
     i64 = ctypes.c_int64
-    walk = lib.repro_dm_hierarchy
+    walk = lib.repro_walk
     walk.restype = None
-    walk.argtypes = [ptr, ptr, ptr, i64] + [ptr, ptr, i64, i64] * 4 + [ptr]
+    level = [ptr, ptr, i64, i64, i64]
+    walk.argtypes = [ptr, ptr, ptr, i64, i64] + level * 4 + [ptr]
     dm_level = lib.repro_dm_level
     dm_level.restype = i64
     dm_level.argtypes = [ptr, ptr, i64, ptr, ptr, i64, i64, ptr]
@@ -231,7 +284,7 @@ def _bind(lib_path: Path) -> "NativeKernel":
 
 
 class NativeKernel:
-    """ctypes bindings of the compiled hierarchy walk and level steps.
+    """ctypes bindings of the compiled hierarchy walk and level kernels.
 
     Arrays cross the boundary as raw data pointers, so every array
     handed to C is C-contiguous with the dtype the kernel reads: the
@@ -244,35 +297,50 @@ class NativeKernel:
         self._dm_level = dm_level
         self._lru_level = lru_level
 
-    def __call__(
-        self,
-        lines: np.ndarray,
-        writes: np.ndarray,
-        is_data: np.ndarray,
-        level_state,
-        counts: np.ndarray,
-    ) -> None:
-        """Run one chunk of the direct-mapped hierarchy walk.
+    def walk(self, segments, shift: int, level_state) -> np.ndarray:
+        """Run one chunk of slice streams through the hierarchy walk.
 
         Args:
-            lines: Granularity-shifted int64 line addresses, program order.
-            writes: uint8 write flags, each 0 or 1, aligned with ``lines``.
-            is_data: uint8 flags, 1 = data reference, 0 = ifetch.
-            level_state: Four ``(resident, dirty, set_mask, set_shift)``
-                tuples in L1I, L1D, L2, L3 order; no two levels share an
-                array.
-            counts: int64 ``(4, 3)`` array accumulating accesses, misses
-                and writebacks per level.
+            segments: ``(lines, writes)`` pairs in program order: a C
+                contiguous int64 array of trace line addresses and its C
+                contiguous bool write flags (a data stream), or ``None``
+                (an ifetch stream).
+            shift: Granularity shift from trace lines to level lines.
+            level_state: Four ``(state, dirty, associativity, set_mask,
+                set_shift)`` tuples in L1I, L1D, L2, L3 order: a
+                direct-mapped level's ``_resident`` and ``_dirty``, or an
+                associative level's packed ``_way_state`` and ``None``.
+                No two levels share an array.
+
+        Returns:
+            int64 ``(4, 3)`` array of accesses, misses and writebacks per
+            level.
         """
+        seg_lines = np.array(
+            [lines.ctypes.data for lines, _ in segments], dtype=np.uintp
+        )
+        seg_writes = np.array(
+            [0 if writes is None else writes.ctypes.data
+             for _, writes in segments],
+            dtype=np.uintp,
+        )
+        seg_len = np.array(
+            [lines.size for lines, _ in segments], dtype=np.int64
+        )
+        counts = np.zeros((4, 3), dtype=np.int64)
         args = [
-            lines.ctypes.data, writes.ctypes.data, is_data.ctypes.data,
-            lines.size,
+            seg_lines.ctypes.data, seg_writes.ctypes.data,
+            seg_len.ctypes.data, len(segments), shift,
         ]
-        for resident, dirty, set_mask, set_shift in level_state:
-            args += [resident.ctypes.data, dirty.ctypes.data, set_mask,
-                     set_shift]
+        for state, dirty, assoc, set_mask, set_shift in level_state:
+            args += [
+                state.ctypes.data,
+                None if dirty is None else dirty.ctypes.data,
+                assoc, set_mask, set_shift,
+            ]
         args.append(counts.ctypes.data)
         self._walk(*args)
+        return counts
 
     def dm_level(self, lines, writes, resident, dirty, set_mask, set_shift):
         """One batch through a direct-mapped level, state updated in place.

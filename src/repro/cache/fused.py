@@ -13,16 +13,19 @@ L1I/L1D -> L2 -> L3 in one pass per chunk:
   order the legacy per-batch path produced;
 * the **native** backend compiles the sequential per-access hierarchy
   walk with the host C compiler (:mod:`repro.cache._native`) and runs
-  each chunk through it.
+  each chunk through it, whatever each level's associativity: a
+  direct-mapped level steps on its ``_resident``/``_dirty`` arrays, an
+  associative one on its packed LRU ``_way_state``.  The walk reads
+  every slice's own arrays, so a chunk is never concatenated.
 
-The same backend also drives every per-batch
+Sniper's timing model and ``NativeMachine`` feed their slices through a
+built hierarchy too.  The same backend also drives every per-batch
 :class:`~repro.cache.cache.CacheLevel`, whatever its associativity: a
 built hierarchy hands its backend to its levels, and a level built on
-its own (Sniper, the SPECrate runner, ``NativeMachine``) resolves the
-environment.  Under ``native`` each level runs the compiled
-direct-mapped or LRU step on its own state, otherwise the numpy sweep,
-wave or sequential strategy.  Each level records the strategy that ran
-as ``cache.strategy{path=...}``.
+its own (the SPECrate runner's) resolves the environment.  Under
+``native`` each level runs the compiled direct-mapped or LRU step on its
+own state, otherwise the numpy sweep, wave or sequential strategy.  Each
+level records the strategy that ran as ``cache.strategy{path=...}``.
 
 All backends operate on the same per-level state arrays as
 :class:`~repro.cache.cache.CacheLevel` and are bit-identical to the
@@ -224,23 +227,21 @@ class FusedHierarchy(CacheHierarchy):
                     "backend 'native' is unavailable; "
                     "resolve_backend() selects an available one"
                 )
-        # The compiled walk handles direct-mapped levels only; an
-        # associative or reference level sends chunks down the per-level
-        # sweeps, where each level runs its own strategy.
-        self._walkable = all(
-            level._assoc == 1 and not level.reference
-            for level in self.levels
-        )
         self._segments: List[Tuple[np.ndarray, Optional[np.ndarray]]] = []
         self._pending = 0
 
     # -- buffering ------------------------------------------------------
 
     def submit_slice(self, trace: SliceTrace) -> None:
-        """Buffer one slice's reference streams for fused simulation."""
-        ifetch = trace.ifetch_lines
-        mem = trace.mem_lines
-        writes = trace.mem_is_write
+        """Buffer one slice's reference streams for fused simulation.
+
+        The buffer keeps the slice's own arrays: generated and imported
+        traces are already C-contiguous int64 lines and bool flags, so
+        nothing is copied.
+        """
+        ifetch = np.ascontiguousarray(trace.ifetch_lines, dtype=np.int64)
+        mem = np.ascontiguousarray(trace.mem_lines, dtype=np.int64)
+        writes = np.ascontiguousarray(trace.mem_is_write, dtype=bool)
         if ifetch.size:
             if int(ifetch.min()) < 0:
                 raise SimulationError(
@@ -281,10 +282,10 @@ class FusedHierarchy(CacheHierarchy):
                 refs=n,
                 segments=len(segments),
             ):
-                self._simulate_chunk(segments, n, recorder)
+                self._simulate_chunk(segments, recorder)
             recorder.count("cache.fused.backend", 1, backend=self.backend)
         else:
-            self._simulate_chunk(segments, n, None)
+            self._simulate_chunk(segments, None)
 
     # -- consistency points --------------------------------------------
 
@@ -313,15 +314,12 @@ class FusedHierarchy(CacheHierarchy):
 
     # -- the fused pass -------------------------------------------------
 
-    def _simulate_chunk(self, segments, n, recorder) -> None:
-        combined = np.concatenate([lines for lines, _ in segments])
-        if self._shift:
-            combined >>= self._shift
-        if self._kernel is not None and self._walkable:
-            counts = self._walk_chunk(segments, n, combined)
+    def _simulate_chunk(self, segments, recorder) -> None:
+        if self._kernel is not None:
+            counts = self._walk_chunk(segments)
             waves = 1
         else:
-            counts = self._sweep_chunk(segments, n, combined)
+            counts = self._sweep_chunk(segments)
             waves = int((counts[:, 0] > 0).sum())
         recording = self.l1i.recording
         for level, (accesses, misses, writebacks) in zip(
@@ -335,30 +333,30 @@ class FusedHierarchy(CacheHierarchy):
         if recorder is not None:
             recorder.count("cache.fused.waves", waves)
 
-    def _walk_chunk(self, segments, n, combined) -> np.ndarray:
-        writes = np.concatenate([
-            writes.view(np.uint8) if writes is not None
-            else np.zeros(lines.size, dtype=np.uint8)
-            for lines, writes in segments
-        ])
-        is_data = np.concatenate([
-            np.full(lines.size, 0 if writes is None else 1, dtype=np.uint8)
-            for lines, writes in segments
-        ])
-        counts = np.zeros((4, 3), dtype=np.int64)
-        state = [
-            (level._resident, level._dirty, level._set_mask,
-             level._set_shift)
-            for level in self.levels
-        ]
-        self._kernel(combined, writes, is_data, state, counts)
-        return counts
+    def _walk_chunk(self, segments) -> np.ndarray:
+        state = []
+        for level in self.levels:
+            if level._strategy is None:
+                # First traffic: the level picks the native step, which
+                # does not look at the traffic, and an associative level
+                # allocates its packed LRU state.
+                level._ensure_strategy(None)
+            if level._assoc == 1:
+                state.append((level._resident, level._dirty, 1,
+                              level._set_mask, level._set_shift))
+            else:
+                state.append((level._way_state, None, level._assoc,
+                              level._set_mask, level._set_shift))
+        return self._kernel.walk(segments, self._shift, state)
 
-    def _sweep_chunk(self, segments, n, combined) -> np.ndarray:
-        # Slice the combined (already granularity-shifted) stream back
-        # into per-L1 streams as views, and give every reference its
-        # global position; position order *is* program order, and within
-        # a slice ifetch positions precede data positions, exactly the
+    def _sweep_chunk(self, segments) -> np.ndarray:
+        combined = np.concatenate([lines for lines, _ in segments])
+        if self._shift:
+            combined >>= self._shift
+        # Slice the combined (granularity-shifted) stream back into
+        # per-L1 streams as views, and give every reference its global
+        # position; position order *is* program order, and within a
+        # slice ifetch positions precede data positions, exactly the
         # order the per-batch path feeds L2.
         i_lines, i_pos, d_lines, d_pos, d_writes = [], [], [], [], []
         offset = 0
@@ -386,7 +384,7 @@ class FusedHierarchy(CacheHierarchy):
             return counts
         # Write flags over the full stream (False at ifetch positions)
         # so filtered streams can gather by position.
-        writes_all = np.zeros(n, dtype=bool)
+        writes_all = np.zeros(combined.size, dtype=bool)
         if writes_d is not None and writes_d.size:
             writes_all[_cat(d_pos)] = writes_d
         pos3 = self._sweep_level(

@@ -6,6 +6,13 @@ sustains its commit width; miss events (branch mispredictions, cache
 misses) insert penalty intervals.  Cache behaviour comes from an actual
 functional simulation of the configured hierarchy, so timing inherits all
 cold-start/warmup effects of regional replay.
+
+Each region builds its hierarchy with
+:func:`~repro.cache.fused.build_hierarchy` and feeds it whole slices, so
+under the ``native`` backend the warmup and the measured slices run
+through the one compiled walk (``fused`` sweeps per level in chunks,
+``numpy`` keeps the per-batch hierarchy); which backend runs never
+changes a cycle.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from repro.cache.hierarchy import CacheHierarchy
+from repro.cache.fused import build_hierarchy
 from repro.config import SNIPER_SIM, SystemConfig
 from repro.errors import SimulationError
 from repro.isa.trace import SliceTrace
@@ -145,12 +152,11 @@ class SniperSimulator:
         slices: Iterable[SliceTrace],
         warmup: Iterable[SliceTrace],
     ) -> RegionTiming:
-        hierarchy = CacheHierarchy(self.system.caches)
+        hierarchy = build_hierarchy(self.system.caches)
 
         hierarchy.set_recording(False)
         for trace in warmup:
-            hierarchy.access_ifetch(trace.ifetch_lines)
-            hierarchy.access_data(trace.mem_lines, trace.mem_is_write)
+            hierarchy.process_trace(trace)
         hierarchy.set_recording(True)
 
         instructions = 0
@@ -159,8 +165,7 @@ class SniperSimulator:
         issue_cycles = 0.0
         dependency_cycles = 0.0
         for trace in slices:
-            hierarchy.access_ifetch(trace.ifetch_lines)
-            hierarchy.access_data(trace.mem_lines, trace.mem_is_write)
+            hierarchy.process_trace(trace)
             instructions += trace.instruction_count
             if self.predictor is not None:
                 from repro.sniper.branch import simulate_slice_mispredicts

@@ -272,7 +272,10 @@ class SyntheticProgram:
                 start = phase.stream_base + slice_index * STREAM_WINDOW_LINES
                 parts.append(np.arange(start, start + stream_count, dtype=np.int64))
             mem_lines = np.concatenate(parts) if parts else np.empty(0, np.int64)
-            mem_lines = mem_lines[rng.permutation(mem_lines.size)]
+            # In place: permutation(n) shuffles arange(n) with these same
+            # Fisher-Yates draws, so the bytes and the generator state
+            # afterwards match gathering through it, without the copy.
+            rng.shuffle(mem_lines)
             write_prob = (class_counts[2] + class_counts[3]) / num_refs
             mem_is_write = rng.random(mem_lines.size) < write_prob
         else:
@@ -290,10 +293,10 @@ class SyntheticProgram:
             phase_id=phase_id,
             instruction_count=instruction_count,
             block_counts=block_counts,
-            class_counts=class_counts.astype(np.int64),
-            mem_lines=mem_lines.astype(np.int64),
+            class_counts=class_counts.astype(np.int64, copy=False),
+            mem_lines=mem_lines.astype(np.int64, copy=False),
             mem_is_write=mem_is_write,
-            ifetch_lines=ifetch_lines.astype(np.int64),
+            ifetch_lines=ifetch_lines.astype(np.int64, copy=False),
             branch_count=branch_count,
             branch_entropy=phase.spec.branch_entropy,
         )

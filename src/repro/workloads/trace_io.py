@@ -34,10 +34,15 @@ def export_traces(
 
     Returns:
         The written path.
+
+    Raises:
+        WorkloadError: If the range is out of bounds or holds no slice.
     """
     if count is None:
         count = program.num_slices - start
     traces = list(program.iter_slices(start, count))
+    if not traces:
+        raise WorkloadError(f"no slices to export at slice {start}")
 
     mem_lengths = np.asarray([t.mem_lines.size for t in traces])
     ifetch_lengths = np.asarray([t.ifetch_lines.size for t in traces])
@@ -73,35 +78,41 @@ def export_traces(
 def import_traces(path) -> List[SliceTrace]:
     """Load traces written by :func:`export_traces`.
 
+    Every array is decompressed once, and each trace's arrays are views
+    into the bundle's arrays.
+
     Raises:
         WorkloadError: On a missing file or format mismatch.
     """
     path = Path(path)
     try:
-        data = np.load(path, allow_pickle=False)
+        with np.load(path, allow_pickle=False) as data:
+            arrays = {name: data[name] for name in data.files}
     except (OSError, ValueError) as exc:
         raise WorkloadError(f"cannot read traces from {path}: {exc}") from exc
-    if str(data.get("format", "")) != FORMAT:
+    if str(arrays.get("format", "")) != FORMAT:
         raise WorkloadError(f"{path} is not a {FORMAT} file")
 
     traces: List[SliceTrace] = []
-    mem_offsets = np.concatenate([[0], np.cumsum(data["mem_lengths"])])
-    ifetch_offsets = np.concatenate([[0], np.cumsum(data["ifetch_lengths"])])
-    for row in range(data["indices"].size):
+    mem_offsets = np.concatenate([[0], np.cumsum(arrays["mem_lengths"])])
+    ifetch_offsets = np.concatenate(
+        [[0], np.cumsum(arrays["ifetch_lengths"])]
+    )
+    for row in range(arrays["indices"].size):
         mem_lo, mem_hi = mem_offsets[row], mem_offsets[row + 1]
         if_lo, if_hi = ifetch_offsets[row], ifetch_offsets[row + 1]
         traces.append(
             SliceTrace(
-                index=int(data["indices"][row]),
-                phase_id=int(data["phase_ids"][row]),
-                instruction_count=int(data["instruction_counts"][row]),
-                block_counts=data["block_counts"][row],
-                class_counts=data["class_counts"][row],
-                mem_lines=data["mem_lines"][mem_lo:mem_hi],
-                mem_is_write=data["mem_is_write"][mem_lo:mem_hi],
-                ifetch_lines=data["ifetch_lines"][if_lo:if_hi],
-                branch_count=int(data["branch_counts"][row]),
-                branch_entropy=float(data["branch_entropies"][row]),
+                index=int(arrays["indices"][row]),
+                phase_id=int(arrays["phase_ids"][row]),
+                instruction_count=int(arrays["instruction_counts"][row]),
+                block_counts=arrays["block_counts"][row],
+                class_counts=arrays["class_counts"][row],
+                mem_lines=arrays["mem_lines"][mem_lo:mem_hi],
+                mem_is_write=arrays["mem_is_write"][mem_lo:mem_hi],
+                ifetch_lines=arrays["ifetch_lines"][if_lo:if_hi],
+                branch_count=int(arrays["branch_counts"][row]),
+                branch_entropy=float(arrays["branch_entropies"][row]),
             )
         )
     return traces

@@ -33,6 +33,8 @@ from repro.isa.trace import SliceTrace
 from repro.pin.engine import Engine
 from repro.pin.tools.allcache import AllCache
 
+from test_cache import level_state
+
 #: Backends that resolve to themselves on this machine.
 AVAILABLE = [b for b in BACKENDS if resolve_backend(b) == b]
 
@@ -252,49 +254,90 @@ def reference_hierarchy(config):
     return hierarchy
 
 
+def walk_geometry(l1i=1, l1d=1, l2=1, l3=1, line=32):
+    """A hierarchy small enough that every data level evicts dirty lines."""
+    return CacheHierarchyConfig(
+        l1i=CacheConfig("L1I", size_bytes=line * 8, line_size=line,
+                        associativity=l1i),
+        l1d=CacheConfig("L1D", size_bytes=line * 16, line_size=line,
+                        associativity=l1d),
+        l2=CacheConfig("L2", size_bytes=line * 64, line_size=line,
+                       associativity=l2),
+        l3=CacheConfig("L3", size_bytes=line * 256, line_size=line,
+                       associativity=l3),
+    )
+
+
+WALK_GEOMETRIES = {
+    "direct-mapped": walk_geometry(),
+    "l2l3-2way": walk_geometry(l2=2, l3=2),
+    "l2l3-4way": walk_geometry(l2=4, l3=4),
+    "l2l3-8way": walk_geometry(l2=8, l3=8),
+    "l2l3-16way": walk_geometry(l2=16, l3=16),
+    "assoc-l1": walk_geometry(l1i=2, l1d=4, l2=8, l3=1),
+    "64B-lines": walk_geometry(l2=8, l3=16, line=64),
+}
+
+
 @pytest.mark.skipif("native" not in AVAILABLE,
                     reason="no working C compiler")
 class TestNativeWalk:
-    """The compiled direct-mapped walk against the sequential oracle
-    levels: per-level statistics and the full per-set state."""
-
-    #: Small enough that every data level evicts dirty lines.
-    TINY = CacheHierarchyConfig(
-        l1i=CacheConfig("L1I", size_bytes=32 * 8, line_size=32,
-                        associativity=1),
-        l1d=CacheConfig("L1D", size_bytes=32 * 16, line_size=32,
-                        associativity=1),
-        l2=CacheConfig("L2", size_bytes=32 * 64, line_size=32,
-                       associativity=1),
-        l3=CacheConfig("L3", size_bytes=32 * 256, line_size=32,
-                       associativity=1),
-    )
+    """The compiled hierarchy walk against the sequential oracle levels,
+    on every geometry: per-level statistics and the full state."""
 
     @pytest.mark.parametrize("chunk", [1, 997, 10**9])
     def test_fuzz_matches_reference_levels(self, chunk):
+        for geometry, config in WALK_GEOMETRIES.items():
+            self._fuzz(geometry, config, chunk)
+
+    def _fuzz(self, geometry, config, chunk):
         rng = np.random.default_rng(29)
-        walk = FusedHierarchy(self.TINY, backend="native", chunk_refs=chunk)
-        assert walk._walkable and walk._kernel is not None
-        oracle = reference_hierarchy(self.TINY)
-        for index in range(40):
-            # Mixed, ifetch-only and data-only slices, in random order.
-            kind = int(rng.integers(3))
-            trace = make_trace(
-                rng, index=index,
-                n_mem=0 if kind == 1 else int(rng.integers(1, 400)),
-                n_if=0 if kind == 2 else int(rng.integers(1, 120)),
-            )
+        recorder = telemetry.TraceRecorder()
+        walk = FusedHierarchy(config, backend="native", chunk_refs=chunk)
+        oracle = reference_hierarchy(config)
+
+        def feed(first, count):
+            for index in range(first, first + count):
+                # Mixed, ifetch-only and data-only slices, in random
+                # order, with recording toggled on and off.
+                kind = int(rng.integers(3))
+                trace = make_trace(
+                    rng, index=index,
+                    n_mem=0 if kind == 1 else int(rng.integers(1, 400)),
+                    n_if=0 if kind == 2 else int(rng.integers(1, 120)),
+                )
+                for hierarchy in (walk, oracle):
+                    hierarchy.set_recording(index % 9 >= 3)
+                    hierarchy.process_trace(trace)
+
+        with telemetry.using_recorder(recorder):
+            feed(0, 30)
+            # Per-batch traffic between chunks: both paths share state.
+            walk.drain()
+            extra = rng.integers(0, 2000, size=300)
+            extra_writes = rng.random(300) < 0.5
+            installs = rng.integers(0, 2000, size=200)
             for hierarchy in (walk, oracle):
-                hierarchy.set_recording(index >= 4)
-                hierarchy.process_trace(trace)
-        walk.drain()
-        assert walk.snapshot() == oracle.snapshot()
+                hierarchy.access_data(extra, extra_writes)
+                hierarchy.l2.install(installs)
+            feed(30, 20)
+            walk.drain()
+        assert walk.snapshot() == oracle.snapshot(), geometry
         for fast, slow in zip(walk.levels, oracle.levels):
-            np.testing.assert_array_equal(fast._resident, slow._resident)
-            np.testing.assert_array_equal(fast._dirty, slow._dirty)
+            assert fast._strategy == "native"
+            assert level_state(fast) == level_state(slow), (
+                f"{geometry}: {fast.name}"
+            )
         assert all(
             level.stats.writebacks > 0 for level in oracle.levels[1:]
-        )
+        ), geometry
+        # Every drain walked: a walked chunk counts one wave, a swept
+        # chunk one per level with traffic.
+        counters = recorder.metrics.counters
+        assert counters["cache.fused.backend{backend=native}"] >= 2
+        assert counters["cache.fused.waves"] == (
+            counters["cache.fused.backend{backend=native}"]
+        ), geometry
 
 
 class TestBackendResolution:
@@ -347,8 +390,8 @@ class TestBackendResolution:
         key = "cache.fused.fallback{requested=native,to=fused}"
         recorder = telemetry.TraceRecorder()
         with telemetry.using_recorder(recorder):
-            # Levels that resolve the environment themselves (Sniper's
-            # hierarchy) fall back silently ...
+            # Levels that resolve the environment themselves (a
+            # per-batch hierarchy's) fall back silently ...
             CacheHierarchy(SNIPER_TABLE_III.caches).process_trace(trace)
             assert recorder.metrics.counters.get(key, 0) == 0
             # ... and a built hierarchy counts its one selection.
@@ -376,7 +419,8 @@ class TestFusedTelemetry:
 
 class TestExperimentBytes:
     """fig8/fig10/fig12 rendered output is backend-independent, byte for
-    byte (fig12 replays Sniper's associative hierarchy per batch)."""
+    byte (fig12 replays Sniper's associative hierarchy on every engine:
+    the native walk, the fused sweeps and the per-batch levels)."""
 
     BENCH = ["620.omnetpp_s"]
 

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from repro import telemetry
+from repro.cache.fused import BACKENDS, resolve_backend
 from repro.config import SNIPER_SIM, SNIPER_TABLE_III
 from repro.errors import SimulationError
+from repro.perf.native import NativeMachine
 from repro.sniper import SniperSimulator, TimingParams
 from repro.workloads.phases import PhaseSpec
 from repro.workloads.program import SyntheticProgram
@@ -100,3 +103,45 @@ class TestSniper:
         a = SniperSimulator().run_region(program.iter_slices())
         b = SniperSimulator().run_region(program.iter_slices())
         assert a.cycles == b.cycles
+
+
+class TestEngineIndependence:
+    """Sniper's timing and the native machine's counters are the same
+    on every cache backend, field for field."""
+
+    @pytest.fixture(scope="class")
+    def pipeline(self):
+        from repro.pinpoints.pipeline import run_pinpoints
+
+        return run_pinpoints("505.mcf_r", slice_size=3000, total_slices=120)
+
+    def _measure(self, backend, out, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_BACKEND", backend)
+        recorder = telemetry.TraceRecorder()
+        with telemetry.using_recorder(recorder):
+            timings = [
+                SniperSimulator().run_region(
+                    pinball.replay_slices(out.program),
+                    warmup=pinball.warmup_traces(out.program),
+                )
+                for pinball in out.regional
+            ]
+            counters = NativeMachine().run(out.program)
+        return timings, counters, recorder.metrics.counters
+
+    def test_timing_identical_across_backends(self, pipeline, monkeypatch):
+        assert any(pinball.effective_warmup for pinball in pipeline.regional)
+        backends = [b for b in BACKENDS if resolve_backend(b) == b]
+        runs = {
+            backend: self._measure(backend, pipeline, monkeypatch)
+            for backend in backends
+        }
+        timings, counters, _ = runs["numpy"]
+        assert len(timings) == len(pipeline.regional)
+        for backend, (other_timings, other_counters, _) in runs.items():
+            assert other_timings == timings, backend
+            assert other_counters == counters, backend
+        if "native" in runs:
+            # Under native, the regions ran on the compiled walk.
+            metrics = runs["native"][2]
+            assert metrics["cache.fused.backend{backend=native}"] > 0

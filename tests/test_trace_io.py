@@ -1,5 +1,7 @@
 """Trace export/import round-trips."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -54,3 +56,35 @@ class TestRoundTrip:
 
     def test_format_constant(self):
         assert FORMAT.startswith("repro-slice-traces")
+
+
+class TestImportCost:
+    """A bundle is decompressed once, not once per slice."""
+
+    def test_each_array_is_read_once(self, small_program, tmp_path,
+                                     monkeypatch):
+        path = export_traces(small_program, tmp_path / "t.npz", 0, 30)
+        reads = Counter()
+        getitem = np.lib.npyio.NpzFile.__getitem__
+
+        def counted(self, key):
+            reads[key] += 1
+            return getitem(self, key)
+
+        monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__", counted)
+        assert len(import_traces(path)) == 30
+        assert reads["mem_lines"] == 1
+        assert max(reads.values()) == 1
+
+    def test_traces_share_one_mem_lines_array(self, small_program, tmp_path):
+        path = export_traces(small_program, tmp_path / "t.npz", 0, 30)
+        bases = {id(t.mem_lines.base) for t in import_traces(path)}
+        assert len(bases) == 1 and id(None) not in bases
+
+    @pytest.mark.parametrize("start,count", [(5, 0), (60, None)])
+    def test_empty_export_rejected(self, small_program, tmp_path, start,
+                                   count):
+        path = tmp_path / "empty.npz"
+        with pytest.raises(WorkloadError, match="no slices"):
+            export_traces(small_program, path, start, count)
+        assert not path.exists()

@@ -1,11 +1,14 @@
 """Synthetic program generation: determinism, structure, statistics."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.errors import WorkloadError
 from repro.workloads.program import STREAM_WINDOW_LINES, SyntheticProgram
 from repro.workloads.schedule import PhaseSchedule
+from repro.workloads.spec2017 import build_program
 
 from conftest import make_phase
 
@@ -140,3 +143,117 @@ class TestValidation:
         schedule = PhaseSchedule.from_counts([4], seed=0)
         with pytest.raises(WorkloadError):
             SyntheticProgram("p", phases, schedule, 2000, seed=0)
+
+
+#: The slice arrays whose bytes are pinned, in digest order.
+PINNED_ARRAYS = (
+    "block_counts", "class_counts", "mem_lines", "mem_is_write",
+    "ifetch_lines",
+)
+
+#: sha256 prefixes of every pinned array of slices 0, 1, 299 and 599,
+#: recorded before slice generation shuffled its references in place.
+PINNED_DIGESTS = {
+    "505.mcf_r": {
+        0: ("565bbb91508b562b", "18f11a77bfa16f71",
+            "27744b84b1af965d", "8fb87a7db4fd193d",
+            "55d98ec07dd06f52"),
+        1: ("f6feb6989412e68c", "8672bb323339cf4e",
+            "e6595243ca0d3f7c", "921e6367b97c52dc",
+            "65b1af8dccc0fd85"),
+        299: ("4176e552dda024a2", "4d784d2a3ae88494",
+            "c3afcbb98c44c43f", "05ee4e1031b9168b",
+            "675ae18cf38e0757"),
+        599: ("602a1a4a45565077", "394ad80864f33cc8",
+            "40109fa8eb09706d", "8ba1547288b2ce63",
+            "bb8d2810c516a8e5"),
+    },
+    "525.x264_r": {
+        0: ("85718ccbce9927a2", "b3c9bf9daf2b641c",
+            "9e4c25290448cf4f", "f708ea12db575a28",
+            "4190fe76b9acc8fc"),
+        1: ("70332da97baf7c87", "ecfa9728f506ebce",
+            "edff579661d32132", "ac97d2572b096d36",
+            "8e892183e76617df"),
+        299: ("18e7a1370c707f23", "6561960f80687cbe",
+            "8b290a74869038c5", "f75d4857676d0386",
+            "864bd54ea032fc54"),
+        599: ("9f2899aa69c5d19f", "87b0d5097f741139",
+            "ca171fa5faf179b7", "fa552eae37fcf4e8",
+            "34041c8ec049dbc7"),
+    },
+    "500.perlbench_r": {
+        0: ("9f2cce8fd79db7b9", "687d7f8a56f805bb",
+            "8cd15e4cf3b9ef89", "d79430123b5f18c2",
+            "c38ef17833f2e2c2"),
+        1: ("d221398b602385d5", "368b69095290da4c",
+            "0ccc24b9f64f2743", "1c2c96e0b6c62330",
+            "7c5fb2c544b28591"),
+        299: ("9474cae61d0492fa", "26e8307b41a54937",
+            "8819e68a6784ee66", "860dcd14c5076865",
+            "9909a3acaab51313"),
+        599: ("c62942c97645018a", "08ace619c5efb738",
+            "204d2feaa90dc845", "5d3f362e9a5eddb4",
+            "25e1555b4e8b6612"),
+    },
+    "500.perlbench_r/markov": {
+        0: ("131b2fc93259c0ed", "62d61d8655acc50d",
+            "b1f2f98454fc38da", "27954728fc4714bc",
+            "5e813728065df8bf"),
+        1: ("d503600c98e6aea9", "614be47ec2b46f9a",
+            "7cafbbce01e63eb8", "a2a80a055300647a",
+            "78cf056f7be3dd46"),
+        299: ("ab0667e736d7c6eb", "e3891abec39ef5cd",
+            "fc1a058911db09e5", "31bc49696769d573",
+            "fe46bdeb928e0165"),
+        599: ("321db44f1fa7ef18", "a976cd5c84dd7796",
+            "f8edf21e853c719b", "a0a870f2f4f6b3c6",
+            "9b22ede6dff7608f"),
+    },
+    "505.mcf_r/3000": {
+        0: ("e6825b481e20de9f", "fe296ffa305d680c",
+            "3d549106fea0059c", "57779f0d78581502",
+            "b7a886804f2d7993"),
+        1: ("1cfd05dbc5f131cd", "0436ac9d32666eeb",
+            "95c3d216dc3fcc59", "74e0664ecf0e010c",
+            "e827fe972e696493"),
+        299: ("95e732090d9ead5b", "d9b37a1c4a289d73",
+            "e19726d1afb82d2b", "92725392f4fd0f4e",
+            "35df438d8290ace7"),
+        599: ("8a1bfae26ca486ce", "495c1058171c98b3",
+            "547ce2848b6b7f0d", "67be923724cbf852",
+            "a679edcf54524c51"),
+    },
+}
+
+
+def pinned_program(label):
+    name, _, variant = label.partition("/")
+    if variant == "3000":
+        return build_program(name, slice_size=3000)
+    program = build_program(name)
+    if variant == "markov":
+        return SyntheticProgram(
+            program.name, program.phases, program.schedule,
+            program.slice_size, program.seed, block_model="markov",
+        )
+    return program
+
+
+class TestPinnedBytes:
+    """Generated slices keep their exact bytes: one program per memory
+    archetype (memory, compute, balanced), the Markov block model and a
+    small slice size."""
+
+    @pytest.mark.parametrize("label", list(PINNED_DIGESTS))
+    def test_slice_arrays_match_recorded_digests(self, label):
+        program = pinned_program(label)
+        for index, expected in PINNED_DIGESTS[label].items():
+            trace = program.generate_slice(index)
+            assert trace.mem_lines.dtype == np.int64
+            assert trace.mem_is_write.dtype == bool
+            for name, digest in zip(PINNED_ARRAYS, expected):
+                data = getattr(trace, name).tobytes()
+                assert hashlib.sha256(data).hexdigest()[:16] == digest, (
+                    f"{label} slice {index}: {name}"
+                )
