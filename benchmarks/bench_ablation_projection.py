@@ -21,7 +21,7 @@ def sweep():
     for name in BENCHMARKS:
         program = build_program(name)
         profiler = BBVProfiler(program.block_sizes)
-        Engine([profiler]).run(program.iter_slices())
+        Engine([profiler]).run(program.iter_headers())
         matrices[name] = (profiler.matrix(), profiler.slice_indices())
 
     errors = {}

@@ -81,7 +81,7 @@ def main() -> None:
 
     # Profile BBVs and run SimPoint.
     profiler = BBVProfiler(program.block_sizes)
-    Engine([profiler]).run(program.iter_slices())
+    Engine([profiler]).run(program.iter_headers())
     analysis = SimPointAnalysis(max_k=10, seed=7)
     result = analysis.analyze(profiler.matrix(), profiler.slice_indices())
 

@@ -30,10 +30,10 @@ def bbv_transition_series(program: SyntheticProgram) -> np.ndarray:
         raise SimulationError("need at least two slices for transitions")
     distances = np.empty(program.num_slices - 1)
     previous = None
-    for trace in program.iter_slices():
-        current = trace.bbv(program.block_sizes)
+    for header in program.iter_headers():
+        current = header.bbv(program.block_sizes)
         if previous is not None:
-            distances[trace.index - 1] = float(
+            distances[header.index - 1] = float(
                 np.abs(current - previous).sum()
             )
         previous = current

@@ -176,12 +176,14 @@ def _store_put_metrics(run: str, key: tuple, metrics: RunMetrics) -> None:
 
 
 def _metrics_key(out: PinPointsOutput, config, extra=()) -> tuple:
+    # The program's content fingerprint: two programs of one benchmark and
+    # shape (a custom ``mean_run_length``, say) replay different slices.
     levels = None if config is None else tuple(
         (c.name, c.size_bytes, c.line_size, c.associativity)
         for c in config.levels()
     )
-    return (out.benchmark, out.program.slice_size, out.program.num_slices,
-            levels) + tuple(extra)
+    return (out.benchmark, out.program._trace_key, out.program.slice_size,
+            out.program.num_slices, levels) + tuple(extra)
 
 
 _WHOLE_CACHE: Dict[tuple, RunMetrics] = {}
@@ -193,7 +195,7 @@ def measure_whole(
 ) -> RunMetrics:
     """Profile the Whole Run (full execution, continuously warm caches).
 
-    Results are cached per (benchmark, program shape, hierarchy): whole
+    Results are cached per (benchmark, program content, hierarchy): whole
     replays are deterministic and several figures share them.  With a
     disk tier configured, results also persist across processes and
     sessions.
@@ -236,12 +238,15 @@ def measure_points(
     Each pinball is replayed in isolation (fresh caches), matching the
     paper's methodology; ``with_warmup`` replays the warmup prefix with
     statistics frozen first (the Warmup Regional Run).  Deterministic, so
-    results are cached like :func:`measure_whole`.
+    results are cached like :func:`measure_whole`, keyed also on each
+    pinball's region, warmup and weight.
     """
     key = _metrics_key(
         out, config,
         extra=(
-            tuple((p.region_start, p.warmup_slices) for p in pinballs),
+            tuple(
+                (p.region_start, p.warmup_slices, p.weight) for p in pinballs
+            ),
             with_warmup,
         ),
     )

@@ -13,8 +13,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.experiments.common import map_items, pinpoints_for, resolve_benchmarks
 from repro.experiments.registry import experiment, renders
 from repro.experiments.report import format_bar, format_table
-from repro.pin.engine import Engine
-from repro.pin.tools.bbv import BBVProfiler
 from repro.simpoint.simpoints import SimPointAnalysis
 from repro.simpoint.variance import variance_sweep
 from repro.workloads.spec2017 import get_descriptor
@@ -58,12 +56,10 @@ def _benchmark_curve(
     """One benchmark's variance curve (process-pool worker unit)."""
     descriptor = get_descriptor(name)
     out = pinpoints_for(name, **pinpoints_kwargs)
-    profiler = BBVProfiler(out.program.block_sizes)
-    Engine([profiler]).run(out.whole.replay_slices(out.program))
     analysis = SimPointAnalysis(seed=descriptor.seed)
     usable = [k for k in k_values if k <= out.program.num_slices]
     return descriptor.spec_id, variance_sweep(
-        profiler.matrix(), usable, analysis
+        out.features.bbv, usable, analysis
     )
 
 

@@ -166,8 +166,10 @@ def _benchmark_frontier(
     whole_cpi = whole_timing.cpi
 
     # One feature bundle serves every sampler: collect the union of the
-    # requested feature families (the slice-trace memo makes the second
-    # profiling pass over the whole pinball cheap).
+    # requested feature families.  The whole-run timing above just left
+    # the full slices in the slice-trace memo, and a full entry answers a
+    # header request too, so this second profiling pass draws nothing
+    # while they fit the memo's budget.
     needs_mav = any(
         FEATURE_MAV in get_sampler(s).requires for s in samplers
     )

@@ -127,7 +127,7 @@ def _workload_points(
             descriptor, slice_size=slice_size, total_slices=total_slices
         )
         profiler = BBVProfiler(program.block_sizes)
-        Engine([profiler]).run(program.iter_slices())
+        Engine([profiler]).run(program.iter_headers())
         analysis = SimPointAnalysis(seed=descriptor.seed)
         result = analysis.analyze(
             profiler.matrix(), profiler.slice_indices()

@@ -12,7 +12,7 @@ from repro.isa.instruction import (
     InstructionClass,
 )
 from repro.isa.basicblock import BasicBlock, CodeRegion
-from repro.isa.trace import SliceTrace
+from repro.isa.trace import SliceHeader, SliceTrace
 
 __all__ = [
     "InstructionClass",
@@ -20,5 +20,6 @@ __all__ = [
     "NUM_INSTRUCTION_CLASSES",
     "BasicBlock",
     "CodeRegion",
+    "SliceHeader",
     "SliceTrace",
 ]

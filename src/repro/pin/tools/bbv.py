@@ -12,7 +12,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.isa.trace import SliceTrace
+from repro.isa.trace import SliceHeader
 from repro.pin.pintool import Pintool
 
 
@@ -34,7 +34,7 @@ class BBVProfiler(Pintool):
         self._vectors: List[np.ndarray] = []
         self._slice_indices: List[int] = []
 
-    def process_slice(self, trace: SliceTrace) -> None:
+    def process_slice(self, trace: SliceHeader) -> None:
         self._vectors.append(trace.bbv(self.block_sizes))
         self._slice_indices.append(trace.index)
 

@@ -8,11 +8,14 @@ vectors of :mod:`repro.pin.tools.mav` — and returns weighted
 seam is what lets every methodology run through the same pinball/replay
 machinery downstream.
 
-:func:`collect_features` fills the bundle in one instrumentation pass:
-the BBV profiler and (optionally) the MAV profiler ride the same engine
-run over the whole pinball's replay stream, so adding memory features
-costs no extra slice generation (the slice-trace memo already absorbs
-repeats).
+:func:`collect_features` fills the bundle in one instrumentation pass
+over the whole pinball.  A BBV needs only each slice's block counts, so
+unless the sampler requires memory features the pass reads slice
+*headers* (:meth:`~repro.workloads.program.SyntheticProgram.iter_headers`),
+which skip the reference streams — about 5 % of a full slice's cost —
+and leave each slice's generator paused in the memo for a later replay
+to continue.  With ``"mav"`` required, the MAV profiler rides the same
+engine run over the full slices instead.
 """
 
 from __future__ import annotations
@@ -105,7 +108,8 @@ def collect_features(
 
     One engine pass collects every requested feature family; the BBV
     profiler always runs (every sampler may read BBVs), the MAV profiler
-    joins the same pass when ``requires`` names it.
+    joins the same pass when ``requires`` names it.  Without MAV the pass
+    runs over slice headers; with it, over the full slices.
     """
     from repro.pin.engine import Engine
     from repro.pin.tools.bbv import BBVProfiler
@@ -123,7 +127,10 @@ def collect_features(
     if FEATURE_MAV in requires:
         mav = MAVProfiler()
         tools.append(mav)
-    Engine(tools).run(whole.replay_slices(program))
+        slices = whole.replay_slices(program)
+    else:
+        slices = program.iter_headers(whole.region_start, whole.region_length)
+    Engine(tools).run(slices)
     return SliceFeatures(
         benchmark=benchmark,
         slice_size=program.slice_size,

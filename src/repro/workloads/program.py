@@ -9,18 +9,28 @@ during a whole-program run or replayed in isolation from a regional
 pinball.  This is the synthetic equivalent of PinPlay's deterministic
 checkpoint replay — and it means any whole-vs-regional statistical
 difference is *purely* a cache/sampling effect, never generation noise.
+
+Generation runs in two stages over that one per-slice generator.  The
+header stage draws the block and instruction-class counts
+(:meth:`SyntheticProgram.slice_header`, a
+:class:`~repro.isa.trace.SliceHeader`), which is all a BBV profile
+reads and about 5 % of a slice's cost.  The body stage continues the
+same generator into the data and fetch streams.  ``generate_slice`` is
+the two stages in sequence, whether the header was drawn just now or
+earlier (the memo then keeps the paused generator), so a slice's bytes
+cannot depend on which stage ran first.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import WorkloadError
 from repro.isa.basicblock import BasicBlock, CodeRegion
-from repro.isa.trace import SliceTrace
+from repro.isa.trace import SliceHeader, SliceTrace
 from repro.workloads import slicecache
 from repro.workloads.phases import PhaseSpec
 from repro.workloads.schedule import PhaseSchedule
@@ -224,19 +234,51 @@ class SyntheticProgram:
         """Static code regions, one per phase."""
         return [phase.code_region() for phase in self._runtime]
 
-    def generate_slice(self, slice_index: int) -> SliceTrace:
-        """Generate the trace of slice ``slice_index`` deterministically.
+    def slice_header(self, slice_index: int) -> SliceHeader:
+        """The header of slice ``slice_index``: its block and class counts.
+
+        Draws only the first of the slice's generator draws (what a BBV
+        profile reads); the memo keeps the generator paused after them,
+        so a later :meth:`generate_slice` of the same slice draws just
+        the body.
 
         Raises:
             WorkloadError: If the index is out of range.
         """
-        if not 0 <= slice_index < self.num_slices:
-            raise WorkloadError(
-                f"slice {slice_index} out of range [0, {self.num_slices})"
-            )
-        cached = slicecache.lookup((self._trace_key, slice_index))
+        self._check_index(slice_index)
+        key = (self._trace_key, slice_index)
+        header = slicecache.lookup_header(key)
+        if header is None:
+            header, rng = self._draw_header(slice_index)
+            slicecache.store_header(key, header, rng)
+        return header
+
+    def generate_slice(self, slice_index: int) -> SliceTrace:
+        """Generate the trace of slice ``slice_index`` deterministically.
+
+        The header stage and the body stage continue one per-slice
+        generator, so the bytes do not depend on whether the header was
+        drawn earlier (and memoized with its generator) or just now.
+
+        Raises:
+            WorkloadError: If the index is out of range.
+        """
+        self._check_index(slice_index)
+        key = (self._trace_key, slice_index)
+        cached = slicecache.lookup(key)
         if cached is not None:
             return cached
+        staged = slicecache.take_header(key)
+        if staged is None:
+            staged = self._draw_header(slice_index)
+        trace = self._draw_body(*staged)
+        slicecache.store(key, trace)
+        return trace
+
+    def _draw_header(
+        self, slice_index: int
+    ) -> Tuple[SliceHeader, np.random.Generator]:
+        """The header stage: a fresh slice generator's first draws."""
         phase_id = self.schedule[slice_index]
         phase = self._runtime[phase_id]
         rng = np.random.default_rng([self.seed, 1 + slice_index])
@@ -255,6 +297,22 @@ class SyntheticProgram:
             instruction_count = self.slice_size
 
         class_counts = rng.multinomial(instruction_count, phase.mix)
+        header = SliceHeader(
+            index=slice_index,
+            phase_id=phase_id,
+            instruction_count=instruction_count,
+            block_counts=block_counts,
+            class_counts=class_counts.astype(np.int64, copy=False),
+        )
+        return header, rng
+
+    def _draw_body(
+        self, header: SliceHeader, rng: np.random.Generator
+    ) -> SliceTrace:
+        """The body stage: the reference streams, continuing ``rng``."""
+        slice_index = header.index
+        phase = self._runtime[header.phase_id]
+        class_counts = header.class_counts
         num_refs = int(class_counts[1] + class_counts[2] + 2 * class_counts[3])
         if num_refs > 0:
             targets = rng.multinomial(num_refs, phase.mem_fractions)
@@ -282,26 +340,23 @@ class SyntheticProgram:
             mem_lines = np.empty(0, dtype=np.int64)
             mem_is_write = np.empty(0, dtype=bool)
 
+        instruction_count = header.instruction_count
         fetch_count = int(np.clip(instruction_count // 40, 32, 512))
         ifetch_lines = phase.code_base + rng.integers(
             0, phase.spec.code_lines, size=fetch_count
         )
-        branch_count = int(instruction_count * phase.spec.branch_fraction)
-
-        trace = SliceTrace(
+        return SliceTrace(
             index=slice_index,
-            phase_id=phase_id,
+            phase_id=header.phase_id,
             instruction_count=instruction_count,
-            block_counts=block_counts,
-            class_counts=class_counts.astype(np.int64, copy=False),
+            block_counts=header.block_counts,
+            class_counts=class_counts,
             mem_lines=mem_lines.astype(np.int64, copy=False),
             mem_is_write=mem_is_write,
             ifetch_lines=ifetch_lines.astype(np.int64, copy=False),
-            branch_count=branch_count,
+            branch_count=int(instruction_count * phase.spec.branch_fraction),
             branch_entropy=phase.spec.branch_entropy,
         )
-        slicecache.store((self._trace_key, slice_index), trace)
-        return trace
 
     def _markov_entry_counts(
         self, phase: _RuntimePhase, entries: int, rng: np.random.Generator
@@ -333,10 +388,29 @@ class SyntheticProgram:
         """Yield slice traces ``start .. start+count`` in program order."""
         if count is None:
             count = self.num_slices - start
+        self._check_range(start, count)
+        for index in range(start, start + count):
+            yield self.generate_slice(index)
+
+    def iter_headers(
+        self, start: int = 0, count: Optional[int] = None
+    ) -> Iterator[SliceHeader]:
+        """Yield slice headers ``start .. start+count`` in program order."""
+        if count is None:
+            count = self.num_slices - start
+        self._check_range(start, count)
+        for index in range(start, start + count):
+            yield self.slice_header(index)
+
+    def _check_index(self, slice_index: int) -> None:
+        if not 0 <= slice_index < self.num_slices:
+            raise WorkloadError(
+                f"slice {slice_index} out of range [0, {self.num_slices})"
+            )
+
+    def _check_range(self, start: int, count: int) -> None:
         if start < 0 or count < 0 or start + count > self.num_slices:
             raise WorkloadError(
                 f"range [{start}, {start + count}) outside execution "
                 f"of {self.num_slices} slices"
             )
-        for index in range(start, start + count):
-            yield self.generate_slice(index)

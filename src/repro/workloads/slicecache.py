@@ -1,4 +1,4 @@
-"""A bounded in-process memo for deterministic slice traces.
+"""A bounded in-process memo for deterministic slice traces and headers.
 
 Slice generation is a pure function of ``(program content, slice
 index)`` — that per-slice determinism is the repository's synthetic
@@ -6,9 +6,22 @@ stand-in for PinPlay checkpoint replay.  The same slices are therefore
 generated repeatedly along the pipeline: the BBV profiling pass walks
 every slice of the whole run, the Whole Run measurement replays the very
 same stream moments later, and regional replays re-generate their warmup
-prefixes.  This module memoizes the finished :class:`SliceTrace` objects
-behind an LRU byte budget, so each repeat is a dictionary hit instead of
-a fresh multinomial + permutation draw.
+prefixes.  This module memoizes them behind one LRU byte budget, so each
+repeat is a dictionary hit instead of a fresh multinomial + shuffle draw.
+
+An entry is one of two kinds, keyed alike by ``(program fingerprint,
+slice index)``:
+
+* a **full** entry holds a finished :class:`SliceTrace`;
+* a **header** entry holds a :class:`SliceHeader` (block and class
+  counts, what a BBV profile reads) together with the slice's generator,
+  paused right after the header's draws.
+
+A header request is answered by either kind.  A full request is answered
+only by a full entry; finding a header entry instead, it takes the entry
+out with its generator and draws just the body, so the header's draws are
+never repeated and no generator is continued twice.  The finished trace
+then takes the header entry's place.
 
 Memoization cannot change results: a hit returns a trace that is
 bit-identical to what generation would produce (it *is* that trace), and
@@ -19,42 +32,54 @@ raises instead of silently corrupting later replays.
 The budget is ``REPRO_SLICE_CACHE_MB`` megabytes (default
 :data:`DEFAULT_BUDGET_MB`); ``0`` disables the memo entirely.  The memo
 is per-process: parallel workers each keep their own, which preserves
-the repo's partition-independent determinism story.
+the repo's partition-independent determinism story.  Full lookups count
+``slice.cache.{hit,miss}`` and header lookups ``slice.header.{hit,miss}``.
 """
 
 from __future__ import annotations
 
 import os
 from collections import OrderedDict
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
+
+import numpy as np
 
 from repro.errors import ConfigError
-from repro.isa.trace import SliceTrace
+from repro.isa.trace import SliceHeader, SliceTrace
 from repro.telemetry.recorder import get_recorder
 
-#: Default memo budget in megabytes (~one whole run's slices).
+#: Default memo budget in megabytes (~two whole runs' slices).
 DEFAULT_BUDGET_MB = 192
+
+#: Bytes a header entry is charged for its paused generator (a PCG64
+#: generator with its seed sequence measures about 1.3 KB).
+GENERATOR_BYTES = 2048
 
 _BUDGET_ENV = "REPRO_SLICE_CACHE_MB"
 
 Key = Tuple[str, int]
 
 
+class _Entry(NamedTuple):
+    value: SliceHeader  # a SliceTrace for a full entry
+    size: int
+    rng: Optional[np.random.Generator]  # set only on header entries
+
+
 class SliceTraceCache:
-    """LRU map from ``(program fingerprint, slice index)`` to traces.
+    """LRU map from ``(program fingerprint, slice index)`` to memo entries.
 
     Args:
-        budget_bytes: Maximum total size of cached trace arrays; the
-            least-recently-used entries are evicted past it.
+        budget_bytes: Maximum total size of the cached arrays (plus
+            :data:`GENERATOR_BYTES` per header entry); the
+            least-recently-used entries of either kind are evicted past it.
     """
 
     def __init__(self, budget_bytes: int) -> None:
         if budget_bytes < 1:
             raise ConfigError("slice cache budget must be positive")
         self.budget_bytes = int(budget_bytes)
-        self._entries: "OrderedDict[Key, Tuple[SliceTrace, int]]" = (
-            OrderedDict()
-        )
+        self._entries: "OrderedDict[Key, _Entry]" = OrderedDict()
         self._bytes = 0
 
     def __len__(self) -> int:
@@ -62,54 +87,78 @@ class SliceTraceCache:
 
     @property
     def used_bytes(self) -> int:
-        """Total bytes of cached trace arrays."""
+        """Total bytes charged for the cached entries."""
         return self._bytes
 
     def get(self, key: Key) -> Optional[SliceTrace]:
+        """The full trace, or ``None`` (a header entry does not answer)."""
+        entry = self._entries.get(key)
+        if entry is None or entry.rng is not None:
+            return None
+        self._entries.move_to_end(key)
+        return entry.value
+
+    def get_header(self, key: Key) -> Optional[SliceHeader]:
+        """The header, from an entry of either kind, or ``None``."""
         entry = self._entries.get(key)
         if entry is None:
             return None
         self._entries.move_to_end(key)
-        return entry[0]
+        return entry.value
+
+    def take_header(
+        self, key: Key
+    ) -> Optional[Tuple[SliceHeader, np.random.Generator]]:
+        """Remove a header entry and hand over its header and generator."""
+        entry = self._entries.get(key)
+        if entry is None or entry.rng is None:
+            return None
+        del self._entries[key]
+        self._bytes -= entry.size
+        return entry.value, entry.rng
 
     def put(self, key: Key, trace: SliceTrace) -> None:
+        """Insert a full trace (its header entry was taken before)."""
         if key in self._entries:
             self._entries.move_to_end(key)
             return
-        size = _trace_bytes(trace)
+        size = _nbytes(trace, _TRACE_ARRAYS)
         if size > self.budget_bytes:
             return
-        _freeze(trace)
-        self._entries[key] = (trace, size)
-        self._bytes += size
+        self._insert(key, _Entry(trace, size, None), _TRACE_ARRAYS)
+
+    def put_header(
+        self, key: Key, header: SliceHeader, rng: np.random.Generator
+    ) -> None:
+        """Insert a header with the generator paused after its draws."""
+        if key in self._entries:
+            self._entries.move_to_end(key)
+            return
+        size = _nbytes(header, _HEADER_ARRAYS) + GENERATOR_BYTES
+        if size > self.budget_bytes:
+            return
+        self._insert(key, _Entry(header, size, rng), _HEADER_ARRAYS)
+
+    def _insert(self, key: Key, entry: _Entry, arrays) -> None:
+        for name in arrays:
+            getattr(entry.value, name).flags.writeable = False
+        self._entries[key] = entry
+        self._bytes += entry.size
         while self._bytes > self.budget_bytes:
-            _, (_, evicted) = self._entries.popitem(last=False)
-            self._bytes -= evicted
+            _, evicted = self._entries.popitem(last=False)
+            self._bytes -= evicted.size
 
     def clear(self) -> None:
         self._entries.clear()
         self._bytes = 0
 
 
-def _trace_bytes(trace: SliceTrace) -> int:
-    return (
-        trace.block_counts.nbytes
-        + trace.class_counts.nbytes
-        + trace.mem_lines.nbytes
-        + trace.mem_is_write.nbytes
-        + trace.ifetch_lines.nbytes
-    )
+_HEADER_ARRAYS = ("block_counts", "class_counts")
+_TRACE_ARRAYS = _HEADER_ARRAYS + ("mem_lines", "mem_is_write", "ifetch_lines")
 
 
-def _freeze(trace: SliceTrace) -> None:
-    for array in (
-        trace.block_counts,
-        trace.class_counts,
-        trace.mem_lines,
-        trace.mem_is_write,
-        trace.ifetch_lines,
-    ):
-        array.flags.writeable = False
+def _nbytes(value: SliceHeader, arrays) -> int:
+    return sum(getattr(value, name).nbytes for name in arrays)
 
 
 #: Module slot: unset list, or [SliceTraceCache-or-None].
@@ -145,18 +194,38 @@ def reset_slice_cache() -> None:
     _CACHE.clear()
 
 
+def _count(name: str, found: bool) -> None:
+    recorder = get_recorder()
+    if recorder is not None:
+        recorder.count(f"{name}.{'hit' if found else 'miss'}", 1)
+
+
 def lookup(key: Key) -> Optional[SliceTrace]:
-    """Memo lookup with hit/miss telemetry."""
+    """Full-trace lookup with ``slice.cache`` hit/miss telemetry."""
     cache = get_slice_cache()
     if cache is None:
         return None
     trace = cache.get(key)
-    recorder = get_recorder()
-    if recorder is not None:
-        recorder.count(
-            "slice.cache.hit" if trace is not None else "slice.cache.miss", 1
-        )
+    _count("slice.cache", trace is not None)
     return trace
+
+
+def lookup_header(key: Key) -> Optional[SliceHeader]:
+    """Header lookup with ``slice.header`` hit/miss telemetry."""
+    cache = get_slice_cache()
+    if cache is None:
+        return None
+    header = cache.get_header(key)
+    _count("slice.header", header is not None)
+    return header
+
+
+def take_header(
+    key: Key,
+) -> Optional[Tuple[SliceHeader, np.random.Generator]]:
+    """Hand over a memoized header and its paused generator, if any."""
+    cache = get_slice_cache()
+    return None if cache is None else cache.take_header(key)
 
 
 def store(key: Key, trace: SliceTrace) -> None:
@@ -164,3 +233,12 @@ def store(key: Key, trace: SliceTrace) -> None:
     cache = get_slice_cache()
     if cache is not None:
         cache.put(key, trace)
+
+
+def store_header(
+    key: Key, header: SliceHeader, rng: np.random.Generator
+) -> None:
+    """Insert a freshly drawn header and its generator (no-op when disabled)."""
+    cache = get_slice_cache()
+    if cache is not None:
+        cache.put_header(key, header, rng)

@@ -1,5 +1,7 @@
 """Shared experiment plumbing: measurement caching and resolution."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,8 @@ from repro.experiments.common import (
     pinpoints_for,
     resolve_benchmarks,
 )
-from repro.workloads.spec2017 import benchmark_names
+from repro.pinpoints.pipeline import run_pinpoints
+from repro.workloads.spec2017 import benchmark_names, build_program
 
 from conftest import QUICK
 
@@ -128,6 +131,42 @@ class TestMeasurementCache:
         explicit = measure_whole(out, config=ALLCACHE_SIM)
         assert np.allclose(default.mix, explicit.mix)
         assert default.miss_rates == explicit.miss_rates
+
+
+class TestMetricsKeys:
+    """Cached metrics are keyed on every input that changes them."""
+
+    def test_whole_metrics_keyed_on_the_program(self):
+        clear_pinpoints_cache()
+        short_runs = run_pinpoints(
+            "505.mcf_r",
+            program=build_program("505.mcf_r", mean_run_length=3, **QUICK),
+            **QUICK,
+        )
+        default = run_pinpoints("505.mcf_r", **QUICK)
+        assert (common._metrics_key(short_runs, None)
+                != common._metrics_key(default, None))
+        first = measure_whole(short_runs)
+        second = measure_whole(default)
+        clear_pinpoints_cache()
+        fresh = measure_whole(default)
+        assert second.miss_rates == fresh.miss_rates
+        assert second.miss_rates["L3"] != first.miss_rates["L3"]
+
+    def test_point_metrics_keyed_on_the_weights(self):
+        clear_pinpoints_cache()
+        out = pinpoints_for("505.mcf_r", **QUICK)
+        assert len(out.regional) >= 2
+        base = measure_points(out, out.regional)
+        reweighted = [
+            dataclasses.replace(pb, weight=pb.weight / 2) if i == 0 else pb
+            for i, pb in enumerate(out.regional)
+        ]
+        shifted = measure_points(out, reweighted)
+        assert shifted is not base
+        assert shifted.miss_rates != base.miss_rates
+        clear_pinpoints_cache()
+        assert measure_points(out, reweighted).miss_rates == shifted.miss_rates
 
 
 class TestDiskTier:

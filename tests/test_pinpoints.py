@@ -1,9 +1,12 @@
 """End-to-end PinPoints pipeline."""
 
+import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.pinball import RegionalPinball, WholePinball
 from repro.pinpoints import run_pinpoints
+from repro.workloads import slicecache
 from repro.workloads.spec2017 import get_descriptor
 
 from conftest import QUICK
@@ -64,3 +67,40 @@ class TestPipeline:
     def test_short_name_accepted(self):
         out = run_pinpoints("omnetpp_s", **QUICK)
         assert out.benchmark == "620.omnetpp_s"
+
+
+class TestStagedProfiling:
+    """BBV profiling draws slice headers; only MAV needs full slices."""
+
+    @pytest.fixture(autouse=True)
+    def _cold_memo(self):
+        slicecache.reset_slice_cache()
+        yield
+        slicecache.reset_slice_cache()
+
+    def _slice_counters(self, **kwargs):
+        recorder = telemetry.TraceRecorder()
+        with telemetry.using_recorder(recorder):
+            out = run_pinpoints("505.mcf_r", **QUICK, **kwargs)
+        counters = {
+            name: value for name, value in recorder.metrics.counters.items()
+            if name.startswith("slice.")
+        }
+        return out, counters
+
+    def test_default_sampler_draws_no_full_slice(self):
+        out, counters = self._slice_counters()
+        assert counters == {"slice.header.miss": out.program.num_slices}
+
+    def test_mav_sampler_draws_full_slices(self):
+        out, counters = self._slice_counters(sampler="mav")
+        assert counters == {"slice.cache.miss": out.program.num_slices}
+        assert out.features.mav is not None
+
+    def test_headers_and_full_slices_give_one_bbv_matrix(self):
+        by_headers, _ = self._slice_counters()
+        slicecache.reset_slice_cache()
+        by_slices, _ = self._slice_counters(sampler="mav")
+        np.testing.assert_array_equal(
+            by_headers.features.bbv, by_slices.features.bbv
+        )

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import WorkloadError
+from repro.workloads import slicecache
 from repro.workloads.program import STREAM_WINDOW_LINES, SyntheticProgram
 from repro.workloads.schedule import PhaseSchedule
 from repro.workloads.spec2017 import build_program
@@ -240,20 +241,50 @@ def pinned_program(label):
     return program
 
 
+@pytest.fixture()
+def fresh_memo():
+    """An empty slice memo that re-reads its budget, before and after."""
+    slicecache.reset_slice_cache()
+    yield
+    slicecache.reset_slice_cache()
+
+
 class TestPinnedBytes:
     """Generated slices keep their exact bytes: one program per memory
     archetype (memory, compute, balanced), the Markov block model and a
-    small slice size."""
+    small slice size.  Every slice is drawn cold, and again after its
+    header, with the slice memo on and with it off."""
 
     @pytest.mark.parametrize("label", list(PINNED_DIGESTS))
-    def test_slice_arrays_match_recorded_digests(self, label):
-        program = pinned_program(label)
-        for index, expected in PINNED_DIGESTS[label].items():
-            trace = program.generate_slice(index)
-            assert trace.mem_lines.dtype == np.int64
-            assert trace.mem_is_write.dtype == bool
-            for name, digest in zip(PINNED_ARRAYS, expected):
-                data = getattr(trace, name).tobytes()
-                assert hashlib.sha256(data).hexdigest()[:16] == digest, (
-                    f"{label} slice {index}: {name}"
-                )
+    def test_slice_arrays_match_recorded_digests(
+        self, label, monkeypatch, fresh_memo
+    ):
+        for budget in (None, "0"):
+            if budget is None:
+                monkeypatch.delenv("REPRO_SLICE_CACHE_MB", raising=False)
+            else:
+                monkeypatch.setenv("REPRO_SLICE_CACHE_MB", budget)
+            for header_first in (False, True):
+                slicecache.reset_slice_cache()
+                program = pinned_program(label)
+                run = f"{label} memo={budget} header_first={header_first}"
+                for index, expected in PINNED_DIGESTS[label].items():
+                    header = program.slice_header(index) if header_first else None
+                    trace = program.generate_slice(index)
+                    assert trace.mem_lines.dtype == np.int64
+                    assert trace.mem_is_write.dtype == bool
+                    for name, digest in zip(PINNED_ARRAYS, expected):
+                        data = getattr(trace, name).tobytes()
+                        assert hashlib.sha256(data).hexdigest()[:16] == digest, (
+                            f"{run} slice {index}: {name}"
+                        )
+                    if header is not None:
+                        assert_header_of(header, trace)
+
+
+def assert_header_of(header, trace):
+    """Every header field equals the full slice's."""
+    for name in ("index", "phase_id", "instruction_count"):
+        assert getattr(header, name) == getattr(trace, name), name
+    for name in ("block_counts", "class_counts"):
+        np.testing.assert_array_equal(getattr(header, name), getattr(trace, name))
