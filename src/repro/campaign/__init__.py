@@ -1,13 +1,13 @@
 """The experiment-campaign service: a daemonized scheduler for the CLI.
 
 ``repro-spec2017 serve`` turns the one-shot CLI into a long-lived
-service: clients submit registry experiments over a unix socket (or a
-localhost HTTP facade), a priority/FIFO scheduler fans them onto a
-bounded pool of forked worker processes, identical submissions dedup
-against in-flight jobs and the artifact store, ``watch`` streams live
-per-item progress, and an fsync'd ledger + per-campaign journals make
-the whole thing survive SIGKILL: reboot with ``--resume`` and in-flight
-jobs re-adopt without recomputing journaled items.
+service: clients submit registry experiments over a unix socket, a
+priority/FIFO scheduler fans them onto a bounded pool of forked worker
+processes, identical submissions dedup against in-flight jobs and the
+artifact store, ``watch`` streams live per-item progress, and an
+fsync'd ledger + per-campaign journals make the whole thing survive
+SIGKILL: reboot with ``--resume`` and in-flight jobs re-adopt without
+recomputing journaled items.
 
 Module map — :mod:`protocol` (the ``repro-campaign-v1`` wire frames),
 :mod:`jobs` (validation, states, dedup keys), :mod:`queue` (the
@@ -15,8 +15,8 @@ priority heap), :mod:`ledger` (crash-safe job log), :mod:`worker` (the
 forked child + progress streaming + heartbeat pump),
 :mod:`supervision` (hang detection, kill budgets, admission control,
 disk-watermark degradation), :mod:`server` (the asyncio event loop),
-:mod:`httpfront` (localhost HTTP), :mod:`client` (the sync client the
-``campaign`` subcommand drives), :mod:`cli` (argparse wiring).
+:mod:`client` (the sync client the ``campaign`` subcommand drives),
+:mod:`cli` (argparse wiring).
 """
 
 from __future__ import annotations

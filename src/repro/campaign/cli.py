@@ -55,15 +55,9 @@ def _add_socket_option(parser: argparse.ArgumentParser) -> None:
 def add_serve_parser(sub) -> None:
     serve = sub.add_parser(
         "serve",
-        help="run the experiment-campaign service (unix socket + "
-             "optional localhost HTTP)",
+        help="run the experiment-campaign service (unix socket)",
     )
     _add_socket_option(serve)
-    serve.add_argument(
-        "--http-port", type=int, default=None, metavar="PORT",
-        help="also serve a localhost-only HTTP API on this port "
-             "(0 = pick a free port; reported in the ready file)",
-    )
     serve.add_argument(
         "--workers", type=int, default=2, metavar="N",
         help="max concurrently running jobs, one forked process each "
@@ -131,7 +125,7 @@ def add_serve_parser(sub) -> None:
     )
     serve.add_argument(
         "--ready-file", metavar="FILE", default=None,
-        help="write {socket, http_port, pid} as JSON once listening "
+        help="write {socket, pid} as JSON once listening "
              "(for scripts that must wait for boot)",
     )
     serve.add_argument(
@@ -267,7 +261,6 @@ def run_serve(args) -> int:
         server = CampaignServer(
             get_store(),
             _socket_path(args),
-            http_port=args.http_port,
             workers=args.workers,
             resume=args.resume,
             policy_options=policy_options,
@@ -407,7 +400,7 @@ def _run_result(client, args) -> int:
     from repro.experiments.registry import (
         get_spec,
         result_from_payload,
-        result_payload,
+        write_result,
     )
 
     job = client.status(args.job)
@@ -416,9 +409,7 @@ def _run_result(client, args) -> int:
     result = result_from_payload(spec, payload)
     print(spec.renderer(result))
     if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as handle:
-            json.dump(result_payload(spec, result), handle, indent=2)
-            handle.write("\n")
+        write_result(args.json_out, spec, result)
         print(f"result payload written to {args.json_out}", file=sys.stderr)
     return 0
 

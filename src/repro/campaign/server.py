@@ -3,8 +3,7 @@
 One :class:`CampaignServer` owns four things:
 
 * the **listener** — a unix-domain socket speaking newline-delimited
-  ``repro-campaign-v1`` frames (plus an optional localhost HTTP front,
-  :mod:`repro.campaign.httpfront`);
+  ``repro-campaign-v1`` frames;
 * the **scheduler** — a priority/FIFO :class:`JobQueue` drained onto a
   bounded pool of forked children (one process per job, because the
   recorder/store/campaign slots are process-level singletons);
@@ -94,7 +93,6 @@ class CampaignServer:
         store,
         socket_path,
         *,
-        http_port: Optional[int] = None,
         workers: int = 2,
         resume: bool = False,
         policy_options: Optional[dict] = None,
@@ -109,7 +107,6 @@ class CampaignServer:
             )
         self.store = store
         self.socket_path = Path(socket_path)
-        self.http_port = http_port
         self.workers = max(1, int(workers))
         self.resume = resume
         self.policy_options = dict(policy_options or {})
@@ -592,19 +589,11 @@ class CampaignServer:
             path=str(self.socket_path),
             limit=MAX_FRAME_BYTES + 1024,
         )
-        http_listener = None
-        if self.http_port is not None:
-            from repro.campaign import httpfront
-
-            http_listener, self.http_port = await httpfront.start_http(
-                self, self.http_port
-            )
         if ready_file is not None:
             Path(ready_file).write_text(
                 json.dumps(
                     {
                         "socket": str(self.socket_path),
-                        "http_port": self.http_port,
                         "pid": os.getpid(),
                     },
                     sort_keys=True,
@@ -623,9 +612,6 @@ class CampaignServer:
             await asyncio.gather(watchdog, return_exceptions=True)
             listener.close()
             await listener.wait_closed()
-            if http_listener is not None:
-                http_listener.close()
-                await http_listener.wait_closed()
             # Idle connections (a peer holding the socket open between
             # requests) would otherwise be cancelled at loop teardown
             # and logged as unretrieved exceptions.

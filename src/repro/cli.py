@@ -30,7 +30,7 @@ import sys
 from typing import List, Optional
 
 from repro import experiments
-from repro.experiments.registry import ExperimentSpec, result_payload
+from repro.experiments.registry import ExperimentSpec, write_result
 from repro.workloads.spec2017 import SPEC_CPU2017
 
 
@@ -174,14 +174,6 @@ def _experiment_kwargs(spec: ExperimentSpec, args) -> Optional[dict]:
     if spec.benchmark_option is not None:
         kwargs["benchmark"] = args.benchmark
     return kwargs
-
-
-def _write_payload(path: str, payload: dict) -> None:
-    import json
-
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -406,7 +398,7 @@ def _run_trace(args) -> int:
                     result = experiments.execute(spec, kwargs)
         print(spec.renderer(result))
         if args.json_out:
-            _write_payload(args.json_out, result_payload(spec, result))
+            write_result(args.json_out, spec, result)
             print(f"result payload written to {args.json_out}",
                   file=sys.stderr)
     finally:
@@ -478,7 +470,7 @@ def _run_report(args) -> int:
                 handle.write(spec.renderer(result))
                 handle.write("\n")
             json_path = os.path.join(args.out_dir, f"{spec.name}.json")
-            _write_payload(json_path, result_payload(spec, result))
+            write_result(json_path, spec, result)
             print(f"wrote {txt_path} and {json_path}")
     finally:
         set_store(previous)
@@ -554,7 +546,7 @@ def _run_experiment(args) -> int:
                 result = experiments.execute(spec, kwargs)
         print(spec.renderer(result))
         if args.json_out:
-            _write_payload(args.json_out, result_payload(spec, result))
+            write_result(args.json_out, spec, result)
             print(f"result payload written to {args.json_out}",
                   file=sys.stderr)
     finally:

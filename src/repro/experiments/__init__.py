@@ -2,10 +2,10 @@
 
 Every driver registers itself with the declarative registry
 (:mod:`repro.experiments.registry`): ``run_*`` carries ``@experiment``
-and returns a result dataclass implementing the
-``to_payload``/``from_payload`` serialization protocol, and ``render_*``
-carries ``@renders`` and produces the ASCII table/series the paper
-reports.  The CLI (``python -m repro``) builds every subcommand from the
+and returns a plain result dataclass, which the one codec of
+:mod:`repro.experiments.serialize` turns into JSON and back from its
+fields' type hints, and ``render_*`` carries ``@renders`` and produces
+the ASCII table/series the paper reports.  The CLI (``python -m repro``) builds every subcommand from the
 registry; the benchmark harness calls the runners directly.
 """
 

@@ -58,43 +58,6 @@ class BaselineResult:
         rows = require_rows(self.rows, "baseline suite-average L3 error")
         return float(np.mean([r.l3_error_pp[strategy] for r in rows]))
 
-    def to_payload(self) -> dict:
-        """A JSON-compatible representation of this result."""
-        return {
-            "rows": [
-                {
-                    "benchmark": r.benchmark,
-                    "budget": int(r.budget),
-                    "mix_error_pp": {
-                        s: float(r.mix_error_pp[s]) for s in STRATEGIES
-                    },
-                    "l3_error_pp": {
-                        s: float(r.l3_error_pp[s]) for s in STRATEGIES
-                    },
-                }
-                for r in self.rows
-            ]
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "BaselineResult":
-        """Reconstruct a result from :meth:`to_payload` output."""
-        return cls(
-            rows=[
-                BaselineRow(
-                    benchmark=r["benchmark"],
-                    budget=int(r["budget"]),
-                    mix_error_pp={
-                        s: float(r["mix_error_pp"][s]) for s in STRATEGIES
-                    },
-                    l3_error_pp={
-                        s: float(r["l3_error_pp"][s]) for s in STRATEGIES
-                    },
-                )
-                for r in payload["rows"]
-            ]
-        )
-
 
 def _benchmark_baselines(name: str, pinpoints_kwargs: dict) -> BaselineRow:
     """One benchmark's strategy comparison (process-pool worker unit)."""

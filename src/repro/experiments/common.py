@@ -31,6 +31,7 @@ import numpy as np
 
 from repro.config import CacheHierarchyConfig
 from repro.errors import ConfigError, StoreError
+from repro.experiments.serialize import from_payload, to_payload
 from repro.parallel import ArtifactStore, parallel_map
 from repro.pin.tools.allcache import AllCache
 from repro.pin.tools.ldstmix import LdStMix
@@ -127,24 +128,9 @@ def configure_cache(
     )
 
 
-def metrics_to_payload(metrics: RunMetrics) -> dict:
-    """A :class:`RunMetrics` as a JSON-compatible dict (see serialize.py)."""
-    return {
-        "instructions": int(metrics.instructions),
-        "mix": [float(v) for v in metrics.mix],
-        "miss_rates": {lv: float(metrics.miss_rates[lv]) for lv in LEVELS},
-        "l3_accesses": int(metrics.l3_accesses),
-    }
-
-
-def metrics_from_payload(payload: dict) -> RunMetrics:
-    """Reconstruct a :class:`RunMetrics` from :func:`metrics_to_payload`."""
-    return RunMetrics(
-        instructions=int(payload["instructions"]),
-        mix=np.asarray(payload["mix"], dtype=np.float64),
-        miss_rates={lv: float(payload["miss_rates"][lv]) for lv in LEVELS},
-        l3_accesses=int(payload["l3_accesses"]),
-    )
+#: The metrics tier's encoder under its historical name (the benchmark
+#: harness imports it); any result dataclass goes through the same codec.
+metrics_to_payload = to_payload
 
 
 def _store_get_metrics(run: str, key: tuple) -> Optional[RunMetrics]:
@@ -156,7 +142,7 @@ def _store_get_metrics(run: str, key: tuple) -> Optional[RunMetrics]:
         return None
     if payload is None:
         return None
-    return metrics_from_payload(payload)
+    return from_payload(RunMetrics, payload)
 
 
 def _store_put_metrics(run: str, key: tuple, metrics: RunMetrics) -> None:
@@ -170,7 +156,7 @@ def _store_put_metrics(run: str, key: tuple, metrics: RunMetrics) -> None:
     try:
         params = {"run": run, "key": key}
         if not _STORE.has("metrics", params):
-            _STORE.put_json("metrics", params, metrics_to_payload(metrics))
+            _STORE.put_json("metrics", params, to_payload(metrics))
     except StoreError:
         pass
 

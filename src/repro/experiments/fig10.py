@@ -45,35 +45,6 @@ class Fig10Result:
                   if r.whole_to_regional != float("inf")]
         return sum(finite) / len(finite) if finite else float("inf")
 
-    def to_payload(self) -> dict:
-        """A JSON-compatible representation of this result."""
-        return {
-            "rows": [
-                {
-                    "benchmark": r.benchmark,
-                    "whole": int(r.whole),
-                    "regional": int(r.regional),
-                    "reduced": int(r.reduced),
-                }
-                for r in self.rows
-            ]
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "Fig10Result":
-        """Reconstruct a result from :meth:`to_payload` output."""
-        return cls(
-            rows=[
-                Fig10Row(
-                    benchmark=r["benchmark"],
-                    whole=int(r["whole"]),
-                    regional=int(r["regional"]),
-                    reduced=int(r["reduced"]),
-                )
-                for r in payload["rows"]
-            ]
-        )
-
 
 @experiment(
     "fig10",

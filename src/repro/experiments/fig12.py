@@ -70,35 +70,6 @@ class Fig12Result:
         rows = require_rows(self.rows, "Figure 12 worst outlier")
         return max(rows, key=lambda r: r.reduced_error_pct)
 
-    def to_payload(self) -> dict:
-        """A JSON-compatible representation of this result."""
-        return {
-            "rows": [
-                {
-                    "benchmark": r.benchmark,
-                    "native_cpi": float(r.native_cpi),
-                    "regional_cpi": float(r.regional_cpi),
-                    "reduced_cpi": float(r.reduced_cpi),
-                }
-                for r in self.rows
-            ]
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "Fig12Result":
-        """Reconstruct a result from :meth:`to_payload` output."""
-        return cls(
-            rows=[
-                Fig12Row(
-                    benchmark=r["benchmark"],
-                    native_cpi=float(r["native_cpi"]),
-                    regional_cpi=float(r["regional_cpi"]),
-                    reduced_cpi=float(r["reduced_cpi"]),
-                )
-                for r in payload["rows"]
-            ]
-        )
-
 
 def _benchmark_cpi(
     name: str,

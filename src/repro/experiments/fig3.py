@@ -18,8 +18,6 @@ from repro.experiments.common import (
     RunMetrics,
     measure_points,
     measure_whole,
-    metrics_from_payload,
-    metrics_to_payload,
     pinpoints_for,
 )
 from repro.experiments.registry import experiment, renders
@@ -59,48 +57,6 @@ class Fig3Result:
     axis: str
     whole: RunMetrics
     points: List[SweepPoint]
-
-    def to_payload(self) -> dict:
-        """A JSON-compatible representation of this result."""
-        return {
-            "benchmark": self.benchmark,
-            "axis": self.axis,
-            "whole": metrics_to_payload(self.whole),
-            "points": [
-                {
-                    "setting": float(p.setting),
-                    "chosen_k": int(p.chosen_k),
-                    "metrics": metrics_to_payload(p.metrics),
-                    "mix_error_pp": float(p.mix_error_pp),
-                    "miss_rate_error_pp": {
-                        lv: float(p.miss_rate_error_pp[lv]) for lv in LEVELS
-                    },
-                }
-                for p in self.points
-            ],
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "Fig3Result":
-        """Reconstruct a result from :meth:`to_payload` output."""
-        return cls(
-            benchmark=payload["benchmark"],
-            axis=payload["axis"],
-            whole=metrics_from_payload(payload["whole"]),
-            points=[
-                SweepPoint(
-                    setting=float(p["setting"]),
-                    chosen_k=int(p["chosen_k"]),
-                    metrics=metrics_from_payload(p["metrics"]),
-                    mix_error_pp=float(p["mix_error_pp"]),
-                    miss_rate_error_pp={
-                        lv: float(p["miss_rate_error_pp"][lv])
-                        for lv in LEVELS
-                    },
-                )
-                for p in payload["points"]
-            ],
-        )
 
 
 @experiment(

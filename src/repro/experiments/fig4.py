@@ -28,27 +28,6 @@ class Fig4Result:
     k_values: List[int]
     curves: Dict[str, Dict[int, float]]
 
-    def to_payload(self) -> dict:
-        """A JSON-compatible representation of this result."""
-        return {
-            "k_values": [int(k) for k in self.k_values],
-            "curves": {
-                name: {str(k): float(v) for k, v in curve.items()}
-                for name, curve in self.curves.items()
-            },
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "Fig4Result":
-        """Reconstruct a result from :meth:`to_payload` output."""
-        return cls(
-            k_values=[int(k) for k in payload["k_values"]],
-            curves={
-                name: {int(k): float(v) for k, v in curve.items()}
-                for name, curve in payload["curves"].items()
-            },
-        )
-
 
 def _benchmark_curve(
     name: str, k_values: Tuple[int, ...], pinpoints_kwargs: dict

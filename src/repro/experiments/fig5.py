@@ -19,10 +19,6 @@ from repro.experiments.common import (
 )
 from repro.experiments.registry import experiment, renders
 from repro.experiments.report import format_table
-from repro.experiments.serialize import (
-    run_cost_from_payload,
-    run_cost_to_payload,
-)
 from repro.timemodel.runtime import (
     RunCost,
     reduced_regional_run_cost,
@@ -115,35 +111,6 @@ class Fig5Result:
         regional = self.average_regional_instructions
         reduced = self._mean(lambda r: r.reduced.instructions)
         return regional / reduced
-
-    def to_payload(self) -> dict:
-        """A JSON-compatible representation of this result."""
-        return {
-            "rows": [
-                {
-                    "benchmark": r.benchmark,
-                    "whole": run_cost_to_payload(r.whole),
-                    "regional": run_cost_to_payload(r.regional),
-                    "reduced": run_cost_to_payload(r.reduced),
-                }
-                for r in self.rows
-            ]
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "Fig5Result":
-        """Reconstruct a result from :meth:`to_payload` output."""
-        return cls(
-            rows=[
-                Fig5Row(
-                    benchmark=r["benchmark"],
-                    whole=run_cost_from_payload(r["whole"]),
-                    regional=run_cost_from_payload(r["regional"]),
-                    reduced=run_cost_from_payload(r["reduced"]),
-                )
-                for r in payload["rows"]
-            ]
-        )
 
 
 def _benchmark_costs(name: str, pinpoints_kwargs: dict) -> Fig5Row:

@@ -44,33 +44,6 @@ class Fig6Result:
         """Rows keyed by benchmark name."""
         return {r.benchmark: r for r in self.rows}
 
-    def to_payload(self) -> dict:
-        """A JSON-compatible representation of this result."""
-        return {
-            "rows": [
-                {
-                    "benchmark": r.benchmark,
-                    "weights": [float(w) for w in r.weights],
-                    "cut": int(r.cut),
-                }
-                for r in self.rows
-            ]
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "Fig6Result":
-        """Reconstruct a result from :meth:`to_payload` output."""
-        return cls(
-            rows=[
-                Fig6Row(
-                    benchmark=r["benchmark"],
-                    weights=[float(w) for w in r["weights"]],
-                    cut=int(r["cut"]),
-                )
-                for r in payload["rows"]
-            ]
-        )
-
 
 def _benchmark_weights(
     name: str, percentile: float, pinpoints_kwargs: dict

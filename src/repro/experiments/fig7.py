@@ -62,35 +62,6 @@ class Fig7Result:
         rows = require_rows(self.rows, "Figure 7 worst reduced error")
         return max(r.reduced_error_pp for r in rows)
 
-    def to_payload(self) -> dict:
-        """A JSON-compatible representation of this result."""
-        return {
-            "rows": [
-                {
-                    "benchmark": r.benchmark,
-                    "whole": [float(v) for v in r.whole],
-                    "regional": [float(v) for v in r.regional],
-                    "reduced": [float(v) for v in r.reduced],
-                }
-                for r in self.rows
-            ]
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "Fig7Result":
-        """Reconstruct a result from :meth:`to_payload` output."""
-        return cls(
-            rows=[
-                Fig7Row(
-                    benchmark=r["benchmark"],
-                    whole=np.asarray(r["whole"], dtype=np.float64),
-                    regional=np.asarray(r["regional"], dtype=np.float64),
-                    reduced=np.asarray(r["reduced"], dtype=np.float64),
-                )
-                for r in payload["rows"]
-            ]
-        )
-
 
 @experiment(
     "fig7",

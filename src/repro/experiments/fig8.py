@@ -15,8 +15,6 @@ from repro.experiments.common import (
     LEVELS,
     RunMetrics,
     map_benchmarks,
-    metrics_from_payload,
-    metrics_to_payload,
     require_rows,
 )
 from repro.experiments.registry import experiment, renders
@@ -56,37 +54,6 @@ class Fig8Result:
             run: {lv: self.average_delta_pp(run, lv) for lv in LEVELS}
             for run in ("regional", "reduced", "warmup")
         }
-
-    def to_payload(self) -> dict:
-        """A JSON-compatible representation of this result."""
-        return {
-            "rows": [
-                {
-                    "benchmark": r.benchmark,
-                    "whole": metrics_to_payload(r.whole),
-                    "regional": metrics_to_payload(r.regional),
-                    "reduced": metrics_to_payload(r.reduced),
-                    "warmup": metrics_to_payload(r.warmup),
-                }
-                for r in self.rows
-            ]
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "Fig8Result":
-        """Reconstruct a result from :meth:`to_payload` output."""
-        return cls(
-            rows=[
-                Fig8Row(
-                    benchmark=r["benchmark"],
-                    whole=metrics_from_payload(r["whole"]),
-                    regional=metrics_from_payload(r["regional"]),
-                    reduced=metrics_from_payload(r["reduced"]),
-                    warmup=metrics_from_payload(r["warmup"]),
-                )
-                for r in payload["rows"]
-            ]
-        )
 
 
 @experiment(

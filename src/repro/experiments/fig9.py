@@ -59,42 +59,6 @@ class Fig9Result:
         """Points keyed by percentile."""
         return {p.percentile: p for p in self.points}
 
-    def to_payload(self) -> dict:
-        """A JSON-compatible representation of this result."""
-        return {
-            "points": [
-                {
-                    "percentile": float(p.percentile),
-                    "mix_error_pp": float(p.mix_error_pp),
-                    "miss_rate_error_pp": {
-                        lv: float(p.miss_rate_error_pp[lv]) for lv in LEVELS
-                    },
-                    "execution_hours": float(p.execution_hours),
-                    "points_retained": float(p.points_retained),
-                }
-                for p in self.points
-            ]
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "Fig9Result":
-        """Reconstruct a result from :meth:`to_payload` output."""
-        return cls(
-            points=[
-                Fig9Point(
-                    percentile=float(p["percentile"]),
-                    mix_error_pp=float(p["mix_error_pp"]),
-                    miss_rate_error_pp={
-                        lv: float(p["miss_rate_error_pp"][lv])
-                        for lv in LEVELS
-                    },
-                    execution_hours=float(p["execution_hours"]),
-                    points_retained=float(p["points_retained"]),
-                )
-                for p in payload["points"]
-            ]
-        )
-
 
 def _benchmark_sweep(
     name: str, percentiles: Tuple[float, ...], pinpoints_kwargs: dict

@@ -114,43 +114,6 @@ class FrontierResult:
             )
         return float(np.mean([r.budget_fraction_pct for r in rows]))
 
-    def to_payload(self) -> dict:
-        """A JSON-compatible representation of this result."""
-        return {
-            "rows": [
-                {
-                    "benchmark": r.benchmark,
-                    "sampler": r.sampler,
-                    "budget": int(r.budget),
-                    "points": int(r.points),
-                    "instructions": int(r.instructions),
-                    "whole_instructions": int(r.whole_instructions),
-                    "whole_cpi": float(r.whole_cpi),
-                    "predicted_cpi": float(r.predicted_cpi),
-                }
-                for r in self.rows
-            ]
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "FrontierResult":
-        """Reconstruct a result from :meth:`to_payload` output."""
-        return cls(
-            rows=[
-                FrontierRow(
-                    benchmark=r["benchmark"],
-                    sampler=r["sampler"],
-                    budget=int(r["budget"]),
-                    points=int(r["points"]),
-                    instructions=int(r["instructions"]),
-                    whole_instructions=int(r["whole_instructions"]),
-                    whole_cpi=float(r["whole_cpi"]),
-                    predicted_cpi=float(r["predicted_cpi"]),
-                )
-                for r in payload["rows"]
-            ]
-        )
-
 
 def _benchmark_frontier(
     name: str,

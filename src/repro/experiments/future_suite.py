@@ -75,39 +75,6 @@ class FutureSuiteResult:
         """Only the future-work (projected) rows."""
         return [r for r in self.rows if r.projected]
 
-    def to_payload(self) -> dict:
-        """A JSON-compatible representation of this result."""
-        return {
-            "rows": [
-                {
-                    "benchmark": r.benchmark,
-                    "points": int(r.points),
-                    "points_90": int(r.points_90),
-                    "reference_points": int(r.reference_points),
-                    "reference_points_90": int(r.reference_points_90),
-                    "projected": bool(r.projected),
-                }
-                for r in self.rows
-            ]
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "FutureSuiteResult":
-        """Reconstruct a result from :meth:`to_payload` output."""
-        return cls(
-            rows=[
-                FutureRow(
-                    benchmark=r["benchmark"],
-                    points=int(r["points"]),
-                    points_90=int(r["points_90"]),
-                    reference_points=int(r["reference_points"]),
-                    reference_points_90=int(r["reference_points_90"]),
-                    projected=bool(r["projected"]),
-                )
-                for r in payload["rows"]
-            ]
-        )
-
 
 def _workload_points(
     name: str, slice_size: int, total_slices: int

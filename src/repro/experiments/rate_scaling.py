@@ -19,10 +19,6 @@ from repro.config import (
 from repro.experiments.common import map_items
 from repro.experiments.registry import experiment, renders
 from repro.experiments.report import format_table
-from repro.experiments.serialize import (
-    rate_result_from_payload,
-    rate_result_to_payload,
-)
 from repro.rate.runner import RateResult, SPECrateRunner
 from repro.workloads.spec2017 import build_program
 
@@ -69,43 +65,14 @@ class RateScalingRow:
 
 @dataclass
 class RateScalingResult:
-    """The full scaling sweep."""
+    """The full scaling sweep.
 
-    rows: List[RateScalingRow]
+    ``copy_counts`` comes first because field order is the payload's key
+    order, and ``results/rate.json`` lists the sweep before its rows.
+    """
+
     copy_counts: List[int]
-
-    def to_payload(self) -> dict:
-        """A JSON-compatible representation of this result."""
-        return {
-            "copy_counts": [int(n) for n in self.copy_counts],
-            "rows": [
-                {
-                    "benchmark": r.benchmark,
-                    "results": {
-                        str(n): rate_result_to_payload(res)
-                        for n, res in r.results.items()
-                    },
-                }
-                for r in self.rows
-            ],
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "RateScalingResult":
-        """Reconstruct a result from :meth:`to_payload` output."""
-        return cls(
-            rows=[
-                RateScalingRow(
-                    benchmark=r["benchmark"],
-                    results={
-                        int(n): rate_result_from_payload(res)
-                        for n, res in r["results"].items()
-                    },
-                )
-                for r in payload["rows"]
-            ],
-            copy_counts=[int(n) for n in payload["copy_counts"]],
-        )
+    rows: List[RateScalingRow]
 
 
 def _benchmark_scaling(

@@ -11,15 +11,16 @@ rest of the system needs to know about an experiment declaratively:
   sweeps);
 * which benchmark names it accepts (``benchmark_universe``, so e.g. the
   projected-suite experiment can admit future-work names);
-* its result dataclass (``result_type``, which implements the
-  ``to_payload``/``from_payload`` serialization protocol of
-  :mod:`repro.experiments.serialize`);
+* its result dataclass (``result_type``, whose fields and type hints
+  the codec of :mod:`repro.experiments.serialize` turns into JSON);
 * which paper artifact it reproduces (``paper_ref``).
 
 The CLI builds its subparsers (plain subcommands *and* their ``trace``
 twins), the ``report`` subcommand, and JSON export entirely from this
 registry — adding an experiment means writing one module with one
 ``@experiment`` runner and one ``@renders`` renderer, nothing else.
+:func:`write_result` is the one writer of result files (``--json-out``,
+``report``, ``campaign result``).
 
 :func:`execute` is the single entry point for running a registered
 experiment: it consults the artifact store for a previously serialized
@@ -31,10 +32,12 @@ key is a cache hit end to end, never re-measuring anything.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.errors import ConfigError, StoreError
+from repro.experiments.serialize import from_payload, to_payload
 from repro.telemetry.recorder import count as telemetry_count
 from repro.telemetry.recorder import span
 
@@ -48,6 +51,7 @@ __all__ = [
     "renders",
     "result_from_payload",
     "result_payload",
+    "write_result",
 ]
 
 #: Envelope schema tag for serialized experiment results; bumped whenever
@@ -68,8 +72,8 @@ class ExperimentSpec:
     Attributes:
         name: CLI subcommand / registry key (e.g. ``fig8``).
         runner: ``run_*`` callable returning ``result_type``.
-        result_type: Result dataclass; must provide the
-            ``to_payload()``/``from_payload()`` serialization pair.
+        result_type: Result dataclass; its fields' type hints must be
+            ones the :mod:`~repro.experiments.serialize` codec supports.
         paper_ref: Which paper artifact (or extension) this reproduces.
         supports_benchmarks: Whether the runner takes a suite subset via
             a ``benchmarks`` keyword (CLI ``--benchmarks``).
@@ -208,15 +212,24 @@ def result_payload(spec: ExperimentSpec, result) -> dict:
         "paper_ref": spec.paper_ref,
         "result_type": spec.result_type.__name__,
         "version": __version__,
-        "data": result.to_payload(),
+        "data": to_payload(result),
     }
+
+
+def write_result(path, spec: ExperimentSpec, result) -> None:
+    """Write ``result``'s envelope to ``path``: indented JSON plus newline."""
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(result_payload(spec, result), handle, indent=2)
+        handle.write("\n")
 
 
 def result_from_payload(spec: ExperimentSpec, payload: dict):
     """Reconstruct a result from an envelope written by :func:`result_payload`.
 
     Raises :class:`ConfigError` when the envelope does not describe this
-    experiment (wrong schema, name, or result type).
+    experiment (wrong schema, name, or result type), and ``TypeError``,
+    ``KeyError`` or ``ValueError`` when its data does not fit the result
+    dataclass.
     """
     if not isinstance(payload, dict):
         raise ConfigError("result payload must be a JSON object")
@@ -230,7 +243,7 @@ def result_from_payload(spec: ExperimentSpec, payload: dict):
                 f"result payload {key} mismatch: expected {expected!r}, "
                 f"got {payload.get(key)!r}"
             )
-    return spec.result_type.from_payload(payload["data"])
+    return from_payload(spec.result_type, payload["data"])
 
 
 # -- execution with result-level persistence --------------------------

@@ -1,142 +1,107 @@
-"""Shared serialization protocol for experiment result dataclasses.
+"""One JSON codec for every experiment result dataclass.
 
-Every ``*Result`` dataclass in :mod:`repro.experiments` implements the
-:class:`SerializableResult` protocol: ``to_payload()`` produces a plain
-JSON-compatible structure (dicts, lists, str, int, float, bool, None)
-and ``from_payload()`` reconstructs an equivalent result object.  The
-contract is *render fidelity*: for any result ``r``,
-``render(from_payload(to_payload(r)))`` is byte-identical to
-``render(r)`` — which is what lets the registry serve cached results
+:func:`to_payload` turns a result into plain JSON-compatible data and
+:func:`from_payload` rebuilds it; both are driven by the dataclass's
+fields and type hints, so no result class writes its own pair.  The
+contract is *render fidelity*: for any registered result ``r``,
+``render(from_payload(type(r), to_payload(r)))`` is byte-identical to
+``render(r)`` -- which is what lets the registry serve cached results
 and ``--json-out`` files interchangeably with live runs.
 
-Python's JSON encoder round-trips finite floats exactly (``repr``-based
-shortest form), so numeric payloads need no special encoding; numpy
-arrays and scalars are converted to plain lists/numbers on the way out
-and restored as ``float64`` arrays on the way in.
+The codec supports exactly the hints registered results use:
 
-This module holds the converters for the measurement dataclasses shared
-across drivers (:class:`~repro.experiments.common.RunMetrics`,
-:class:`~repro.timemodel.runtime.RunCost`,
-:class:`~repro.fsa.turnaround.CampaignCost`,
-:class:`~repro.rate.runner.RateResult`); each driver module implements
-its own result's pair on top of these.
+* ``str``/``int``/``float``/``bool``: coerced to the hint on the way out
+  (a numpy scalar becomes a plain number), type-checked on the way in;
+* ``np.ndarray``: a list of floats out, a ``float64`` array in;
+* ``List[X]``, and ``Dict[str, X]``/``Dict[int, X]`` (int keys travel as
+  strings, as JSON requires);
+* nested dataclasses: an object whose keys follow the field order, so
+  reordering a result's fields changes its JSON bytes.
+
+Any other hint raises :class:`TypeError` the first time its class is
+encoded or decoded.  Python's JSON encoder round-trips finite floats
+exactly (shortest repr), so numbers need no special encoding.  Data that
+does not fit its hint raises :class:`TypeError` (a missing field raises
+``KeyError``, a malformed number ``ValueError``), which
+:func:`repro.experiments.registry.execute` treats as a corrupt stored
+result and recomputes.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Protocol, runtime_checkable
+import dataclasses
+import functools
+import typing
+from typing import Any, Callable, Tuple
 
-from repro.experiments.common import metrics_from_payload, metrics_to_payload
-from repro.fsa.turnaround import CampaignCost
-from repro.rate.runner import CopyStats, RateResult
-from repro.timemodel.runtime import RunCost
+import numpy as np
 
-__all__ = [
-    "SerializableResult",
-    "campaign_cost_from_payload",
-    "campaign_cost_to_payload",
-    "copy_stats_from_payload",
-    "copy_stats_to_payload",
-    "metrics_from_payload",
-    "metrics_to_payload",
-    "rate_result_from_payload",
-    "rate_result_to_payload",
-    "run_cost_from_payload",
-    "run_cost_to_payload",
-]
+__all__ = ["from_payload", "to_payload"]
+
+#: The JSON types each scalar hint accepts on the way in.
+_SCALARS = {str: (str,), int: (int,), float: (int, float), bool: (bool,)}
 
 
-@runtime_checkable
-class SerializableResult(Protocol):
-    """The serialization pair every experiment result implements."""
-
-    def to_payload(self) -> Dict[str, Any]:
-        """A JSON-compatible representation of this result."""
-        ...  # pragma: no cover - protocol stub
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, Any]) -> "SerializableResult":
-        """Reconstruct a result from :meth:`to_payload` output."""
-        ...  # pragma: no cover - protocol stub
+def _expect(data, *kinds):
+    if not isinstance(data, kinds):
+        names = " or ".join(kind.__name__ for kind in kinds)
+        raise TypeError(
+            f"result payload holds {type(data).__name__} where {names} "
+            "is expected"
+        )
+    return data
 
 
-# -- RunCost (Figure 5 / Figure 9 time axis) --------------------------
+@functools.lru_cache(maxsize=None)
+def _codec(hint) -> Tuple[Callable[[Any], Any], Callable[[Any], Any]]:
+    """``(encode, decode)`` for one supported type hint, built once."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is list:
+        enc, dec = _codec(args[0])
+        return (
+            lambda value: [enc(v) for v in value],
+            lambda data: [dec(v) for v in _expect(data, list)],
+        )
+    if origin is dict and args[0] in (str, int):
+        key = args[0]
+        enc, dec = _codec(args[1])
+        return (
+            lambda value: {str(k): enc(v) for k, v in value.items()},
+            lambda data: {
+                key(k): dec(v) for k, v in _expect(data, dict).items()
+            },
+        )
+    if hint is np.ndarray:
+        return (
+            lambda value: [float(v) for v in value],
+            lambda data: np.asarray(_expect(data, list), dtype=np.float64),
+        )
+    if hint in _SCALARS:
+        return hint, lambda data: hint(_expect(data, *_SCALARS[hint]))
+    if dataclasses.is_dataclass(hint):
+        hints = typing.get_type_hints(hint)
+        fields = [
+            (f.name,) + _codec(hints[f.name]) for f in dataclasses.fields(hint)
+        ]
+
+        def decode(data):
+            data = _expect(data, dict)
+            return hint(**{name: dec(data[name]) for name, _, dec in fields})
+
+        return (
+            lambda value: {
+                name: enc(getattr(value, name)) for name, enc, _ in fields
+            },
+            decode,
+        )
+    raise TypeError(f"the result codec does not support type hint {hint!r}")
 
 
-def run_cost_to_payload(cost: RunCost) -> Dict[str, float]:
-    return {
-        "instructions": float(cost.instructions),
-        "seconds": float(cost.seconds),
-    }
+def to_payload(result) -> dict:
+    """A dataclass result as JSON-compatible data, keys in field order."""
+    return _codec(type(result))[0](result)
 
 
-def run_cost_from_payload(payload: Dict[str, Any]) -> RunCost:
-    return RunCost(
-        instructions=float(payload["instructions"]),
-        seconds=float(payload["seconds"]),
-    )
-
-
-# -- CampaignCost (turnaround extension) ------------------------------
-
-
-def campaign_cost_to_payload(cost: CampaignCost) -> Dict[str, Any]:
-    return {"strategy": str(cost.strategy), "seconds": float(cost.seconds)}
-
-
-def campaign_cost_from_payload(payload: Dict[str, Any]) -> CampaignCost:
-    return CampaignCost(
-        strategy=str(payload["strategy"]), seconds=float(payload["seconds"])
-    )
-
-
-# -- RateResult / CopyStats (SPECrate extension) ----------------------
-
-
-def copy_stats_to_payload(stats: CopyStats) -> Dict[str, Any]:
-    return {
-        "copy_id": int(stats.copy_id),
-        "instructions": int(stats.instructions),
-        "cycles": float(stats.cycles),
-        "l2_misses": int(stats.l2_misses),
-        "l3_misses": int(stats.l3_misses),
-    }
-
-
-def copy_stats_from_payload(payload: Dict[str, Any]) -> CopyStats:
-    return CopyStats(
-        copy_id=int(payload["copy_id"]),
-        instructions=int(payload["instructions"]),
-        cycles=float(payload["cycles"]),
-        l2_misses=int(payload["l2_misses"]),
-        l3_misses=int(payload["l3_misses"]),
-    )
-
-
-def rate_result_to_payload(result: RateResult) -> Dict[str, Any]:
-    return {
-        "copies": [copy_stats_to_payload(c) for c in result.copies],
-        "shared_l3_accesses": int(result.shared_l3_accesses),
-        "shared_l3_misses": int(result.shared_l3_misses),
-    }
-
-
-def rate_result_from_payload(payload: Dict[str, Any]) -> RateResult:
-    return RateResult(
-        copies=[copy_stats_from_payload(c) for c in payload["copies"]],
-        shared_l3_accesses=int(payload["shared_l3_accesses"]),
-        shared_l3_misses=int(payload["shared_l3_misses"]),
-    )
-
-
-# -- misc converters ---------------------------------------------------
-
-
-def float_list(values) -> List[float]:
-    """A numpy vector (or any iterable of numbers) as a plain float list."""
-    return [float(v) for v in values]
-
-
-def float_dict(mapping) -> Dict[str, float]:
-    """A str-keyed mapping of numbers as plain floats (insertion order)."""
-    return {str(k): float(v) for k, v in mapping.items()}
+def from_payload(cls: type, data):
+    """Rebuild a ``cls`` instance from :func:`to_payload` output."""
+    return _codec(cls)[1](data)

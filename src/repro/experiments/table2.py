@@ -53,37 +53,6 @@ class Table2Result:
         """Benchmarks whose counts deviate from the published table."""
         return [r.benchmark for r in self.rows if not r.matches_paper]
 
-    def to_payload(self) -> dict:
-        """A JSON-compatible representation of this result."""
-        return {
-            "rows": [
-                {
-                    "benchmark": r.benchmark,
-                    "points": int(r.points),
-                    "points_90": int(r.points_90),
-                    "paper_points": int(r.paper_points),
-                    "paper_points_90": int(r.paper_points_90),
-                }
-                for r in self.rows
-            ]
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "Table2Result":
-        """Reconstruct a result from :meth:`to_payload` output."""
-        return cls(
-            rows=[
-                Table2Row(
-                    benchmark=r["benchmark"],
-                    points=int(r["points"]),
-                    points_90=int(r["points_90"]),
-                    paper_points=int(r["paper_points"]),
-                    paper_points_90=int(r["paper_points_90"]),
-                )
-                for r in payload["rows"]
-            ]
-        )
-
 
 @experiment(
     "table2",

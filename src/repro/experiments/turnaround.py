@@ -19,10 +19,6 @@ from repro.experiments.common import (
 )
 from repro.experiments.registry import experiment, renders
 from repro.experiments.report import format_table
-from repro.experiments.serialize import (
-    campaign_cost_from_payload,
-    campaign_cost_to_payload,
-)
 from repro.fsa.turnaround import (
     CampaignCost,
     detailed_full_cost,
@@ -34,9 +30,6 @@ from repro.workloads.spec2017 import get_descriptor
 
 #: Host pool assumed for the parallel-replay strategy.
 PARALLEL_HOSTS = 8
-
-#: Strategy column order (also the payload key order).
-STRATEGIES = ("detailed-full", "serial-replay", "parallel-replay", "fsa")
 
 
 @dataclass
@@ -57,37 +50,6 @@ class TurnaroundResult:
         """Suite-average turnaround in hours for one strategy."""
         rows = require_rows(self.rows, "turnaround suite average")
         return sum(r.costs[strategy].hours for r in rows) / len(rows)
-
-    def to_payload(self) -> dict:
-        """A JSON-compatible representation of this result."""
-        return {
-            "rows": [
-                {
-                    "benchmark": r.benchmark,
-                    "costs": {
-                        s: campaign_cost_to_payload(r.costs[s])
-                        for s in STRATEGIES
-                    },
-                }
-                for r in self.rows
-            ]
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "TurnaroundResult":
-        """Reconstruct a result from :meth:`to_payload` output."""
-        return cls(
-            rows=[
-                TurnaroundRow(
-                    benchmark=r["benchmark"],
-                    costs={
-                        s: campaign_cost_from_payload(r["costs"][s])
-                        for s in STRATEGIES
-                    },
-                )
-                for r in payload["rows"]
-            ]
-        )
 
 
 def _benchmark_turnaround(

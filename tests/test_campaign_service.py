@@ -96,20 +96,15 @@ def _client_for(cache_dir: Path) -> CampaignClient:
 
 
 def _write_result_like_cli(client, job_id: str, path: Path) -> None:
-    """Re-serialize a job's stored result exactly as the CLI would."""
+    """Re-serialize a job's stored result through the CLI's one writer."""
     from repro.experiments.registry import (
         get_spec,
         result_from_payload,
-        result_payload,
+        write_result,
     )
 
-    job = client.status(job_id)
-    payload = client.result(job_id)
-    spec = get_spec(job["experiment"])
-    result = result_from_payload(spec, payload)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(result_payload(spec, result), handle, indent=2)
-        handle.write("\n")
+    spec = get_spec(client.status(job_id)["experiment"])
+    write_result(path, spec, result_from_payload(spec, client.result(job_id)))
 
 
 def _direct_json(tmp_path: Path, benchmarks) -> Path:

@@ -19,11 +19,11 @@ from repro.experiments.common import (
     RUN_TYPES,
     clear_pinpoints_cache,
     measure_benchmark,
-    metrics_to_payload,
     pinpoints_for,
 )
 from repro.experiments.fig4 import run_fig4
 from repro.experiments.fig6 import run_fig6
+from repro.experiments.serialize import to_payload
 from repro.sniper.core import SniperSimulator
 from repro.stats.compare import weighted_average
 from repro.workloads import slicecache
@@ -64,14 +64,14 @@ def test_cold_outputs_match_committed_results(name):
     measured = measure_benchmark(name, runs=RUN_TYPES)
     fig8 = committed_row("fig8", name)
     for run in RUN_TYPES:
-        assert metrics_to_payload(measured[run]) == fig8[run], run
+        assert to_payload(measured[run]) == fig8[run], run
     table2 = committed_row("table2", name)
     assert measured["num_points"] == table2["points"]
     assert measured["num_points_90"] == table2["points_90"]
 
-    fig6 = run_fig6([name], jobs=1).to_payload()["rows"]
+    fig6 = to_payload(run_fig6([name], jobs=1))["rows"]
     assert fig6 == [committed_row("fig6", name)]
-    fig4 = run_fig4([name], jobs=1).to_payload()["curves"]
+    fig4 = to_payload(run_fig4([name], jobs=1))["curves"]
     assert fig4 == {name: committed("fig4")["curves"][name]}
 
     out = pinpoints_for(name)

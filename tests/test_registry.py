@@ -4,12 +4,14 @@ Contracts under test:
 
 * every registered experiment gets a CLI subparser, and its ``trace``
   twin exposes the same experiment options;
-* ``to_payload``/``from_payload`` round-trips every result type with
-  render fidelity (the rendered table from a deserialized result is
-  byte-identical to the live one);
+* the result codec round-trips every result type with render fidelity
+  (the rendered table from a deserialized result is byte-identical to the
+  live one), and every committed ``results/NAME.json`` decodes, renders
+  to its ``NAME.txt`` and re-encodes to its own bytes;
 * :func:`repro.experiments.registry.execute` serves a stored result
   payload instead of re-running the experiment, with ``jobs`` excluded
-  from the cache key;
+  from the cache key, and recomputes a stored payload whose data does not
+  fit its result type;
 * empty-result aggregates raise :class:`ConfigError` instead of
   ``ZeroDivisionError``.
 """
@@ -17,23 +19,31 @@ Contracts under test:
 from __future__ import annotations
 
 import argparse
+import copy
 import dataclasses
 import json
+from pathlib import Path
+from typing import Optional
 
 import pytest
 
+import repro
 from repro.cli import _build_parser, main
 from repro.errors import ConfigError
 from repro.experiments import all_specs, execute, get_spec
 from repro.experiments.common import configure_cache, get_store, set_store
 from repro.experiments.registry import (
     RESULT_SCHEMA,
+    _result_key_params,
     result_from_payload,
     result_payload,
+    write_result,
 )
-from repro.experiments.serialize import SerializableResult
+from repro.experiments.serialize import _codec, to_payload
 
 from conftest import QUICK
+
+RESULTS = Path(__file__).resolve().parent.parent / "results"
 
 B = "620.omnetpp_s"
 
@@ -92,8 +102,12 @@ class TestRegistry:
         assert set(QUICK_KWARGS) == set(SPEC_NAMES)
 
     def test_every_result_type_is_serializable(self):
+        # Building a class's codec checks every field hint, nested ones
+        # included, so an unsupported hint fails here even where the
+        # committed results hold no instance of it.
         for spec in all_specs():
-            assert issubclass(spec.result_type, SerializableResult), spec.name
+            assert dataclasses.is_dataclass(spec.result_type), spec.name
+            _codec(spec.result_type)
 
     def test_get_spec_unknown_name(self):
         with pytest.raises(ConfigError, match="unknown experiment"):
@@ -156,6 +170,31 @@ def test_payload_round_trip_has_render_fidelity(name):
         spec, json.loads(json.dumps(envelope))
     )
     assert spec.renderer(restored) == spec.renderer(result)
+
+
+@pytest.mark.parametrize("name", SPEC_NAMES)
+def test_committed_result_rerenders_and_rewrites(name, tmp_path, monkeypatch):
+    spec = get_spec(name)
+    committed = (RESULTS / f"{name}.json").read_bytes()
+    envelope = json.loads(committed)
+    result = result_from_payload(spec, envelope)
+    text = (RESULTS / f"{name}.txt").read_text(encoding="utf-8")
+    assert spec.renderer(result) + "\n" == text
+    # The envelope stamps the installed package's version; pin it to the
+    # file's so the byte comparison is about the layout and the data.
+    monkeypatch.setattr(repro, "__version__", envelope["version"])
+    write_result(tmp_path / f"{name}.json", spec, result)
+    assert (tmp_path / f"{name}.json").read_bytes() == committed
+
+
+@dataclasses.dataclass
+class _OptionalField:
+    value: Optional[int]
+
+
+def test_codec_rejects_unsupported_hints():
+    with pytest.raises(TypeError, match="does not support"):
+        to_payload(_OptionalField(value=1))
 
 
 class TestEnvelopeValidation:
@@ -230,8 +269,6 @@ class TestExecuteCaching:
             spec = get_spec("fig10")
             kwargs = QUICK_KWARGS["fig10"]
             first = execute(spec, kwargs)
-            from repro.experiments.registry import _result_key_params
-
             params = _result_key_params(spec, kwargs)
             get_store().put_json("result", params, {"schema": "garbage"})
             second = execute(spec, kwargs)
@@ -241,6 +278,44 @@ class TestExecuteCaching:
                 dataclasses.replace(spec, runner=_boom), kwargs
             )
             assert spec.renderer(third) == spec.renderer(first)
+        finally:
+            set_store(previous)
+
+    @pytest.mark.parametrize("mangle", [
+        lambda data: data["rows"][0].update(mix_error_pp=[1.0, 2.0]),
+        lambda data: data["rows"][0].update(budget="3"),
+        lambda data: data["rows"][0].pop("l3_error_pp"),
+        lambda data: data["rows"].__setitem__(0, ["row"]),
+        lambda data: data.update(rows={"row": 1}),
+    ], ids=["dict-as-list", "int-as-str", "missing-field", "row-as-list",
+            "rows-as-dict"])
+    def test_malformed_stored_data_falls_back_to_runner(
+        self, tmp_path, mangle
+    ):
+        # A stored envelope with the right schema, experiment and type but
+        # data that does not fit the result dataclass is recomputed and
+        # overwritten, not a crash.
+        spec = get_spec("baselines")
+        good = json.loads((RESULTS / "baselines.json").read_text())
+        calls = []
+
+        def runner(**kwargs):
+            calls.append(kwargs)
+            return result_from_payload(spec, good)
+
+        bad = copy.deepcopy(good)
+        mangle(bad["data"])
+        previous = configure_cache(tmp_path / "store")
+        try:
+            params = _result_key_params(spec, {})
+            get_store().put_json("result", params, bad)
+            first = execute(dataclasses.replace(spec, runner=runner), {})
+            assert len(calls) == 1
+            assert get_store().get_json("result", params)["data"] == (
+                good["data"]
+            )
+            second = execute(dataclasses.replace(spec, runner=_boom), {})
+            assert spec.renderer(second) == spec.renderer(first)
         finally:
             set_store(previous)
 

@@ -192,13 +192,6 @@ class TestResume:
 class _ToyResult:
     values: List[int]
 
-    def to_payload(self) -> dict:
-        return {"values": list(self.values)}
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "_ToyResult":
-        return cls(values=list(payload["values"]))
-
 
 def _toy_runner(jobs=None):
     return _ToyResult(values=map_items(_tenfold, ITEMS, jobs=jobs))
