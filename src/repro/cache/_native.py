@@ -1,9 +1,9 @@
-"""Native compiled cache kernels.
+"""Native compiled kernels: the cache walks and the slice shuffle.
 
 Compiles a small C source with the host C compiler at first use and
-loads it through :mod:`ctypes`.  It holds three kernels, all sequential
-per-access loops with exactly the semantics of the oracle loops in
-:mod:`repro.cache.cache`:
+loads it through :mod:`ctypes`.  It holds three cache kernels, all
+sequential per-access loops with exactly the semantics of the oracle
+loops in :mod:`repro.cache.cache`:
 
 * ``repro_walk`` walks an L1I/L1D -> L2 -> L3 hierarchy of any
   associativity over one fused chunk
@@ -16,9 +16,14 @@ per-access loops with exactly the semantics of the oracle loops in
 
 Each level kind has one ``static inline`` step (``dm_step`` and
 ``lru_step``) that both the walk and that kind's level kernel call, so
-direct-mapped and LRU semantics are each written once.  Every kernel
-works in place on the state :class:`~repro.cache.cache.CacheLevel`
+direct-mapped and LRU semantics are each written once.  Every cache
+kernel works in place on the state :class:`~repro.cache.cache.CacheLevel`
 keeps, so native and numpy passes interleave on one level.
+
+A fourth kernel, ``repro_shuffle``, is numpy's 1-D
+``Generator.shuffle`` draw for draw, run on the generator's own
+``bitgen_t``; :class:`~repro.workloads.program.SyntheticProgram` shuffles
+every slice body's reference stream with it.
 
 The build is content-addressed (the object file name embeds a hash of
 the source and compiler), so it compiles once per machine and is reused
@@ -27,9 +32,9 @@ by every process, including parallel workers racing to create it
 
 Everything degrades gracefully: no compiler, a failed build, or a
 failed load all surface as :func:`load_kernel` returning ``None``, and
-the caller falls back to the numpy strategies.  The kernels are pure
-functions of their inputs and state — determinism is unaffected by
-which backend runs.
+the caller falls back to the numpy strategies (and to
+``Generator.shuffle``).  The kernels are pure functions of their inputs
+and state — determinism is unaffected by which backend runs.
 """
 
 from __future__ import annotations
@@ -214,6 +219,49 @@ int64_t repro_lru_level(
                            &writebacks);
     return writebacks;
 }
+
+/* numpy's bitgen_t (numpy/random/bitgen.h): a BitGenerator's state and
+ * its draw functions.  Only next_uint32 is called. */
+typedef struct {
+    void *state;
+    uint64_t (*next_uint64)(void *state);
+    uint32_t (*next_uint32)(void *state);
+    double (*next_double)(void *state);
+    uint64_t (*next_raw)(void *state);
+} bitgen_t;
+
+/* The smallest all-ones mask >= v, for v > 0. */
+static inline uint32_t mask32(uint32_t v)
+{
+#if defined(__GNUC__)
+    return UINT32_MAX >> __builtin_clz(v);
+#else
+    v |= v >> 1; v |= v >> 2; v |= v >> 4; v |= v >> 8; v |= v >> 16;
+    return v;
+#endif
+}
+
+/* numpy's 1-D Generator.shuffle of n <= 2^32 int64 values, draw for
+ * draw: Fisher-Yates from i = n-1 down to 1, j from random_interval's
+ * masked rejection on next_uint32 (numpy switches to next_uint64 past
+ * 2^32 values).  numpy redraws a rejected j in an inner loop whose exit
+ * branch mispredicts on a good share of draws; here a rejection retries
+ * the same i through a select instead -- j = i swaps nothing and i
+ * stays -- so the loop has no data-dependent branch. */
+void repro_shuffle(bitgen_t *bitgen, int64_t *restrict values, int64_t n)
+{
+    void *state = bitgen->state;
+    uint32_t (*next_uint32)(void *) = bitgen->next_uint32;
+    for (int64_t i = n - 1; i > 0;) {
+        uint32_t c = next_uint32(state) & mask32((uint32_t)i);
+        int ok = c <= (uint64_t)i;
+        int64_t j = ok ? (int64_t)c : i;
+        int64_t t = values[i];
+        values[i] = values[j];
+        values[j] = t;
+        i -= ok;
+    }
+}
 """
 
 _CACHE_ENV = "REPRO_NATIVE_CACHE"
@@ -280,22 +328,38 @@ def _bind(lib_path: Path) -> "NativeKernel":
     lru_level = lib.repro_lru_level
     lru_level.restype = i64
     lru_level.argtypes = [ptr, ptr, i64, ptr, i64, i64, i64, ptr]
-    return NativeKernel(walk, dm_level, lru_level)
+    shuffle = lib.repro_shuffle
+    shuffle.restype = None
+    shuffle.argtypes = [ptr, ptr, i64]
+    return NativeKernel(walk, dm_level, lru_level, shuffle)
+
+
+#: Most values :meth:`NativeKernel.shuffle` takes: past 2^32, numpy's
+#: shuffle draws 64-bit indices, which the kernel does not reproduce.
+SHUFFLE_MAX_SIZE = 1 << 32
+
+#: ``PyCapsule_GetPointer`` as a private function object (setting types
+#: on ``ctypes.pythonapi``'s own attribute would change them process-wide).
+_capsule_pointer = ctypes.PYFUNCTYPE(
+    ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p
+)(("PyCapsule_GetPointer", ctypes.pythonapi))
 
 
 class NativeKernel:
-    """ctypes bindings of the compiled hierarchy walk and level kernels.
+    """ctypes bindings of the compiled cache and shuffle kernels.
 
     Arrays cross the boundary as raw data pointers, so every array
     handed to C is C-contiguous with the dtype the kernel reads: the
-    level-state arrays are by construction, and the per-batch inputs
-    are made so here.
+    level-state arrays are by construction, the per-batch inputs are
+    made so here, and :meth:`shuffle`, which writes in place, refuses
+    any other array.
     """
 
-    def __init__(self, walk, dm_level, lru_level) -> None:
+    def __init__(self, walk, dm_level, lru_level, shuffle) -> None:
         self._walk = walk
         self._dm_level = dm_level
         self._lru_level = lru_level
+        self._shuffle = shuffle
 
     def walk(self, segments, shift: int, level_state) -> np.ndarray:
         """Run one chunk of slice streams through the hierarchy walk.
@@ -379,6 +443,38 @@ class NativeKernel:
             miss.ctypes.data,
         )
         return miss, writebacks
+
+    def shuffle(self, rng: np.random.Generator, values: np.ndarray) -> None:
+        """``rng.shuffle(values)`` in place, draw for draw.
+
+        The kernel draws through ``rng``'s own bit generator, under its
+        lock, so ``values`` and the generator state afterwards equal
+        what ``Generator.shuffle`` leaves.
+
+        Raises:
+            ValueError: If ``values`` is not a writeable C-contiguous
+                1-D int64 array of at most :data:`SHUFFLE_MAX_SIZE`
+                elements.
+        """
+        if not (
+            values.dtype == np.int64
+            and values.ndim == 1
+            and values.flags.c_contiguous
+            and values.flags.writeable
+        ):
+            raise ValueError(
+                "shuffle needs a writeable C-contiguous 1-D int64 array"
+            )
+        if values.size > SHUFFLE_MAX_SIZE:
+            raise ValueError(
+                f"shuffle takes at most {SHUFFLE_MAX_SIZE} values"
+            )
+        bit_generator = rng.bit_generator
+        with bit_generator.lock:
+            self._shuffle(
+                _capsule_pointer(bit_generator.capsule, b"BitGenerator"),
+                values.ctypes.data, values.size,
+            )
 
 
 def _batch(lines: np.ndarray, writes: np.ndarray):

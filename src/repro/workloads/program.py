@@ -28,6 +28,8 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import telemetry
+from repro.cache import _native
 from repro.errors import WorkloadError
 from repro.isa.basicblock import BasicBlock, CodeRegion
 from repro.isa.trace import SliceHeader, SliceTrace
@@ -120,6 +122,23 @@ class _RuntimePhase:
         ]
         own = self.entry_freqs[-len(blocks):]
         return CodeRegion(self.spec.phase_id, blocks, frequencies=own)
+
+
+def _shuffle(rng: np.random.Generator, values: np.ndarray) -> None:
+    """``rng.shuffle(values)``, on the native kernel when it loads.
+
+    Both paths draw the same sequence, so the bytes and the generator
+    state afterwards do not depend on which ran; the counter
+    ``slice.shuffle{path=native|numpy}`` records which did.
+    """
+    kernel = _native.load_kernel()
+    if kernel is not None and values.size <= _native.SHUFFLE_MAX_SIZE:
+        kernel.shuffle(rng, values)
+        path = "native"
+    else:
+        rng.shuffle(values)
+        path = "numpy"
+    telemetry.count("slice.shuffle", path=path)
 
 
 class SyntheticProgram:
@@ -292,8 +311,8 @@ class SyntheticProgram:
         block_counts[phase.entry_ids] = entry_counts
         instruction_count = int(np.dot(entry_counts, phase.entry_sizes))
         if instruction_count == 0:
-            # Degenerate multinomial draw (all mass on zero-size entries is
-            # impossible since sizes >= 4, but keep a hard floor anyway).
+            # Degenerate multinomial draw (impossible: block sizes are
+            # 3-8, drawn with integers(3, 9); keep a hard floor anyway).
             instruction_count = self.slice_size
 
         class_counts = rng.multinomial(instruction_count, phase.mix)
@@ -319,12 +338,11 @@ class SyntheticProgram:
             parts = []
             for region in range(4):
                 if targets[region] > 0:
-                    parts.append(
-                        phase.ws_bases[region]
-                        + rng.integers(
-                            0, phase.ws_sizes[region], size=targets[region]
-                        )
+                    lines = rng.integers(
+                        0, phase.ws_sizes[region], size=targets[region]
                     )
+                    lines += phase.ws_bases[region]
+                    parts.append(lines)
             stream_count = min(int(targets[4]), STREAM_WINDOW_LINES)
             if stream_count > 0:
                 start = phase.stream_base + slice_index * STREAM_WINDOW_LINES
@@ -333,7 +351,7 @@ class SyntheticProgram:
             # In place: permutation(n) shuffles arange(n) with these same
             # Fisher-Yates draws, so the bytes and the generator state
             # afterwards match gathering through it, without the copy.
-            rng.shuffle(mem_lines)
+            _shuffle(rng, mem_lines)
             write_prob = (class_counts[2] + class_counts[3]) / num_refs
             mem_is_write = rng.random(mem_lines.size) < write_prob
         else:
@@ -341,19 +359,18 @@ class SyntheticProgram:
             mem_is_write = np.empty(0, dtype=bool)
 
         instruction_count = header.instruction_count
-        fetch_count = int(np.clip(instruction_count // 40, 32, 512))
-        ifetch_lines = phase.code_base + rng.integers(
-            0, phase.spec.code_lines, size=fetch_count
-        )
+        fetch_count = min(max(instruction_count // 40, 32), 512)
+        ifetch_lines = rng.integers(0, phase.spec.code_lines, size=fetch_count)
+        ifetch_lines += phase.code_base
         return SliceTrace(
             index=slice_index,
             phase_id=header.phase_id,
             instruction_count=instruction_count,
             block_counts=header.block_counts,
             class_counts=class_counts,
-            mem_lines=mem_lines.astype(np.int64, copy=False),
+            mem_lines=mem_lines,
             mem_is_write=mem_is_write,
-            ifetch_lines=ifetch_lines.astype(np.int64, copy=False),
+            ifetch_lines=ifetch_lines,
             branch_count=int(instruction_count * phase.spec.branch_fraction),
             branch_entropy=phase.spec.branch_entropy,
         )

@@ -374,6 +374,70 @@ def level_state(level):
     return lru_rows(level)
 
 
+def read_only(values):
+    values.flags.writeable = False
+    return values
+
+
+def test_native_kernel_loads_wherever_a_compiler_exists():
+    """A C source that stops compiling fails here, instead of skipping
+    every native test and quietly putting each slice body back on
+    numpy's shuffle."""
+    if _native._compiler() is None:
+        pytest.skip("no C compiler")
+    assert _native.load_kernel() is not None
+
+
+@pytest.mark.skipif(not HAVE_NATIVE, reason="no working C compiler")
+class TestNativeShuffle:
+    """``NativeKernel.shuffle`` is ``Generator.shuffle`` draw for draw."""
+
+    @staticmethod
+    def assert_matches_numpy(size, seed):
+        values = np.arange(size, dtype=np.int64) * 7 - 3
+        for buffered in (False, True):
+            ours = np.random.default_rng(seed)
+            numpys = np.random.default_rng(seed)
+            for rng in (ours, numpys):
+                # Each bounded draw takes one 32-bit half, so an odd
+                # count leaves the other half of a 64-bit output buffered.
+                rng.integers(0, 10, size=3 if buffered else 2)
+                assert rng.bit_generator.state["has_uint32"] == buffered
+            shuffled = values.copy()
+            expected = values.copy()
+            _native.load_kernel().shuffle(ours, shuffled)
+            numpys.shuffle(expected)
+            assert np.array_equal(shuffled, expected)
+            assert ours.bit_generator.state == numpys.bit_generator.state
+
+    @pytest.mark.parametrize("size", [0, 1, 2])
+    def test_tiny_arrays(self, size):
+        self.assert_matches_numpy(size, seed=11)
+
+    @settings(max_examples=40, deadline=None)
+    @given(size=st.integers(0, 50_000), seed=st.integers(0, 2**32 - 1))
+    def test_matches_generator_shuffle(self, size, seed):
+        self.assert_matches_numpy(size, seed)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            read_only(np.arange(8, dtype=np.int64)),
+            np.arange(8, dtype=np.int32),
+            np.arange(16, dtype=np.int64)[::2],
+        ],
+        ids=["read-only", "int32", "strided"],
+    )
+    def test_refuses_arrays_it_cannot_shuffle_in_place(self, values):
+        before = values.copy()
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="shuffle needs"):
+            _native.load_kernel().shuffle(rng, values)
+        assert np.array_equal(values, before)
+        assert rng.bit_generator.state == state
+
+
 @pytest.mark.skipif(not HAVE_NATIVE, reason="no working C compiler")
 class TestNativeKernels:
     """The compiled per-level kernels against the sequential oracle."""

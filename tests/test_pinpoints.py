@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import telemetry
+from repro.cache import _native
 from repro.pinball import RegionalPinball, WholePinball
 from repro.pinpoints import run_pinpoints
 from repro.workloads import slicecache
@@ -94,7 +95,11 @@ class TestStagedProfiling:
 
     def test_mav_sampler_draws_full_slices(self):
         out, counters = self._slice_counters(sampler="mav")
-        assert counters == {"slice.cache.miss": out.program.num_slices}
+        path = "numpy" if _native.load_kernel() is None else "native"
+        assert counters == {
+            "slice.cache.miss": out.program.num_slices,
+            f"slice.shuffle{{path={path}}}": out.program.num_slices,
+        }
         assert out.features.mav is not None
 
     def test_headers_and_full_slices_give_one_bbv_matrix(self):

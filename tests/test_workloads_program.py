@@ -5,7 +5,10 @@ import hashlib
 import numpy as np
 import pytest
 
+from repro import telemetry
+from repro.cache import _native
 from repro.errors import WorkloadError
+from repro.workloads import program as program_module
 from repro.workloads import slicecache
 from repro.workloads.program import STREAM_WINDOW_LINES, SyntheticProgram
 from repro.workloads.schedule import PhaseSchedule
@@ -288,3 +291,64 @@ def assert_header_of(header, trace):
         assert getattr(header, name) == getattr(trace, name), name
     for name in ("block_counts", "class_counts"):
         np.testing.assert_array_equal(getattr(header, name), getattr(trace, name))
+
+
+def shuffle_counters(recorder):
+    return {
+        path: recorder.metrics.counters.get(f"slice.shuffle{{path={path}}}", 0)
+        for path in ("native", "numpy")
+    }
+
+
+class TestShufflePaths:
+    """A slice body shuffles on the native kernel when it loads and on
+    ``Generator.shuffle`` otherwise, to the same bytes."""
+
+    @pytest.mark.parametrize("label", list(PINNED_DIGESTS))
+    def test_numpy_fallback_matches_recorded_digests(
+        self, label, monkeypatch, fresh_memo
+    ):
+        monkeypatch.setattr(_native, "load_kernel", lambda: None)
+        program = pinned_program(label)
+        recorder = telemetry.TraceRecorder()
+        with telemetry.using_recorder(recorder):
+            for index, expected in PINNED_DIGESTS[label].items():
+                trace = program.generate_slice(index)
+                for name, digest in zip(PINNED_ARRAYS, expected):
+                    data = getattr(trace, name).tobytes()
+                    assert hashlib.sha256(data).hexdigest()[:16] == digest, (
+                        f"{label} slice {index}: {name}"
+                    )
+        assert shuffle_counters(recorder) == {
+            "native": 0, "numpy": len(PINNED_DIGESTS[label]),
+        }
+
+    def test_counted_once_per_drawn_body(self, fresh_memo):
+        program = pinned_program("505.mcf_r/3000")
+        recorder = telemetry.TraceRecorder()
+        with telemetry.using_recorder(recorder):
+            for index in range(5):
+                program.slice_header(index)
+                program.generate_slice(index)
+                program.generate_slice(index)
+        path = "numpy" if _native.load_kernel() is None else "native"
+        assert shuffle_counters(recorder)[path] == 5
+        assert sum(shuffle_counters(recorder).values()) == 5
+
+    def test_arrays_past_the_kernel_limit_take_numpy(self, monkeypatch):
+        kernel = _native.load_kernel()
+        if kernel is None:
+            pytest.skip("no working C compiler")
+        monkeypatch.setattr(_native, "SHUFFLE_MAX_SIZE", 4)
+        values = np.arange(5, dtype=np.int64)
+        with pytest.raises(ValueError, match="at most 4"):
+            kernel.shuffle(np.random.default_rng(3), values)
+        expected = values.copy()
+        ours, numpys = np.random.default_rng(3), np.random.default_rng(3)
+        recorder = telemetry.TraceRecorder()
+        with telemetry.using_recorder(recorder):
+            program_module._shuffle(ours, values)
+        numpys.shuffle(expected)
+        assert np.array_equal(values, expected)
+        assert ours.bit_generator.state == numpys.bit_generator.state
+        assert shuffle_counters(recorder) == {"native": 0, "numpy": 1}
