@@ -18,11 +18,6 @@ perf trajectory the acceptance criteria track) with the span-level
 manifest next to it in ``BENCH_trace_summary.json``, and the rendered
 output of all three passes must be byte-identical — speed never changes
 results.
-
-A fourth timed section covers the linter: a cold self-application of
-``repro-lint`` over ``src/repro`` (per-file rules + the whole-program
-flow pass) and a warm re-run against the same summary store, split into
-the ``lint.per_file`` / ``lint.flow`` telemetry spans.
 """
 
 from __future__ import annotations
@@ -109,38 +104,6 @@ def _stage_breakdown(recorder: telemetry.TraceRecorder) -> dict:
     return {stage: round(ns / 1e9, 3) for stage, ns in totals.items()}
 
 
-def _span_seconds(recorder: telemetry.TraceRecorder, name: str) -> float:
-    total = sum(e["dur"] for e in recorder.events if e["name"] == name)
-    return round(total / 1e9, 3)
-
-
-def _lint_benchmark(tmp_path: Path) -> dict:
-    """Cold + warm repro-lint self-application over ``src/repro``."""
-    from repro.lint import lint_paths, load_config
-    from repro.parallel.store import ArtifactStore
-
-    config = load_config(start=_ROOT)
-    store = ArtifactStore(tmp_path / "lint-flow")
-    target = _ROOT / "src" / "repro"
-
-    def run():
-        recorder = telemetry.TraceRecorder()
-        with telemetry.using_recorder(recorder):
-            _, wall_s = _timed(
-                lambda: lint_paths([target], config, flow_store=store)
-            )
-        return {
-            "wall_s": round(wall_s, 3),
-            "per_file_s": _span_seconds(recorder, "lint.per_file"),
-            "flow_s": _span_seconds(recorder, "lint.flow"),
-            "flow_summary_hits": recorder.metrics.counters.get(
-                "flow.summary.hit", 0
-            ),
-        }
-
-    return {"cold": run(), "warm": run()}
-
-
 def test_pipeline_serial_parallel_warm(tmp_path):
     cores = resolve_jobs(None)
     jobs = resolve_jobs(None)
@@ -179,7 +142,6 @@ def test_pipeline_serial_parallel_warm(tmp_path):
             "stages_s": dict(_BUDGETS),
             "enforced": _enforcing(),
         },
-        "lint": _lint_benchmark(tmp_path),
     }
     # The chaos section is owned by tools/chaos_smoke.sh (it merges the
     # measured scenario wall time in); rewriting the manifest here must
@@ -214,8 +176,3 @@ def test_pipeline_serial_parallel_warm(tmp_path):
                 f"stage {stage!r} took {stages[stage]}s, budget "
                 f"{budget}s (tolerance x{_BUDGET_TOLERANCE})"
             )
-    # Warm lint serves every module summary from the store.
-    lint = record["lint"]
-    assert lint["cold"]["flow_summary_hits"] == 0
-    assert lint["warm"]["flow_summary_hits"] > 0
-    assert lint["warm"]["wall_s"] <= lint["cold"]["wall_s"]

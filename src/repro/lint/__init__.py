@@ -8,12 +8,12 @@ with ``repro-lint``, ``python -m repro.lint``, or programmatically::
     from repro.lint import LintConfig, lint_paths
     findings = lint_paths(["src/repro"], LintConfig())
 
-Rules are documented in DESIGN.md ("Static analysis"); the linter is
-self-applied by ``tests/test_lint_clean.py``.
+Every rule checks one module's AST at a time.  Rules are documented in
+DESIGN.md ("Static analysis"); the linter is self-applied by
+``tests/test_lint_clean.py``.
 """
 
 from repro.lint import rules as _rules  # noqa: F401 -- populates the registry
-from repro.lint import flow as _flow  # noqa: F401 -- registers REP014-REP017
 from repro.lint.baseline import load_baseline, partition, save_baseline
 from repro.lint.cli import main
 from repro.lint.config import LintConfig, find_pyproject, load_config
@@ -25,12 +25,7 @@ from repro.lint.registry import (
     get_rule,
     known_rule_ids,
 )
-from repro.lint.reporters import (
-    render_json,
-    render_rule_list,
-    render_sarif,
-    render_text,
-)
+from repro.lint.reporters import render_json, render_rule_list, render_text
 from repro.lint.suppressions import SuppressionMap, scan_suppressions
 from repro.lint.walker import ModuleContext, iter_python_files, lint_file, lint_paths
 
@@ -46,5 +41,5 @@ __all__ = [
     "SuppressionMap", "scan_suppressions",
     "load_baseline", "partition", "save_baseline",
     # reporting / cli
-    "render_json", "render_rule_list", "render_sarif", "render_text", "main",
+    "render_json", "render_rule_list", "render_text", "main",
 ]

@@ -10,12 +10,8 @@ Subcommands::
     repro-lint baseline --update     # merge current findings into the
                                      # baseline without dropping entries
 
-The lint run covers both passes: per-file rules (REP001-REP013) and
-whole-program flow rules (REP014-REP017).  The flow pass keeps an
-incremental summary in the artifact store (``--flow-cache``/
-``--no-flow-cache``) so warm runs only re-analyze changed modules and
-their reverse import cone; ``--changed`` narrows a run to files changed
-in git plus, for flow rules, the modules that import them.
+Every rule runs per file, so linting only what changed is a matter of
+naming it: ``repro-lint $(git diff --name-only HEAD -- '*.py')``.
 """
 
 from __future__ import annotations
@@ -26,7 +22,6 @@ from pathlib import Path
 from typing import List, Optional, Sequence
 
 from repro.errors import LintError
-from repro.lint import flow as _flow  # noqa: F401 -- registers REP014-REP017
 from repro.lint import rules as _rules  # noqa: F401 -- populates the registry
 from repro.lint.baseline import (
     load_baseline,
@@ -37,12 +32,7 @@ from repro.lint.baseline import (
 )
 from repro.lint.config import LintConfig, load_config
 from repro.lint.registry import Severity, get_rule
-from repro.lint.reporters import (
-    render_json,
-    render_rule_list,
-    render_sarif,
-    render_text,
-)
+from repro.lint.reporters import render_json, render_rule_list, render_text
 from repro.lint.walker import iter_python_files, lint_paths
 
 __all__ = ["main"]
@@ -52,7 +42,6 @@ _DEFAULT_TARGET = "src/repro"
 _RENDERERS = {
     "text": render_text,
     "json": render_json,
-    "sarif": render_sarif,
 }
 
 
@@ -61,8 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="repro-lint",
         description=(
             "AST-based determinism and simulation-correctness linter for "
-            "the repro codebase (per-file rules REP001-REP013 plus "
-            "whole-program flow rules REP014-REP017)."
+            "the repro codebase (rules REP001-REP013 and REP017-REP020)."
         ),
         epilog=(
             "subcommands: 'repro-lint baseline --update [PATHS...]' merges "
@@ -75,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help=f"files/directories to lint (default: {_DEFAULT_TARGET})",
     )
     parser.add_argument(
-        "--format", choices=("text", "json", "sarif"), default="text",
+        "--format", choices=tuple(_RENDERERS), default="text",
         help="report format (default: text)",
     )
     parser.add_argument(
@@ -102,20 +90,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--ignore", metavar="IDS",
         help="comma-separated rule ids to skip",
-    )
-    parser.add_argument(
-        "--changed", action="store_true",
-        help="lint only files changed in git (per-file rules); flow "
-             "rules report in the changed modules plus their importers",
-    )
-    parser.add_argument(
-        "--flow-cache", metavar="DIR",
-        help="artifact-store directory for the incremental whole-program "
-             "summary (default: the repro cache dir)",
-    )
-    parser.add_argument(
-        "--no-flow-cache", action="store_true",
-        help="disable the incremental summary; analyze every module fresh",
     )
     parser.add_argument(
         "--list-rules", action="store_true",
@@ -184,41 +158,6 @@ def _default_targets(config: LintConfig) -> List[Path]:
     return [default if default.is_dir() else Path(".")]
 
 
-def _git_changed_files(root: Path) -> List[Path]:
-    """Python files changed vs HEAD plus untracked ones, per git."""
-    import subprocess
-
-    commands = (
-        ["git", "diff", "--name-only", "HEAD", "--"],
-        ["git", "ls-files", "--others", "--exclude-standard"],
-    )
-    changed: List[Path] = []
-    for command in commands:
-        try:
-            proc = subprocess.run(
-                command, cwd=root, capture_output=True, text=True, check=True
-            )
-        except (OSError, subprocess.CalledProcessError) as exc:
-            raise LintError(
-                f"--changed requires a git checkout at {root}: {exc}"
-            ) from exc
-        for line in proc.stdout.splitlines():
-            line = line.strip()
-            if line.endswith(".py"):
-                changed.append(root / line)
-    return changed
-
-
-def _flow_store(args):
-    """The incremental-summary store, honoring the cache flags."""
-    if args.no_flow_cache:
-        return None
-    from repro.parallel.store import ArtifactStore, default_cache_dir
-
-    root = Path(args.flow_cache) if args.flow_cache else default_cache_dir()
-    return ArtifactStore(root)
-
-
 def _baseline_main(argv: Sequence[str]) -> int:
     args = _build_baseline_parser().parse_args(list(argv))
     try:
@@ -267,15 +206,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         config = _apply_overrides(load_config(pyproject), args)
         targets = [Path(p) for p in args.paths] or _default_targets(config)
         files = iter_python_files(targets, config)
-        changed_only = None
-        if args.changed:
-            changed_only = _git_changed_files(config.root or Path.cwd())
-        findings = lint_paths(
-            targets,
-            config,
-            flow_store=_flow_store(args),
-            changed_only=changed_only,
-        )
+        findings = lint_paths(targets, config)
 
         baseline_path = config.baseline_path()
         if args.write_baseline:

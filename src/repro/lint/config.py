@@ -12,7 +12,6 @@ underscores interchangeable)::
     rep008-all-modules = false   # REP008 on every module, not just __init__
     rep010-allowed = ["repro/config.py"]      # modules that may own geometry
     rep012-allowed = ["repro/telemetry/clock.py"]  # modules that may read clocks
-    rep014-allowed = ["repro/telemetry/clock.py"]  # taint-containment modules
     rep020-allowed = ["repro/resilience/policy.py"]  # may sleep in retry loops
 
     [tool.repro-lint.severity]
@@ -51,7 +50,6 @@ _KNOWN_KEYS = {
     "rep008_all_modules",
     "rep010_allowed",
     "rep012_allowed",
-    "rep014_allowed",
     "rep020_allowed",
     "severity",
 }
@@ -77,10 +75,6 @@ class LintConfig:
     rep010_allowed: Tuple[str, ...] = ("repro/config.py",)
     #: Modules allowed to read host clocks directly (REP012).
     rep012_allowed: Tuple[str, ...] = ("repro/telemetry/clock.py",)
-    #: Taint-containment modules: functions defined here are trusted to
-    #: discipline nondeterminism, so REP014 treats their return values
-    #: as clean (the telemetry clock is the canonical example).
-    rep014_allowed: Tuple[str, ...] = ("repro/telemetry/clock.py",)
     #: Modules allowed to sleep inside retry loops directly (REP020) —
     #: the home of the sanctioned backoff_sleep helper itself.
     rep020_allowed: Tuple[str, ...] = ("repro/resilience/policy.py",)
@@ -171,9 +165,6 @@ def _parse_section(section: Mapping, root: Path) -> LintConfig:
         ),
         rep012_allowed=tuple(
             normalized.get("rep012_allowed", ("repro/telemetry/clock.py",))
-        ),
-        rep014_allowed=tuple(
-            normalized.get("rep014_allowed", ("repro/telemetry/clock.py",))
         ),
         rep020_allowed=tuple(
             normalized.get(

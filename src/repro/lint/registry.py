@@ -21,8 +21,6 @@ from repro.errors import LintError
 __all__ = [
     "Finding",
     "RuleSpec",
-    "SCOPE_FILE",
-    "SCOPE_PROJECT",
     "Severity",
     "all_rules",
     "get_rule",
@@ -91,13 +89,6 @@ class Finding:
 #: Signature of a rule body: yields (node, message) pairs.
 RuleFunc = Callable[["object"], Iterable[tuple]]
 
-#: Rule scopes.  ``file`` rules receive one ModuleContext and run
-#: independently per module; ``project`` rules receive the whole-program
-#: :class:`~repro.lint.flow.graph.Project` plus one module and may
-#: consult cross-module facts (call graph, taint summaries).
-SCOPE_FILE = "file"
-SCOPE_PROJECT = "project"
-
 
 @dataclass(frozen=True)
 class RuleSpec:
@@ -108,8 +99,6 @@ class RuleSpec:
     hazard: str
     func: RuleFunc = field(repr=False)
     severity: Severity = Severity.ERROR
-    #: ``file`` (per-module walker) or ``project`` (flow engine).
-    scope: str = SCOPE_FILE
 
 
 _REGISTRY: Dict[str, RuleSpec] = {}
@@ -121,26 +110,19 @@ def rule(
     *,
     hazard: str,
     severity: Severity = Severity.ERROR,
-    scope: str = SCOPE_FILE,
 ) -> Callable[[RuleFunc], RuleFunc]:
     """Register a rule function under ``rule_id`` (e.g. ``"REP001"``).
 
     ``name`` is a short kebab-case label for reports; ``hazard`` is one
     sentence on the determinism / correctness hazard the rule guards,
     shown by ``repro-lint --list-rules`` and quoted in DESIGN.md.
-    ``scope`` selects the driver: ``file`` rules run per module under
-    the walker, ``project`` rules run under the flow engine with the
-    whole-program graphs in hand.
     """
-    if scope not in (SCOPE_FILE, SCOPE_PROJECT):
-        raise LintError(f"unknown rule scope {scope!r}")
 
     def decorator(func: RuleFunc) -> RuleFunc:
         if rule_id in _REGISTRY:
             raise LintError(f"duplicate rule id {rule_id!r}")
         _REGISTRY[rule_id] = RuleSpec(
-            id=rule_id, name=name, hazard=hazard, func=func,
-            severity=severity, scope=scope,
+            id=rule_id, name=name, hazard=hazard, func=func, severity=severity
         )
         return func
 

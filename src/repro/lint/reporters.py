@@ -1,38 +1,25 @@
-"""Finding reporters: human text, machine JSON, and SARIF for CI.
+"""Finding reporters: human text and machine JSON.
 
 The JSON schema is stable (``{"tool", "schema_version", "summary",
 "findings": [...]}``) so CI annotations and dashboards can consume it;
-``tests/test_lint_infra.py`` pins the shape.  The SARIF output follows
-the 2.1.0 spec closely enough for GitHub code scanning
-(``github/codeql-action/upload-sarif``) to surface findings as inline
-PR annotations.
+``tests/test_lint_infra.py`` pins the shape.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 from typing import List, Sequence
 
-from repro.lint.registry import Finding, Severity, all_rules, get_rule
+from repro.lint.registry import Finding, Severity, all_rules
 
 __all__ = [
     "JSON_SCHEMA_VERSION",
-    "SARIF_VERSION",
     "render_json",
     "render_rule_list",
-    "render_sarif",
     "render_text",
 ]
 
 JSON_SCHEMA_VERSION = 1
-
-SARIF_VERSION = "2.1.0"
-
-_SARIF_SCHEMA_URI = (
-    "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
-    "Schemata/sarif-schema-2.1.0.json"
-)
 
 
 def _counts(findings: Sequence[Finding]) -> dict:
@@ -76,81 +63,6 @@ def render_json(
         "findings": [f.to_dict() for f in findings],
     }
     return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def _sarif_level(severity: Severity) -> str:
-    return "error" if severity is Severity.ERROR else "warning"
-
-
-def render_sarif(
-    findings: Sequence[Finding], *, baselined: int = 0, files: int = 0
-) -> str:
-    """SARIF 2.1.0 log of the findings (GitHub code-scanning upload).
-
-    ``partialFingerprints`` carries the same line-number-independent
-    (path, rule, snippet) identity the baseline uses, hashed, so GitHub
-    deduplicates alerts across pushes exactly like the baseline does.
-    """
-    rules_meta = {}
-    results = []
-    for f in findings:
-        if f.rule not in rules_meta:
-            spec = get_rule(f.rule)
-            rules_meta[f.rule] = {
-                "id": spec.id,
-                "name": spec.name,
-                "shortDescription": {"text": spec.name},
-                "fullDescription": {"text": spec.hazard},
-                "defaultConfiguration": {"level": _sarif_level(spec.severity)},
-            }
-        digest = hashlib.sha256(
-            "\x1f".join(f.fingerprint).encode("utf-8")
-        ).hexdigest()
-        region = {"startLine": max(f.line, 1), "startColumn": f.col + 1}
-        if f.snippet:
-            region["snippet"] = {"text": f.snippet}
-        results.append(
-            {
-                "ruleId": f.rule,
-                "level": _sarif_level(f.severity),
-                "message": {"text": f.message},
-                "locations": [
-                    {
-                        "physicalLocation": {
-                            "artifactLocation": {
-                                "uri": f.path,
-                                "uriBaseId": "%SRCROOT%",
-                            },
-                            "region": region,
-                        }
-                    }
-                ],
-                "partialFingerprints": {"reproLintFingerprint/v1": digest},
-            }
-        )
-    log = {
-        "$schema": _SARIF_SCHEMA_URI,
-        "version": SARIF_VERSION,
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "repro-lint",
-                        "rules": [
-                            rules_meta[rule_id]
-                            for rule_id in sorted(rules_meta)
-                        ],
-                    }
-                },
-                "results": results,
-                "properties": {
-                    "files": files,
-                    "baselined": baselined,
-                },
-            }
-        ],
-    }
-    return json.dumps(log, indent=2, sort_keys=True)
 
 
 def render_rule_list() -> str:

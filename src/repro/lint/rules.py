@@ -1,4 +1,4 @@
-"""The simulation-correctness rule set (REP001–REP013, REP018–REP020).
+"""The simulation-correctness rule set (REP001–REP013, REP017–REP020).
 
 Every rule here guards a way a simulation codebase silently loses
 determinism or fidelity: hidden global RNG state, float round-trip
@@ -17,8 +17,8 @@ from typing import Iterator, Optional, Tuple
 from repro.lint.registry import rule
 
 __all__ = [
-    "MONOTONIC_CLOCK_CALLS", "NUMPY_GLOBAL_RNG_FNS", "STDLIB_GLOBAL_RNG_FNS",
-    "WALL_CLOCK_CALLS",
+    "ENTROPY_CALLS", "MONOTONIC_CLOCK_CALLS", "NUMPY_GLOBAL_RNG_FNS",
+    "STDLIB_GLOBAL_RNG_FNS", "WALL_CLOCK_CALLS",
 ]
 
 Yield = Iterator[Tuple[ast.AST, str]]
@@ -40,6 +40,11 @@ STDLIB_GLOBAL_RNG_FNS = frozenset({
     "randbytes", "randint", "random", "randrange", "sample", "seed",
     "setstate", "shuffle", "triangular", "uniform", "vonmisesvariate",
     "weibullvariate",
+})
+
+#: Host entropy no seed controls (REP001); every ``secrets.*`` call too.
+ENTROPY_CALLS = frozenset({
+    "os.getrandom", "os.urandom", "uuid.uuid1", "uuid.uuid4",
 })
 
 #: Wall-clock reads that leak host time into simulated results.
@@ -80,8 +85,9 @@ def _has_seed_argument(node: ast.Call) -> bool:
     "REP001",
     "unseeded-rng",
     hazard=(
-        "RNG state not derived from an explicit seed makes traces, "
-        "clusterings, and simpoint selections unreproducible between runs."
+        "RNG state not derived from an explicit seed, or host entropy "
+        "(os.urandom, uuid1/uuid4, secrets), makes traces, clusterings, "
+        "and simpoint selections unreproducible between runs."
     ),
 )
 def check_unseeded_rng(ctx) -> Yield:
@@ -115,6 +121,11 @@ def check_unseeded_rng(ctx) -> Yield:
                     f"{name} uses the shared module-level Random instance; "
                     "use a seeded random.Random(seed) (or numpy Generator)"
                 )
+        elif name in ENTROPY_CALLS or name.startswith("secrets."):
+            yield node, (
+                f"{name}() draws host entropy that no seed controls; derive "
+                "the value from the workload/slice identity"
+            )
 
 
 _EXACT_FLOAT_SENTINELS = frozenset({"math.inf", "math.nan", "numpy.inf", "numpy.nan"})
@@ -182,13 +193,19 @@ def _is_set_expression(ctx, node: ast.AST) -> bool:
     return False
 
 
+#: Builtins whose value is a per-process hash or an object address.
+_PROCESS_IDENTITY_BUILTINS = frozenset({
+    "builtins.hash", "builtins.id", "hash", "id",
+})
+
+
 @rule(
     "REP003",
     "unordered-iteration",
     hazard=(
-        "iterating a set feeds hash order (randomized per process for "
-        "strings) into downstream output; ordered results silently differ "
-        "between runs."
+        "iterating a set, or calling hash()/id(), feeds hash order "
+        "(randomized per process for strings) or object addresses into "
+        "downstream output; ordered results silently differ between runs."
     ),
 )
 def check_unordered_iteration(ctx) -> Yield:
@@ -206,6 +223,12 @@ def check_unordered_iteration(ctx) -> Yield:
                     yield node, message
         elif isinstance(node, ast.Call):
             name = ctx.resolve(node.func)
+            if name in _PROCESS_IDENTITY_BUILTINS:
+                yield node, (
+                    f"{name.rsplit('.', 1)[-1]}() differs between processes "
+                    "(string hash randomization, object addresses); key on "
+                    "content instead, e.g. a hashlib digest or a sort key"
+                )
             is_join = (
                 isinstance(node.func, ast.Attribute) and node.func.attr == "join"
             )
@@ -631,6 +654,88 @@ def check_bare_except_dispatch(ctx) -> Yield:
                 )
 
 
+#: Calls whose failure must surface: worker dispatch/harvest and the
+#: resilience journal's write path (REP017).
+_REP017_FUNCTIONS = frozenset({
+    "as_completed", "journal_item", "map_items", "parallel_map",
+    "resilient_map",
+})
+_REP017_METHODS = frozenset({"submit", "result", "journal_item"})
+
+#: Names that mark a handler as producing a recorded failure outcome.
+_OUTCOME_NAMES = frozenset({"ItemOutcome", "_failure_outcome", "failure_outcome"})
+
+
+@rule(
+    "REP017",
+    "swallowed-failure",
+    hazard=(
+        "an exception handler around worker dispatch or journal writes "
+        "that neither re-raises nor records an outcome turns a failed "
+        "measurement into a silent gap: the run reports success while "
+        "the sampled data is incomplete."
+    ),
+)
+def check_swallowed_failure(ctx) -> Yield:
+    for node in ast.walk(ctx.tree):
+        if not isinstance(node, ast.Try):
+            continue
+        sink = _rep017_sink(ctx, node)
+        if sink is None:
+            continue
+        for handler in node.handlers:
+            if _handler_surfaces_error(handler):
+                continue
+            yield handler, (
+                f"exception handler around {sink} swallows the failure: "
+                "it neither re-raises, uses the bound exception, nor "
+                "produces an ItemOutcome -- failed work becomes a "
+                "silent gap in the results"
+            )
+
+
+def _rep017_sink(ctx, try_node: ast.Try) -> Optional[str]:
+    """Label of the first guarded dispatch/journal call, if any."""
+    for stmt in try_node.body:
+        for node in ast.walk(stmt):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Attribute):
+                if func.attr in _REP017_METHODS:
+                    return f".{func.attr}()"
+                if func.attr == "append" and isinstance(func.value, ast.Name) and (
+                    "journal" in func.value.id.lower()
+                ):
+                    return f"{func.value.id}.append()"
+            name = _call_name(ctx, node)
+            if name is not None and name.rsplit(".", 1)[-1] in _REP017_FUNCTIONS:
+                return f"{name.rsplit('.', 1)[-1]}()"
+    return None
+
+
+def _handler_surfaces_error(handler: ast.ExceptHandler) -> bool:
+    """Whether the handler re-raises, uses the exception, or records it."""
+    if _handler_reraises(handler):
+        return True
+    for node in ast.walk(handler):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else (
+                func.attr if isinstance(func, ast.Attribute) else None
+            )
+            if name in _OUTCOME_NAMES:
+                return True
+        elif (
+            handler.name
+            and isinstance(node, ast.Name)
+            and node.id == handler.name
+            and isinstance(node.ctx, ast.Load)
+        ):
+            return True
+    return False
+
+
 #: Synchronous sleeps that stall an event loop (REP018).
 _BLOCKING_SLEEP_CALLS = frozenset({"time.sleep"})
 _BLOCKING_SLEEP_BASENAMES = frozenset({"sleep_s"})
@@ -833,14 +938,14 @@ def check_ad_hoc_retry_sleep(ctx) -> Yield:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             stack.extend(ast.iter_child_nodes(node))
-            if not isinstance(node, ast.Call) or id(node) in seen:
+            if not isinstance(node, ast.Call) or node in seen:
                 continue
             name = _call_name(ctx, node)
             basename = name.rsplit(".", 1)[-1] if name else None
             if name in _BLOCKING_SLEEP_CALLS or (
                 basename in _BLOCKING_SLEEP_BASENAMES
             ):
-                seen.add(id(node))
+                seen.add(node)
                 yield node, (
                     f"{basename}() inside a retry loop is an ad-hoc "
                     "backoff; use backoff_sleep(retry, index, attempt) "

@@ -15,15 +15,8 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.errors import LintError
 from repro.lint.config import LintConfig
-from repro.lint.registry import (
-    SCOPE_FILE,
-    SCOPE_PROJECT,
-    Finding,
-    RuleSpec,
-    Severity,
-    all_rules,
-)
-from repro.lint.suppressions import SuppressionMap, scan_suppressions
+from repro.lint.registry import Finding, RuleSpec, Severity, all_rules
+from repro.lint.suppressions import scan_suppressions
 
 __all__ = [
     "ModuleContext",
@@ -121,10 +114,6 @@ def relativize(path: Path, root: Optional[Path]) -> str:
     return resolved.as_posix()
 
 
-#: Backwards-compatible private alias (pre-flow-engine name).
-_relativize = relativize
-
-
 def iter_python_files(
     paths: Sequence[Path], config: LintConfig
 ) -> List[Path]:
@@ -147,18 +136,16 @@ def iter_python_files(
         if resolved in seen:
             continue
         seen.add(resolved)
-        if config.is_excluded(_relativize(path, config.root)):
+        if config.is_excluded(relativize(path, config.root)):
             continue
         unique.append(path)
     return unique
 
 
-def selected_rules(config: LintConfig, scope: str = SCOPE_FILE) -> List[RuleSpec]:
-    """Rules of ``scope`` that survive enable/disable/severity config."""
+def selected_rules(config: LintConfig) -> List[RuleSpec]:
+    """Rules that survive enable/disable/severity config."""
     rules = []
     for spec in all_rules():
-        if spec.scope != scope:
-            continue
         if config.enable is not None and spec.id not in config.enable:
             continue
         if spec.id in config.disable:
@@ -169,32 +156,18 @@ def selected_rules(config: LintConfig, scope: str = SCOPE_FILE) -> List[RuleSpec
     return rules
 
 
-#: Backwards-compatible private alias (pre-flow-engine name).
-_selected_rules = selected_rules
-
-
-def lint_file(path: Path, config: LintConfig, cache=None) -> List[Finding]:
-    """Run every selected per-file rule over one file; suppressions applied.
-
-    With ``cache`` (an :class:`~repro.lint.astcache.AstCache`) the parse
-    and suppression scan are shared with other passes — notably the flow
-    engine — so each file is read and parsed exactly once per run.
-    """
+def lint_file(path: Path, config: LintConfig) -> List[Finding]:
+    """Run every selected rule over one file; suppressions applied."""
     path = Path(path)
-    if cache is not None:
-        ctx = cache.get(path)
-        suppressions: SuppressionMap = cache.suppressions(path)
-        rel = ctx.rel_path
-    else:
-        rel = relativize(path, config.root)
-        try:
-            source = path.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise LintError(f"cannot read {rel}: {exc}") from exc
-        ctx = ModuleContext(path, rel, source, config)
-        suppressions = scan_suppressions(source, rel)
+    rel = relativize(path, config.root)
+    try:
+        source = path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise LintError(f"cannot read {rel}: {exc}") from exc
+    ctx = ModuleContext(path, rel, source, config)
+    suppressions = scan_suppressions(source, rel)
     findings: List[Finding] = []
-    for spec in selected_rules(config, SCOPE_FILE):
+    for spec in selected_rules(config):
         severity = config.severity_for(spec)
         for node, message in spec.func(ctx):
             line = getattr(node, "lineno", 1)
@@ -216,58 +189,15 @@ def lint_file(path: Path, config: LintConfig, cache=None) -> List[Finding]:
 
 
 def lint_paths(
-    paths: Iterable[Path],
-    config: Optional[LintConfig] = None,
-    *,
-    cache=None,
-    flow_store=None,
-    changed_only: Optional[Sequence[Path]] = None,
+    paths: Iterable[Path], config: Optional[LintConfig] = None
 ) -> List[Finding]:
     """Lint files and directories; the main library entry point.
 
-    Runs the per-file rules (REP001–REP013) through the walker and the
-    project-scope flow rules (REP014–REP017) through
-    :func:`repro.lint.flow.lint_project`, sharing one parsed-AST cache
-    between the passes.  ``flow_store`` optionally names an
-    :class:`~repro.parallel.store.ArtifactStore` for the incremental
-    whole-program summary (warm runs re-analyze only changed modules).
-
-    ``changed_only`` (the ``--changed`` flow) restricts per-file rules
-    to the named files; flow rules still analyze the whole project but
-    report only in the changed modules and their reverse import cone.
+    Expands ``paths`` with :func:`iter_python_files` (config excludes
+    applied) and runs :func:`lint_file` over each module.
     """
-    from repro.lint.astcache import AstCache
-
     config = config if config is not None else LintConfig()
-    if cache is None:
-        cache = AstCache(config)
     findings: List[Finding] = []
-    files = iter_python_files([Path(p) for p in paths], config)
-
-    changed_rels: Optional[set] = None
-    per_file_targets = files
-    if changed_only is not None:
-        resolved = {Path(p).resolve() for p in changed_only}
-        per_file_targets = [f for f in files if f.resolve() in resolved]
-        changed_rels = {
-            relativize(f, config.root) for f in per_file_targets
-        }
-
-    from repro.telemetry.recorder import span
-
-    with span("lint.per_file", files=len(per_file_targets)):
-        for path in per_file_targets:
-            findings.extend(lint_file(path, config, cache=cache))
-    if selected_rules(config, SCOPE_PROJECT):
-        from repro.lint.flow import lint_project
-
-        with span("lint.flow", files=len(files)):
-            flow_findings, _stats = lint_project(
-                files,
-                config,
-                cache=cache,
-                store=flow_store,
-                changed_only=changed_rels,
-            )
-        findings.extend(flow_findings)
+    for path in iter_python_files([Path(p) for p in paths], config):
+        findings.extend(lint_file(path, config))
     return sorted(findings, key=Finding.sort_key)

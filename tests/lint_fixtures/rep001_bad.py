@@ -1,6 +1,9 @@
 """REP001 fixtures: every flavour of unseeded randomness."""
 
+import os
 import random
+import secrets
+import uuid
 import numpy as np
 from numpy.random import default_rng as make_rng
 
@@ -33,3 +36,15 @@ def stdlib_global():
 
 def unseeded_stdlib_instance():
     return random.Random()
+
+
+def os_entropy():
+    return os.urandom(8), os.getrandom(8)
+
+
+def random_uuids():
+    return uuid.uuid1(), uuid.uuid4()
+
+
+def secrets_token():
+    return secrets.token_hex(8)

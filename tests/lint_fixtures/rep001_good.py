@@ -1,6 +1,7 @@
 """REP001 fixtures: explicit seeding never fires."""
 
 import random
+import uuid
 import numpy as np
 from numpy.random import default_rng
 
@@ -24,3 +25,8 @@ def seeded_stdlib_instance():
 def generator_methods(rng: np.random.Generator):
     # Methods on an explicit Generator instance are fine.
     return rng.random(4), rng.integers(0, 8)
+
+
+def name_based_uuid(benchmark: str):
+    # uuid5 hashes its inputs: the same name always gives the same id.
+    return uuid.uuid5(uuid.NAMESPACE_URL, benchmark)

@@ -25,3 +25,11 @@ def list_of_set(names):
 
 def joined_set(names):
     return ", ".join(set(names))
+
+
+def hash_ordered(names):
+    return sorted(names, key=lambda name: hash(name))
+
+
+def address_keyed(objects):
+    return {id(obj): obj for obj in objects}

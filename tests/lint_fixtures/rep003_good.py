@@ -1,5 +1,7 @@
 """REP003 fixtures: ordered or order-free set usage never fires."""
 
+import hashlib
+
 
 def sorted_iteration(names):
     return [n for n in sorted(set(names))]
@@ -20,3 +22,8 @@ def membership_and_aggregation(names, candidate):
 
 def list_of_list(names):
     return list([n for n in names])
+
+
+def content_digest(name):
+    # A content hash is the same in every process, unlike hash().
+    return hashlib.sha256(name.encode("utf-8")).hexdigest()

@@ -23,6 +23,7 @@ from repro.lint import (
     save_baseline,
     scan_suppressions,
 )
+from repro.lint.baseline import merge_baseline, save_fingerprints
 from repro.lint.cli import main as lint_main
 from repro.lint.walker import ModuleContext, iter_python_files
 
@@ -119,6 +120,68 @@ class TestBaseline:
         bad.write_text("not json", encoding="utf-8")
         with pytest.raises(LintError):
             load_baseline(bad)
+
+
+class TestBaselineMerge:
+    def test_merge_keeps_existing_and_adds_new(self):
+        existing = [("src/a.py", "REP004", "time.time()")]
+        findings = [
+            Finding(
+                rule="REP001", path="src/b.py", line=3, col=0,
+                message="m", snippet="RNG = np.random.default_rng()",
+            ),
+            Finding(
+                rule="REP004", path="src/a.py", line=9, col=0,
+                message="m", snippet="time.time()",
+            ),
+        ]
+        merged = merge_baseline(existing, findings)
+        assert ("src/a.py", "REP004", "time.time()") in merged
+        assert ("src/b.py", "REP001", "RNG = np.random.default_rng()") in merged
+        # The REP004 finding matched the existing entry: no duplicate.
+        assert len(merged) == 2
+
+    def test_merge_preserves_stale_entries(self):
+        # A baselined finding that no longer fires must survive --update.
+        existing = [("src/gone.py", "REP001", "np.random.rand()")]
+        merged = merge_baseline(existing, [])
+        assert merged == existing
+
+    def test_merge_respects_multiplicity(self):
+        fp = ("src/a.py", "REP002", "x == y")
+        finding = Finding(
+            rule="REP002", path="src/a.py", line=1, col=0,
+            message="m", snippet="x == y",
+        )
+        merged = merge_baseline([fp], [finding, finding])
+        assert merged.count(fp) == 2
+
+    def test_cli_baseline_update_round_trip(self, tmp_path, monkeypatch):
+        write_module(tmp_path, UNSEEDED)
+        monkeypatch.chdir(tmp_path)
+        baseline = tmp_path / "baseline.json"
+        # Seed the baseline with a foreign file's entry.
+        save_fingerprints(
+            baseline, [("src/old.py", "REP004", "time.time()")]
+        )
+        code = lint_main(
+            ["baseline", "--update", "--baseline", str(baseline), "mod.py"]
+        )
+        assert code == 0
+        merged = load_baseline(baseline)
+        assert ("src/old.py", "REP004", "time.time()") in merged
+        assert ("mod.py", "REP001", "RNG = np.random.default_rng()") in merged
+        # The lint run is now clean against the merged baseline.
+        assert lint_main(["mod.py", "--baseline", str(baseline)]) == 0
+
+    def test_save_baseline_round_trip_still_works(self, tmp_path):
+        finding = Finding(
+            rule="REP001", path="src/b.py", line=3, col=0,
+            message="m", snippet="RNG = np.random.default_rng()",
+        )
+        path = tmp_path / "b.json"
+        save_baseline(path, [finding])
+        assert load_baseline(path) == [finding.fingerprint]
 
 
 class TestReporters:
@@ -304,7 +367,10 @@ class TestCli:
         out = capsys.readouterr().out
         for spec in all_rules():
             assert spec.id in out
-        assert len(all_rules()) == 20
+        assert [spec.id for spec in all_rules()] == [
+            *(f"REP{n:03d}" for n in range(1, 14)),
+            "REP017", "REP018", "REP019", "REP020",
+        ]
 
     def test_main_cli_forwards_lint(self, capsys):
         from repro.cli import main as repro_main

@@ -21,6 +21,7 @@ from repro.experiments.fig8 import render_fig8, run_fig8
 from repro.experiments.fig9 import render_fig9, run_fig9
 from repro.experiments.fig10 import render_fig10, run_fig10
 from repro.experiments.fig12 import render_fig12, run_fig12
+from repro.experiments.frontier import render_frontier, run_frontier
 from repro.experiments.future_suite import (
     render_future_suite,
     run_future_suite,
@@ -51,6 +52,7 @@ DRIVERS = [
     (run_rate_scaling, render_rate_scaling),
     (run_turnaround, render_turnaround),
     (run_future_suite, render_future_suite),
+    (run_frontier, render_frontier),
 ]
 
 

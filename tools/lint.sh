@@ -2,15 +2,10 @@
 # Convenience wrapper: run repro-lint over the source tree from anywhere.
 #
 #   tools/lint.sh                 # lint src/repro with the repo config
-#   tools/lint.sh --changed       # only git-changed files (+ their
-#                                 # reverse import cone for flow rules)
-#   tools/lint.sh --format sarif  # SARIF 2.1.0 for code-scanning upload
 #   tools/lint.sh --format json   # machine-readable report
 #   tools/lint.sh tests/foo.py    # lint specific files
 #
-# All flags pass through to `python -m repro.lint`; see --help.  The
-# whole-program summary cache lives under the repro cache dir, so warm
-# runs re-analyze only modules whose content hash changed.
+# All flags pass through to `python -m repro.lint`; see --help.
 set -eu
 cd "$(dirname "$0")/.."
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" exec python -m repro.lint "$@"
