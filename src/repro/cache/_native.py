@@ -1,4 +1,4 @@
-"""Native compiled kernels: the cache walks and the slice shuffle.
+"""Native compiled kernels: the cache walks and the slice body.
 
 Compiles a small C source with the host C compiler at first use and
 loads it through :mod:`ctypes`.  It holds three cache kernels, all
@@ -20,10 +20,12 @@ direct-mapped and LRU semantics are each written once.  Every cache
 kernel works in place on the state :class:`~repro.cache.cache.CacheLevel`
 keeps, so native and numpy passes interleave on one level.
 
-A fourth kernel, ``repro_shuffle``, is numpy's 1-D
-``Generator.shuffle`` draw for draw, run on the generator's own
-``bitgen_t``; :class:`~repro.workloads.program.SyntheticProgram` shuffles
-every slice body's reference stream with it.
+A fourth kernel, ``repro_body``, draws a slice body -- working-set and
+stream lines, their shuffle, write flags and fetch lines -- with numpy's
+``Generator.integers``, ``shuffle`` and ``random`` draws, draw for draw,
+on the generator's own ``bitgen_t``;
+:class:`~repro.workloads.program.SyntheticProgram` draws every slice body
+with it.
 
 The build is content-addressed (the object file name embeds a hash of
 the source and compiler), so it compiles once per machine and is reused
@@ -32,8 +34,8 @@ by every process, including parallel workers racing to create it
 
 Everything degrades gracefully: no compiler, a failed build, or a
 failed load all surface as :func:`load_kernel` returning ``None``, and
-the caller falls back to the numpy strategies (and to
-``Generator.shuffle``).  The kernels are pure functions of their inputs
+the caller falls back to the numpy strategies (and to numpy's own
+draws for a slice body).  The kernels are pure functions of their inputs
 and state — determinism is unaffected by which backend runs.
 """
 
@@ -46,7 +48,7 @@ import shutil
 import subprocess
 import tempfile
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -221,7 +223,7 @@ int64_t repro_lru_level(
 }
 
 /* numpy's bitgen_t (numpy/random/bitgen.h): a BitGenerator's state and
- * its draw functions.  Only next_uint32 is called. */
+ * its draw functions.  Only next_uint32 and next_double are called. */
 typedef struct {
     void *state;
     uint64_t (*next_uint64)(void *state);
@@ -241,6 +243,34 @@ static inline uint32_t mask32(uint32_t v)
 #endif
 }
 
+/* base + Generator.integers(0, size, n) for 1 <= size <= 2^32, draw for
+ * draw.  numpy's random_bounded_uint64_fill fills a 1-line range without
+ * drawing and otherwise runs Lemire's method on next_uint32: x * size,
+ * redrawn while its low half is below (2^32 - size) % size.  numpy takes
+ * a 2^32-line range as plain next_uint32 outputs; with the product in 64
+ * bits the same loop gives exactly that (the threshold is 0).  numpy
+ * computes the threshold only for a low half below size; the threshold
+ * is itself below size, so computing it once takes the same draws. */
+static inline void bounded_fill(
+    bitgen_t *bitgen, uint64_t size, int64_t base, int64_t *restrict out,
+    int64_t n)
+{
+    void *state = bitgen->state;
+    uint32_t (*next_uint32)(void *) = bitgen->next_uint32;
+    if (size == 1) {
+        for (int64_t i = 0; i < n; i++)
+            out[i] = base;
+        return;
+    }
+    uint32_t threshold = (uint32_t)((((uint64_t)1 << 32) - size) % size);
+    for (int64_t i = 0; i < n; i++) {
+        uint64_t m = (uint64_t)next_uint32(state) * size;
+        while ((uint32_t)m < threshold)
+            m = (uint64_t)next_uint32(state) * size;
+        out[i] = (int64_t)((uint64_t)base + (m >> 32));
+    }
+}
+
 /* numpy's 1-D Generator.shuffle of n <= 2^32 int64 values, draw for
  * draw: Fisher-Yates from i = n-1 down to 1, j from random_interval's
  * masked rejection on next_uint32 (numpy switches to next_uint64 past
@@ -248,7 +278,8 @@ static inline uint32_t mask32(uint32_t v)
  * branch mispredicts on a good share of draws; here a rejection retries
  * the same i through a select instead -- j = i swaps nothing and i
  * stays -- so the loop has no data-dependent branch. */
-void repro_shuffle(bitgen_t *bitgen, int64_t *restrict values, int64_t n)
+static inline void shuffle(
+    bitgen_t *bitgen, int64_t *restrict values, int64_t n)
 {
     void *state = bitgen->state;
     uint32_t (*next_uint32)(void *) = bitgen->next_uint32;
@@ -261,6 +292,38 @@ void repro_shuffle(bitgen_t *bitgen, int64_t *restrict values, int64_t n)
         values[j] = t;
         i -= ok;
     }
+}
+
+/* One slice body, in SyntheticProgram._draw_body's numpy order, straight
+ * into the trace's arrays.  Regions 0-3 are the working sets and region 4
+ * the code: region k spans sizes[k] lines (1..2^32) from bases[k].
+ * `lines` gets counts[k] draws from each working-set region, then the
+ * stream run stream_start, stream_start + 1, ..., stream_count long;
+ * then the whole stream is shuffled, and `writes` gets one flag per line,
+ * Generator.random's next_double() compared with write_prob.  Last,
+ * `fetch` gets counts[4] draws from the code region. */
+void repro_body(
+    bitgen_t *bitgen, const int64_t *restrict counts,
+    const int64_t *restrict sizes, const int64_t *restrict bases,
+    int64_t stream_start, int64_t stream_count, double write_prob,
+    int64_t *restrict lines, uint8_t *restrict writes,
+    int64_t *restrict fetch)
+{
+    int64_t n = 0;
+    for (int k = 0; k < 4; k++) {
+        bounded_fill(bitgen, (uint64_t)sizes[k], bases[k], lines + n,
+                     counts[k]);
+        n += counts[k];
+    }
+    for (int64_t i = 0; i < stream_count; i++)
+        lines[n + i] = stream_start + i;
+    n += stream_count;
+    shuffle(bitgen, lines, n);
+    void *state = bitgen->state;
+    double (*next_double)(void *) = bitgen->next_double;
+    for (int64_t i = 0; i < n; i++)
+        writes[i] = next_double(state) < write_prob;
+    bounded_fill(bitgen, (uint64_t)sizes[4], bases[4], fetch, counts[4]);
 }
 """
 
@@ -328,15 +391,17 @@ def _bind(lib_path: Path) -> "NativeKernel":
     lru_level = lib.repro_lru_level
     lru_level.restype = i64
     lru_level.argtypes = [ptr, ptr, i64, ptr, i64, i64, i64, ptr]
-    shuffle = lib.repro_shuffle
-    shuffle.restype = None
-    shuffle.argtypes = [ptr, ptr, i64]
-    return NativeKernel(walk, dm_level, lru_level, shuffle)
+    body = lib.repro_body
+    body.restype = None
+    body.argtypes = [ptr, ptr, ptr, ptr, i64, i64, ctypes.c_double,
+                     ptr, ptr, ptr]
+    return NativeKernel(walk, dm_level, lru_level, body)
 
 
-#: Most values :meth:`NativeKernel.shuffle` takes: past 2^32, numpy's
-#: shuffle draws 64-bit indices, which the kernel does not reproduce.
-SHUFFLE_MAX_SIZE = 1 << 32
+#: Most lines a range, and most values a data stream, may hold for
+#: :meth:`NativeKernel.body`: past 2^32, numpy's ``integers`` and
+#: ``shuffle`` draw 64-bit values, which the kernel does not reproduce.
+BODY_MAX_RANGE = 1 << 32
 
 #: ``PyCapsule_GetPointer`` as a private function object (setting types
 #: on ``ctypes.pythonapi``'s own attribute would change them process-wide).
@@ -346,20 +411,20 @@ _capsule_pointer = ctypes.PYFUNCTYPE(
 
 
 class NativeKernel:
-    """ctypes bindings of the compiled cache and shuffle kernels.
+    """ctypes bindings of the compiled cache and slice-body kernels.
 
     Arrays cross the boundary as raw data pointers, so every array
     handed to C is C-contiguous with the dtype the kernel reads: the
     level-state arrays are by construction, the per-batch inputs are
-    made so here, and :meth:`shuffle`, which writes in place, refuses
-    any other array.
+    made so here, and :meth:`body` hands its inputs over as ``bytes``
+    and allocates its outputs.
     """
 
-    def __init__(self, walk, dm_level, lru_level, shuffle) -> None:
+    def __init__(self, walk, dm_level, lru_level, body) -> None:
         self._walk = walk
         self._dm_level = dm_level
         self._lru_level = lru_level
-        self._shuffle = shuffle
+        self._body = body
 
     def walk(self, segments, shift: int, level_state) -> np.ndarray:
         """Run one chunk of slice streams through the hierarchy walk.
@@ -444,37 +509,88 @@ class NativeKernel:
         )
         return miss, writebacks
 
-    def shuffle(self, rng: np.random.Generator, values: np.ndarray) -> None:
-        """``rng.shuffle(values)`` in place, draw for draw.
+    def body(
+        self,
+        rng: np.random.Generator,
+        counts: np.ndarray,
+        sizes: np.ndarray,
+        bases: np.ndarray,
+        stream_start: int,
+        stream_count: int,
+        write_prob: float,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Draw one slice body from ``rng``, numpy's draws exactly.
 
-        The kernel draws through ``rng``'s own bit generator, under its
-        lock, so ``values`` and the generator state afterwards equal
-        what ``Generator.shuffle`` leaves.
+        Regions 0-3 are the working sets and region 4 the code.  The
+        kernel draws through ``rng``'s own bit generator, under its lock,
+        in this order: ``bases[k] + rng.integers(0, sizes[k],
+        counts[k])`` for each working-set region (none when
+        ``counts[k]`` is 0), the stream run ``stream_start ..
+        stream_start + stream_count - 1``, ``rng.shuffle`` of all of
+        them, ``rng.random(n) < write_prob`` and ``bases[4] +
+        rng.integers(0, sizes[4], counts[4])``.  The arrays and the
+        generator state afterwards equal what those numpy calls give.
+
+        Args:
+            rng: The slice's generator, continued in place.
+            counts: Five int64 draw counts, one per region.
+            sizes: Five int64 region sizes in lines.
+            bases: Five int64 region bases.
+            stream_start: First line of the stream run.
+            stream_count: Length of the stream run.
+            write_prob: Probability that a data reference writes.
+
+        Returns:
+            ``(mem_lines, mem_is_write, ifetch_lines)``: the shuffled int64
+            data lines, their bool write flags and the int64 fetch lines.
 
         Raises:
-            ValueError: If ``values`` is not a writeable C-contiguous
-                1-D int64 array of at most :data:`SHUFFLE_MAX_SIZE`
-                elements.
+            ValueError: If an array is not five int64 values, a count is
+                negative, a size is outside 1..:data:`BODY_MAX_RANGE` or
+                the data stream is longer than that.
         """
-        if not (
-            values.dtype == np.int64
-            and values.ndim == 1
-            and values.flags.c_contiguous
-            and values.flags.writeable
-        ):
+        counts = np.asarray(counts, dtype=np.int64)
+        sizes = np.asarray(sizes, dtype=np.int64)
+        bases = np.asarray(bases, dtype=np.int64)
+        if not counts.shape == sizes.shape == bases.shape == (5,):
+            raise ValueError("a body takes five counts, sizes and bases")
+        counted, ranges = counts.tolist(), sizes.tolist()
+        if min(counted) < 0 or stream_count < 0:
+            raise ValueError("body draw counts must not be negative")
+        if min(ranges) < 1 or max(ranges) > BODY_MAX_RANGE:
             raise ValueError(
-                "shuffle needs a writeable C-contiguous 1-D int64 array"
+                f"body ranges must hold 1..{BODY_MAX_RANGE} lines"
             )
-        if values.size > SHUFFLE_MAX_SIZE:
+        num_lines = sum(counted[:4]) + stream_count
+        if num_lines > BODY_MAX_RANGE:
             raise ValueError(
-                f"shuffle takes at most {SHUFFLE_MAX_SIZE} values"
+                f"a body stream holds at most {BODY_MAX_RANGE} values"
             )
+        lines = np.empty(num_lines, dtype=np.int64)
+        writes = np.empty(num_lines, dtype=bool)
+        fetch = np.empty(counted[4], dtype=np.int64)
         bit_generator = rng.bit_generator
         with bit_generator.lock:
-            self._shuffle(
+            self._body(
                 _capsule_pointer(bit_generator.capsule, b"BitGenerator"),
-                values.ctypes.data, values.size,
+                counts.tobytes(), sizes.tobytes(), bases.tobytes(),
+                stream_start, stream_count, write_prob,
+                _out_pointer(lines), _out_pointer(writes),
+                _out_pointer(fetch),
             )
+        return lines, writes, fetch
+
+
+def _out_pointer(array: np.ndarray) -> Optional[int]:
+    """A fresh output array's data pointer, ``None`` (NULL) when empty.
+
+    A ctypes view of the buffer costs about a third of ``.ctypes.data``,
+    which :meth:`NativeKernel.body` would otherwise pay six times a body;
+    its inputs cross as ``bytes``, which ctypes passes as pointers.
+    """
+    if not array.size:
+        return None
+    return ctypes.addressof(ctypes.c_char.from_buffer(array))
 
 
 def _batch(lines: np.ndarray, writes: np.ndarray):

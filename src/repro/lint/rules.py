@@ -655,11 +655,9 @@ def check_bare_except_dispatch(ctx) -> Yield:
 
 
 #: Calls whose failure must surface: worker dispatch/harvest and the
-#: resilience journal's write path (REP017).
-_REP017_FUNCTIONS = frozenset({
-    "as_completed", "journal_item", "map_items", "parallel_map",
-    "resilient_map",
-})
+#: resilience journal's write path (REP017).  Derived from REP013's
+#: dispatch set, so the two rules cannot drift apart.
+_REP017_FUNCTIONS = _DISPATCH_FUNCTIONS | {"journal_item"}
 _REP017_METHODS = frozenset({"submit", "result", "journal_item"})
 
 #: Names that mark a handler as producing a recorded failure outcome.

@@ -64,7 +64,10 @@ __all__ = [
 #: Bumped whenever the on-disk layout or payload encoding changes; part
 #: of every key, so old-schema artifacts are silently orphaned.
 #: v2: payloads moved inside checksum envelopes.
-SCHEMA_TAG = "repro-store-v2"
+#: v3: a pickled pipeline output's program keeps each phase's body
+#: regions as arrays; a v2 program unpickles without them and cannot
+#: draw a slice body.
+SCHEMA_TAG = "repro-store-v3"
 
 #: Envelope format tag for checksummed payloads.
 ENVELOPE_TAG = "repro-envelope-v1"

@@ -97,15 +97,21 @@ class _RuntimePhase:
         def place(offset: int) -> int:
             return arena + offset + int(rng.integers(0, _BASE_JITTER_LINES))
 
-        self.ws_bases = (
+        ws_bases = [
             place(0),
             place(_WS2_OFFSET),
             place(_WS3HOT_OFFSET),
             place(_WS3COLD_OFFSET),
-        )
-        self.ws_sizes = spec.ws_lines
+        ]
         self.stream_base = place(_STREAM_OFFSET)
-        self.code_base = place(_CODE_OFFSET)
+        code_base = place(_CODE_OFFSET)
+        # A body draws lines uniformly from five regions: the four
+        # working sets, then the code.
+        self.body_sizes = np.array(
+            [*spec.ws_lines, spec.code_lines], dtype=np.int64
+        )
+        self.body_bases = np.array([*ws_bases, code_base], dtype=np.int64)
+        self.native_body = int(self.body_sizes.max()) <= _native.BODY_MAX_RANGE
         self.mix = np.asarray(spec.mix, dtype=np.float64)
         self.mem_fractions = np.asarray(spec.mem_fractions, dtype=np.float64)
 
@@ -124,21 +130,35 @@ class _RuntimePhase:
         return CodeRegion(self.spec.phase_id, blocks, frequencies=own)
 
 
-def _shuffle(rng: np.random.Generator, values: np.ndarray) -> None:
-    """``rng.shuffle(values)``, on the native kernel when it loads.
-
-    Both paths draw the same sequence, so the bytes and the generator
-    state afterwards do not depend on which ran; the counter
-    ``slice.shuffle{path=native|numpy}`` records which did.
-    """
-    kernel = _native.load_kernel()
-    if kernel is not None and values.size <= _native.SHUFFLE_MAX_SIZE:
-        kernel.shuffle(rng, values)
-        path = "native"
-    else:
-        rng.shuffle(values)
-        path = "numpy"
-    telemetry.count("slice.shuffle", path=path)
+def _numpy_body(
+    rng: np.random.Generator,
+    counts: np.ndarray,
+    sizes: np.ndarray,
+    bases: np.ndarray,
+    stream_start: int,
+    stream_count: int,
+    write_prob: float,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What :meth:`~repro.cache._native.NativeKernel.body` draws, on
+    numpy's own calls: the fallback when no kernel loads."""
+    parts = []
+    for region in range(4):
+        if counts[region] > 0:
+            lines = rng.integers(0, sizes[region], size=counts[region])
+            lines += bases[region]
+            parts.append(lines)
+    if stream_count > 0:
+        stop = stream_start + stream_count
+        parts.append(np.arange(stream_start, stop, dtype=np.int64))
+    mem_lines = np.concatenate(parts) if parts else np.empty(0, np.int64)
+    # In place: permutation(n) shuffles arange(n) with these same
+    # Fisher-Yates draws, so the bytes and the generator state
+    # afterwards match gathering through it, without the copy.
+    rng.shuffle(mem_lines)
+    mem_is_write = rng.random(mem_lines.size) < write_prob
+    ifetch_lines = rng.integers(0, sizes[4], size=counts[4])
+    ifetch_lines += bases[4]
+    return mem_lines, mem_is_write, ifetch_lines
 
 
 class SyntheticProgram:
@@ -328,40 +348,46 @@ class SyntheticProgram:
     def _draw_body(
         self, header: SliceHeader, rng: np.random.Generator
     ) -> SliceTrace:
-        """The body stage: the reference streams, continuing ``rng``."""
+        """The body stage: the reference streams, continuing ``rng``.
+
+        After numpy's region split, one call to the native body kernel
+        when it loads and every range and the stream fit its 32-bit
+        draws, numpy's own calls otherwise.  Both draw the same sequence,
+        so the bytes and the generator state afterwards do not depend on
+        which ran; ``slice.body{path=native|numpy}`` records which did.
+        """
         slice_index = header.index
         phase = self._runtime[header.phase_id]
         class_counts = header.class_counts
         num_refs = int(class_counts[1] + class_counts[2] + 2 * class_counts[3])
         if num_refs > 0:
-            targets = rng.multinomial(num_refs, phase.mem_fractions)
-            parts = []
-            for region in range(4):
-                if targets[region] > 0:
-                    lines = rng.integers(
-                        0, phase.ws_sizes[region], size=targets[region]
-                    )
-                    lines += phase.ws_bases[region]
-                    parts.append(lines)
-            stream_count = min(int(targets[4]), STREAM_WINDOW_LINES)
-            if stream_count > 0:
-                start = phase.stream_base + slice_index * STREAM_WINDOW_LINES
-                parts.append(np.arange(start, start + stream_count, dtype=np.int64))
-            mem_lines = np.concatenate(parts) if parts else np.empty(0, np.int64)
-            # In place: permutation(n) shuffles arange(n) with these same
-            # Fisher-Yates draws, so the bytes and the generator state
-            # afterwards match gathering through it, without the copy.
-            _shuffle(rng, mem_lines)
-            write_prob = (class_counts[2] + class_counts[3]) / num_refs
-            mem_is_write = rng.random(mem_lines.size) < write_prob
+            counts = rng.multinomial(num_refs, phase.mem_fractions)
+            stream_count = min(int(counts[4]), STREAM_WINDOW_LINES)
+            write_prob = float((class_counts[2] + class_counts[3]) / num_refs)
         else:
-            mem_lines = np.empty(0, dtype=np.int64)
-            mem_is_write = np.empty(0, dtype=bool)
-
+            counts = np.zeros(5, dtype=np.int64)
+            stream_count = 0
+            write_prob = 0.0
         instruction_count = header.instruction_count
-        fetch_count = min(max(instruction_count // 40, 32), 512)
-        ifetch_lines = rng.integers(0, phase.spec.code_lines, size=fetch_count)
-        ifetch_lines += phase.code_base
+        # The split's last entry was the stream; region 4 is the code.
+        counts[4] = min(max(instruction_count // 40, 32), 512)
+        args = (
+            counts, phase.body_sizes, phase.body_bases,
+            phase.stream_base + slice_index * STREAM_WINDOW_LINES,
+            stream_count, write_prob,
+        )
+        kernel = _native.load_kernel()
+        if (
+            kernel is not None
+            and phase.native_body
+            and num_refs <= _native.BODY_MAX_RANGE
+        ):
+            mem_lines, mem_is_write, ifetch_lines = kernel.body(rng, *args)
+            path = "native"
+        else:
+            mem_lines, mem_is_write, ifetch_lines = _numpy_body(rng, *args)
+            path = "numpy"
+        telemetry.count("slice.body", path=path)
         return SliceTrace(
             index=slice_index,
             phase_id=header.phase_id,

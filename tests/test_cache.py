@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import telemetry
@@ -10,6 +10,7 @@ from repro.cache import CacheHierarchy, CacheLevel, CacheStats
 from repro.cache import _native
 from repro.config import CacheConfig, CacheHierarchyConfig
 from repro.errors import SimulationError
+from repro.workloads.program import STREAM_WINDOW_LINES, _numpy_body
 
 HAVE_NATIVE = _native.load_kernel() is not None
 
@@ -374,67 +375,91 @@ def level_state(level):
     return lru_rows(level)
 
 
-def read_only(values):
-    values.flags.writeable = False
-    return values
-
-
 def test_native_kernel_loads_wherever_a_compiler_exists():
     """A C source that stops compiling fails here, instead of skipping
     every native test and quietly putting each slice body back on
-    numpy's shuffle."""
+    numpy's draws."""
     if _native._compiler() is None:
         pytest.skip("no C compiler")
     assert _native.load_kernel() is not None
 
 
+#: Region sizes: one line (filled without a draw), small, past 2^31
+#: (where Lemire's method rejects up to half its draws) and the top of
+#: the 32-bit draws, up to 2^32 (plain ``next_uint32`` outputs in numpy).
+BODY_SIZES = st.one_of(
+    st.just(1),
+    st.integers(2, 5_000),
+    st.integers(2**31 + 1, 2**32),
+    st.integers(2**32 - 2_000, 2**32),
+)
+
+
 @pytest.mark.skipif(not HAVE_NATIVE, reason="no working C compiler")
-class TestNativeShuffle:
-    """``NativeKernel.shuffle`` is ``Generator.shuffle`` draw for draw."""
+class TestNativeBody:
+    """``NativeKernel.body`` is numpy's body draws, draw for draw."""
 
-    @staticmethod
-    def assert_matches_numpy(size, seed):
-        values = np.arange(size, dtype=np.int64) * 7 - 3
-        for buffered in (False, True):
-            ours = np.random.default_rng(seed)
-            numpys = np.random.default_rng(seed)
-            for rng in (ours, numpys):
-                # Each bounded draw takes one 32-bit half, so an odd
-                # count leaves the other half of a 64-bit output buffered.
-                rng.integers(0, 10, size=3 if buffered else 2)
-                assert rng.bit_generator.state["has_uint32"] == buffered
-            shuffled = values.copy()
-            expected = values.copy()
-            _native.load_kernel().shuffle(ours, shuffled)
-            numpys.shuffle(expected)
-            assert np.array_equal(shuffled, expected)
-            assert ours.bit_generator.state == numpys.bit_generator.state
-
-    @pytest.mark.parametrize("size", [0, 1, 2])
-    def test_tiny_arrays(self, size):
-        self.assert_matches_numpy(size, seed=11)
-
-    @settings(max_examples=40, deadline=None)
-    @given(size=st.integers(0, 50_000), seed=st.integers(0, 2**32 - 1))
-    def test_matches_generator_shuffle(self, size, seed):
-        self.assert_matches_numpy(size, seed)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        counts=st.lists(
+            st.just(0) | st.integers(1, 3_000), min_size=5, max_size=5
+        ),
+        sizes=st.lists(BODY_SIZES, min_size=5, max_size=5),
+        bases=st.lists(st.integers(0, 2**40), min_size=5, max_size=5),
+        stream_start=st.integers(0, 2**40),
+        stream_count=st.just(0) | st.integers(1, STREAM_WINDOW_LINES),
+        write_prob=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+        buffered=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # A body without data references, and one with only a stream run.
+    @example(counts=[0, 0, 0, 0, 40], sizes=[1, 1, 1, 1, 64],
+             bases=[0] * 5, stream_start=0, stream_count=0, write_prob=0.5,
+             buffered=True, seed=1)
+    @example(counts=[0] * 5, sizes=[7] * 5, bases=[0] * 5, stream_start=9,
+             stream_count=3, write_prob=1.0, buffered=False, seed=2)
+    def test_matches_numpy_draws(
+        self, counts, sizes, bases, stream_start, stream_count, write_prob,
+        buffered, seed,
+    ):
+        ours = np.random.default_rng(seed)
+        numpys = np.random.default_rng(seed)
+        for rng in (ours, numpys):
+            # Each bounded draw takes one 32-bit half, so an odd
+            # count leaves the other half of a 64-bit output buffered.
+            rng.integers(0, 10, size=3 if buffered else 2)
+            assert rng.bit_generator.state["has_uint32"] == buffered
+        args = (
+            np.array(counts, dtype=np.int64), np.array(sizes, dtype=np.int64),
+            np.array(bases, dtype=np.int64), stream_start, stream_count,
+            write_prob,
+        )
+        drawn = _native.load_kernel().body(ours, *args)
+        expected = _numpy_body(numpys, *args)
+        for got, want in zip(drawn, expected):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+        assert ours.bit_generator.state == numpys.bit_generator.state
 
     @pytest.mark.parametrize(
-        "values",
+        "counts, sizes, stream_count",
         [
-            read_only(np.arange(8, dtype=np.int64)),
-            np.arange(8, dtype=np.int32),
-            np.arange(16, dtype=np.int64)[::2],
+            ([1, 0, 0, 0, 1], [0, 1, 1, 1, 1], 0),
+            ([1, 0, 0, 0, 1], [1, 1, 1, 1, 2**32 + 1], 0),
+            ([1, -1, 0, 0, 1], [1] * 5, 0),
+            ([1, 0, 0, 0, 1], [1] * 5, -1),
+            ([1, 0, 0, 1], [1] * 4, 0),
         ],
-        ids=["read-only", "int32", "strided"],
+        ids=["empty-range", "64-bit-range", "negative-count",
+             "negative-stream", "four-regions"],
     )
-    def test_refuses_arrays_it_cannot_shuffle_in_place(self, values):
-        before = values.copy()
+    def test_refuses_bodies_it_cannot_draw(self, counts, sizes, stream_count):
         rng = np.random.default_rng(5)
         state = rng.bit_generator.state
-        with pytest.raises(ValueError, match="shuffle needs"):
-            _native.load_kernel().shuffle(rng, values)
-        assert np.array_equal(values, before)
+        with pytest.raises(ValueError):
+            _native.load_kernel().body(
+                rng, counts, sizes, [0] * len(sizes), 0, stream_count, 0.5
+            )
         assert rng.bit_generator.state == state
 
 

@@ -44,7 +44,7 @@ CASES = [
     ("REP011", "rep011_bad.py", 4, "rep011_good.py"),
     ("REP012", "rep012_bad.py", 7, "rep012_good.py"),
     ("REP013", "rep013_bad.py", 3, "rep013_good.py"),
-    ("REP017", "rep017_bad.py", 3, "rep017_good.py"),
+    ("REP017", "rep017_bad.py", 4, "rep017_good.py"),
     ("REP018", "rep018_bad.py", 7, "rep018_good.py"),
     ("REP019", "rep019_bad.py", 6, "rep019_good.py"),
     ("REP020", "rep020_bad.py", 3, "rep020_good.py"),
@@ -135,5 +135,6 @@ class TestRuleDetails:
     def test_rep017_names_the_guarded_sink(self):
         messages = [f.message for f in run_rule("REP017", "rep017_bad.py")]
         assert any("parallel_map()" in m for m in messages)
+        assert any("map_benchmarks()" in m for m in messages)
         assert any("journal.append()" in m for m in messages)
         assert any(".result()" in m for m in messages)

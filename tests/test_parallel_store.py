@@ -187,7 +187,7 @@ class TestMaintenance:
     def test_marker_written_on_first_put(self, store):
         store.put_json("metrics", {"k": 1}, {})
         marker = store.root / "repro-store.json"
-        assert json.loads(marker.read_text())["schema"] == "repro-store-v2"
+        assert json.loads(marker.read_text())["schema"] == "repro-store-v3"
 
 
 class TestDefaultDir:

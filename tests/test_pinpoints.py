@@ -98,7 +98,7 @@ class TestStagedProfiling:
         path = "numpy" if _native.load_kernel() is None else "native"
         assert counters == {
             "slice.cache.miss": out.program.num_slices,
-            f"slice.shuffle{{path={path}}}": out.program.num_slices,
+            f"slice.body{{path={path}}}": out.program.num_slices,
         }
         assert out.features.mav is not None
 

@@ -8,7 +8,6 @@ import pytest
 from repro import telemetry
 from repro.cache import _native
 from repro.errors import WorkloadError
-from repro.workloads import program as program_module
 from repro.workloads import slicecache
 from repro.workloads.program import STREAM_WINDOW_LINES, SyntheticProgram
 from repro.workloads.schedule import PhaseSchedule
@@ -293,16 +292,16 @@ def assert_header_of(header, trace):
         np.testing.assert_array_equal(getattr(header, name), getattr(trace, name))
 
 
-def shuffle_counters(recorder):
+def body_counters(recorder):
     return {
-        path: recorder.metrics.counters.get(f"slice.shuffle{{path={path}}}", 0)
+        path: recorder.metrics.counters.get(f"slice.body{{path={path}}}", 0)
         for path in ("native", "numpy")
     }
 
 
-class TestShufflePaths:
-    """A slice body shuffles on the native kernel when it loads and on
-    ``Generator.shuffle`` otherwise, to the same bytes."""
+class TestBodyPaths:
+    """A slice body is one native kernel call when it loads and numpy's
+    own calls otherwise, to the same bytes."""
 
     @pytest.mark.parametrize("label", list(PINNED_DIGESTS))
     def test_numpy_fallback_matches_recorded_digests(
@@ -319,7 +318,7 @@ class TestShufflePaths:
                     assert hashlib.sha256(data).hexdigest()[:16] == digest, (
                         f"{label} slice {index}: {name}"
                     )
-        assert shuffle_counters(recorder) == {
+        assert body_counters(recorder) == {
             "native": 0, "numpy": len(PINNED_DIGESTS[label]),
         }
 
@@ -332,23 +331,30 @@ class TestShufflePaths:
                 program.generate_slice(index)
                 program.generate_slice(index)
         path = "numpy" if _native.load_kernel() is None else "native"
-        assert shuffle_counters(recorder)[path] == 5
-        assert sum(shuffle_counters(recorder).values()) == 5
+        assert body_counters(recorder)[path] == 5
+        assert sum(body_counters(recorder).values()) == 5
 
-    def test_arrays_past_the_kernel_limit_take_numpy(self, monkeypatch):
-        kernel = _native.load_kernel()
-        if kernel is None:
+    def test_oversized_range_takes_numpy(self, monkeypatch, fresh_memo):
+        """A region past 2^32 lines needs numpy's 64-bit draws, which the
+        kernel does not make; a region of exactly 2^32 lines does not."""
+        if _native.load_kernel() is None:
             pytest.skip("no working C compiler")
-        monkeypatch.setattr(_native, "SHUFFLE_MAX_SIZE", 4)
-        values = np.arange(5, dtype=np.int64)
-        with pytest.raises(ValueError, match="at most 4"):
-            kernel.shuffle(np.random.default_rng(3), values)
-        expected = values.copy()
-        ours, numpys = np.random.default_rng(3), np.random.default_rng(3)
+        schedule = PhaseSchedule.from_counts([2, 2], seed=3)
+        phases = [
+            make_phase(0, ws_lines=(8, 40, 1000, 2**32)),
+            make_phase(1, ws_lines=(8, 40, 2**32 + 1, 2500)),
+        ]
+        program = SyntheticProgram("p", phases, schedule, 2000, seed=5)
         recorder = telemetry.TraceRecorder()
         with telemetry.using_recorder(recorder):
-            program_module._shuffle(ours, values)
-        numpys.shuffle(expected)
-        assert np.array_equal(values, expected)
-        assert ours.bit_generator.state == numpys.bit_generator.state
-        assert shuffle_counters(recorder) == {"native": 0, "numpy": 1}
+            drawn = [program.generate_slice(i) for i in range(4)]
+        assert body_counters(recorder) == {"native": 2, "numpy": 2}
+        slicecache.reset_slice_cache()
+        monkeypatch.setattr(_native, "load_kernel", lambda: None)
+        for index, trace in enumerate(drawn):
+            expected = program.generate_slice(index)
+            assert expected is not trace
+            for name in PINNED_ARRAYS:
+                np.testing.assert_array_equal(
+                    getattr(trace, name), getattr(expected, name)
+                )
