@@ -389,65 +389,6 @@ class CacheLevel:
                 miss[i] = True
         return miss, writebacks
 
-    def install(self, lines: np.ndarray) -> None:
-        """Insert lines without accounting (prefetch fills).
-
-        Installed lines become most-recently-used; statistics are not
-        touched regardless of the recording flag.
-        """
-        lines = np.asarray(lines, dtype=np.int64)
-        if lines.size == 0:
-            return
-        if self._granularity_shift:
-            lines = lines >> self._granularity_shift
-        if self._assoc == 1:
-            sets = lines & self._set_mask
-            self._resident[sets] = lines >> self._set_shift
-            self._dirty[sets] = False
-            return
-        if self._strategy is None:
-            self._ensure_strategy(lines)
-        if self._sets is None:
-            # An install is an access that inserts clean, keeps a hit's
-            # dirty bit, and never accounts: run the native or wave
-            # update and drop its miss/writeback outputs.
-            self._simulate(lines, np.zeros(lines.size, dtype=bool))
-            return
-        table = self._sets
-        set_mask = self._set_mask
-        set_shift = self._set_shift
-        assoc = self._assoc
-        if self.reference:
-            # Oracle: the plain per-line loop.
-            for line in lines.tolist():
-                entry = table[line & set_mask]
-                tag = line >> set_shift
-                if tag in entry:
-                    entry.move_to_end(tag)
-                else:
-                    if len(entry) >= assoc:
-                        entry.popitem(last=False)
-                    entry[tag] = False
-            return
-        # Sets are independent and re-installing the line already at MRU
-        # is a no-op, so group by set and collapse consecutive same-line
-        # runs: only each run's head touches the ordered dict.  (Only
-        # *consecutive* duplicates may collapse — a repeat with another
-        # line in between still needs its move-to-MRU.)
-        l_sorted = lines[set_order(lines, set_mask)]
-        head = np.empty(l_sorted.size, dtype=bool)
-        head[0] = True
-        np.not_equal(l_sorted[1:], l_sorted[:-1], out=head[1:])
-        for line in l_sorted[head].tolist():
-            entry = table[line & set_mask]
-            tag = line >> set_shift
-            if tag in entry:
-                entry.move_to_end(tag)
-            else:
-                if len(entry) >= assoc:
-                    entry.popitem(last=False)
-                entry[tag] = False
-
     def _ensure_strategy(self, lines: np.ndarray) -> None:
         """Pick how this level simulates, once, from its first batch.
 

@@ -40,10 +40,10 @@ argument, defaulting to ``auto`` — native when a compiler is available,
 fused otherwise.
 
 Buffering is slice-granular (a flush happens on slice boundaries once
-roughly ``REPRO_CACHE_CHUNK`` references are pending, default 262144)
-and is invisible to callers: toggling recording (warmup boundaries),
-taking a snapshot, resetting, or touching the per-batch access methods
-all drain the buffer first.  Chunked and per-slice processing are
+roughly ``chunk_refs`` references are pending, default 262144) and is
+invisible to callers: toggling recording (warmup boundaries), taking a
+snapshot, resetting, or touching the per-batch access methods all
+drain the buffer first.  Chunked and per-slice processing are
 bit-identical because every kernel is exactly equivalent to sequential
 per-access simulation, so batch boundaries cannot change results.
 """
@@ -69,20 +69,6 @@ BACKENDS = ("numpy", "fused", "native")
 DEFAULT_CHUNK_REFS = 262144
 
 _BACKEND_ENV = "REPRO_CACHE_BACKEND"
-_CHUNK_ENV = "REPRO_CACHE_CHUNK"
-
-
-def _chunk_refs() -> int:
-    raw = os.environ.get(_CHUNK_ENV)
-    if not raw:
-        return DEFAULT_CHUNK_REFS
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"{_CHUNK_ENV} must be an integer, got {raw!r}")
-    if value < 1:
-        raise ConfigError(f"{_CHUNK_ENV} must be positive, got {value}")
-    return value
 
 
 def _count_fallback(requested: str, resolved: str) -> None:
@@ -194,21 +180,20 @@ class FusedHierarchy(CacheHierarchy):
         backend: ``fused`` or ``native`` (already resolved —
             use :func:`build_hierarchy` for env-driven selection); the
             levels run it too.
-        chunk_refs: Flush threshold in buffered references; defaults to
-            ``REPRO_CACHE_CHUNK`` or :data:`DEFAULT_CHUNK_REFS`.
+        chunk_refs: Flush threshold in buffered references.
     """
 
     def __init__(
         self,
         config: CacheHierarchyConfig,
         backend: str = "fused",
-        chunk_refs: Optional[int] = None,
+        chunk_refs: int = DEFAULT_CHUNK_REFS,
     ) -> None:
         if backend not in ("fused", "native"):
             raise ConfigError(f"not a fused backend: {backend!r}")
         super().__init__(config, backend=backend)
         self.backend = backend
-        self._chunk = chunk_refs if chunk_refs is not None else _chunk_refs()
+        self._chunk = chunk_refs
         if self._chunk < 1:
             raise ConfigError("chunk_refs must be positive")
         shifts = {level._granularity_shift for level in self.levels}

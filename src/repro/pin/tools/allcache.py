@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.cache.fused import build_hierarchy
-from repro.cache.hierarchy import CacheHierarchy
 from repro.cache.stats import CacheStats
 from repro.config import ALLCACHE_SIM, CacheHierarchyConfig
 from repro.isa.trace import SliceTrace
@@ -26,11 +25,9 @@ class AllCache(Pintool):
     Args:
         config: Hierarchy geometry; defaults to the scaled Table I
             configuration (see ``repro.config.ALLCACHE_SIM``).
-        hierarchy: Optional pre-built hierarchy (e.g. a
-            ``PrefetchingHierarchy``); overrides ``config``.
         backend: Cache-simulation backend for the built hierarchy (see
             ``repro.cache.fused``); defaults to ``REPRO_CACHE_BACKEND``
-            / auto-detection.  Ignored when ``hierarchy`` is given.
+            / auto-detection.
     """
 
     stateful = True
@@ -38,16 +35,11 @@ class AllCache(Pintool):
     def __init__(
         self,
         config: Optional[CacheHierarchyConfig] = None,
-        hierarchy: Optional[CacheHierarchy] = None,
         backend: Optional[str] = None,
     ) -> None:
         super().__init__()
-        if hierarchy is not None:
-            self.hierarchy = hierarchy
-            self.config = hierarchy.config
-        else:
-            self.config = config if config is not None else ALLCACHE_SIM
-            self.hierarchy = build_hierarchy(self.config, backend=backend)
+        self.config = config if config is not None else ALLCACHE_SIM
+        self.hierarchy = build_hierarchy(self.config, backend=backend)
 
     def process_slice(self, trace: SliceTrace) -> None:
         self.hierarchy.set_recording(not self.warmup)

@@ -63,8 +63,6 @@ class RegionTiming:
         branch_mispredicts: Modelled mispredicted branches.
         l1d_misses / l2_misses / l3_misses: Data-side miss counts.
         l3_accesses: Number of accesses reaching the L3.
-        issue_cycles / dependency_cycles / branch_cycles /
-        memory_cycles: Additive cycle components (the CPI stack).
     """
 
     instructions: int
@@ -74,10 +72,6 @@ class RegionTiming:
     l2_misses: int
     l3_misses: int
     l3_accesses: int
-    issue_cycles: float = 0.0
-    dependency_cycles: float = 0.0
-    branch_cycles: float = 0.0
-    memory_cycles: float = 0.0
 
     @property
     def cpi(self) -> float:
@@ -86,22 +80,6 @@ class RegionTiming:
             raise SimulationError("no instructions were simulated")
         return self.cycles / self.instructions
 
-    def cpi_stack(self) -> dict:
-        """Decompose CPI into additive components (Sniper's CPI stack).
-
-        Returns:
-            Mapping of component name ("base", "dependency", "branch",
-            "memory") to its CPI contribution; values sum to :attr:`cpi`.
-        """
-        if self.instructions == 0:
-            raise SimulationError("no instructions were simulated")
-        return {
-            "base": self.issue_cycles / self.instructions,
-            "dependency": self.dependency_cycles / self.instructions,
-            "branch": self.branch_cycles / self.instructions,
-            "memory": self.memory_cycles / self.instructions,
-        }
-
 
 class SniperSimulator:
     """Timing simulation of slice streams on a configured machine.
@@ -109,21 +87,15 @@ class SniperSimulator:
     Args:
         system: Machine geometry (defaults to the scaled Table III model).
         params: Interval-model knobs (defaults to Sniper's calibration).
-        predictor: Optional table-based branch predictor simulation (see
-            ``repro.sniper.branch``).  When given, mispredictions come
-            from simulating the predictor over synthesized outcome
-            streams instead of the analytic entropy model.
     """
 
     def __init__(
         self,
         system: Optional[SystemConfig] = None,
         params: Optional[TimingParams] = None,
-        predictor=None,
     ) -> None:
         self.system = system if system is not None else SNIPER_SIM
         self.params = params if params is not None else SNIPER_TIMING
-        self.predictor = predictor
 
     def run_region(
         self,
@@ -167,19 +139,12 @@ class SniperSimulator:
         for trace in slices:
             hierarchy.process_trace(trace)
             instructions += trace.instruction_count
-            if self.predictor is not None:
-                from repro.sniper.branch import simulate_slice_mispredicts
-
-                slice_mispredicts = float(
-                    simulate_slice_mispredicts(self.predictor, trace)
-                )
-            else:
-                rate = min(
-                    0.5,
-                    self.params.mispredict_base
-                    + self.params.mispredict_slope * trace.branch_entropy,
-                )
-                slice_mispredicts = rate * trace.branch_count
+            rate = min(
+                0.5,
+                self.params.mispredict_base
+                + self.params.mispredict_slope * trace.branch_entropy,
+            )
+            slice_mispredicts = rate * trace.branch_count
             mispredicts += slice_mispredicts
             branch_cycles += (
                 slice_mispredicts * self.system.core.branch_misprediction_penalty
@@ -216,8 +181,4 @@ class SniperSimulator:
             l2_misses=l2.misses,
             l3_misses=l3.misses,
             l3_accesses=l3.accesses,
-            issue_cycles=float(issue_cycles),
-            dependency_cycles=float(dependency_cycles),
-            branch_cycles=float(branch_cycles),
-            memory_cycles=float(mem_stalls),
         )

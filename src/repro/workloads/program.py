@@ -172,13 +172,6 @@ class SyntheticProgram:
         seed: Master seed; all generation derives from it.
         shared_blocks: Number of library blocks shared by all phases.
         shared_fraction: Fraction of block entries hitting shared blocks.
-        block_model: How block entries are drawn within a slice:
-            ``"multinomial"`` (default; i.i.d. draws from the phase's
-            block frequencies) or ``"markov"`` (a self-loop-biased Markov
-            walk whose stationary distribution equals those frequencies —
-            real control flow revisits the same block in bursts, which
-            raises within-phase BBV variance realistically).
-        markov_self_loop: Stay probability of the Markov walk.
     """
 
     def __init__(
@@ -190,15 +183,9 @@ class SyntheticProgram:
         seed: int,
         shared_blocks: int = 6,
         shared_fraction: float = 0.05,
-        block_model: str = "multinomial",
-        markov_self_loop: float = 0.45,
     ) -> None:
         if slice_size < 100:
             raise WorkloadError("slice_size must be at least 100 instructions")
-        if block_model not in ("multinomial", "markov"):
-            raise WorkloadError(f"unknown block model {block_model!r}")
-        if not 0.0 <= markov_self_loop < 1.0:
-            raise WorkloadError("markov_self_loop must be in [0, 1)")
         if schedule.num_phases != len(phases):
             raise WorkloadError(
                 f"schedule has {schedule.num_phases} phases, specs have {len(phases)}"
@@ -212,8 +199,6 @@ class SyntheticProgram:
         self.schedule = schedule
         self.slice_size = int(slice_size)
         self.seed = int(seed)
-        self.block_model = block_model
-        self.markov_self_loop = float(markov_self_loop)
 
         build_rng = np.random.default_rng([self.seed, 0xB10C])
         shared_ids = np.arange(shared_blocks, dtype=np.int64)
@@ -243,8 +228,6 @@ class SyntheticProgram:
                 (
                     self.seed,
                     self.slice_size,
-                    self.block_model,
-                    self.markov_self_loop,
                     int(shared_blocks),
                     float(shared_fraction),
                 )
@@ -323,10 +306,7 @@ class SyntheticProgram:
         rng = np.random.default_rng([self.seed, 1 + slice_index])
 
         entries = max(1, int(round(self.slice_size / phase.instructions_per_entry)))
-        if self.block_model == "markov":
-            entry_counts = self._markov_entry_counts(phase, entries, rng)
-        else:
-            entry_counts = rng.multinomial(entries, phase.entry_freqs)
+        entry_counts = rng.multinomial(entries, phase.entry_freqs)
         block_counts = np.zeros(self.num_blocks, dtype=np.int64)
         block_counts[phase.entry_ids] = entry_counts
         instruction_count = int(np.dot(entry_counts, phase.entry_sizes))
@@ -400,30 +380,6 @@ class SyntheticProgram:
             branch_count=int(instruction_count * phase.spec.branch_fraction),
             branch_entropy=phase.spec.branch_entropy,
         )
-
-    def _markov_entry_counts(
-        self, phase: _RuntimePhase, entries: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Block-entry counts from a self-loop-biased Markov walk.
-
-        The chain either stays on the current block (probability
-        ``markov_self_loop``) or jumps to a block drawn from the phase's
-        entry frequencies.  For that mixture the stationary distribution
-        is exactly the frequency vector, so long-run behaviour matches
-        the multinomial model while short-run behaviour is bursty.
-        Implemented vectorized via forward-filling jump targets.
-        """
-        stay = self.markov_self_loop
-        jumps = rng.random(entries) >= stay
-        jumps[0] = True
-        targets = rng.choice(
-            phase.entry_freqs.size, size=int(jumps.sum()),
-            p=phase.entry_freqs,
-        )
-        # Forward-fill: every entry carries the most recent jump's target.
-        jump_index = np.cumsum(jumps) - 1
-        walk = targets[jump_index]
-        return np.bincount(walk, minlength=phase.entry_freqs.size)
 
     def iter_slices(
         self, start: int = 0, count: Optional[int] = None

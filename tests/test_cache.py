@@ -278,7 +278,7 @@ class TestWaveStrategy:
     def test_differential_against_oracle(self, assoc, rng, monkeypatch):
         wave = make_pinned_level(assoc, monkeypatch, wave=True)
         oracle = CacheLevel(wave.config, reference=True)
-        for round_index in range(20):
+        for _ in range(20):
             n = int(rng.integers(1, 3000))
             lines = rng.integers(0, int(rng.integers(40, 2000)), size=n)
             writes = rng.random(n) < 0.3
@@ -286,10 +286,6 @@ class TestWaveStrategy:
                 wave.access_many(lines, writes),
                 oracle.access_many(lines, writes),
             )
-            if round_index % 5 == 2:
-                installs = rng.integers(0, 500, size=64)
-                wave.install(installs)
-                oracle.install(installs)
         assert wave.stats.misses == oracle.stats.misses
         assert wave.stats.writebacks == oracle.stats.writebacks
         assert wave.resident_line_count() == oracle.resident_line_count()
@@ -487,32 +483,9 @@ class TestNativeKernels:
                 native.access_many(lines, writes),
                 oracle.access_many(lines, writes),
             )
-            if round_index % 4 == 1:
-                installs = rng.integers(0, 500, size=64)
-                native.install(installs)
-                oracle.install(installs)
             assert native.stats == oracle.stats
         assert native._strategy == "native"
         assert level_state(native) == level_state(oracle)
-
-    def test_install_is_a_clean_access_without_statistics(self):
-        config = CacheConfig("T", size_bytes=32 * 4 * 2, line_size=32,
-                             associativity=2)
-        native = CacheLevel(config)
-        oracle = CacheLevel(config, reference=True)
-        for level in (native, oracle):
-            # Lines 0, 4 and 8 share set 0 (tags 0, 1, 2).  Reinstalling
-            # the dirty line 0 keeps its dirt ...
-            level.access_many(np.array([0]), np.array([True]))
-            level.install(np.array([0, 4]))
-        assert lru_rows(native)[0] == [(1, False), (0, True)]
-        for level in (native, oracle):
-            # ... and evicting it by an install writes nothing back.
-            level.install(np.array([8]))
-        assert lru_rows(native)[0] == [(2, False), (1, False)]
-        assert level_state(native) == level_state(oracle)
-        assert native.stats == oracle.stats
-        assert native.stats.accesses == 1 and native.stats.writebacks == 0
 
     def test_alternates_with_wave_path_on_shared_way_state(self, rng):
         config = CacheConfig("T", size_bytes=32 * 64 * 8, line_size=32,
@@ -531,10 +504,6 @@ class TestNativeKernels:
                 level.access_many(lines, writes),
                 oracle.access_many(lines, writes),
             )
-            if round_index % 3 == 2:
-                installs = rng.integers(0, 1500, size=100)
-                level.install(installs)
-                oracle.install(installs)
             assert lru_rows(level) == lru_rows(oracle)
         assert level.stats == oracle.stats
 

@@ -116,52 +116,6 @@ class TestDmSweepKernel:
         np.testing.assert_array_equal(order, expected)
 
 
-class TestInstallVectorized:
-    """Grouped install against the per-line reference loop."""
-
-    def _pair(self, assoc=4):
-        config = CacheConfig("T", size_bytes=4096, line_size=32,
-                             associativity=assoc)
-        return CacheLevel(config), CacheLevel(config, reference=True)
-
-    @pytest.mark.parametrize("assoc", [2, 4, 8])
-    def test_fuzz_matches_reference(self, assoc):
-        rng = np.random.default_rng(13 + assoc)
-        fast, oracle = self._pair(assoc)
-        for round_ in range(25):
-            n = int(rng.integers(1, 200))
-            lines = rng.integers(0, 400, size=n) * 32
-            if round_ % 2:
-                writes = rng.random(n) < 0.3
-                np.testing.assert_array_equal(
-                    fast.access_many(lines, writes),
-                    oracle.access_many(lines, writes),
-                )
-            else:
-                fast.install(lines)
-                oracle.install(lines)
-        probe = rng.integers(0, 400, size=500) * 32
-        np.testing.assert_array_equal(
-            fast.access_many(probe), oracle.access_many(probe)
-        )
-        assert fast.stats.writebacks == oracle.stats.writebacks
-
-    def test_repeat_with_interleaved_line_is_not_deduplicated(self):
-        # Install stream [a, c, a]: dropping the second ``a`` (as a
-        # non-consecutive dedup would) loses its move-to-MRU, flipping
-        # which line a later conflict evicts.
-        fast, oracle = self._pair(assoc=2)
-        a, b = 0, 32 * 128  # same set of the 2-way config
-        c = 32 * 256
-        for level in (fast, oracle):
-            level.access_many(np.array([a, b], dtype=np.int64))
-            level.install(np.array([a, c, a], dtype=np.int64))
-        probe = np.array([b, a], dtype=np.int64)
-        np.testing.assert_array_equal(
-            fast.access_many(probe), oracle.access_many(probe)
-        )
-
-
 @pytest.mark.parametrize("backend", AVAILABLE)
 @pytest.mark.parametrize("caches", [ALLCACHE_SIM, SNIPER_TABLE_III.caches],
                          ids=["direct-mapped", "associative"])
@@ -316,10 +270,8 @@ class TestNativeWalk:
             walk.drain()
             extra = rng.integers(0, 2000, size=300)
             extra_writes = rng.random(300) < 0.5
-            installs = rng.integers(0, 2000, size=200)
             for hierarchy in (walk, oracle):
                 hierarchy.access_data(extra, extra_writes)
-                hierarchy.l2.install(installs)
             feed(30, 20)
             walk.drain()
         assert walk.snapshot() == oracle.snapshot(), geometry

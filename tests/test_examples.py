@@ -28,7 +28,7 @@ def load_example(name: str):
 @pytest.mark.parametrize(
     "name",
     ["quickstart", "custom_workload", "memory_hierarchy_pitfall",
-     "design_space_sweep", "suite_characterization"],
+     "design_space_sweep"],
 )
 def test_example_runs(name, capsys):
     module = load_example(name)

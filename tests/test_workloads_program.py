@@ -199,20 +199,6 @@ PINNED_DIGESTS = {
             "204d2feaa90dc845", "5d3f362e9a5eddb4",
             "25e1555b4e8b6612"),
     },
-    "500.perlbench_r/markov": {
-        0: ("131b2fc93259c0ed", "62d61d8655acc50d",
-            "b1f2f98454fc38da", "27954728fc4714bc",
-            "5e813728065df8bf"),
-        1: ("d503600c98e6aea9", "614be47ec2b46f9a",
-            "7cafbbce01e63eb8", "a2a80a055300647a",
-            "78cf056f7be3dd46"),
-        299: ("ab0667e736d7c6eb", "e3891abec39ef5cd",
-            "fc1a058911db09e5", "31bc49696769d573",
-            "fe46bdeb928e0165"),
-        599: ("321db44f1fa7ef18", "a976cd5c84dd7796",
-            "f8edf21e853c719b", "a0a870f2f4f6b3c6",
-            "9b22ede6dff7608f"),
-    },
     "505.mcf_r/3000": {
         0: ("e6825b481e20de9f", "fe296ffa305d680c",
             "3d549106fea0059c", "57779f0d78581502",
@@ -234,13 +220,7 @@ def pinned_program(label):
     name, _, variant = label.partition("/")
     if variant == "3000":
         return build_program(name, slice_size=3000)
-    program = build_program(name)
-    if variant == "markov":
-        return SyntheticProgram(
-            program.name, program.phases, program.schedule,
-            program.slice_size, program.seed, block_model="markov",
-        )
-    return program
+    return build_program(name)
 
 
 @pytest.fixture()
@@ -253,9 +233,9 @@ def fresh_memo():
 
 class TestPinnedBytes:
     """Generated slices keep their exact bytes: one program per memory
-    archetype (memory, compute, balanced), the Markov block model and a
-    small slice size.  Every slice is drawn cold, and again after its
-    header, with the slice memo on and with it off."""
+    archetype (memory, compute, balanced) and a small slice size.  Every
+    slice is drawn cold, and again after its header, with the slice memo
+    on and with it off."""
 
     @pytest.mark.parametrize("label", list(PINNED_DIGESTS))
     def test_slice_arrays_match_recorded_digests(

@@ -77,13 +77,6 @@ class TestWritebackBasics:
         cache.access_many(np.array([2]))
         assert cache.stats.writebacks == 0
 
-    def test_install_is_clean(self):
-        cache = level(assoc=1, lines=2)
-        cache.access_many(np.array([0]), np.array([True]))
-        cache.install(np.array([0]))   # prefetch fill overwrites dirty state
-        cache.access_many(np.array([2]))
-        assert cache.stats.writebacks == 0
-
     def test_recording_off_skips_writeback_stats(self):
         cache = level(assoc=1, lines=2)
         cache.recording = False
