@@ -62,16 +62,10 @@ from repro.workloads import (
     get_descriptor,
 )
 
-try:
-    # Single source of truth is the installed package metadata
-    # (pyproject.toml's version); the literal below only covers running
-    # straight from a source tree via PYTHONPATH=src.
-    from importlib.metadata import PackageNotFoundError as _PkgNotFound
-    from importlib.metadata import version as _pkg_version
-
-    __version__ = _pkg_version("repro")
-except _PkgNotFound:
-    __version__ = "1.2.0"
+#: The one place the version is written: pyproject.toml reads it from
+#: here (``[tool.setuptools.dynamic]``), and every result envelope and
+#: ``--version`` print it.
+__version__ = "1.2.0"
 
 __all__ = [
     "__version__",

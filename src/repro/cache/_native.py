@@ -1,4 +1,4 @@
-"""Native compiled kernels: the cache walks and the slice body.
+"""Native compiled kernels: the cache walks, the slice body and k-means steps.
 
 Compiles a small C source with the host C compiler at first use and
 loads it through :mod:`ctypes`.  It holds three cache kernels, all
@@ -27,6 +27,13 @@ on the generator's own ``bitgen_t``;
 :class:`~repro.workloads.program.SyntheticProgram` draws every slice body
 with it.
 
+Two more, ``repro_lloyd_step`` and ``repro_farthest_step``, run one Lloyd
+iteration and one farthest-first seeding step of
+:mod:`repro.clustering.kmeans` after numpy's products and norms, in the
+numpy path's order and to its bits (:class:`LloydSteps`,
+:class:`FarthestSteps`).  The source builds with ``-ffp-contract=off`` so
+that no compiler fuses their multiplies and adds.
+
 The build is content-addressed (the object file name embeds a hash of
 the source and compiler), so it compiles once per machine and is reused
 by every process, including parallel workers racing to create it
@@ -47,14 +54,17 @@ import os
 import shutil
 import subprocess
 import tempfile
+import weakref
 from pathlib import Path
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 _SOURCE = r"""
+#include <math.h>
 #include <stddef.h>
 #include <stdint.h>
+#include <string.h>
 
 /* One access to a direct-mapped level: write-allocate, write-back.
  * `res` holds one tag per set (-1 = empty) and `dir` one dirty flag per
@@ -325,10 +335,206 @@ void repro_body(
         writes[i] = next_double(state) < write_prob;
     bounded_fill(bitgen, (uint64_t)sizes[4], bases[4], fetch, counts[4]);
 }
+
+/* A squared distance the way repro.clustering.kmeans writes it:
+ * (|x|^2 + |c|^2) - 2 x.c, clamped at 0 as np.maximum does (a NaN stays
+ * NaN).  The source builds with -ffp-contract=off, so the product and the
+ * subtraction round separately, as in numpy. */
+static inline double sq_dist(double data_sq, double center_sq, double cross)
+{
+    double v = (data_sq + center_sq) - 2.0 * cross;
+    return v < 0.0 ? 0.0 : v;
+}
+
+#if defined(__GNUC__)
+typedef double v2d __attribute__((vector_size(16)));
+typedef int64_t v2i __attribute__((vector_size(16)));
+#endif
+
+/* row[j] = sq_dist(data_sq, center_sq[j], cross[j]) for j < k, two at a
+ * time where the compiler has vector types: the same operations on each
+ * lane, so the same bits. */
+static inline void sq_dist_row(
+    double data_sq, const double *restrict center_sq,
+    const double *restrict cross, int64_t k, double *restrict row)
+{
+    int64_t j = 0;
+#if defined(__GNUC__)
+    const v2d x2 = {data_sq, data_sq}, two = {2.0, 2.0}, zero = {0.0, 0.0};
+    for (; j + 2 <= k; j += 2) {
+        v2d c2, p2, v;
+        memcpy(&c2, center_sq + j, sizeof c2);
+        memcpy(&p2, cross + j, sizeof p2);
+        v = (x2 + c2) - two * p2;
+        v = (v2d)((v2i)v & ~(v2i)(v < zero));
+        memcpy(row + j, &v, sizeof v);
+    }
+#endif
+    for (; j < k; j++)
+        row[j] = sq_dist(data_sq, center_sq[j], cross[j]);
+}
+
+/* sum[j] += x[j] for j < d, two at a time where the compiler has vector
+ * types; each element still adds in the caller's order. */
+static inline void add_row(
+    double *restrict sum, const double *restrict x, int64_t d)
+{
+    int64_t j = 0;
+#if defined(__GNUC__)
+    for (; j + 2 <= d; j += 2) {
+        v2d s2, x2;
+        memcpy(&s2, sum + j, sizeof s2);
+        memcpy(&x2, x + j, sizeof x2);
+        s2 += x2;
+        memcpy(sum + j, &s2, sizeof s2);
+    }
+#endif
+    for (; j < d; j++)
+        sum[j] += x[j];
+}
+
+/* numpy's argmax of v[0..n), n >= 1: the first NaN, else the first
+ * maximum. */
+static int64_t first_max(const double *restrict v, int64_t n)
+{
+    double best = v[0];
+    int64_t arg = 0;
+    if (best != best)
+        return 0;
+    for (int64_t i = 1; i < n; i++) {
+        if (v[i] > best) {
+            best = v[i];
+            arg = i;
+        } else if (v[i] != v[i]) {
+            return i;
+        }
+    }
+    return arg;
+}
+
+/* numpy's argmin of squared distances v[0..k), k >= 1: the first NaN,
+ * else the first minimum.  Distances lie in [0, +inf] or are NaN, so
+ * their sum is NaN exactly when one is, and the minimum, which does not
+ * depend on the order it is taken in, comes from four running minima
+ * before a scan finds its first occurrence. */
+static inline int64_t first_min(const double *restrict v, int64_t k)
+{
+    double m0 = v[0], m1 = v[0], m2 = v[0], m3 = v[0];
+    double s0 = 0.0, s1 = 0.0;
+    int64_t j = 0;
+    for (; j + 4 <= k; j += 4) {
+        m0 = v[j] < m0 ? v[j] : m0;
+        m1 = v[j + 1] < m1 ? v[j + 1] : m1;
+        m2 = v[j + 2] < m2 ? v[j + 2] : m2;
+        m3 = v[j + 3] < m3 ? v[j + 3] : m3;
+        s0 += v[j] + v[j + 1];
+        s1 += v[j + 2] + v[j + 3];
+    }
+    for (; j < k; j++) {
+        m0 = v[j] < m0 ? v[j] : m0;
+        s0 += v[j];
+    }
+    if ((s0 + s1) != (s0 + s1)) {
+        for (j = 0; v[j] == v[j]; j++)
+            ;
+        return j;
+    }
+    m0 = m1 < m0 ? m1 : m0;
+    m2 = m3 < m2 ? m3 : m2;
+    m0 = m2 < m0 ? m2 : m0;
+    for (j = 0; v[j] != m0; j++)
+        ;
+    return j;
+}
+
+/* One Lloyd iteration of kmeans._lloyd after its numpy reductions:
+ * `cross` is data @ centers.T (n x k, row-major) and `center_sq` the k
+ * squared center norms; `row` is room for k values and `spare` for n.
+ * Each point gets the label of its nearest center (np.argmin's: the
+ * first NaN, else the first minimum) and that squared distance as its
+ * cost.  With new_centers NULL that is all, and 0 is returned.
+ * Otherwise each cluster's members are summed in index order from 0.0
+ * (np.bincount's order) and divided by the count; each empty cluster, in
+ * cluster order, is reseeded at the costliest point (np.argmax's), whose
+ * cost then counts as 0 -- in `spare`, so `costs` keeps every point's
+ * distance; and the largest coordinate move |new - old| is returned (NaN
+ * if any move is NaN, as np.max).  A move of 0 leaves labels and costs
+ * exactly what new_centers would give. */
+double repro_lloyd_step(
+    const double *restrict data, const double *restrict data_sq,
+    int64_t n, int64_t d, const double *restrict cross,
+    const double *restrict center_sq, int64_t k,
+    const double *restrict centers, double *restrict new_centers,
+    int64_t *restrict labels, double *restrict costs,
+    int64_t *restrict counts, double *restrict row,
+    double *restrict spare)
+{
+    for (int64_t i = 0; i < n; i++) {
+        sq_dist_row(data_sq[i], center_sq, cross + i * k, k, row);
+        int64_t label = first_min(row, k);
+        labels[i] = label;
+        costs[i] = row[label];
+    }
+    if (new_centers == NULL)
+        return 0.0;
+    for (int64_t c = 0; c < k; c++)
+        counts[c] = 0;
+    for (int64_t m = 0; m < k * d; m++)
+        new_centers[m] = 0.0;
+    for (int64_t i = 0; i < n; i++) {
+        counts[labels[i]]++;
+        add_row(new_centers + labels[i] * d, data + i * d, d);
+    }
+    int reseeded = 0;
+    for (int64_t c = 0; c < k; c++) {
+        double *center = new_centers + c * d;
+        if (counts[c] > 0) {
+            double count = (double)counts[c];
+            for (int64_t j = 0; j < d; j++)
+                center[j] /= count;
+            continue;
+        }
+        if (!reseeded) {
+            memcpy(spare, costs, (size_t)n * sizeof(double));
+            reseeded = 1;
+        }
+        int64_t worst = first_max(spare, n);
+        memcpy(center, data + worst * d, (size_t)d * sizeof(double));
+        spare[worst] = 0.0;
+    }
+    double shift = fabs(new_centers[0] - centers[0]);
+    for (int64_t m = 1; m < k * d && shift == shift; m++) {
+        double move = fabs(new_centers[m] - centers[m]);
+        if (move > shift || move != move)
+            shift = move;
+    }
+    return shift;
+}
+
+/* One farthest-first step of kmeans._maximin_init after its numpy
+ * product: the new center is data row `center`, `cross` is data @ that
+ * row (n values), and its squared norm is data_sq[center].  Lowers each
+ * point's closest squared distance to the new center's, np.minimum's way
+ * (a NaN on either side wins), and returns np.argmax of the result: the
+ * row of the next center. */
+int64_t repro_farthest_step(
+    const double *restrict data_sq, const double *restrict cross,
+    int64_t center, int64_t n, double *restrict closest)
+{
+    double center_sq = data_sq[center];
+    for (int64_t i = 0; i < n; i++) {
+        double v = sq_dist(data_sq[i], center_sq, cross[i]);
+        double c = closest[i];
+        closest[i] = (c != c || c < v) ? c : v;
+    }
+    return first_max(closest, n);
+}
 """
 
 _CACHE_ENV = "REPRO_NATIVE_CACHE"
-_FLAGS = ["-O2", "-shared", "-fPIC"]
+#: -ffp-contract=off keeps the k-means steps' arithmetic numpy's: no
+#: multiply-add is fused, whatever the target.
+_FLAGS = ["-O2", "-ffp-contract=off", "-shared", "-fPIC"]
 
 #: Memoized load result: unset, or (kernel-or-None).
 _LOADED: list = []
@@ -395,7 +601,15 @@ def _bind(lib_path: Path) -> "NativeKernel":
     body.restype = None
     body.argtypes = [ptr, ptr, ptr, ptr, i64, i64, ctypes.c_double,
                      ptr, ptr, ptr]
-    return NativeKernel(walk, dm_level, lru_level, body)
+    lloyd_step = lib.repro_lloyd_step
+    lloyd_step.restype = ctypes.c_double
+    lloyd_step.argtypes = [ptr, ptr, i64, i64, ptr, ptr, i64, ptr, ptr,
+                           ptr, ptr, ptr, ptr, ptr]
+    farthest_step = lib.repro_farthest_step
+    farthest_step.restype = i64
+    farthest_step.argtypes = [ptr, ptr, i64, i64, ptr]
+    return NativeKernel(walk, dm_level, lru_level, body, lloyd_step,
+                        farthest_step)
 
 
 #: Most lines a range, and most values a data stream, may hold for
@@ -410,21 +624,38 @@ _capsule_pointer = ctypes.PYFUNCTYPE(
 )(("PyCapsule_GetPointer", ctypes.pythonapi))
 
 
+class _Address(weakref.ref):
+    """A weak reference to an array, with its id and data address."""
+
+    __slots__ = ("key", "address")
+
+
 class NativeKernel:
-    """ctypes bindings of the compiled cache and slice-body kernels.
+    """ctypes bindings of the compiled cache, slice-body and k-means kernels.
 
     Arrays cross the boundary as raw data pointers, so every array
     handed to C is C-contiguous with the dtype the kernel reads: the
     level-state arrays are by construction, the per-batch inputs are
-    made so here, and :meth:`body` hands its inputs over as ``bytes``
-    and allocates its outputs.
+    made so here, :meth:`body` hands its inputs over as ``bytes`` and
+    allocates its outputs, and the k-means steps check theirs once.
     """
 
-    def __init__(self, walk, dm_level, lru_level, body) -> None:
+    def __init__(
+        self, walk, dm_level, lru_level, body, lloyd_step, farthest_step
+    ) -> None:
         self._walk = walk
         self._dm_level = dm_level
         self._lru_level = lru_level
         self._body = body
+        self._lloyd_step = lloyd_step
+        self._farthest_step = farthest_step
+        #: id -> weak reference carrying the data address, of each
+        #: read-only array a walk has read and each stream a body has
+        #: drawn, for as long as the array lives.
+        addresses: Dict[int, _Address] = {}
+        self._addresses = addresses
+        # Runs as an array is freed, before its id can be reused.
+        self._forget = lambda ref: addresses.pop(ref.key, None)
 
     def walk(self, segments, shift: int, level_state) -> np.ndarray:
         """Run one chunk of slice streams through the hierarchy walk.
@@ -445,31 +676,63 @@ class NativeKernel:
             int64 ``(4, 3)`` array of accesses, misses and writebacks per
             level.
         """
-        seg_lines = np.array(
-            [lines.ctypes.data for lines, _ in segments], dtype=np.uintp
-        )
-        seg_writes = np.array(
-            [0 if writes is None else writes.ctypes.data
-             for _, writes in segments],
+        address = self._address
+        nseg = len(segments)
+        # Both pointer tables in one array: every lines pointer, then
+        # every write-flags pointer (0, NULL, for an ifetch stream).
+        pointers = np.array(
+            [address(lines) for lines, _ in segments]
+            + [0 if writes is None else address(writes)
+               for _, writes in segments],
             dtype=np.uintp,
         )
         seg_len = np.array(
             [lines.size for lines, _ in segments], dtype=np.int64
         )
         counts = np.zeros((4, 3), dtype=np.int64)
+        tables = _pointer(pointers)
         args = [
-            seg_lines.ctypes.data, seg_writes.ctypes.data,
-            seg_len.ctypes.data, len(segments), shift,
+            tables, tables + nseg * pointers.itemsize, _pointer(seg_len),
+            nseg, shift,
         ]
         for state, dirty, assoc, set_mask, set_shift in level_state:
             args += [
-                state.ctypes.data,
-                None if dirty is None else dirty.ctypes.data,
+                address(state),
+                None if dirty is None else address(dirty),
                 assoc, set_mask, set_shift,
             ]
-        args.append(counts.ctypes.data)
+        args.append(_pointer(counts))
+        # `segments` and `level_state` hold every array the tables and
+        # arguments point into until the call returns.
         self._walk(*args)
         return counts
+
+    def _address(self, array: np.ndarray) -> int:
+        """``array``'s data address, taken once while a read-only array lives.
+
+        A writable array's address comes from a ctypes buffer view.  The
+        slice memo freezes its arrays and replays them, and a buffer view
+        needs a writable array, so a frozen array's address is kept,
+        against a weak reference, until the array is freed: a body's
+        streams from when :meth:`body` draws them, any other array from
+        its first walk (one ``.ctypes.data`` read, about 2 µs).  Only an
+        in-place ``ndarray.resize`` moves a live array's data, and
+        nothing here resizes a trace or level array.
+        """
+        if array.flags.writeable:
+            return ctypes.addressof(ctypes.c_char.from_buffer(array))
+        known = self._addresses.get(id(array))  # repro-lint: disable=REP003 -- a live array's identity, kept in this process only
+        if known is not None and known() is array:
+            return known.address
+        return self._remember(array, array.ctypes.data)
+
+    def _remember(self, array: np.ndarray, address: int) -> int:
+        """Keep ``address`` as ``array``'s until the array is freed."""
+        ref = _Address(array, self._forget)
+        ref.key = id(array)  # repro-lint: disable=REP003 -- a live array's identity, kept in this process only
+        ref.address = address
+        self._addresses[ref.key] = ref
+        return address
 
     def dm_level(self, lines, writes, resident, dirty, set_mask, set_shift):
         """One batch through a direct-mapped level, state updated in place.
@@ -566,31 +829,233 @@ class NativeKernel:
             raise ValueError(
                 f"a body stream holds at most {BODY_MAX_RANGE} values"
             )
-        lines = np.empty(num_lines, dtype=np.int64)
-        writes = np.empty(num_lines, dtype=bool)
-        fetch = np.empty(counted[4], dtype=np.int64)
+        outputs = (
+            np.empty(num_lines, dtype=np.int64),
+            np.empty(num_lines, dtype=bool),
+            np.empty(counted[4], dtype=np.int64),
+        )
+        pointers = [_pointer(array) for array in outputs]
         bit_generator = rng.bit_generator
         with bit_generator.lock:
             self._body(
                 _capsule_pointer(bit_generator.capsule, b"BitGenerator"),
                 counts.tobytes(), sizes.tobytes(), bases.tobytes(),
-                stream_start, stream_count, write_prob,
-                _out_pointer(lines), _out_pointer(writes),
-                _out_pointer(fetch),
+                stream_start, stream_count, write_prob, *pointers,
             )
-        return lines, writes, fetch
+        # A walk reads these streams again, often after the slice memo
+        # has frozen them: it finds their addresses here.
+        for array, address in zip(outputs, pointers):
+            if address is not None:
+                self._remember(array, address)
+        return outputs
+
+    def lloyd(
+        self, data: np.ndarray, data_sq: np.ndarray, centers: np.ndarray
+    ) -> "LloydSteps":
+        """Native Lloyd iterations over ``data`` from ``centers``.
+
+        ``data`` is C-contiguous float64 ``(n, d)``, ``data_sq`` its
+        ``(n,)`` squared row norms alike and ``centers`` ``(k, d)``; see
+        :class:`LloydSteps`.
+        """
+        return LloydSteps(self._lloyd_step, data, data_sq, centers)
+
+    def farthest(self, data_sq: np.ndarray) -> "FarthestSteps":
+        """Native farthest-first steps over points of norms ``data_sq``.
+
+        ``data_sq`` is a C-contiguous float64 ``(n,)`` vector; see
+        :class:`FarthestSteps`.
+        """
+        return FarthestSteps(self._farthest_step, data_sq)
 
 
-def _out_pointer(array: np.ndarray) -> Optional[int]:
-    """A fresh output array's data pointer, ``None`` (NULL) when empty.
+def _checked(array: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
+    """``array`` if it is C-contiguous float64 of ``shape``, else ValueError.
 
-    A ctypes view of the buffer costs about a third of ``.ctypes.data``,
-    which :meth:`NativeKernel.body` would otherwise pay six times a body;
-    its inputs cross as ``bytes``, which ctypes passes as pointers.
+    The k-means steps hand raw pointers to C, which reads exactly that
+    layout.
+    """
+    if (
+        not isinstance(array, np.ndarray)
+        or array.dtype != np.float64
+        or array.shape != shape
+        or not array.flags.c_contiguous
+    ):
+        raise ValueError(
+            f"expected a C-contiguous float64 array of shape {shape}, got "
+            f"{getattr(array, 'dtype', type(array).__name__)} "
+            f"{getattr(array, 'shape', '')}"
+        )
+    return array
+
+
+def _shape(array: np.ndarray, ndim: int) -> Tuple[int, ...]:
+    """A non-empty array's shape, after checking it has ``ndim`` axes."""
+    if not isinstance(array, np.ndarray) or array.ndim != ndim or (
+        not array.size
+    ):
+        raise ValueError(f"expected a non-empty {ndim}-D array")
+    return array.shape
+
+
+class LloydSteps:
+    """The C side of one ``kmeans._lloyd`` call: ``repro_lloyd_step``.
+
+    Checks ``data`` and ``data_sq`` once and owns every other array the
+    C code reads or writes: :attr:`cross` and :attr:`center_sq`, which
+    numpy fills before each step (``data @ centers.T`` and the centers'
+    squared norms, the reductions whose order BLAS and einsum choose);
+    labels, costs and scratch; and two center buffers the steps
+    alternate between, the first a copy of ``centers``.  So every
+    pointer is taken once (one ``.ctypes.data`` read costs about 2 µs),
+    and a step is one call with no array to check.
+
+    Raises:
+        ValueError: If ``data`` is not non-empty C-contiguous float64
+            ``(n, d)``, ``data_sq`` not ``(n,)`` alike, or ``centers`` not
+            a non-empty ``(k, d)`` array.
+    """
+
+    def __init__(self, step, data, data_sq, centers) -> None:
+        n, d = _shape(data, 2)
+        k, columns = _shape(centers, 2)
+        if columns != d:
+            raise ValueError(f"centers have {columns} columns, data {d}")
+        self._step = step
+        self._inputs = (_checked(data, (n, d)), _checked(data_sq, (n,)))
+        self._cross = np.empty((n, k), dtype=np.float64)
+        self._center_sq = np.empty(k, dtype=np.float64)
+        self._buffers = (
+            np.array(centers, dtype=np.float64, order="C"),
+            np.empty((k, d), dtype=np.float64),
+        )
+        self._current = 0
+        self._labels = np.empty(n, dtype=np.int64)
+        self._costs = np.empty(n, dtype=np.float64)
+        self._scratch = (
+            np.empty(k, dtype=np.int64),  # counts
+            np.empty(k, dtype=np.float64),  # one point's distances
+            np.empty(n, dtype=np.float64),  # costs the reseeds take
+        )
+        inputs = (
+            _pointer(data), _pointer(data_sq), n, d, _pointer(self._cross),
+            _pointer(self._center_sq), k,
+        )
+        outputs = tuple(
+            _pointer(array)
+            for array in (self._labels, self._costs, *self._scratch)
+        )
+        first, second = (_pointer(buffer) for buffer in self._buffers)
+        self._calls = (
+            (*inputs, first, second, *outputs),
+            (*inputs, second, first, *outputs),
+        )
+        self._assign = (*inputs, None, None, *outputs)
+
+    @property
+    def cross(self) -> np.ndarray:
+        """``(n, k)``: fill with ``data @ centers.T`` before a call."""
+        return self._cross
+
+    @property
+    def center_sq(self) -> np.ndarray:
+        """``(k,)``: fill with the squared norms of :attr:`centers`."""
+        return self._center_sq
+
+    @property
+    def centers(self) -> np.ndarray:
+        """The current centers: the first ones, then each step's."""
+        return self._buffers[self._current]
+
+    @property
+    def labels(self) -> np.ndarray:
+        """``(n,)`` int64 label of every point, from the last call."""
+        return self._labels
+
+    @property
+    def costs(self) -> np.ndarray:
+        """``(n,)`` squared distance of every point to its center."""
+        return self._costs
+
+    def step(self) -> float:
+        """One Lloyd iteration from :attr:`centers` to new ones.
+
+        Labels every point with its nearest center and costs it at that
+        squared distance; sums each cluster's members in index order from
+        0.0 and divides by the count; reseeds each empty cluster, in
+        order, at the costliest point not yet taken.  The new centers
+        become :attr:`centers`.
+
+        Returns:
+            The largest coordinate move.  At 0, :attr:`labels` and
+            :attr:`costs` are already those of the new centers.
+        """
+        shift = self._step(*self._calls[self._current])
+        self._current = 1 - self._current
+        return shift
+
+    def assign(self) -> None:
+        """Set :attr:`labels` and :attr:`costs` for :attr:`centers`."""
+        self._step(*self._assign)
+
+
+class FarthestSteps:
+    """The C side of one ``kmeans._maximin_init`` call.
+
+    Keeps every point's squared distance to its closest chosen center
+    (+inf before the first) and owns :attr:`cross`, which numpy fills
+    with each new center's product, so every pointer is taken once.  A
+    center is a data row, so its squared norm is its ``data_sq`` entry:
+    einsum reduces each row of a matrix as it reduces that row alone.
+
+    Raises:
+        ValueError: If ``data_sq`` is not a non-empty C-contiguous float64
+            vector, or a step's center not one of its rows.
+    """
+
+    def __init__(self, step, data_sq) -> None:
+        (n,) = _shape(data_sq, 1)
+        self._step = step
+        self._data_sq = _checked(data_sq, (n,))
+        self._cross = np.empty((n, 1), dtype=np.float64)
+        self._closest = np.full(n, np.inf)
+        self._n = n
+        self._pointers = (
+            _pointer(data_sq), _pointer(self._cross), _pointer(self._closest)
+        )
+
+    @property
+    def cross(self) -> np.ndarray:
+        """``(n, 1)``: fill with ``data @ row.T`` of the new center."""
+        return self._cross
+
+    def step(self, center: int) -> int:
+        """Take data row ``center``, whose product fills :attr:`cross`.
+
+        Lowers each point's closest squared distance to the new center's
+        and returns the row farthest from its closest center (the first,
+        on a tie): the next center to take.
+        """
+        n = self._n
+        if not 0 <= center < n:
+            raise ValueError(f"center {center} is not a row of {n}")
+        data_sq, cross, closest = self._pointers
+        return self._step(data_sq, cross, center, n, closest)
+
+
+def _pointer(array: np.ndarray) -> Optional[int]:
+    """An array's data pointer, ``None`` (NULL) when it is empty.
+
+    For a writable array a ctypes view of the buffer costs about a third
+    of ``.ctypes.data``, which a read-only array needs.  Small inputs
+    that are not arrays (a body's counts, sizes and bases) cross as
+    ``bytes``, which ctypes passes as pointers.
     """
     if not array.size:
         return None
-    return ctypes.addressof(ctypes.c_char.from_buffer(array))
+    if array.flags.writeable:
+        return ctypes.addressof(ctypes.c_char.from_buffer(array))
+    return array.ctypes.data
 
 
 def _batch(lines: np.ndarray, writes: np.ndarray):

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
+from repro.cache import _native
 from repro.errors import ClusteringError
 from repro.telemetry.recorder import get_recorder
 
@@ -51,9 +54,9 @@ class KMeansResult:
         return float(self.cluster_variances[nonempty].mean())
 
 
-def _sq_norms(points: np.ndarray) -> np.ndarray:
-    """``(m,)`` squared Euclidean norm of each row."""
-    return np.einsum("ij,ij->i", points, points)
+def _sq_norms(points: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """``(m,)`` squared Euclidean norm of each row (into ``out``, if given)."""
+    return np.einsum("ij,ij->i", points, points, out=out)
 
 
 def _pairwise_sq_dists(
@@ -102,7 +105,12 @@ def _random_init(data: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
     return data[idx].astype(np.float64)
 
 
-def _maximin_init(data: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _maximin_init(
+    data: np.ndarray,
+    k: int,
+    rng: np.random.Generator,
+    kernel: Optional[_native.NativeKernel],
+) -> np.ndarray:
     """Gonzalez farthest-first seeding.
 
     After a random first center, each subsequent center is the point
@@ -111,11 +119,23 @@ def _maximin_init(data: np.ndarray, k: int, rng: np.random.Generator) -> np.ndar
     second seed inside one — exactly the property needed to recover tiny
     program phases next to dominant ones, where D^2-sampling (k-means++)
     can leave a two-slice phase unseeded.
+
+    With ``kernel``, each step's product stays numpy's and one C call
+    makes the min-update and the argmax; without, numpy does all of it.
+    Both choose the same centers.
     """
     n = data.shape[0]
     data_sq = _sq_norms(data)
     centers = np.empty((k, data.shape[1]), dtype=np.float64)
-    centers[0] = data[int(rng.integers(n))]
+    row = int(rng.integers(n))
+    centers[0] = data[row]
+    if kernel is not None:
+        farthest = kernel.farthest(data_sq)
+        for i in range(1, k):
+            np.matmul(data, centers[i - 1 : i].T, out=farthest.cross)
+            row = farthest.step(row)
+            centers[i] = data[row]
+        return centers
     closest_sq = _pairwise_sq_dists(data, data_sq, centers[:1]).ravel()
     for i in range(1, k):
         idx = int(closest_sq.argmax())
@@ -128,24 +148,52 @@ def _maximin_init(data: np.ndarray, k: int, rng: np.random.Generator) -> np.ndar
     return centers
 
 
-def _lloyd(data: np.ndarray, centers: np.ndarray, max_iter: int, tol: float):
+def _lloyd(
+    data: np.ndarray,
+    centers: np.ndarray,
+    max_iter: int,
+    tol: float,
+    kernel: Optional[_native.NativeKernel],
+):
     """Lloyd iterations with farthest-point reseeding of empty clusters.
 
-    Every centroid sum comes from one ``bincount`` over
-    ``label * d + column``, weighted by the row-major flattened data, so
-    each cluster's members are added in index order starting from 0.0.
-    That is exactly how ``data[labels == c].mean(axis=0)`` reduces two or
-    more columns, so the centroids match it bit for bit.  (On a single
-    column ``mean`` sums pairwise instead, so a centroid may differ from
-    it in its last few bits.)
+    Every centroid sum adds each cluster's members in index order
+    starting from 0.0.  That is exactly how
+    ``data[labels == c].mean(axis=0)`` reduces two or more columns, so
+    the centroids match it bit for bit.  (On a single column ``mean``
+    sums pairwise instead, so a centroid may differ from it in its last
+    few bits.)
+
+    With ``kernel``, numpy computes ``data @ centers.T``, the center
+    norms and the final ``costs.sum()`` -- the reductions whose order
+    BLAS and einsum choose -- and one C call per iteration does the rest
+    in the numpy path's order.  Without, the sums come from one
+    ``bincount`` over ``label * d + column``, weighted by the row-major
+    flattened data.  Both paths give the same bits.
     """
     n, d = data.shape
     k = centers.shape[0]
     data_sq = _sq_norms(data)
+    iteration = 0
+    if kernel is not None:
+        steps = kernel.lloyd(np.ascontiguousarray(data), data_sq, centers)
+        shift = np.inf
+        for iteration in range(1, max_iter + 1):
+            np.matmul(data, steps.centers.T, out=steps.cross)
+            _sq_norms(steps.centers, out=steps.center_sq)
+            shift = steps.step()
+            if shift <= tol:
+                break
+        if shift != 0.0:  # repro-lint: disable=REP002 -- exact: only unmoved centers give 0
+            # Unless the centers stood still, label under the last ones.
+            np.matmul(data, steps.centers.T, out=steps.cross)
+            _sq_norms(steps.centers, out=steps.center_sq)
+            steps.assign()
+        costs = steps.costs
+        return steps.labels, steps.centers, float(costs.sum()), costs, iteration
     flat = data.reshape(-1)
     columns = np.arange(d)
     rows = np.arange(n)
-    iteration = 0
     for iteration in range(1, max_iter + 1):
         dists = _pairwise_sq_dists(data, data_sq, centers)
         labels = dists.argmin(axis=1)
@@ -200,13 +248,16 @@ def kmeans(
         ClusteringError: On an invalid ``k``, empty data, or unknown init.
     """
     data = np.asarray(data, dtype=np.float64)
-    if data.ndim != 2 or data.shape[0] == 0:
+    if data.ndim != 2 or not data.size:
         raise ClusteringError("data must be a non-empty (n, d) matrix")
     n = data.shape[0]
     if not 1 <= k <= n:
         raise ClusteringError(f"k must be in [1, {n}], got {k}")
+    # The C steps run whenever the kernel loads; numpy's are the path
+    # without a compiler, with the same bits.
+    kernel = _native.load_kernel()
     initializers = {
-        "maximin": _maximin_init,
+        "maximin": functools.partial(_maximin_init, kernel=kernel),
         "k-means++": _kmeans_pp_init,
         "random": _random_init,
     }
@@ -223,7 +274,9 @@ def kmeans(
     best = None
     for _ in range(n_init):
         centers = initializers[init](data, k, rng)
-        labels, centers, inertia, costs, iters = _lloyd(data, centers, max_iter, tol)
+        labels, centers, inertia, costs, iters = _lloyd(
+            data, centers, max_iter, tol, kernel
+        )
         if best is None or inertia < best[2]:
             best = (labels, centers, inertia, iters, costs)
 
@@ -239,4 +292,7 @@ def kmeans(
     if recorder is not None:
         recorder.count("clustering.iterations", int(iters), k=k)
         recorder.count("clustering.runs", 1)
+        recorder.count(
+            "clustering.step", 1, path="numpy" if kernel is None else "native"
+        )
     return KMeansResult(labels, centers, inertia, iters, variances)

@@ -291,6 +291,50 @@ class TestNativeWalk:
             counters["cache.fused.backend{backend=native}"]
         ), geometry
 
+    @pytest.mark.parametrize("geometry", ["direct-mapped", "l2l3-8way"])
+    def test_frozen_replayed_streams_match_reference_levels(self, geometry):
+        """The slice memo freezes its arrays and replays them; the walk
+        reads each frozen array's address once and forgets it when the
+        array is freed."""
+        config = WALK_GEOMETRIES[geometry]
+        rng = np.random.default_rng(31)
+        walk = FusedHierarchy(config, backend="native", chunk_refs=997)
+        oracle = reference_hierarchy(config)
+        traces = [
+            make_trace(rng, index=index, n_mem=int(rng.integers(1, 400)),
+                       n_if=int(rng.integers(1, 120)))
+            for index in range(12)
+        ]
+        streams = [
+            stream for trace in traces
+            for stream in (trace.mem_lines, trace.mem_is_write,
+                           trace.ifetch_lines)
+        ]
+        for stream in streams:
+            stream.flags.writeable = False
+        for trace in traces + traces[::-1]:
+            for hierarchy in (walk, oracle):
+                hierarchy.process_trace(trace)
+        walk.drain()
+        assert walk.snapshot() == oracle.snapshot()
+        for fast, slow in zip(walk.levels, oracle.levels):
+            assert level_state(fast) == level_state(slow), fast.name
+        known = _native.load_kernel()._addresses
+        keys = {id(stream) for stream in streams}
+        assert keys <= known.keys()
+        del traces, trace, streams, stream
+        assert not keys & known.keys()
+
+    def test_body_streams_are_known_before_their_first_walk(self):
+        kernel = _native.load_kernel()
+        streams = kernel.body(
+            np.random.default_rng(3), [5, 0, 0, 0, 8], [9, 1, 1, 1, 16],
+            [0] * 5, 100, 4, 0.5,
+        )
+        for stream in streams:
+            stream.flags.writeable = False
+            assert kernel._addresses[id(stream)].address == stream.ctypes.data
+
 
 class TestBackendResolution:
     def test_unknown_backend_rejected(self):

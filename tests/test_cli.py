@@ -1,6 +1,7 @@
 """Command-line interface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -55,6 +56,39 @@ class TestCli:
     def test_version_matches_package_metadata(self):
         parts = repro.__version__.split(".")
         assert len(parts) == 3 and all(p.isdigit() for p in parts)
+
+    def test_version_is_written_once(self):
+        """pyproject.toml takes the version from ``repro.__version__``, so
+        an installed copy and a source tree stamp the same one on every
+        result envelope."""
+        root = Path(__file__).resolve().parents[1]
+        tables = pyproject_tables(root / "pyproject.toml")
+        assert 'dynamic = ["version"]' in tables["project"]
+        assert not [
+            line for line in tables["project"] if line.startswith("version")
+        ]
+        assert tables["tool.setuptools.dynamic"] == [
+            'version = { attr = "repro.__version__" }'
+        ]
+        for path in sorted((root / "results").glob("*.json")):
+            envelope = json.loads(path.read_text(encoding="utf-8"))
+            assert envelope["version"] == repro.__version__, path.name
+
+
+def pyproject_tables(path):
+    """Each table's non-blank, non-comment lines, by table name.
+
+    Line-based rather than :mod:`tomllib`, which Python 3.9 and 3.10 lack.
+    """
+    tables, name = {}, None
+    for line in path.read_text(encoding="utf-8").splitlines():
+        line = line.strip()
+        if line.startswith("[") and not line.startswith("[["):
+            name = line.strip("[]")
+            tables[name] = []
+        elif line and not line.startswith("#") and name is not None:
+            tables[name].append(line)
+    return tables
 
 
 @pytest.mark.slow

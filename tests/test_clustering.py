@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kmeans_oracle import lloyd as reference_lloyd, reference_kmeans
+from repro import telemetry
+from repro.cache import _native
 from repro.clustering import (
     bic_score,
     choose_k,
@@ -13,7 +15,7 @@ from repro.clustering import (
     project,
     random_projection_matrix,
 )
-from repro.clustering.kmeans import _lloyd
+from repro.clustering.kmeans import _lloyd, _maximin_init, _sq_norms
 from repro.errors import ClusteringError
 
 
@@ -105,6 +107,10 @@ class TestKMeans:
         with pytest.raises(ClusteringError):
             kmeans(np.empty((0, 3)), 1)
 
+    def test_rejects_data_without_columns(self):
+        with pytest.raises(ClusteringError):
+            kmeans(np.empty((5, 0)), 2)
+
     def test_rejects_unknown_init(self, rng):
         with pytest.raises(ClusteringError):
             kmeans(rng.normal(size=(10, 2)), 2, init="bogus")
@@ -140,7 +146,7 @@ def assert_bit_identical(got, want):
 
 def assert_lloyd_identical(data, centers):
     """Labels, centers, inertia, per-point costs and iterations."""
-    got = _lloyd(data, centers, 100, 1e-7)
+    got = _lloyd(data, centers, 100, 1e-7, _native.load_kernel())
     want = reference_lloyd(data, centers, 100, 1e-7)
     assert np.array_equal(got[0], want[0])
     for got_values, want_values in zip(got[1:4], want[1:4]):
@@ -172,7 +178,8 @@ def real_bbvs(name):
 
 
 class TestLloydOracle:
-    """The one-bincount Lloyd update against the per-cluster oracle in
+    """The Lloyd update ``kmeans`` runs -- one C call per iteration
+    wherever a C compiler works -- against the per-cluster oracle in
     ``kmeans_oracle.py``: bit for bit on two or more columns."""
 
     @pytest.mark.parametrize("dim", [2, 3, 15, 16, 64])
@@ -233,6 +240,161 @@ class TestLloydOracle:
         np.testing.assert_array_max_ulp(
             got_centers.centers, want_centers.centers, maxulp=1
         )
+
+
+class TestLloydOracleNumpy(TestLloydOracle):
+    """The same oracle cases on the path without a compiler: every
+    iteration in numpy, with one ``bincount`` for the centroid sums."""
+
+    @pytest.fixture(autouse=True)
+    def _numpy_path(self, monkeypatch):
+        monkeypatch.setattr(_native, "load_kernel", lambda: None)
+
+
+def edge_case(name):
+    """Data the oracle cannot pin, with a k and seed centers for ``_lloyd``."""
+    rng = np.random.default_rng(5)
+    if name == "one-column":
+        data = rng.normal(size=(70, 1))
+        return data, 6, data[:6].copy()
+    if name == "duplicate-centers":
+        # Ties: every point is as near to a center as to its copy.
+        data = rng.normal(size=(50, 3))
+        return data, 5, data[[0, 0, 7, 7, 7]].copy()
+    if name == "all-equal":
+        # Every squared distance is 0 or rounds below it and clamps to 0
+        # (on a 2-vCPU x86-64 host with OpenBLAS, -2.3e-13 unclamped).
+        data = np.full((40, 19), 6.070291399914127)
+        return data, 4, data[:4].copy()
+    if name == "k=1":
+        data = rng.normal(size=(30, 5))
+        return data, 1, data[:1].copy()
+    if name == "k=n":
+        data = rng.normal(size=(12, 2))
+        return data, 12, data[::-1].copy()
+    raise ValueError(name)
+
+
+EDGE_CASES = ["one-column", "duplicate-centers", "all-equal", "k=1", "k=n"]
+
+
+@pytest.mark.skipif(
+    _native.load_kernel() is None, reason="no working C compiler"
+)
+class TestNativeSteps:
+    """The C Lloyd and farthest-first steps against numpy's, bit for bit,
+    where the oracle cannot pin them."""
+
+    @pytest.mark.parametrize("init", ["maximin", "k-means++", "random"])
+    @pytest.mark.parametrize("name", EDGE_CASES)
+    def test_kmeans_matches_numpy_path(self, name, init, monkeypatch):
+        data, k, _ = edge_case(name)
+        native = kmeans(data, k, seed=4, init=init)
+        monkeypatch.setattr(_native, "load_kernel", lambda: None)
+        assert_bit_identical(native, kmeans(data, k, seed=4, init=init))
+
+    @pytest.mark.parametrize("name", EDGE_CASES)
+    def test_lloyd_matches_numpy_path(self, name):
+        data, _, centers = edge_case(name)
+        native = _lloyd(data, centers, 100, 1e-7, _native.load_kernel())
+        numpy_path = _lloyd(data, centers, 100, 1e-7, None)
+        assert np.array_equal(native[0], numpy_path[0])
+        for got, want in zip(native[1:4], numpy_path[1:4]):
+            assert np.array_equal(bits(got), bits(want))
+        assert native[4] == numpy_path[4]
+
+    def test_duplicate_centers_tie_to_the_first(self):
+        data, _, centers = edge_case("duplicate-centers")
+        labels = _lloyd(data, centers, 0, 1e-7, _native.load_kernel())[0]
+        assert set(labels.tolist()) <= {0, 2}
+
+    def test_all_equal_points_cost_nothing(self):
+        data, _, centers = edge_case("all-equal")
+        costs = _lloyd(data, centers, 100, 1e-7, _native.load_kernel())[3]
+        assert np.array_equal(bits(costs), bits(np.zeros(len(data))))
+
+    @pytest.mark.parametrize("name", EDGE_CASES)
+    def test_maximin_centers_and_generator_state(self, name):
+        data, k, _ = edge_case(name)
+        rngs = [np.random.default_rng(9), np.random.default_rng(9)]
+        native = _maximin_init(data, k, rngs[0], _native.load_kernel())
+        numpy_path = _maximin_init(data, k, rngs[1], None)
+        assert np.array_equal(bits(native), bits(numpy_path))
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 15, 16, 64])
+    def test_row_norms_are_the_matrix_norms(self, dim):
+        # The farthest-first step takes a center's norm from data_sq.
+        data = np.random.default_rng(dim).normal(size=(97, dim)) * 3.7
+        data_sq = _sq_norms(data)
+        for row in range(len(data)):
+            alone = _sq_norms(data[row : row + 1])
+            assert bits(alone[0]) == bits(data_sq[row])
+
+    @pytest.mark.parametrize("kernel", [True, False], ids=["native", "numpy"])
+    def test_one_step_counter_per_kmeans_call(self, kernel, monkeypatch):
+        if not kernel:
+            monkeypatch.setattr(_native, "load_kernel", lambda: None)
+        data = np.random.default_rng(2).normal(size=(40, 3))
+        recorder = telemetry.TraceRecorder()
+        with telemetry.using_recorder(recorder):
+            for k in (1, 3, 5):
+                kmeans(data, k, n_init=2)
+        path = "native" if kernel else "numpy"
+        assert {
+            name: value for name, value in recorder.metrics.counters.items()
+            if name.startswith("clustering.step")
+        } == {f"clustering.step{{path={path}}}": 3}
+
+
+@pytest.mark.skipif(
+    _native.load_kernel() is None, reason="no working C compiler"
+)
+class TestNativeStepInputs:
+    """Every array is checked before its pointer crosses to C."""
+
+    DATA = np.random.default_rng(0).normal(size=(20, 3))
+
+    @pytest.mark.parametrize("data", [
+        DATA[:, 0],  # one axis
+        DATA[:0],  # no rows
+        DATA.astype(np.float32),
+        DATA[:, :2],  # columns of a wider matrix: not contiguous
+        np.asfortranarray(DATA),
+    ], ids=["1-d", "empty", "float32", "column-slice", "fortran"])
+    def test_lloyd_rejects_bad_data(self, data):
+        kernel = _native.load_kernel()
+        with pytest.raises(ValueError):
+            kernel.lloyd(data, np.zeros(len(data)), np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("data_sq", [
+        np.zeros(19), np.zeros((20, 1)), np.zeros(20, dtype=np.float32),
+        np.zeros(40)[::2],
+    ], ids=["short", "2-d", "float32", "strided"])
+    def test_lloyd_rejects_bad_norms(self, data_sq):
+        with pytest.raises(ValueError):
+            _native.load_kernel().lloyd(self.DATA, data_sq, self.DATA[:2])
+
+    @pytest.mark.parametrize("centers", [
+        np.zeros((2, 2)), np.zeros((0, 3)), np.zeros(3),
+    ], ids=["columns", "no-rows", "1-d"])
+    def test_lloyd_rejects_bad_centers(self, centers):
+        with pytest.raises(ValueError):
+            _native.load_kernel().lloyd(self.DATA, _sq_norms(self.DATA), centers)
+
+    @pytest.mark.parametrize("data_sq", [
+        np.zeros((20, 1)), np.zeros(0), np.zeros(20, dtype=np.float32),
+        np.zeros(40)[::2],
+    ], ids=["2-d", "empty", "float32", "strided"])
+    def test_farthest_rejects_bad_norms(self, data_sq):
+        with pytest.raises(ValueError):
+            _native.load_kernel().farthest(data_sq)
+
+    @pytest.mark.parametrize("center", [-1, 20])
+    def test_farthest_rejects_a_center_outside_the_rows(self, center):
+        farthest = _native.load_kernel().farthest(_sq_norms(self.DATA))
+        with pytest.raises(ValueError):
+            farthest.step(center)
 
 
 class TestBic:
