@@ -12,32 +12,6 @@ from __future__ import annotations
 import pytest
 
 
-def pytest_addoption(parser):
-    parser.addoption(
-        "--cache-backend", action="store", default=None,
-        help="cache-simulation backend for the bench run "
-             "(numpy | fused | native | auto)",
-    )
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _cache_backend(request):
-    """Validate/pin the backend before any bench collects timings.
-
-    Same early-failure contract as the CLI: a typo'd --cache-backend or
-    REPRO_CACHE_BACKEND value aborts the session at startup instead of
-    surfacing minutes into the first sweep.
-    """
-    from repro.cache.fused import apply_backend
-    from repro.errors import ConfigError
-
-    try:
-        apply_backend(request.config.getoption("--cache-backend"))
-    except ConfigError as exc:
-        pytest.exit(f"invalid cache backend: {exc}", returncode=4)
-    yield
-
-
 def run_once(benchmark, fn):
     """Run ``fn`` exactly once under pytest-benchmark timing.
 

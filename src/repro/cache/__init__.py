@@ -7,27 +7,17 @@ it missed in L1, etc.).  Caches are stateful so cold-start effects — the
 central subject of the paper's Section IV-D — arise naturally when a
 regional checkpoint is replayed in isolation.
 
-``repro.cache.fused`` adds the fused single-pass engine: whole slices
-buffered and swept through all four levels in one chunked pass, with
-interchangeable numpy / native backends that are bit-identical to the
-per-batch reference (see DESIGN.md section 13).  Under ``native`` one
-compiled walk serves every geometry, and Sniper's timing model and
-``NativeMachine`` feed it too.  The backend also picks how every
-per-batch level of any associativity runs: a hierarchy hands its own
-down, and a level built without one (the SPECrate runner's) resolves
-``REPRO_CACHE_BACKEND``.  Under ``native`` a level runs a compiled
-direct-mapped or LRU step, and the strategy that ran is recorded as
-``cache.strategy{path=...}``.
+``repro.cache.fused`` holds the one engine the program builds,
+:class:`FusedHierarchy`: whole slices buffered and swept through all
+four levels in one chunked pass.  It takes a compiled walk of every
+geometry when the native kernel loads and the numpy sweep otherwise,
+bit-identical to the per-batch :class:`CacheHierarchy` either way (see
+DESIGN.md section 13).  :func:`resolve_backend` names the path it takes.
 """
 
 from repro.cache.stats import CacheStats
 from repro.cache.cache import CacheLevel
-from repro.cache.fused import (
-    FusedHierarchy,
-    apply_backend,
-    build_hierarchy,
-    resolve_backend,
-)
+from repro.cache.fused import FusedHierarchy, resolve_backend
 from repro.cache.hierarchy import CacheHierarchy, HierarchyResult
 
 __all__ = [
@@ -36,7 +26,5 @@ __all__ = [
     "CacheHierarchy",
     "FusedHierarchy",
     "HierarchyResult",
-    "apply_backend",
-    "build_hierarchy",
     "resolve_backend",
 ]

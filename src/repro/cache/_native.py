@@ -1,26 +1,17 @@
-"""Native compiled kernels: the cache walks, the slice body and k-means steps.
+"""Native compiled kernels: the cache walk, the slice body and k-means steps.
 
 Compiles a small C source with the host C compiler at first use and
-loads it through :mod:`ctypes`.  It holds three cache kernels, all
-sequential per-access loops with exactly the semantics of the oracle
-loops in :mod:`repro.cache.cache`:
+loads it through :mod:`ctypes`.  Its cache kernel, ``repro_walk``, walks
+an L1I/L1D -> L2 -> L3 hierarchy of any associativity over one fused
+chunk (:class:`~repro.cache.fused.FusedHierarchy`), read straight from
+each slice's own arrays, as a sequential per-access loop with exactly
+the semantics of the oracle loops in :mod:`repro.cache.cache`.  Each
+level kind has one ``static inline`` step: ``dm_step`` on a
+direct-mapped level's ``_resident``/``_dirty`` arrays and ``lru_step``
+on an associative level's packed ``_way_state``, the state
+:class:`~repro.cache.cache.CacheLevel` keeps, updated in place.
 
-* ``repro_walk`` walks an L1I/L1D -> L2 -> L3 hierarchy of any
-  associativity over one fused chunk
-  (:class:`~repro.cache.fused.FusedHierarchy`), read straight from each
-  slice's own arrays;
-* ``repro_dm_level`` runs one batch through one direct-mapped level,
-  on its ``_resident``/``_dirty`` arrays;
-* ``repro_lru_level`` runs one batch through one set-associative LRU
-  level, on the packed ``_way_state`` array the wave path keeps.
-
-Each level kind has one ``static inline`` step (``dm_step`` and
-``lru_step``) that both the walk and that kind's level kernel call, so
-direct-mapped and LRU semantics are each written once.  Every cache
-kernel works in place on the state :class:`~repro.cache.cache.CacheLevel`
-keeps, so native and numpy passes interleave on one level.
-
-A fourth kernel, ``repro_body``, draws a slice body -- working-set and
+A second kernel, ``repro_body``, draws a slice body -- working-set and
 stream lines, their shuffle, write flags and fetch lines -- with numpy's
 ``Generator.integers``, ``shuffle`` and ``random`` draws, draw for draw,
 on the generator's own ``bitgen_t``;
@@ -41,9 +32,10 @@ by every process, including parallel workers racing to create it
 
 Everything degrades gracefully: no compiler, a failed build, or a
 failed load all surface as :func:`load_kernel` returning ``None``, and
-the caller falls back to the numpy strategies (and to numpy's own
-draws for a slice body).  The kernels are pure functions of their inputs
-and state — determinism is unaffected by which backend runs.
+each caller takes its numpy path instead: the fused engine's numpy
+sweep, numpy's own draws for a slice body, numpy's k-means steps.  The
+kernels are pure functions of their inputs and state — no result
+depends on whether a compiler exists.
 """
 
 from __future__ import annotations
@@ -202,34 +194,6 @@ void repro_walk(
     counts[3] += acc_d; counts[4] += miss_d; counts[5] += wb_d;
     counts[6] += acc_2; counts[7] += miss_2; counts[8] += wb_2;
     counts[9] += acc_3; counts[10] += miss_3; counts[11] += wb_3;
-}
-
-/* A batch through one direct-mapped level.  Sets miss[i] to 1 where
- * lines[i] missed; returns the batch's dirty evictions. */
-int64_t repro_dm_level(
-    const int64_t *restrict lines, const uint8_t *restrict writes,
-    int64_t n, int64_t *restrict res, uint8_t *restrict dir, int64_t mask,
-    int64_t shift, uint8_t *restrict miss)
-{
-    int64_t writebacks = 0;
-    for (int64_t i = 0; i < n; i++)
-        miss[i] = dm_step(res, dir, mask, shift, lines[i], writes[i],
-                          &writebacks);
-    return writebacks;
-}
-
-/* A batch through one set-associative LRU level, on the packed ways
- * lru_step reads.  Same outputs as repro_dm_level. */
-int64_t repro_lru_level(
-    const int64_t *restrict lines, const uint8_t *restrict writes,
-    int64_t n, int64_t *restrict ways, int64_t assoc, int64_t mask,
-    int64_t shift, uint8_t *restrict miss)
-{
-    int64_t writebacks = 0;
-    for (int64_t i = 0; i < n; i++)
-        miss[i] = lru_step(ways, assoc, mask, shift, lines[i], writes[i],
-                           &writebacks);
-    return writebacks;
 }
 
 /* numpy's bitgen_t (numpy/random/bitgen.h): a BitGenerator's state and
@@ -591,12 +555,6 @@ def _bind(lib_path: Path) -> "NativeKernel":
     walk.restype = None
     level = [ptr, ptr, i64, i64, i64]
     walk.argtypes = [ptr, ptr, ptr, i64, i64] + level * 4 + [ptr]
-    dm_level = lib.repro_dm_level
-    dm_level.restype = i64
-    dm_level.argtypes = [ptr, ptr, i64, ptr, ptr, i64, i64, ptr]
-    lru_level = lib.repro_lru_level
-    lru_level.restype = i64
-    lru_level.argtypes = [ptr, ptr, i64, ptr, i64, i64, i64, ptr]
     body = lib.repro_body
     body.restype = None
     body.argtypes = [ptr, ptr, ptr, ptr, i64, i64, ctypes.c_double,
@@ -608,8 +566,7 @@ def _bind(lib_path: Path) -> "NativeKernel":
     farthest_step = lib.repro_farthest_step
     farthest_step.restype = i64
     farthest_step.argtypes = [ptr, ptr, i64, i64, ptr]
-    return NativeKernel(walk, dm_level, lru_level, body, lloyd_step,
-                        farthest_step)
+    return NativeKernel(walk, body, lloyd_step, farthest_step)
 
 
 #: Most lines a range, and most values a data stream, may hold for
@@ -635,17 +592,14 @@ class NativeKernel:
 
     Arrays cross the boundary as raw data pointers, so every array
     handed to C is C-contiguous with the dtype the kernel reads: the
-    level-state arrays are by construction, the per-batch inputs are
-    made so here, :meth:`body` hands its inputs over as ``bytes`` and
-    allocates its outputs, and the k-means steps check theirs once.
+    level-state arrays are by construction, the fused engine's submit
+    makes each stream so, :meth:`body` hands its inputs over as
+    ``bytes`` and allocates its outputs, and the k-means steps check
+    theirs once.
     """
 
-    def __init__(
-        self, walk, dm_level, lru_level, body, lloyd_step, farthest_step
-    ) -> None:
+    def __init__(self, walk, body, lloyd_step, farthest_step) -> None:
         self._walk = walk
-        self._dm_level = dm_level
-        self._lru_level = lru_level
         self._body = body
         self._lloyd_step = lloyd_step
         self._farthest_step = farthest_step
@@ -733,44 +687,6 @@ class NativeKernel:
         ref.address = address
         self._addresses[ref.key] = ref
         return address
-
-    def dm_level(self, lines, writes, resident, dirty, set_mask, set_shift):
-        """One batch through a direct-mapped level, state updated in place.
-
-        Args:
-            lines: Granularity-shifted line addresses, program order.
-            writes: Boolean write flags aligned with ``lines``.
-            resident: The level's per-set tags (-1 empty).
-            dirty: The level's per-set boolean dirty flags.
-            set_mask: ``num_sets - 1``.
-            set_shift: Bits to shift a line address down to its tag.
-
-        Returns:
-            ``(miss, writebacks)``: program-order boolean miss array and
-            the batch's dirty-eviction count.
-        """
-        lines, writes, miss = _batch(lines, writes)
-        writebacks = self._dm_level(
-            lines.ctypes.data, writes.ctypes.data, lines.size,
-            resident.ctypes.data, dirty.ctypes.data, set_mask, set_shift,
-            miss.ctypes.data,
-        )
-        return miss, writebacks
-
-    def lru_level(self, lines, writes, ways, set_mask, set_shift):
-        """One batch through a set-associative LRU level, in place.
-
-        ``ways`` is the level's packed ``(num_sets, assoc)`` int64 LRU
-        state (way 0 = MRU, ``tag << 1 | dirty``, -1 empty); the other
-        arguments and the result are as for :meth:`dm_level`.
-        """
-        lines, writes, miss = _batch(lines, writes)
-        writebacks = self._lru_level(
-            lines.ctypes.data, writes.ctypes.data, lines.size,
-            ways.ctypes.data, ways.shape[1], set_mask, set_shift,
-            miss.ctypes.data,
-        )
-        return miss, writebacks
 
     def body(
         self,
@@ -1056,15 +972,6 @@ def _pointer(array: np.ndarray) -> Optional[int]:
     if array.flags.writeable:
         return ctypes.addressof(ctypes.c_char.from_buffer(array))
     return array.ctypes.data
-
-
-def _batch(lines: np.ndarray, writes: np.ndarray):
-    """A level kernel's inputs as C arrays, plus its miss output."""
-    lines = np.ascontiguousarray(lines, dtype=np.int64)
-    writes = np.ascontiguousarray(writes, dtype=bool)
-    if writes.shape != lines.shape:
-        raise ValueError("write flags must align with lines")
-    return lines, writes, np.empty(lines.size, dtype=bool)
 
 
 def load_kernel() -> Optional[NativeKernel]:

@@ -1,9 +1,6 @@
 """A single cache level with LRU replacement.
 
-Under the ``native`` backend every level, whatever its associativity,
-runs a compiled per-access kernel (:mod:`repro.cache._native`) in place
-on the state arrays described below.  Otherwise two numpy execution
-strategies share one external behaviour:
+Two numpy execution strategies share one external behaviour:
 
 * ``associativity == 1`` (the paper's Table I L2/L3) uses the exact,
   fully vectorized run-collapse sweep (:func:`dm_sweep`): the batch is
@@ -12,7 +9,7 @@ strategies share one external behaviour:
   can miss, only each set's lead run compares against pre-batch state,
   and writeback accounting and the state scatter happen at run
   granularity.  This is what makes whole-program simulation tractable
-  in Python, and the same kernel powers the fused engine
+  in Python, and the same kernel powers the fused engine's numpy sweep
   (``repro.cache.fused``) over arbitrarily long chunked streams.
 * ``associativity > 1`` picks one of two bit-identical strategies from
   the shape of the first batch it sees.  Traffic that spreads across
@@ -28,6 +25,10 @@ strategies share one external behaviour:
   also serves as the differential-testing oracle (``reference=True``,
   and ``_access_direct_mapped_reference`` for the direct-mapped case).
 
+The fused engine's compiled walk (:mod:`repro.cache._native`) steps on
+the same state: a direct-mapped level's ``_resident``/``_dirty`` arrays
+and an associative level's packed ``_way_state``.
+
 Every path is *stateful across batches*, which is essential: replaying a
 regional pinball on a fresh hierarchy reproduces the cold-start misses the
 paper measures, while consecutive slices of a whole run keep each other's
@@ -41,7 +42,6 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.cache import _native
 from repro.cache.stats import CacheStats
 from repro.config import CacheConfig, TRACE_LINE_BYTES
 from repro.errors import SimulationError
@@ -182,13 +182,9 @@ class CacheLevel:
         recording: Whether statistics accumulate (turned off for warmup).
         reference: Pin the level to the sequential per-access loops
             (the ordered-dict LRU loop when associative) instead of
-            choosing a strategy from the backend and the traffic.  All
-            strategies are bit-identical; the reference exists as a
-            differential-testing oracle.
-        backend: Cache backend whose strategies the level runs
-            (``numpy``, ``fused`` or ``native``; a hierarchy hands its
-            own down).  ``None`` consults ``REPRO_CACHE_BACKEND`` when
-            the level first sees traffic.
+            choosing a strategy from the traffic.  All strategies are
+            bit-identical; the reference exists as a differential-testing
+            oracle.
     """
 
     #: Minimum accesses a wave must amortize for the vectorized path to
@@ -203,7 +199,6 @@ class CacheLevel:
         config: CacheConfig,
         recording: bool = True,
         reference: bool = False,
-        backend: Optional[str] = None,
     ) -> None:
         if config.line_size < TRACE_LINE_BYTES:
             raise SimulationError(
@@ -214,7 +209,6 @@ class CacheLevel:
         self.stats = CacheStats()
         self.recording = recording
         self.reference = reference
-        self.backend = backend
         self._granularity_shift = (
             config.line_size // TRACE_LINE_BYTES
         ).bit_length() - 1
@@ -226,8 +220,7 @@ class CacheLevel:
         self._dirty = None
         self._sets: Optional[List[OrderedDict]] = None
         self._way_state: Optional[np.ndarray] = None
-        self._kernel = None
-        # How batches run: "native", "sweep", "wave" or "sequential".
+        # How batches run: "sweep", "wave" or "sequential".
         # A reference level is pinned to the sequential oracle loops;
         # any other picks its strategy (and associative state) when it
         # first sees traffic, in _ensure_strategy.
@@ -331,16 +324,6 @@ class CacheLevel:
         if self._strategy is None:
             self._ensure_strategy(lines)
         strategy = self._strategy
-        if strategy == "native":
-            if self._assoc == 1:
-                return self._kernel.dm_level(
-                    lines, writes, self._resident, self._dirty,
-                    self._set_mask, self._set_shift,
-                )
-            return self._kernel.lru_level(
-                lines, writes, self._way_state, self._set_mask,
-                self._set_shift,
-            )
         if strategy == "sweep":
             return self._access_direct_mapped(lines, writes)
         if strategy == "wave":
@@ -392,29 +375,21 @@ class CacheLevel:
     def _ensure_strategy(self, lines: np.ndarray) -> None:
         """Pick how this level simulates, once, from its first batch.
 
-        When the level's backend resolves to ``native``
-        (:func:`~repro.cache.fused.resolve_backend`) every geometry runs
-        a compiled per-access kernel on the level's own state arrays.
-        Otherwise a direct-mapped level takes the run-collapse sweep, and an
+        A direct-mapped level takes the run-collapse sweep.  An
         associative level weighs the wave path — a fixed number of numpy
         passes per *wave* (deepest per-set run count), which only pays
         off when each wave retires enough accesses to amortize that
         overhead — against the sequential loop, which traffic
-        concentrated into few sets gets.  Every strategy is
-        bit-identical, so the choice can never change simulated results;
-        ``cache.strategy{path=...}`` records it.
+        concentrated into few sets gets.  A level the compiled walk has
+        already stepped on keeps that packed state and takes the wave
+        path.  Every strategy is bit-identical, so the choice can never
+        change simulated results; ``cache.strategy{path=...}`` records
+        it.
         """
-        # fused.py imports this module, so resolve lazily.  Every level
-        # resolves on its own, so a native request that falls back is
-        # not counted here: cache.fused.fallback stays one event per
-        # hierarchy built.
-        from repro.cache.fused import resolve_backend
-
-        if resolve_backend(self.backend, count_fallback=False) == "native":
-            self._kernel = _native.load_kernel()
-            strategy = "native"
-        elif self._assoc == 1:
+        if self._assoc == 1:
             strategy = "sweep"
+        elif self._way_state is not None:
+            strategy = "wave"
         else:
             set_idx = lines & self._set_mask
             deepest = int(np.bincount(set_idx, minlength=1).max())
@@ -423,19 +398,32 @@ class CacheLevel:
         if strategy == "sequential":
             self._sets = [OrderedDict() for _ in range(self._num_sets)]
         elif self._assoc > 1:
-            # LRU stacks, way 0 = MRU, packed as tag << 1 | dirty; -1
-            # means empty.  Valid tags always occupy a prefix of the
-            # ways (inserts shift empties toward the LRU end and hits
-            # never move them back up), so the victim way being -1
-            # means "set not full".  The native kernel and the wave
-            # path both update this array in place.
-            self._way_state = np.full(
-                (self._num_sets, self._assoc), -1, dtype=np.int64
-            )
+            self._packed_ways()
         self._strategy = strategy
         recorder = get_recorder()
         if recorder is not None:
             recorder.count("cache.strategy", path=strategy, level=self.name)
+
+    def _packed_ways(self) -> np.ndarray:
+        """An associative level's packed LRU state, allocated on first use.
+
+        LRU stacks, way 0 = MRU, packed as ``tag << 1 | dirty``; -1 means
+        empty.  Valid tags always occupy a prefix of the ways (inserts
+        shift empties toward the LRU end and hits never move them back
+        up), so the victim way being -1 means "set not full".  The wave
+        path and the compiled walk both update this array in place; the
+        walk allocates it the first time it steps on the level.
+        """
+        if self._way_state is None:
+            if self._sets is not None:
+                raise SimulationError(
+                    f"{self.name}: the sequential loop's state cannot be "
+                    "walked"
+                )
+            self._way_state = np.full(
+                (self._num_sets, self._assoc), -1, dtype=np.int64
+            )
+        return self._way_state
 
     def _access_associative(self, lines: np.ndarray, writes: np.ndarray):
         """Vectorized wave-by-wave LRU update (see module docstring).

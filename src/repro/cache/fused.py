@@ -3,199 +3,83 @@
 Instead of three sequential per-level ``access_many`` batches with
 boolean re-indexing between levels, a :class:`FusedHierarchy` buffers
 whole slices and simulates the combined reference stream across
-L1I/L1D -> L2 -> L3 in one pass per chunk:
+L1I/L1D -> L2 -> L3 in one pass per chunk.  It is the one hierarchy the
+program builds: the ``allcache`` replay, Sniper's regions,
+``NativeMachine`` and every copy of the SPECrate runner run on it.  The
+engine picks its own path, and nothing else selects it:
 
-* the **fused** (numpy) backend runs each level's numpy strategy once
-  per chunk (the set-partitioned :func:`~repro.cache.cache.dm_sweep`
-  for a direct-mapped level).  Each level's misses map to *global
-  stream positions*; sorting the union of the L1I and L1D miss
-  positions reconstructs the next level's stream in exactly the program
-  order the legacy per-batch path produced;
-* the **native** backend compiles the sequential per-access hierarchy
-  walk with the host C compiler (:mod:`repro.cache._native`) and runs
-  each chunk through it, whatever each level's associativity: a
-  direct-mapped level steps on its ``_resident``/``_dirty`` arrays, an
-  associative one on its packed LRU ``_way_state``.  The walk reads
-  every slice's own arrays, so a chunk is never concatenated.
+* when the compiled kernel loads (:mod:`repro.cache._native`), each
+  chunk takes one sequential per-access walk of all four levels,
+  whatever each level's associativity: a direct-mapped level steps on
+  its ``_resident``/``_dirty`` arrays, an associative one on its packed
+  LRU ``_way_state``.  The walk reads every slice's own arrays, so a
+  chunk is never concatenated;
+* without a compiler, each chunk takes the numpy sweep: every level's
+  numpy strategy runs once per chunk (the set-partitioned
+  :func:`~repro.cache.cache.dm_sweep` for a direct-mapped level).  Each
+  level's misses map to *global stream positions*; sorting the union of
+  the L1I and L1D miss positions reconstructs the next level's stream
+  in exactly the program order the per-batch path produces.
 
-Sniper's timing model and ``NativeMachine`` feed their slices through a
-built hierarchy too.  The same backend also drives every per-batch
-:class:`~repro.cache.cache.CacheLevel`, whatever its associativity: a
-built hierarchy hands its backend to its levels, and a level built on
-its own (the SPECrate runner's) resolves the environment.  Under
-``native`` each level runs the compiled direct-mapped or LRU step on its
-own state, otherwise the numpy sweep, wave or sequential strategy.  Each
-level records the strategy that ran as ``cache.strategy{path=...}``.
-
-All backends operate on the same per-level state arrays as
+Both paths operate on the same per-level state arrays as
 :class:`~repro.cache.cache.CacheLevel` and are bit-identical to the
-sequential reference oracle; which backend runs can never change
-simulated results.  The compiled backend degrades gracefully: a missing
-toolchain falls back to the fused numpy path (the
-``cache.fused.fallback`` counter records it).
-
-Backend selection: the ``REPRO_CACHE_BACKEND`` environment variable
-(``numpy`` | ``fused`` | ``native``), or an explicit ``backend=``
-argument, defaulting to ``auto`` — native when a compiler is available,
-fused otherwise.
+per-batch :class:`~repro.cache.hierarchy.CacheHierarchy` and to the
+sequential reference oracle, so whether a compiler exists can never
+change simulated results.  :func:`resolve_backend` names the path
+(``native`` or ``fused``), and every drain counts it as
+``cache.fused.backend{backend=...}``.
 
 Buffering is slice-granular (a flush happens on slice boundaries once
-roughly ``chunk_refs`` references are pending, default 262144) and is
+roughly :data:`DEFAULT_CHUNK_REFS` references are pending) and is
 invisible to callers: toggling recording (warmup boundaries), taking a
-snapshot, resetting, or touching the per-batch access methods all
-drain the buffer first.  Chunked and per-slice processing are
-bit-identical because every kernel is exactly equivalent to sequential
-per-access simulation, so batch boundaries cannot change results.
+snapshot, resetting, or a per-batch ``access_data``/``access_ifetch``
+(a one-stream submit followed by a drain) all drain the buffer.
+Chunked and per-slice processing are bit-identical because every
+kernel is exactly equivalent to sequential per-access simulation, so
+batch boundaries cannot change results.
 """
 
 from __future__ import annotations
 
-import os
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.cache.hierarchy import CacheHierarchy
 from repro.cache import _native
-from repro.config import ALLCACHE_SIM, CacheHierarchyConfig
-from repro.errors import ConfigError, SimulationError
+from repro.config import CacheHierarchyConfig
+from repro.errors import SimulationError
 from repro.isa.trace import SliceTrace
 from repro.telemetry.recorder import get_recorder
 
-#: Recognized backend names (plus "auto").
-BACKENDS = ("numpy", "fused", "native")
-
-#: Default flush threshold, in buffered references.
+#: Flush threshold, in buffered references.
 DEFAULT_CHUNK_REFS = 262144
 
-_BACKEND_ENV = "REPRO_CACHE_BACKEND"
 
+def resolve_backend() -> str:
+    """The path :class:`FusedHierarchy` takes in this process.
 
-def _count_fallback(requested: str, resolved: str) -> None:
-    recorder = get_recorder()
-    if recorder is not None:
-        recorder.count(
-            "cache.fused.fallback", 1, requested=requested, to=resolved
-        )
-
-
-def apply_backend(backend: Optional[str] = None) -> str:
-    """Validate the backend choice up front and pin it for this process.
-
-    CLI entry points call this at startup: an explicit
-    ``--cache-backend`` value wins over (and is written into)
-    ``REPRO_CACHE_BACKEND`` so forked workers inherit it; with no flag,
-    the environment variable itself is validated.  Either way a typo
-    fails here — at argument-handling time, with the valid choices
-    listed — instead of deep inside the first cache simulation minutes
-    into a run.
-
-    Returns the validated name (``auto`` when nothing was requested).
-
-    Raises:
-        ConfigError: On an unrecognized backend name, from the flag or
-            the environment.
+    ``native`` (the compiled walk) when the kernel loads, ``fused`` (the
+    numpy sweep) otherwise.
     """
-    choices = BACKENDS + ("auto",)
-    if backend is not None:
-        if backend not in choices:
-            raise ConfigError(
-                f"unknown cache backend {backend!r}; "
-                f"expected one of {', '.join(choices)}"
-            )
-        os.environ[_BACKEND_ENV] = backend
-        return backend
-    inherited = os.environ.get(_BACKEND_ENV)
-    if inherited and inherited not in choices:
-        raise ConfigError(
-            f"unknown cache backend {inherited!r} in {_BACKEND_ENV}; "
-            f"expected one of {', '.join(choices)}"
-        )
-    return inherited or "auto"
-
-
-def resolve_backend(
-    backend: Optional[str] = None, count_fallback: bool = True
-) -> str:
-    """Resolve a backend request to an available backend.
-
-    Args:
-        backend: Explicit request, or ``None`` to consult the
-            ``REPRO_CACHE_BACKEND`` environment variable (default
-            ``auto``).
-        count_fallback: Whether a native request that falls back counts
-            ``cache.fused.fallback``.  Per-level lookups pass ``False``
-            so the counter stays one event per selection.
-
-    Returns:
-        One of ``numpy``, ``fused``, ``native`` — guaranteed
-        available.  An unavailable native backend resolves to ``fused``
-        and counts ``cache.fused.fallback``.
-
-    Raises:
-        ConfigError: On an unrecognized backend name.
-    """
-    requested = backend or os.environ.get(_BACKEND_ENV) or "auto"
-    if requested not in BACKENDS + ("auto",):
-        raise ConfigError(
-            f"unknown cache backend {requested!r}; "
-            f"expected one of {', '.join(BACKENDS + ('auto',))}"
-        )
-    if requested == "auto":
-        return "native" if _native.load_kernel() is not None else "fused"
-    if requested == "native" and _native.load_kernel() is None:
-        if count_fallback:
-            _count_fallback("native", "fused")
-        return "fused"
-    return requested
-
-
-def build_hierarchy(
-    config: Optional[CacheHierarchyConfig] = None,
-    backend: Optional[str] = None,
-) -> CacheHierarchy:
-    """Build a hierarchy for the resolved backend.
-
-    ``numpy`` gives the legacy per-batch :class:`CacheHierarchy`; every
-    other backend gives a :class:`FusedHierarchy`.  Either way the
-    levels run the same backend's strategies.
-    """
-    config = config if config is not None else ALLCACHE_SIM
-    resolved = resolve_backend(backend)
-    if resolved == "numpy":
-        return CacheHierarchy(config, backend=resolved)
-    return FusedHierarchy(config, backend=resolved)
+    return "native" if _native.load_kernel() is not None else "fused"
 
 
 class FusedHierarchy(CacheHierarchy):
     """A cache hierarchy that simulates buffered slices in fused chunks.
 
     Drop-in for :class:`CacheHierarchy`: the per-batch access methods
-    still work (they drain the buffer first to preserve program order),
-    and statistics/snapshots are always consistent because every
+    still work (each submits its stream and drains, preserving program
+    order), and statistics/snapshots are always consistent because every
     consistency point drains.
 
     Args:
         config: Hierarchy geometry.
-        backend: ``fused`` or ``native`` (already resolved —
-            use :func:`build_hierarchy` for env-driven selection); the
-            levels run it too.
-        chunk_refs: Flush threshold in buffered references.
     """
 
-    def __init__(
-        self,
-        config: CacheHierarchyConfig,
-        backend: str = "fused",
-        chunk_refs: int = DEFAULT_CHUNK_REFS,
-    ) -> None:
-        if backend not in ("fused", "native"):
-            raise ConfigError(f"not a fused backend: {backend!r}")
-        super().__init__(config, backend=backend)
-        self.backend = backend
-        self._chunk = chunk_refs
-        if self._chunk < 1:
-            raise ConfigError("chunk_refs must be positive")
+    def __init__(self, config: CacheHierarchyConfig) -> None:
+        super().__init__(config)
+        self._chunk = DEFAULT_CHUNK_REFS
         shifts = {level._granularity_shift for level in self.levels}
         # One line size across levels (CacheHierarchyConfig enforces it)
         # means one granularity shift for the whole combined stream.
@@ -204,14 +88,8 @@ class FusedHierarchy(CacheHierarchy):
                 "fused hierarchy requires a uniform line size"
             )
         self._shift = shifts.pop()
-        self._kernel = None
-        if backend == "native":
-            self._kernel = _native.load_kernel()
-            if self._kernel is None:
-                raise ConfigError(
-                    "backend 'native' is unavailable; "
-                    "resolve_backend() selects an available one"
-                )
+        self.backend = resolve_backend()
+        self._kernel = _native.load_kernel()
         self._segments: List[Tuple[np.ndarray, Optional[np.ndarray]]] = []
         self._pending = 0
 
@@ -224,29 +102,30 @@ class FusedHierarchy(CacheHierarchy):
         traces are already C-contiguous int64 lines and bool flags, so
         nothing is copied.
         """
-        ifetch = np.ascontiguousarray(trace.ifetch_lines, dtype=np.int64)
-        mem = np.ascontiguousarray(trace.mem_lines, dtype=np.int64)
-        writes = np.ascontiguousarray(trace.mem_is_write, dtype=bool)
-        if ifetch.size:
-            if int(ifetch.min()) < 0:
-                raise SimulationError(
-                    f"{self.l1i.name}: negative line address in batch"
-                )
-            self._segments.append((ifetch, None))
-            self._pending += ifetch.size
-        if mem.size:
-            if int(mem.min()) < 0:
-                raise SimulationError(
-                    f"{self.l1d.name}: negative line address in batch"
-                )
-            if writes.shape != mem.shape:
-                raise SimulationError(
-                    f"{self.l1d.name}: is_write must align with lines"
-                )
-            self._segments.append((mem, writes))
-            self._pending += mem.size
+        self._submit(trace.ifetch_lines, None)
+        self._submit(trace.mem_lines, trace.mem_is_write)
         if self._pending >= self._chunk:
             self.drain()
+
+    def _submit(self, lines, writes) -> None:
+        """Buffer one stream: data to L1D when ``writes`` is given (one
+        flag per line), ifetch to L1I when it is ``None``."""
+        level = self.l1i if writes is None else self.l1d
+        lines = np.ascontiguousarray(lines, dtype=np.int64)
+        if not lines.size:
+            return
+        if int(lines.min()) < 0:
+            raise SimulationError(
+                f"{level.name}: negative line address in batch"
+            )
+        if writes is not None:
+            writes = np.ascontiguousarray(writes, dtype=bool)
+            if writes.shape != lines.shape:
+                raise SimulationError(
+                    f"{level.name}: is_write must align with lines"
+                )
+        self._segments.append((lines, writes))
+        self._pending += lines.size
 
     def process_trace(self, trace: SliceTrace) -> None:
         self.submit_slice(trace)
@@ -290,12 +169,15 @@ class FusedHierarchy(CacheHierarchy):
         return super().snapshot()
 
     def access_data(self, lines, is_write=None) -> None:
+        lines = np.asarray(lines, dtype=np.int64)
+        if is_write is None:
+            is_write = np.zeros(lines.shape, dtype=bool)
+        self._submit(lines, is_write)
         self.drain()
-        super().access_data(lines, is_write)
 
     def access_ifetch(self, lines) -> None:
+        self._submit(lines, None)
         self.drain()
-        super().access_ifetch(lines)
 
     # -- the fused pass -------------------------------------------------
 
@@ -321,16 +203,11 @@ class FusedHierarchy(CacheHierarchy):
     def _walk_chunk(self, segments) -> np.ndarray:
         state = []
         for level in self.levels:
-            if level._strategy is None:
-                # First traffic: the level picks the native step, which
-                # does not look at the traffic, and an associative level
-                # allocates its packed LRU state.
-                level._ensure_strategy(None)
             if level._assoc == 1:
                 state.append((level._resident, level._dirty, 1,
                               level._set_mask, level._set_shift))
             else:
-                state.append((level._way_state, None, level._assoc,
+                state.append((level._packed_ways(), None, level._assoc,
                               level._set_mask, level._set_shift))
         return self._kernel.walk(segments, self._shift, state)
 

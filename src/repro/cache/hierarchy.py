@@ -11,7 +11,7 @@ processor".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -38,21 +38,21 @@ class HierarchyResult:
 class CacheHierarchy:
     """Stateful L1I/L1D + unified L2 + L3 hierarchy.
 
+    Each batch runs level by level, with the misses of one level
+    filtered into the next.  The program builds
+    :class:`~repro.cache.fused.FusedHierarchy`; this per-batch form is
+    the reference the differential tests compare it against.
+
     Args:
         config: Geometry for all four levels.
-        backend: Cache backend every level runs (see
-            :class:`~repro.cache.cache.CacheLevel`); ``None`` leaves it to
-            ``REPRO_CACHE_BACKEND``.
     """
 
-    def __init__(
-        self, config: CacheHierarchyConfig, backend: Optional[str] = None
-    ) -> None:
+    def __init__(self, config: CacheHierarchyConfig) -> None:
         self.config = config
-        self.l1i = CacheLevel(config.l1i, backend=backend)
-        self.l1d = CacheLevel(config.l1d, backend=backend)
-        self.l2 = CacheLevel(config.l2, backend=backend)
-        self.l3 = CacheLevel(config.l3, backend=backend)
+        self.l1i = CacheLevel(config.l1i)
+        self.l1d = CacheLevel(config.l1d)
+        self.l2 = CacheLevel(config.l2)
+        self.l3 = CacheLevel(config.l3)
 
     @property
     def levels(self) -> tuple:

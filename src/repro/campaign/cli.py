@@ -84,15 +84,6 @@ def add_serve_parser(sub) -> None:
              "(default: skip — one bad item must not take the service's "
              "whole queue down)",
     )
-    from repro.cache.fused import BACKENDS
-
-    serve.add_argument(
-        "--cache-backend", metavar="NAME", default=None,
-        dest="cache_backend", choices=BACKENDS + ("auto",),
-        help="cache-simulation backend every worker child inherits "
-             f"(choices: {', '.join(BACKENDS + ('auto',))}; default: "
-             "REPRO_CACHE_BACKEND or auto)",
-    )
     serve.add_argument(
         "--heartbeat", type=float, default=1.0, metavar="SECONDS",
         dest="heartbeat_s",
@@ -247,12 +238,6 @@ def run_serve(args) -> int:
             max_queued=args.max_queued,
             min_free_bytes=args.min_free_mb * 1024 * 1024,
         )
-        # Validate + pin the cache backend now: forked worker children
-        # inherit the environment, and a typo must fail at boot, not in
-        # the first job minutes later.
-        from repro.cache.fused import apply_backend
-
-        apply_backend(args.cache_backend)
     except ConfigError as exc:
         print(f"invalid serve options: {exc}", file=sys.stderr)
         return 2

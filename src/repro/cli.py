@@ -70,7 +70,6 @@ def _add_experiment_options(
         "--no-cache", action="store_true",
         help="disable the on-disk artifact store for this run",
     )
-    _add_cache_backend_option(exp)
     if spec.benchmark_option is not None:
         exp.add_argument(
             "--benchmark", default=spec.benchmark_option,
@@ -111,37 +110,6 @@ def _add_experiment_options(
         help="deterministic fault-injection spec or preset (e.g. "
              "'crash:items=2', 'ci-default') for testing recovery paths",
     )
-
-
-def _add_cache_backend_option(parser: argparse.ArgumentParser) -> None:
-    from repro.cache.fused import BACKENDS
-
-    parser.add_argument(
-        "--cache-backend", metavar="NAME", default=None,
-        dest="cache_backend", choices=BACKENDS + ("auto",),
-        help="cache-simulation backend (choices: "
-             f"{', '.join(BACKENDS + ('auto',))}; default: "
-             "REPRO_CACHE_BACKEND or auto; results are bit-identical "
-             "across backends)",
-    )
-
-
-def _apply_cache_backend(args) -> bool:
-    """Pin/validate the cache backend before any work runs.
-
-    The flag wins over ``REPRO_CACHE_BACKEND``; either is validated
-    here so a typo'd environment value fails at startup with the
-    choices listed, not deep inside the first cache simulation.
-    """
-    from repro.cache.fused import apply_backend
-    from repro.errors import ConfigError
-
-    try:
-        apply_backend(getattr(args, "cache_backend", None))
-    except ConfigError as exc:
-        print(f"invalid cache backend: {exc}", file=sys.stderr)
-        return False
-    return True
 
 
 def _experiment_kwargs(spec: ExperimentSpec, args) -> Optional[dict]:
@@ -264,7 +232,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--no-cache", action="store_true",
         help="disable the on-disk artifact store for this run",
     )
-    _add_cache_backend_option(report)
     from repro.campaign.cli import add_campaign_parser, add_serve_parser
 
     add_serve_parser(sub)
@@ -380,7 +347,7 @@ def _run_trace(args) -> int:
 
     spec = experiments.get_spec(args.trace_command)
     kwargs = _experiment_kwargs(spec, args)
-    if kwargs is None or not _apply_cache_backend(args):
+    if kwargs is None:
         return 2
     setup = _campaign_setup(args)
     if setup is None:
@@ -457,8 +424,6 @@ def _run_report(args) -> int:
                   file=sys.stderr)
             return 2
         specs = [known[name] for name in args.experiments]
-    if not _apply_cache_backend(args):
-        return 2
     os.makedirs(args.out_dir, exist_ok=True)
     previous = configure_cache(args.cache_dir, enabled=not args.no_cache)
     try:
@@ -530,7 +495,7 @@ def _run_experiment(args) -> int:
 
     spec = experiments.get_spec(args.command)
     kwargs = _experiment_kwargs(spec, args)
-    if kwargs is None or not _apply_cache_backend(args):
+    if kwargs is None:
         return 2
     setup = _campaign_setup(args)
     if setup is None:

@@ -245,11 +245,14 @@ def kmeans(
         The best :class:`KMeansResult` across restarts.
 
     Raises:
-        ClusteringError: On an invalid ``k``, empty data, or unknown init.
+        ClusteringError: On an invalid ``k``, empty data, data holding a
+            NaN or an infinity, or an unknown init.
     """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2 or not data.size:
         raise ClusteringError("data must be a non-empty (n, d) matrix")
+    if not np.isfinite(data).all():
+        raise ClusteringError("data must be finite (no NaN or infinity)")
     n = data.shape[0]
     if not 1 <= k <= n:
         raise ClusteringError(f"k must be in [1, {n}], got {k}")

@@ -1,8 +1,9 @@
 """``allcache`` equivalent: functional cache-hierarchy simulation.
 
 Drives every instruction fetch and data reference of the observed slices
-through a stateful :class:`~repro.cache.hierarchy.CacheHierarchy` (the
-scaled Table I geometry by default).  Because the hierarchy is stateful,
+through a stateful :class:`~repro.cache.fused.FusedHierarchy` (the
+scaled Table I geometry by default), which walks them with the compiled
+kernel when it loads and sweeps them with numpy otherwise.  Because the hierarchy is stateful,
 observing a regional replay from a fresh tool reproduces the cold-start
 behaviour the paper analyzes; passing warmup slices through the engine's
 warmup path warms the hierarchy without polluting statistics.
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.cache.fused import build_hierarchy
+from repro.cache.fused import FusedHierarchy
 from repro.cache.stats import CacheStats
 from repro.config import ALLCACHE_SIM, CacheHierarchyConfig
 from repro.isa.trace import SliceTrace
@@ -25,21 +26,14 @@ class AllCache(Pintool):
     Args:
         config: Hierarchy geometry; defaults to the scaled Table I
             configuration (see ``repro.config.ALLCACHE_SIM``).
-        backend: Cache-simulation backend for the built hierarchy (see
-            ``repro.cache.fused``); defaults to ``REPRO_CACHE_BACKEND``
-            / auto-detection.
     """
 
     stateful = True
 
-    def __init__(
-        self,
-        config: Optional[CacheHierarchyConfig] = None,
-        backend: Optional[str] = None,
-    ) -> None:
+    def __init__(self, config: Optional[CacheHierarchyConfig] = None) -> None:
         super().__init__()
         self.config = config if config is not None else ALLCACHE_SIM
-        self.hierarchy = build_hierarchy(self.config, backend=backend)
+        self.hierarchy = FusedHierarchy(self.config)
 
     def process_slice(self, trace: SliceTrace) -> None:
         self.hierarchy.set_recording(not self.warmup)

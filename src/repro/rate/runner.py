@@ -6,7 +6,10 @@ The microarchitectural story is LLC contention: each copy has private
 L1/L2 caches, but all copies share the L3, so per-copy CPI degrades as
 copies multiply.  This runner models exactly that: per-copy private
 hierarchies in front of one shared L3, round-robin slice interleaving,
-and the interval timing model per copy.
+and the interval timing model per copy.  Each copy is a
+:class:`~repro.cache.fused.FusedHierarchy` whose ``l3`` is the first
+copy's level, so every copy runs on the same engine as the ``allcache``
+replay and Sniper.
 
 Each copy executes the same program; copies are distinguished by an
 address-space offset (separate processes do not share data pages), so
@@ -15,12 +18,12 @@ they *compete* for L3 capacity rather than sharing lines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional
 
 import numpy as np
 
-from repro.cache.cache import CacheLevel
+from repro.cache.fused import FusedHierarchy
 from repro.config import SNIPER_SIM, SystemConfig
 from repro.errors import SimulationError
 from repro.sniper.core import SNIPER_TIMING, TimingParams
@@ -140,50 +143,33 @@ class SPECrateRunner:
             )
 
         caches = self.system.caches
-        private = [
-            {
-                "l1i": CacheLevel(caches.l1i),
-                "l1d": CacheLevel(caches.l1d),
-                "l2": CacheLevel(caches.l2),
-            }
-            for _ in range(num_copies)
-        ]
-        shared_l3 = CacheLevel(caches.l3)
+        hierarchies = [FusedHierarchy(caches) for _ in range(num_copies)]
+        shared_l3 = hierarchies[0].l3
+        for hierarchy in hierarchies[1:]:
+            hierarchy.l3 = shared_l3
         core = self.system.core
 
         instructions = [0] * num_copies
         issue = [0.0] * num_copies
         dependency = [0.0] * num_copies
         branch = [0.0] * num_copies
-        l1d_misses = [0] * num_copies
-        l2_misses = [0] * num_copies
         l3_misses = [0] * num_copies
 
         for slice_index in range(num_slices):
             trace = program.generate_slice(slice_index)
-            for copy in range(num_copies):
+            for copy, hierarchy in enumerate(hierarchies):
                 offset = copy * _COPY_STRIDE
-                levels = private[copy]
-                ifetch = trace.ifetch_lines + offset
-                data = trace.mem_lines + offset
-
-                idx_i = np.flatnonzero(levels["l1i"].access_many(ifetch))
-                if idx_i.size:
-                    miss2 = levels["l2"].access_many(ifetch[idx_i])
-                    if miss2.any():
-                        l3_miss = shared_l3.access_many(ifetch[idx_i[miss2]])
-                        l3_misses[copy] += int(l3_miss.sum())
-                        l2_misses[copy] += int(miss2.sum())
-
-                miss_d = levels["l1d"].access_many(data)
-                l1d_misses[copy] += int(miss_d.sum())
-                idx_d = np.flatnonzero(miss_d)
-                if idx_d.size:
-                    miss2 = levels["l2"].access_many(data[idx_d])
-                    if miss2.any():
-                        l3_miss = shared_l3.access_many(data[idx_d[miss2]])
-                        l3_misses[copy] += int(l3_miss.sum())
-                        l2_misses[copy] += int(miss2.sum())
+                # Each copy's slice drains before the next copy's, so
+                # the shared L3 sees the copies interleaved slice by
+                # slice, and the change in its miss count is this copy's.
+                before = shared_l3.stats.misses
+                hierarchy.submit_slice(replace(
+                    trace,
+                    ifetch_lines=trace.ifetch_lines + offset,
+                    mem_lines=trace.mem_lines + offset,
+                ))
+                hierarchy.drain()
+                l3_misses[copy] += shared_l3.stats.misses - before
 
                 instructions[copy] += trace.instruction_count
                 issue[copy] += trace.instruction_count / core.commit_width
@@ -199,10 +185,11 @@ class SPECrateRunner:
                     core.branch_misprediction_penalty
 
         copies = []
-        for copy in range(num_copies):
+        for copy, hierarchy in enumerate(hierarchies):
+            l2_misses = hierarchy.l2.stats.misses
             mem_stalls = (
-                l1d_misses[copy] * caches.l2.latency_cycles
-                + l2_misses[copy] * caches.l3.latency_cycles
+                hierarchy.l1d.stats.misses * caches.l2.latency_cycles
+                + l2_misses * caches.l3.latency_cycles
                 + l3_misses[copy]
                 * self.system.memory_latency_cycles
                 / self.system.memory_level_parallelism
@@ -213,7 +200,7 @@ class SPECrateRunner:
                     copy_id=copy,
                     instructions=instructions[copy],
                     cycles=float(cycles),
-                    l2_misses=l2_misses[copy],
+                    l2_misses=l2_misses,
                     l3_misses=l3_misses[copy],
                 )
             )

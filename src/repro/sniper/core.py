@@ -7,12 +7,10 @@ misses) insert penalty intervals.  Cache behaviour comes from an actual
 functional simulation of the configured hierarchy, so timing inherits all
 cold-start/warmup effects of regional replay.
 
-Each region builds its hierarchy with
-:func:`~repro.cache.fused.build_hierarchy` and feeds it whole slices, so
-under the ``native`` backend the warmup and the measured slices run
-through the one compiled walk (``fused`` sweeps per level in chunks,
-``numpy`` keeps the per-batch hierarchy); which backend runs never
-changes a cycle.
+Each region builds a :class:`~repro.cache.fused.FusedHierarchy` and
+feeds it whole slices, so the warmup and the measured slices run
+through the one compiled walk when the kernel loads, and through the
+numpy sweep otherwise; which path runs never changes a cycle.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from repro.cache.fused import build_hierarchy
+from repro.cache.fused import FusedHierarchy
 from repro.config import SNIPER_SIM, SystemConfig
 from repro.errors import SimulationError
 from repro.isa.trace import SliceTrace
@@ -124,7 +122,7 @@ class SniperSimulator:
         slices: Iterable[SliceTrace],
         warmup: Iterable[SliceTrace],
     ) -> RegionTiming:
-        hierarchy = build_hierarchy(self.system.caches)
+        hierarchy = FusedHierarchy(self.system.caches)
 
         hierarchy.set_recording(False)
         for trace in warmup:

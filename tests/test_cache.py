@@ -268,12 +268,6 @@ def make_pinned_level(assoc, monkeypatch, wave):
 class TestWaveStrategy:
     """The vectorized wave path against the sequential oracle."""
 
-    @pytest.fixture(autouse=True)
-    def _numpy_strategies(self, monkeypatch):
-        # These tests are about the numpy heuristic; under the native
-        # backend every level runs the compiled kernel instead.
-        monkeypatch.setenv("REPRO_CACHE_BACKEND", "fused")
-
     @pytest.mark.parametrize("assoc", [2, 4, 8, 16, 32])
     def test_differential_against_oracle(self, assoc, rng, monkeypatch):
         wave = make_pinned_level(assoc, monkeypatch, wave=True)
@@ -459,72 +453,93 @@ class TestNativeBody:
         assert rng.bit_generator.state == state
 
 
+def walk_level(level_config):
+    """A fused engine whose L1D has ``level_config``'s geometry, behind
+    L2 and L3 levels that hold every line, with a per-batch hierarchy of
+    sequential oracle levels in the same geometry."""
+    from repro.cache.fused import FusedHierarchy
+
+    line = level_config.line_size
+
+    def big(name):
+        return CacheConfig(name, size_bytes=line * 4096, line_size=line,
+                           associativity=1)
+
+    config = CacheHierarchyConfig(
+        l1i=CacheConfig("L1I", size_bytes=line * 8, line_size=line,
+                        associativity=1),
+        l1d=level_config, l2=big("L2"), l3=big("L3"),
+    )
+    oracle = CacheHierarchy(config)
+    oracle.l1d = CacheLevel(level_config, reference=True)
+    return FusedHierarchy(config), oracle
+
+
 @pytest.mark.skipif(not HAVE_NATIVE, reason="no working C compiler")
 class TestNativeKernels:
-    """The compiled per-level kernels against the sequential oracle."""
-
-    @pytest.fixture(autouse=True)
-    def _native_backend(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_BACKEND", "native")
+    """The compiled level steps, driven through the fused engine's walk,
+    against the sequential oracle."""
 
     @pytest.mark.parametrize("line", [32, 64], ids=["32B", "64B"])
     @pytest.mark.parametrize("assoc", [1, 2, 4, 8, 16, 32])
     def test_differential_against_oracle(self, assoc, line, rng):
-        config = CacheConfig("T", size_bytes=line * 16 * assoc,
+        config = CacheConfig("L1D", size_bytes=line * 16 * assoc,
                              line_size=line, associativity=assoc)
-        native = CacheLevel(config)
-        oracle = CacheLevel(config, reference=True)
+        walk, oracle = walk_level(config)
         for round_index in range(24):
             n = int(rng.integers(1, 2000))
             lines = rng.integers(0, int(rng.integers(40, 2000)), size=n)
             # Clean batches every third round; writes otherwise.
             writes = rng.random(n) < 0.3 if round_index % 3 else None
-            assert np.array_equal(
-                native.access_many(lines, writes),
-                oracle.access_many(lines, writes),
-            )
-            assert native.stats == oracle.stats
-        assert native._strategy == "native"
-        assert level_state(native) == level_state(oracle)
+            for hierarchy in (walk, oracle):
+                hierarchy.access_data(lines, writes)
+            assert walk.l1d.stats == oracle.l1d.stats
+        assert walk.backend == "native"
+        assert level_state(walk.l1d) == level_state(oracle.l1d)
 
     def test_alternates_with_wave_path_on_shared_way_state(self, rng):
-        config = CacheConfig("T", size_bytes=32 * 64 * 8, line_size=32,
+        """A walked level's later per-batch batches take the wave path
+        on the packed state the walk stepped on, and the walk picks up
+        the wave path's."""
+        config = CacheConfig("L1D", size_bytes=32 * 64 * 8, line_size=32,
                              associativity=8)
-        level = CacheLevel(config)
+        walk, _ = walk_level(config)
+        level = walk.l1d
         oracle = CacheLevel(config, reference=True)
         for round_index in range(16):
-            if round_index:
-                # The first batch resolves the backend; afterwards flip
-                # the strategy so each path picks up the other's state.
-                level._strategy = "wave" if round_index % 2 else "native"
             n = int(rng.integers(200, 3000))
             lines = rng.integers(0, 1500, size=n)
             writes = rng.random(n) < 0.3
-            assert np.array_equal(
-                level.access_many(lines, writes),
-                oracle.access_many(lines, writes),
-            )
+            if round_index % 2:
+                level.access_many(lines, writes)
+            else:
+                walk.access_data(lines, writes)
+            oracle.access_many(lines, writes)
             assert lru_rows(level) == lru_rows(oracle)
+        assert level._strategy == "wave"
         assert level.stats == oracle.stats
 
-    def test_strategy_is_recorded_once_per_level(self, rng):
-        recorder = telemetry.TraceRecorder()
-        with telemetry.using_recorder(recorder):
-            for assoc in (1, 8):
-                level = make_level(size=32 * 64 * assoc, assoc=assoc)
-                for _ in range(3):
-                    level.access_many(rng.integers(0, 4000, size=500))
-        counters = recorder.metrics.counters
-        assert counters["cache.strategy{level=T,path=native}"] == 2
+    def test_walk_refuses_a_level_on_the_sequential_loop(self):
+        walk, _ = walk_level(
+            CacheConfig("L1D", size_bytes=32 * 16 * 4, line_size=32,
+                        associativity=4)
+        )
+        # Hot traffic on two sets puts the level on the ordered-dict
+        # loop, whose state the walk cannot step on.
+        walk.l1d.access_many(np.array([0, 1, 16, 17] * 1000))
+        assert walk.l1d._strategy == "sequential"
+        with pytest.raises(SimulationError, match="sequential"):
+            walk.access_data(np.arange(8))
 
     def test_misaligned_writes_rejected_before_the_kernel(self):
-        kernel = _native.load_kernel()
-        resident = np.full(4, -1, dtype=np.int64)
-        dirty = np.zeros(4, dtype=bool)
-        with pytest.raises(ValueError, match="align"):
-            kernel.dm_level(np.arange(8), np.zeros(4, dtype=bool),
-                            resident, dirty, 3, 2)
-        assert (resident == -1).all()
+        walk, _ = walk_level(
+            CacheConfig("L1D", size_bytes=32 * 4, line_size=32,
+                        associativity=1)
+        )
+        with pytest.raises(SimulationError, match="align"):
+            walk.access_data(np.arange(8), np.zeros(4, dtype=bool))
+        assert (walk.l1d._resident == -1).all()
+        assert walk.l1d.stats.accesses == 0
 
     def test_reference_level_keeps_the_oracle_loop(self):
         level = CacheLevel(

@@ -1,11 +1,13 @@
-"""Differential tests for the fused cache engine and its backends.
+"""Differential tests for the fused cache engine.
 
-The load-bearing invariant of ``repro.cache.fused``: every backend
-(``numpy`` per-batch, ``fused`` chunked sweeps, ``native`` compiled
-kernels) produces **bit-identical** results — same per-level miss
-counts, same writeback counts, same rendered experiment bytes —
-differing only in speed.  These tests pin that
-invariant across the matrix of geometries (direct-mapped and
+The load-bearing invariant of ``repro.cache.fused``: the engine's two
+paths (the numpy sweep, named ``fused``, and the compiled walk, named
+``native``) and the per-batch :class:`CacheHierarchy` (``numpy``)
+produce **bit-identical** results — same per-level miss counts, same
+writeback counts, same rendered experiment bytes — differing only in
+speed.  A test takes the sweep by hiding the kernel
+(``_native.load_kernel`` patched to return ``None``).  These tests pin
+that invariant across the matrix of geometries (direct-mapped and
 associative), write traffic (dirty and clean), and warmup, plus the
 kernels' own oracles (the sequential per-access loops).
 """
@@ -18,9 +20,9 @@ import numpy as np
 import pytest
 
 from repro import telemetry
-from repro.cache import _native, build_hierarchy, resolve_backend
+from repro.cache import _native, fused, resolve_backend
 from repro.cache.cache import CacheLevel, dm_sweep, set_order
-from repro.cache.fused import BACKENDS, FusedHierarchy
+from repro.cache.fused import FusedHierarchy
 from repro.cache.hierarchy import CacheHierarchy
 from repro.config import (
     ALLCACHE_SIM,
@@ -28,15 +30,44 @@ from repro.config import (
     CacheConfig,
     CacheHierarchyConfig,
 )
-from repro.errors import ConfigError
 from repro.isa.trace import SliceTrace
 from repro.pin.engine import Engine
 from repro.pin.tools.allcache import AllCache
 
 from test_cache import level_state
 
-#: Backends that resolve to themselves on this machine.
-AVAILABLE = [b for b in BACKENDS if resolve_backend(b) == b]
+#: The engine's paths on this machine: the numpy sweep, and the compiled
+#: walk where the kernel loads.
+PATHS = ["fused"] + (["native"] if resolve_backend() == "native" else [])
+
+#: The per-batch hierarchy, then every path of the engine.
+AVAILABLE = ["numpy"] + PATHS
+
+
+def hide_kernel(monkeypatch) -> None:
+    """Make every kernel lookup fail, as with no C compiler."""
+    monkeypatch.setattr(_native, "load_kernel", lambda: None)
+
+
+def build(config, path, monkeypatch):
+    """A hierarchy on ``path``: the per-batch ``CacheHierarchy``
+    (``numpy``), or the fused engine on its sweep (``fused``) or its
+    walk (``native``)."""
+    if path == "numpy":
+        return CacheHierarchy(config)
+    with monkeypatch.context() as patch:
+        if path == "fused":
+            hide_kernel(patch)
+        hierarchy = FusedHierarchy(config)
+    assert hierarchy.backend == path
+    return hierarchy
+
+
+def allcache_on(hierarchy) -> AllCache:
+    """An ``AllCache`` replaying through ``hierarchy``."""
+    tool = AllCache(config=hierarchy.config)
+    tool.hierarchy = hierarchy
+    return tool
 
 
 def make_trace(rng, index=0, n_mem=300, n_if=60, writes=True, span=2000,
@@ -122,21 +153,25 @@ class TestDmSweepKernel:
 @pytest.mark.parametrize("writes", [True, False], ids=["dirty", "clean"])
 @pytest.mark.parametrize("warmup", [0, 4], ids=["cold", "warmed"])
 class TestBackendMatrix:
-    """backends x geometry x write-traffic x warmup: identical stats."""
+    """per-batch hierarchy and engine paths x geometry x write-traffic x
+    warmup: identical stats to a per-batch hierarchy whose levels run the
+    sequential oracle loops."""
 
-    def test_matches_numpy_reference(self, backend, caches, writes, warmup):
+    def test_matches_numpy_reference(
+        self, backend, caches, writes, warmup, monkeypatch
+    ):
         rng = np.random.default_rng(42)
         traces = [
             make_trace(rng, index=i, writes=writes) for i in range(12)
         ]
 
-        def replay(b):
-            tool = AllCache(config=caches, backend=b)
+        def replay(hierarchy):
+            tool = allcache_on(hierarchy)
             Engine([tool]).run(traces[warmup:], warmup=traces[:warmup])
             return level_stats(tool)
 
-        reference = replay("numpy")
-        assert replay(backend) == reference
+        reference = replay(reference_hierarchy(caches))
+        assert replay(build(caches, backend, monkeypatch)) == reference
         assert reference["L1D"][0] == sum(
             t.mem_lines.size for t in traces[warmup:]
         )
@@ -146,31 +181,34 @@ class TestChunkInvariance:
     """Chunk boundaries are invisible: any flush threshold, same result."""
 
     @pytest.mark.parametrize("chunk", [1, 997, 10**9])
-    def test_results_do_not_depend_on_chunk(self, chunk):
+    def test_results_do_not_depend_on_chunk(self, chunk, monkeypatch):
         rng = np.random.default_rng(3)
         traces = [make_trace(rng, index=i) for i in range(10)]
+        monkeypatch.setattr(fused, "DEFAULT_CHUNK_REFS", chunk)
         reference = CacheHierarchy(ALLCACHE_SIM)
-        fused = FusedHierarchy(ALLCACHE_SIM, backend="fused",
-                               chunk_refs=chunk)
-        for hierarchy in (reference, fused):
+        swept = build(ALLCACHE_SIM, "fused", monkeypatch)
+        for hierarchy in (reference, swept):
             for trace in traces:
                 hierarchy.process_trace(trace)
             hierarchy.drain()
-        assert fused.snapshot() == reference.snapshot()
+        assert swept.snapshot() == reference.snapshot()
 
-    def test_direct_access_drains_buffer_first(self):
+    def test_direct_access_drains_buffer_first(self, monkeypatch):
         rng = np.random.default_rng(5)
         trace = make_trace(rng)
-        reference = CacheHierarchy(ALLCACHE_SIM)
-        fused = FusedHierarchy(ALLCACHE_SIM, backend="fused",
-                               chunk_refs=10**9)
+        monkeypatch.setattr(fused, "DEFAULT_CHUNK_REFS", 10**9)
         extra = np.array([0, 64, 0], dtype=np.int64)
-        for hierarchy in (reference, fused):
-            hierarchy.process_trace(trace)
-            # The per-batch call on the buffered hierarchy must observe
-            # the slice's effects, i.e. drain before accessing.
-            hierarchy.access_data(extra)
-        assert fused.snapshot() == reference.snapshot()
+        for path in PATHS:
+            reference = CacheHierarchy(ALLCACHE_SIM)
+            engine = build(ALLCACHE_SIM, path, monkeypatch)
+            for hierarchy in (reference, engine):
+                hierarchy.process_trace(trace)
+                # The per-batch call on the buffered hierarchy must
+                # observe the slice's effects: it joins the buffer,
+                # which drains.
+                hierarchy.access_data(extra)
+                hierarchy.access_ifetch(extra)
+            assert engine.snapshot() == reference.snapshot(), path
 
 
 class TestWriteFlags:
@@ -183,19 +221,20 @@ class TestWriteFlags:
         assert dataclasses.replace(trace).mem_is_write is flags
 
     @pytest.mark.parametrize("backend", AVAILABLE)
-    def test_integer_flags_count_like_booleans(self, backend):
-        def replay(b, flag_dtype):
+    def test_integer_flags_count_like_booleans(self, backend, monkeypatch):
+        def replay(hierarchy, flag_dtype):
             rng = np.random.default_rng(8)
             traces = [
                 make_trace(rng, index=i, n_mem=3000, flag_dtype=flag_dtype)
                 for i in range(6)
             ]
-            tool = AllCache(config=ALLCACHE_SIM, backend=b)
+            tool = allcache_on(hierarchy)
             Engine([tool]).run(traces)
             return level_stats(tool)
 
-        reference = replay("numpy", bool)
-        assert replay(backend, np.int64) == reference
+        reference = replay(CacheHierarchy(ALLCACHE_SIM), bool)
+        other = build(ALLCACHE_SIM, backend, monkeypatch)
+        assert replay(other, np.int64) == reference
         assert reference["L1D"][2] > 0 and reference["L2"][2] > 0
 
 
@@ -233,21 +272,21 @@ WALK_GEOMETRIES = {
 }
 
 
-@pytest.mark.skipif("native" not in AVAILABLE,
-                    reason="no working C compiler")
+@pytest.mark.skipif("native" not in PATHS, reason="no working C compiler")
 class TestNativeWalk:
     """The compiled hierarchy walk against the sequential oracle levels,
     on every geometry: per-level statistics and the full state."""
 
     @pytest.mark.parametrize("chunk", [1, 997, 10**9])
-    def test_fuzz_matches_reference_levels(self, chunk):
+    def test_fuzz_matches_reference_levels(self, chunk, monkeypatch):
+        monkeypatch.setattr(fused, "DEFAULT_CHUNK_REFS", chunk)
         for geometry, config in WALK_GEOMETRIES.items():
-            self._fuzz(geometry, config, chunk)
+            self._fuzz(geometry, config)
 
-    def _fuzz(self, geometry, config, chunk):
+    def _fuzz(self, geometry, config):
         rng = np.random.default_rng(29)
         recorder = telemetry.TraceRecorder()
-        walk = FusedHierarchy(config, backend="native", chunk_refs=chunk)
+        walk = FusedHierarchy(config)
         oracle = reference_hierarchy(config)
 
         def feed(first, count):
@@ -266,7 +305,7 @@ class TestNativeWalk:
 
         with telemetry.using_recorder(recorder):
             feed(0, 30)
-            # Per-batch traffic between chunks: both paths share state.
+            # Per-batch traffic between chunks: a one-stream walk.
             walk.drain()
             extra = rng.integers(0, 2000, size=300)
             extra_writes = rng.random(300) < 0.5
@@ -274,9 +313,9 @@ class TestNativeWalk:
                 hierarchy.access_data(extra, extra_writes)
             feed(30, 20)
             walk.drain()
+        assert walk.backend == "native"
         assert walk.snapshot() == oracle.snapshot(), geometry
         for fast, slow in zip(walk.levels, oracle.levels):
-            assert fast._strategy == "native"
             assert level_state(fast) == level_state(slow), (
                 f"{geometry}: {fast.name}"
             )
@@ -292,13 +331,16 @@ class TestNativeWalk:
         ), geometry
 
     @pytest.mark.parametrize("geometry", ["direct-mapped", "l2l3-8way"])
-    def test_frozen_replayed_streams_match_reference_levels(self, geometry):
+    def test_frozen_replayed_streams_match_reference_levels(
+        self, geometry, monkeypatch
+    ):
         """The slice memo freezes its arrays and replays them; the walk
         reads each frozen array's address once and forgets it when the
         array is freed."""
         config = WALK_GEOMETRIES[geometry]
         rng = np.random.default_rng(31)
-        walk = FusedHierarchy(config, backend="native", chunk_refs=997)
+        monkeypatch.setattr(fused, "DEFAULT_CHUNK_REFS", 997)
+        walk = FusedHierarchy(config)
         oracle = reference_hierarchy(config)
         traces = [
             make_trace(rng, index=index, n_mem=int(rng.integers(1, 400)),
@@ -337,75 +379,36 @@ class TestNativeWalk:
 
 
 class TestBackendResolution:
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigError):
-            resolve_backend("verilog")
-
-    def test_env_var_selects_backend(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_BACKEND", "fused")
-        assert resolve_backend() == "fused"
-        assert isinstance(build_hierarchy(ALLCACHE_SIM), FusedHierarchy)
-        monkeypatch.setenv("REPRO_CACHE_BACKEND", "numpy")
-        assert resolve_backend() == "numpy"
-        built = build_hierarchy(ALLCACHE_SIM)
-        assert not isinstance(built, FusedHierarchy)
+    """Nothing selects the engine's path: the kernel loading does."""
 
     def test_missing_native_falls_back_to_fused_with_counter(
         self, monkeypatch
     ):
-        monkeypatch.setattr(_native, "load_kernel", lambda: None)
+        hide_kernel(monkeypatch)
+        assert resolve_backend() == "fused"
         recorder = telemetry.TraceRecorder()
         with telemetry.using_recorder(recorder):
-            assert resolve_backend("native") == "fused"
-        key = "cache.fused.fallback{requested=native,to=fused}"
-        assert recorder.metrics.counters.get(key, 0) == 1
+            hierarchy = FusedHierarchy(SNIPER_TABLE_III.caches)
+            hierarchy.process_trace(make_trace(np.random.default_rng(4)))
+            hierarchy.drain()
+        counters = recorder.metrics.counters
+        assert counters["cache.fused.backend{backend=fused}"] == 1
+        assert all(level._strategy is not None for level in hierarchy.levels)
 
     def test_auto_resolves_to_available_backend(self):
-        assert resolve_backend("auto") in ("native", "fused")
-
-    @pytest.mark.parametrize("backend", AVAILABLE)
-    def test_hierarchy_backend_reaches_its_levels(self, backend, monkeypatch):
-        # The environment asks for another backend; the explicit one
-        # still picks every level's strategy.
-        other = "fused" if backend == "native" else "native"
-        monkeypatch.setenv("REPRO_CACHE_BACKEND", other)
-        tool = AllCache(config=SNIPER_TABLE_III.caches, backend=backend)
-        Engine([tool]).run([make_trace(np.random.default_rng(2))])
-        strategies = {level._strategy for level in tool.hierarchy.levels}
-        if backend == "native":
-            assert strategies == {"native"}
-        else:
-            assert "native" not in strategies
-
-    def test_fallback_counted_once_per_hierarchy_not_per_level(
-        self, monkeypatch
-    ):
-        monkeypatch.setattr(_native, "load_kernel", lambda: None)
-        monkeypatch.setenv("REPRO_CACHE_BACKEND", "native")
-        trace = make_trace(np.random.default_rng(4))
-        key = "cache.fused.fallback{requested=native,to=fused}"
-        recorder = telemetry.TraceRecorder()
-        with telemetry.using_recorder(recorder):
-            # Levels that resolve the environment themselves (a
-            # per-batch hierarchy's) fall back silently ...
-            CacheHierarchy(SNIPER_TABLE_III.caches).process_trace(trace)
-            assert recorder.metrics.counters.get(key, 0) == 0
-            # ... and a built hierarchy counts its one selection.
-            built = build_hierarchy(SNIPER_TABLE_III.caches)
-            built.process_trace(trace)
-            built.drain()
-        assert recorder.metrics.counters.get(key, 0) == 1
-        assert all(level._strategy != "native" for level in built.levels)
+        loaded = _native.load_kernel() is not None
+        assert resolve_backend() == ("native" if loaded else "fused")
+        assert FusedHierarchy(ALLCACHE_SIM).backend == resolve_backend()
 
 
 class TestFusedTelemetry:
-    def test_drain_emits_span_and_counters(self):
+    def test_drain_emits_span_and_counters(self, monkeypatch):
         rng = np.random.default_rng(9)
         recorder = telemetry.TraceRecorder()
         with telemetry.using_recorder(recorder):
-            fused = FusedHierarchy(ALLCACHE_SIM, backend="fused")
-            fused.process_trace(make_trace(rng))
-            fused.drain()
+            swept = build(ALLCACHE_SIM, "fused", monkeypatch)
+            swept.process_trace(make_trace(rng))
+            swept.drain()
         names = [e["name"] for e in recorder.events]
         assert "cache.fused" in names
         counters = recorder.metrics.counters
@@ -414,36 +417,42 @@ class TestFusedTelemetry:
 
 
 class TestExperimentBytes:
-    """fig8/fig10/fig12 rendered output is backend-independent, byte for
-    byte (fig12 replays Sniper's associative hierarchy on every engine:
-    the native walk, the fused sweeps and the per-batch levels)."""
+    """fig8/fig10/fig12 rendered output is the same on every path, byte
+    for byte (fig12 replays Sniper's associative hierarchy on each: the
+    native walk, the numpy sweep and the per-batch hierarchy)."""
 
     BENCH = ["620.omnetpp_s"]
 
-    def _sweep(self, backend, tmp_path, monkeypatch, figures):
+    def _sweep(self, path, tmp_path, monkeypatch, figures):
         from repro.experiments import common
         from repro.experiments.common import configure_cache
 
-        monkeypatch.setenv("REPRO_CACHE_BACKEND", backend)
-        configure_cache(tmp_path / backend)
-        common._PINPOINTS_CACHE.clear()
-        common._WHOLE_CACHE.clear()
-        common._POINTS_CACHE.clear()
-        quick = dict(slice_size=3000, total_slices=120)
-        return "\n".join(
-            render(run(self.BENCH, jobs=1, **quick))
-            for run, render in figures
-        )
+        with monkeypatch.context() as patch:
+            if path == "numpy":
+                for module in ("repro.pin.tools.allcache",
+                               "repro.sniper.core"):
+                    patch.setattr(f"{module}.FusedHierarchy", CacheHierarchy)
+            elif path == "fused":
+                hide_kernel(patch)
+            configure_cache(tmp_path / path)
+            common._PINPOINTS_CACHE.clear()
+            common._WHOLE_CACHE.clear()
+            common._POINTS_CACHE.clear()
+            quick = dict(slice_size=3000, total_slices=120)
+            return "\n".join(
+                render(run(self.BENCH, jobs=1, **quick))
+                for run, render in figures
+            )
 
     def _assert_identical(self, tmp_path, monkeypatch, figures):
         renders = {
-            backend: self._sweep(backend, tmp_path, monkeypatch, figures)
-            for backend in AVAILABLE
+            path: self._sweep(path, tmp_path, monkeypatch, figures)
+            for path in AVAILABLE
         }
         reference = renders["numpy"]
         assert "620.omnetpp_s" in reference
-        for backend, text in renders.items():
-            assert text == reference, f"{backend} diverged from numpy"
+        for path, text in renders.items():
+            assert text == reference, f"{path} diverged from numpy"
 
     def test_fig8_fig10_bytes_identical_across_backends(
         self, tmp_path, monkeypatch

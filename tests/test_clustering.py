@@ -1,5 +1,7 @@
 """K-means, BIC k-selection, and random projection."""
 
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -118,6 +120,25 @@ class TestKMeans:
     def test_rejects_bad_n_init(self, rng):
         with pytest.raises(ClusteringError):
             kmeans(rng.normal(size=(10, 2)), 2, n_init=0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("init", ["maximin", "k-means++", "random"])
+    def test_rejects_non_finite_data_before_seeding(
+        self, init, value, rng, monkeypatch
+    ):
+        # The package's ``kmeans`` attribute is the function.
+        kmeans_module = importlib.import_module("repro.clustering.kmeans")
+
+        def seeding(*_args, **_kwargs):
+            raise AssertionError("seeded non-finite data")
+
+        for name in ("_maximin_init", "_kmeans_pp_init", "_random_init"):
+            monkeypatch.setattr(kmeans_module, name, seeding)
+        data = rng.normal(size=(20, 3))
+        data[7, 1] = value
+        with pytest.raises(ClusteringError, match="finite"):
+            kmeans(data, 3, seed=0, init=init)
 
     @settings(max_examples=20, deadline=None)
     @given(n=st.integers(3, 40), k=st.integers(1, 5), seed=st.integers(0, 99))

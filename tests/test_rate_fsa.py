@@ -1,7 +1,10 @@
 """SPECrate multi-copy runs and campaign turnaround models."""
 
+import numpy as np
 import pytest
 
+from repro.cache import _native
+from repro.cache.cache import CacheLevel
 from repro.errors import SimulationError
 from repro.fsa import (
     SimulationSpeeds,
@@ -12,6 +15,7 @@ from repro.fsa import (
 )
 from repro.pinball.pinball import ProgramRecipe, RegionalPinball
 from repro.rate import SPECrateRunner
+from repro.rate.runner import _COPY_STRIDE, CopyStats, RateResult
 from repro.workloads.spec2017 import build_program
 
 from conftest import QUICK
@@ -86,6 +90,92 @@ class TestSPECrate:
             runner.run(rate_program, 0)
         with pytest.raises(SimulationError):
             runner.run(rate_program, 2, num_slices=10 ** 9)
+
+
+def hand_filtered_run(runner, program, num_copies, num_slices):
+    """The SPECrate run with misses filtered level by level by hand, on
+    sequential oracle levels: private L1I/L1D/L2 per copy, one shared
+    L3, each copy's slice fed ifetch first, then data, copy by copy."""
+    caches = runner.system.caches
+    private = [
+        [CacheLevel(config, reference=True)
+         for config in (caches.l1i, caches.l1d, caches.l2)]
+        for _ in range(num_copies)
+    ]
+    shared_l3 = CacheLevel(caches.l3, reference=True)
+    core, params = runner.system.core, runner.params
+    instructions = [0] * num_copies
+    issue = [0.0] * num_copies
+    dependency = [0.0] * num_copies
+    branch = [0.0] * num_copies
+    l1d_misses = [0] * num_copies
+    l2_misses = [0] * num_copies
+    l3_misses = [0] * num_copies
+    for slice_index in range(num_slices):
+        trace = program.generate_slice(slice_index)
+        for copy, (l1i, l1d, l2) in enumerate(private):
+            offset = copy * _COPY_STRIDE
+            for l1, lines in ((l1i, trace.ifetch_lines + offset),
+                              (l1d, trace.mem_lines + offset)):
+                miss1 = l1.access_many(lines)
+                if l1 is l1d:
+                    l1d_misses[copy] += int(miss1.sum())
+                idx1 = np.flatnonzero(miss1)
+                if idx1.size:
+                    miss2 = l2.access_many(lines[idx1])
+                    l2_misses[copy] += int(miss2.sum())
+                    if miss2.any():
+                        l3_misses[copy] += int(
+                            shared_l3.access_many(lines[idx1[miss2]]).sum()
+                        )
+            instructions[copy] += trace.instruction_count
+            issue[copy] += trace.instruction_count / core.commit_width
+            dependency[copy] += int(trace.class_counts[1:].sum()) * \
+                params.dependency_cpi
+            rate = min(0.5, params.mispredict_base
+                       + params.mispredict_slope * trace.branch_entropy)
+            branch[copy] += rate * trace.branch_count * \
+                core.branch_misprediction_penalty
+    copies = []
+    for copy in range(num_copies):
+        mem_stalls = (
+            l1d_misses[copy] * caches.l2.latency_cycles
+            + l2_misses[copy] * caches.l3.latency_cycles
+            + l3_misses[copy] * runner.system.memory_latency_cycles
+            / runner.system.memory_level_parallelism
+        ) * params.stall_overlap
+        cycles = issue[copy] + dependency[copy] + branch[copy] + mem_stalls
+        copies.append(CopyStats(copy, instructions[copy], float(cycles),
+                                l2_misses[copy], l3_misses[copy]))
+    return RateResult(copies, shared_l3.stats.accesses,
+                      shared_l3.stats.misses)
+
+
+class TestSPECrateOracle:
+    """The runner's per-copy engines with a shared L3 against the hand
+    filter, on both paths of the engine."""
+
+    @pytest.fixture(scope="class")
+    def small_program(self):
+        return build_program("505.mcf_r", **QUICK)
+
+    @pytest.mark.parametrize("kernel", ["native", "fused"])
+    @pytest.mark.parametrize("num_copies", [1, 2, 4])
+    def test_matches_hand_filtered_run(
+        self, small_program, contended_runner, num_copies, kernel,
+        monkeypatch,
+    ):
+        if kernel == "native" and _native.load_kernel() is None:
+            pytest.skip("no working C compiler")
+        want = hand_filtered_run(contended_runner, small_program,
+                                 num_copies, num_slices=16)
+        if kernel == "fused":
+            monkeypatch.setattr(_native, "load_kernel", lambda: None)
+        got = contended_runner.run(small_program, num_copies,
+                                   num_slices=16)
+        assert got == want
+        assert got.shared_l3_misses > 0
+        assert all(copy.l3_misses > 0 for copy in got.copies)
 
 
 def pinball(start=100, warmup=17, length=1, total=600):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro import telemetry
-from repro.cache.fused import BACKENDS, resolve_backend
+from repro.cache import _native, resolve_backend
+from repro.cache.hierarchy import CacheHierarchy
 from repro.config import SNIPER_SIM, SNIPER_TABLE_III
 from repro.errors import SimulationError
 from repro.perf.native import NativeMachine
@@ -107,7 +108,8 @@ class TestSniper:
 
 class TestEngineIndependence:
     """Sniper's timing and the native machine's counters are the same
-    on every cache backend, field for field."""
+    on the per-batch hierarchy and on both paths of the fused engine,
+    field for field."""
 
     @pytest.fixture(scope="class")
     def pipeline(self):
@@ -115,33 +117,43 @@ class TestEngineIndependence:
 
         return run_pinpoints("505.mcf_r", slice_size=3000, total_slices=120)
 
-    def _measure(self, backend, out, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_BACKEND", backend)
-        recorder = telemetry.TraceRecorder()
-        with telemetry.using_recorder(recorder):
-            timings = [
-                SniperSimulator().run_region(
-                    pinball.replay_slices(out.program),
-                    warmup=pinball.warmup_traces(out.program),
-                )
-                for pinball in out.regional
-            ]
-            counters = NativeMachine().run(out.program)
+    def _measure(self, path, out, monkeypatch):
+        with monkeypatch.context() as patch:
+            if path == "numpy":
+                patch.setattr("repro.sniper.core.FusedHierarchy",
+                              CacheHierarchy)
+            elif path == "fused":
+                patch.setattr(_native, "load_kernel", lambda: None)
+            recorder = telemetry.TraceRecorder()
+            with telemetry.using_recorder(recorder):
+                timings = [
+                    SniperSimulator().run_region(
+                        pinball.replay_slices(out.program),
+                        warmup=pinball.warmup_traces(out.program),
+                    )
+                    for pinball in out.regional
+                ]
+                counters = NativeMachine().run(out.program)
         return timings, counters, recorder.metrics.counters
 
     def test_timing_identical_across_backends(self, pipeline, monkeypatch):
         assert any(pinball.effective_warmup for pinball in pipeline.regional)
-        backends = [b for b in BACKENDS if resolve_backend(b) == b]
+        paths = ["numpy", "fused"]
+        if resolve_backend() == "native":
+            paths.append("native")
         runs = {
-            backend: self._measure(backend, pipeline, monkeypatch)
-            for backend in backends
+            path: self._measure(path, pipeline, monkeypatch)
+            for path in paths
         }
         timings, counters, _ = runs["numpy"]
         assert len(timings) == len(pipeline.regional)
-        for backend, (other_timings, other_counters, _) in runs.items():
-            assert other_timings == timings, backend
-            assert other_counters == counters, backend
-        if "native" in runs:
-            # Under native, the regions ran on the compiled walk.
-            metrics = runs["native"][2]
-            assert metrics["cache.fused.backend{backend=native}"] > 0
+        for path, (other_timings, other_counters, _) in runs.items():
+            assert other_timings == timings, path
+            assert other_counters == counters, path
+        # Each fused path ran its regions on the engine it names.
+        for path in paths[1:]:
+            metrics = runs[path][2]
+            assert metrics[f"cache.fused.backend{{backend={path}}}"] > 0
+        assert not any(
+            key.startswith("cache.fused") for key in runs["numpy"][2]
+        )
