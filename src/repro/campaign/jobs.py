@@ -6,11 +6,11 @@ before it is ever queued, so a typo'd benchmark name fails at submit
 time with the same message the CLI would print, not minutes later in a
 worker.
 
-Deduplication identity: :func:`job_key` reuses the *exact* key function
-the registry's result cache uses (experiment + determinism-relevant
-kwargs, ``jobs`` excluded, content-addressed through the store), so
-"two submissions are the same work" and "this result is already cached"
-are, by construction, the same predicate.
+Deduplication identity: :func:`job_key` calls the registry's own
+:func:`~repro.experiments.registry.result_key_params` (experiment +
+determinism-relevant kwargs, ``jobs`` excluded, content-addressed
+through the store), so "two submissions are the same work" and "this
+result is already cached" are the same predicate.
 """
 
 from __future__ import annotations
@@ -136,14 +136,6 @@ def validate_submission(experiment: str, kwargs: Optional[dict]) -> Tuple:
     return spec, kwargs
 
 
-def result_params(experiment: str, kwargs: dict) -> dict:
-    """The registry result-cache parameter document for a submission."""
-    return {
-        "experiment": experiment,
-        "kwargs": {k: v for k, v in kwargs.items() if k != "jobs"},
-    }
-
-
 def job_key(store, experiment: str, kwargs: dict) -> Optional[str]:
     """Dedup content address of a submission, or None when unkeyable.
 
@@ -151,10 +143,12 @@ def job_key(store, experiment: str, kwargs: dict) -> Optional[str]:
     the same key are the same work, and a stored ``result`` artifact
     under this key *is* the submission's answer.
     """
+    from repro.experiments.registry import result_key_params
+
     if store is None:
         return None
     try:
-        return store.key("result", result_params(experiment, kwargs))
+        return store.key("result", result_key_params(experiment, kwargs))
     except StoreError:
         return None
 

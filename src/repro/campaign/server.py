@@ -47,7 +47,6 @@ from repro.campaign.jobs import (
     TERMINAL_STATES,
     Job,
     job_key,
-    result_params,
     summarize_jobs,
     validate_submission,
 )
@@ -255,9 +254,11 @@ class CampaignServer:
         return {"job": job.describe(), "deduped": False}
 
     def _has_stored_result(self, experiment: str, kwargs: dict) -> bool:
+        from repro.experiments.registry import result_key_params
+
         try:
             return self.store.has(
-                "result", result_params(experiment, kwargs)
+                "result", result_key_params(experiment, kwargs)
             )
         except StoreError:
             return False
@@ -548,13 +549,15 @@ class CampaignServer:
         }
 
     def stored_result(self, job: Job) -> dict:
+        from repro.experiments.registry import result_key_params
+
         if job.state != STATE_DONE:
             raise CampaignServiceError(
                 f"job {job.id} is {job.state}, not done"
             )
         try:
             payload = self.store.get_json(
-                "result", result_params(job.experiment, job.kwargs)
+                "result", result_key_params(job.experiment, job.kwargs)
             )
         except StoreError as exc:
             raise CampaignServiceError(

@@ -342,34 +342,16 @@ def _run_trace(args) -> int:
         return _run_trace_view(args.file)
 
     from repro import telemetry
-    from repro.experiments.common import configure_cache, set_store
-    from repro.resilience import using_campaign, using_plan
 
-    spec = experiments.get_spec(args.trace_command)
-    kwargs = _experiment_kwargs(spec, args)
-    if kwargs is None:
-        return 2
-    setup = _campaign_setup(args)
-    if setup is None:
-        return 2
-    campaign, plan = setup
-    recorder = telemetry.TraceRecorder()
-    previous_store = configure_cache(args.cache_dir, enabled=not args.no_cache)
-    try:
-        plan_scope = (
-            using_plan(plan) if plan is not None else contextlib.nullcontext()
-        )
-        with telemetry.using_recorder(recorder), plan_scope:
-            with using_campaign(campaign):
-                with telemetry.span("experiment", experiment=spec.name):
-                    result = experiments.execute(spec, kwargs)
-        print(spec.renderer(result))
-        if args.json_out:
-            write_result(args.json_out, spec, result)
-            print(f"result payload written to {args.json_out}",
-                  file=sys.stderr)
-    finally:
-        set_store(previous_store)
+    return _run_experiment(
+        args, args.trace_command, recorder=telemetry.TraceRecorder()
+    )
+
+
+def _write_trace(args, recorder) -> None:
+    """Print the telemetry summary of a traced run and write its exports."""
+    from repro import telemetry
+
     manifest = telemetry.summarize(
         recorder, wall_time_s=telemetry.wall_time_s()
     )
@@ -386,7 +368,6 @@ def _run_trace(args) -> int:
     if args.summary_out:
         path = telemetry.write_summary(args.summary_out, manifest)
         print(f"summary manifest written to {path}")
-    return _report_campaign(campaign)
 
 
 def _run_cache(args) -> int:
@@ -489,11 +470,13 @@ def _report_campaign(campaign) -> int:
     return 0
 
 
-def _run_experiment(args) -> int:
+def _run_experiment(args, name: str, recorder=None) -> int:
+    """Run experiment ``name`` as the CLI does; traced under ``recorder``."""
+    from repro import telemetry
     from repro.experiments.common import configure_cache, set_store
     from repro.resilience import using_campaign, using_plan
 
-    spec = experiments.get_spec(args.command)
+    spec = experiments.get_spec(name)
     kwargs = _experiment_kwargs(spec, args)
     if kwargs is None:
         return 2
@@ -503,11 +486,15 @@ def _run_experiment(args) -> int:
     campaign, plan = setup
     previous = configure_cache(args.cache_dir, enabled=not args.no_cache)
     try:
+        trace_scope = (
+            telemetry.using_recorder(recorder)
+            if recorder is not None else contextlib.nullcontext()
+        )
         plan_scope = (
             using_plan(plan) if plan is not None else contextlib.nullcontext()
         )
-        with plan_scope:
-            with using_campaign(campaign):
+        with trace_scope, plan_scope, using_campaign(campaign):
+            with telemetry.span("experiment", experiment=spec.name):
                 result = experiments.execute(spec, kwargs)
         print(spec.renderer(result))
         if args.json_out:
@@ -516,6 +503,8 @@ def _run_experiment(args) -> int:
                   file=sys.stderr)
     finally:
         set_store(previous)
+    if recorder is not None:
+        _write_trace(args, recorder)
     return _report_campaign(campaign)
 
 
@@ -580,7 +569,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         from repro.campaign.cli import run_campaign
 
         return run_campaign(args)
-    return _run_experiment(args)
+    return _run_experiment(args, args.command)
 
 
 if __name__ == "__main__":

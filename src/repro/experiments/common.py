@@ -1,19 +1,18 @@
 """Shared measurement plumbing for the experiment drivers.
 
-Expensive intermediates flow through a two-tier cache:
-
-* **memory tier** — per-process dicts, exactly as fast as before;
-* **disk tier** — an optional content-addressed
-  :class:`~repro.parallel.store.ArtifactStore` shared across worker
-  processes and across sessions (enabled by the CLI / bench harness via
-  :func:`configure_cache`, disabled by default for library use so tests
-  stay hermetic).
-
-Every disk key folds in the store schema tag, the repro package
-version, and a canonical hash of all determinism-relevant parameters
-(pipeline kwargs, cache geometry, region sets), so a stale artifact
-from an older code revision or a different configuration can never be
-read back.
+Every expensive intermediate -- a benchmark's PinPoints pipeline and the
+metrics of each Whole or Regional replay -- goes through one
+:func:`memo`: a per-process dict in front of an optional
+content-addressed :class:`~repro.parallel.store.ArtifactStore` shared
+across worker processes and sessions (enabled by the CLI and the
+benchmark harness via :func:`configure_cache`, disabled by default for
+library use so tests stay hermetic).  Both tiers are keyed by the
+store's own content address: the store schema tag, the repro package
+version, the artifact kind and a canonical document of every
+determinism-relevant input (pipeline kwargs; the program fingerprint,
+the resolved cache hierarchy and each replayed pinball), so a stale
+artifact from an older code revision or a different configuration can
+never be read back.
 
 Per-benchmark work fans out through :func:`map_benchmarks`, which
 drives :func:`measure_benchmark` workers over a deterministic process
@@ -24,15 +23,17 @@ bit-identical to serial).
 from __future__ import annotations
 
 import functools
+import inspect
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.config import CacheHierarchyConfig
+from repro import __version__
+from repro.config import ALLCACHE_SIM, CacheHierarchyConfig
 from repro.errors import ConfigError, StoreError
 from repro.experiments.serialize import from_payload, to_payload
-from repro.parallel import ArtifactStore, parallel_map
+from repro.parallel import ArtifactStore, artifact_key, parallel_map
 from repro.pin.tools.allcache import AllCache
 from repro.pin.tools.ldstmix import LdStMix
 from repro.pinball.pinball import RegionalPinball
@@ -88,7 +89,7 @@ def require_rows(rows: Sequence, what: str) -> Sequence:
     return rows
 
 
-# -- the disk tier ----------------------------------------------------
+# -- the memo: a memory tier in front of the artifact store -----------
 
 _STORE: Optional[ArtifactStore] = None
 
@@ -128,52 +129,87 @@ def configure_cache(
     )
 
 
-#: The metrics tier's encoder under its historical name (the benchmark
+#: The metrics memo's encoder under its historical name (the benchmark
 #: harness imports it); any result dataclass goes through the same codec.
 metrics_to_payload = to_payload
 
-
-def _store_get_metrics(run: str, key: tuple) -> Optional[RunMetrics]:
-    if _STORE is None:
-        return None
-    try:
-        payload = _STORE.get_json("metrics", {"run": run, "key": key})
-    except StoreError:
-        return None
-    if payload is None:
-        return None
-    return from_payload(RunMetrics, payload)
+#: The memory tier of :func:`memo`: content address -> value.
+_MEMO: Dict[str, object] = {}
 
 
-def _store_put_metrics(run: str, key: tuple, metrics: RunMetrics) -> None:
-    """Persist metrics unless the artifact already exists.
+def memo(
+    kind: str,
+    params: dict,
+    compute: Callable[[], object],
+    result_type: Optional[type] = None,
+):
+    """``compute()``, remembered in this process and in the artifact store.
 
-    Also called on memory-tier hits, so a store configured *after* a
-    result was computed still captures it (write-through backfill).
+    ``params`` holds every input the value depends on, and its store
+    content address keys both tiers.  Memory answers first (backfilling
+    a store configured since the value was computed), then the store,
+    and only then ``compute``, whose value both tiers keep.  Values of
+    ``result_type`` are stored as JSON through the result codec, other
+    values pickled.  A stored value that no longer decodes is a miss and
+    is overwritten, a failing store behaves as no store, and params the
+    canonicalizer rejects (live objects) compute uncached.
     """
-    if _STORE is None:
-        return
     try:
-        params = {"run": run, "key": key}
-        if not _STORE.has("metrics", params):
-            _STORE.put_json("metrics", params, to_payload(metrics))
+        key = artifact_key(kind, params, version=__version__)
+    except StoreError:
+        return compute()
+    fmt = "pickle" if result_type is None else "json"
+    store = _STORE
+    if key in _MEMO:
+        telemetry_count("memtier.hit", kind=kind)
+        value = _MEMO[key]
+        if store is None or store.has(kind, params, fmt):
+            return value
+    else:
+        value = None
+        if store is not None:
+            try:
+                if result_type is None:
+                    value = store.get_pickle(kind, params)
+                else:
+                    payload = store.get_json(kind, params)
+                    if payload is not None:
+                        value = from_payload(result_type, payload)
+            except (StoreError, KeyError, TypeError, ValueError):
+                pass  # unreadable, or no longer fits: overwritten below
+            if value is not None:
+                _MEMO[key] = value
+                return value
+        telemetry_count("memtier.miss", kind=kind)
+        value = _MEMO[key] = compute()
+        if store is None:
+            return value
+    try:
+        if result_type is None:
+            store.put_pickle(kind, params, value)
+        else:
+            store.put_json(kind, params, to_payload(value))
     except StoreError:
         pass
+    return value
 
 
-def _metrics_key(out: PinPointsOutput, config, extra=()) -> tuple:
-    # The program's content fingerprint: two programs of one benchmark and
-    # shape (a custom ``mean_run_length``, say) replay different slices.
-    levels = None if config is None else tuple(
-        (c.name, c.size_bytes, c.line_size, c.associativity)
-        for c in config.levels()
+def _replay_params(
+    out: PinPointsOutput, config: Optional[CacheHierarchyConfig], **replay
+) -> dict:
+    """The metrics memo's params: everything a replay of ``out`` reads.
+
+    The program's content fingerprint, not its name: two programs of one
+    benchmark and shape (a custom ``mean_run_length``, say) replay
+    different slices.  The hierarchy is the resolved one, so the default
+    and an explicit :data:`~repro.config.ALLCACHE_SIM` share entries.
+    """
+    return dict(
+        benchmark=out.benchmark,
+        program=out.program._trace_key,
+        hierarchy=config or ALLCACHE_SIM,
+        **replay,
     )
-    return (out.benchmark, out.program._trace_key, out.program.slice_size,
-            out.program.num_slices, levels) + tuple(extra)
-
-
-_WHOLE_CACHE: Dict[tuple, RunMetrics] = {}
-_POINTS_CACHE: Dict[tuple, RunMetrics] = {}
 
 
 def measure_whole(
@@ -181,36 +217,25 @@ def measure_whole(
 ) -> RunMetrics:
     """Profile the Whole Run (full execution, continuously warm caches).
 
-    Results are cached per (benchmark, program content, hierarchy): whole
-    replays are deterministic and several figures share them.  With a
-    disk tier configured, results also persist across processes and
-    sessions.
+    Whole replays are deterministic and several figures share them, so
+    the metrics are memoized per program and hierarchy (:func:`memo`).
     """
-    key = _metrics_key(out, config)
-    if key in _WHOLE_CACHE:
-        telemetry_count("memtier.hit", kind="whole")
-        metrics = _WHOLE_CACHE[key]
-        _store_put_metrics("whole", key, metrics)
-        return metrics
-    stored = _store_get_metrics("whole", key)
-    if stored is not None:
-        _WHOLE_CACHE[key] = stored
-        return stored
-    telemetry_count("memtier.miss", kind="whole")
-    cache = AllCache(config)
-    mix = LdStMix()
-    with span("cache.replay", run="whole", benchmark=out.benchmark):
-        out.replayer().replay(out.whole, [cache, mix])
-    stats = cache.stats()
-    metrics = RunMetrics(
-        instructions=mix.total_instructions,
-        mix=mix.fractions(),
-        miss_rates={lv: stats[lv].miss_rate for lv in LEVELS},
-        l3_accesses=stats["L3"].accesses,
-    )
-    _WHOLE_CACHE[key] = metrics
-    _store_put_metrics("whole", key, metrics)
-    return metrics
+
+    def replay() -> RunMetrics:
+        cache = AllCache(config)
+        mix = LdStMix()
+        with span("cache.replay", run="whole", benchmark=out.benchmark):
+            out.replayer().replay(out.whole, [cache, mix])
+        stats = cache.stats()
+        return RunMetrics(
+            instructions=mix.total_instructions,
+            mix=mix.fractions(),
+            miss_rates={lv: stats[lv].miss_rate for lv in LEVELS},
+            l3_accesses=stats["L3"].accesses,
+        )
+
+    params = _replay_params(out, config, run="whole")
+    return memo("metrics", params, replay, RunMetrics)
 
 
 def measure_points(
@@ -223,140 +248,76 @@ def measure_points(
 
     Each pinball is replayed in isolation (fresh caches), matching the
     paper's methodology; ``with_warmup`` replays the warmup prefix with
-    statistics frozen first (the Warmup Regional Run).  Deterministic, so
-    results are cached like :func:`measure_whole`, keyed also on each
-    pinball's region, warmup and weight.
+    statistics frozen first (the Warmup Regional Run).  Memoized like
+    :func:`measure_whole`, keyed also on every pinball (region, warmup
+    and weight) and on ``with_warmup``.
     """
-    key = _metrics_key(
-        out, config,
-        extra=(
-            tuple(
-                (p.region_start, p.warmup_slices, p.weight) for p in pinballs
-            ),
-            with_warmup,
-        ),
+
+    def replay() -> RunMetrics:
+        replayer = out.replayer()
+        mixes, weights, instructions, l3_accesses = [], [], 0, 0
+        rates: Dict[str, List[float]] = {lv: [] for lv in LEVELS}
+        with span(
+            "cache.replay",
+            run="points",
+            benchmark=out.benchmark,
+            points=len(pinballs),
+            warmup=with_warmup,
+        ):
+            for pinball in pinballs:
+                cache = AllCache(config)
+                mix = LdStMix()
+                replayer.replay(pinball, [cache, mix], with_warmup=with_warmup)
+                stats = cache.stats()
+                for lv in LEVELS:
+                    rates[lv].append(stats[lv].miss_rate)
+                mixes.append(mix.fractions())
+                weights.append(pinball.weight)
+                instructions += mix.total_instructions
+                l3_accesses += stats["L3"].accesses
+        return RunMetrics(
+            instructions=instructions,
+            mix=weighted_mix(mixes, weights),
+            miss_rates={
+                lv: weighted_average(rates[lv], weights) for lv in LEVELS
+            },
+            l3_accesses=l3_accesses,
+        )
+
+    params = _replay_params(
+        out, config, run="points", pinballs=list(pinballs),
+        with_warmup=with_warmup,
     )
-    if key in _POINTS_CACHE:
-        telemetry_count("memtier.hit", kind="points")
-        metrics = _POINTS_CACHE[key]
-        _store_put_metrics("points", key, metrics)
-        return metrics
-    stored = _store_get_metrics("points", key)
-    if stored is not None:
-        _POINTS_CACHE[key] = stored
-        return stored
-    telemetry_count("memtier.miss", kind="points")
-    replayer = out.replayer()
-    mixes, weights, instructions, l3_accesses = [], [], 0, 0
-    rates: Dict[str, List[float]] = {lv: [] for lv in LEVELS}
-    with span(
-        "cache.replay",
-        run="points",
-        benchmark=out.benchmark,
-        points=len(pinballs),
-        warmup=with_warmup,
-    ):
-        for pinball in pinballs:
-            cache = AllCache(config)
-            mix = LdStMix()
-            replayer.replay(pinball, [cache, mix], with_warmup=with_warmup)
-            stats = cache.stats()
-            for lv in LEVELS:
-                rates[lv].append(stats[lv].miss_rate)
-            mixes.append(mix.fractions())
-            weights.append(pinball.weight)
-            instructions += mix.total_instructions
-            l3_accesses += stats["L3"].accesses
-    metrics = RunMetrics(
-        instructions=instructions,
-        mix=weighted_mix(mixes, weights),
-        miss_rates={lv: weighted_average(rates[lv], weights) for lv in LEVELS},
-        l3_accesses=l3_accesses,
-    )
-    _POINTS_CACHE[key] = metrics
-    _store_put_metrics("points", key, metrics)
-    return metrics
-
-
-_PINPOINTS_CACHE: Dict[tuple, PinPointsOutput] = {}
-
-
-def _freeze(value):
-    """Make a kwarg value hashable for the in-process pinpoints key.
-
-    ``sampler_params`` arrives as a dict; live objects (``program``,
-    ``analysis``) hash by identity, which is exactly the sharing the
-    per-process tier wants.
-    """
-    if isinstance(value, dict):
-        return tuple(sorted((k, _freeze(v)) for k, v in value.items()))
-    if isinstance(value, (list, tuple)):
-        return tuple(_freeze(v) for v in value)
-    return value
+    return memo("metrics", params, replay, RunMetrics)
 
 
 def pinpoints_for(benchmark: str, **kwargs) -> PinPointsOutput:
-    """Run (or fetch a cached) PinPoints flow for a benchmark.
+    """Run (or fetch a memoized) PinPoints flow for a benchmark.
 
-    Experiments share whole-pipeline outputs per process so that e.g.
-    Fig 7, Fig 8 and Fig 10 do not re-cluster the same benchmark three
-    times.  The cache key includes all keyword arguments.  With a disk
-    tier configured, pipeline bundles persist (pickled) across processes
-    and sessions; kwargs that cannot be hashed stably — live ``program``
-    or ``analysis`` objects — simply bypass the disk tier.
+    Experiments share whole-pipeline outputs so that e.g. Fig 7, Fig 8
+    and Fig 10 do not re-cluster the same benchmark three times.  The
+    :func:`memo` key holds every argument of :func:`run_pinpoints` with
+    its defaults filled in, so a call that spells a default out shares
+    the entry of one that leaves it implicit; with a disk tier
+    configured the bundles persist (pickled) across processes and
+    sessions.  Live ``program`` or ``analysis`` objects have no stable
+    key, so a call passing one runs the pipeline uncached.
     """
-    key = (benchmark,) + tuple(
-        (name, _freeze(value)) for name, value in sorted(kwargs.items())
+    call = inspect.signature(run_pinpoints).bind(benchmark, **kwargs)
+    call.apply_defaults()
+    return memo(
+        "pinpoints", call.arguments, lambda: run_pinpoints(benchmark, **kwargs)
     )
-    # ``schema`` versions the pickled bundle's shape: bundles persisted
-    # before the sampler-registry refactor (no ``selection`` field) must
-    # miss here and recompute rather than resurrect with stale attributes.
-    params = {"benchmark": benchmark, "kwargs": dict(kwargs), "schema": 2}
-    if key in _PINPOINTS_CACHE:
-        telemetry_count("memtier.hit", kind="pinpoints")
-        out = _PINPOINTS_CACHE[key]
-        _store_put_pinpoints(params, out)
-        return out
-    if _STORE is not None:
-        try:
-            stored = _STORE.get_pickle("pinpoints", params)
-        except StoreError:
-            stored = None
-        if stored is not None:
-            _PINPOINTS_CACHE[key] = stored
-            return stored
-    telemetry_count("memtier.miss", kind="pinpoints")
-    out = run_pinpoints(benchmark, **kwargs)
-    _PINPOINTS_CACHE[key] = out
-    _store_put_pinpoints(params, out)
-    return out
-
-
-def _store_put_pinpoints(params: dict, out: PinPointsOutput) -> None:
-    """Persist a pipeline bundle unless already stored (or unkeyable).
-
-    Like :func:`_store_put_metrics`, this also backfills a store that
-    was configured after the bundle was computed.
-    """
-    if _STORE is None:
-        return
-    try:
-        if not _STORE.has("pinpoints", params, "pickle"):
-            _STORE.put_pickle("pinpoints", params, out)
-    except StoreError:
-        pass
 
 
 def clear_pinpoints_cache() -> None:
-    """Drop all cached pipeline/measurement results (test isolation).
+    """Drop all memoized pipeline/measurement results (test isolation).
 
-    Clears both tiers: the per-process dicts and, when a disk store is
+    Clears both tiers: the per-process dict and, when a disk store is
     configured, every persisted artifact in it — a test that clears the
     cache must never read a stale artifact from a previous run.
     """
-    _PINPOINTS_CACHE.clear()
-    _WHOLE_CACHE.clear()
-    _POINTS_CACHE.clear()
+    _MEMO.clear()
     if _STORE is not None:
         _STORE.clear()
 

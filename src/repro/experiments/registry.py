@@ -50,6 +50,7 @@ __all__ = [
     "get_spec",
     "renders",
     "result_from_payload",
+    "result_key_params",
     "result_payload",
     "write_result",
 ]
@@ -249,12 +250,16 @@ def result_from_payload(spec: ExperimentSpec, payload: dict):
 # -- execution with result-level persistence --------------------------
 
 
-def _result_key_params(spec: ExperimentSpec, kwargs: dict) -> dict:
-    # ``jobs`` only changes how work is scheduled, never what is
-    # produced (submission-order merges keep output byte-identical), so
-    # it must not fragment the cache key.
+def result_key_params(experiment: str, kwargs: dict) -> dict:
+    """The result cache's parameter document for one experiment run.
+
+    The campaign service keys its dedup on the same document.  ``jobs``
+    only changes how work is scheduled, never what is produced
+    (submission-order merges keep output byte-identical), so it must not
+    fragment the key.
+    """
     return {
-        "experiment": spec.name,
+        "experiment": experiment,
         "kwargs": {k: v for k, v in kwargs.items() if k != "jobs"},
     }
 
@@ -286,7 +291,7 @@ def execute(spec: ExperimentSpec, kwargs: Optional[dict] = None):
     params = None
     if store is not None:
         try:
-            params = _result_key_params(spec, kwargs)
+            params = result_key_params(spec.name, kwargs)
             stored = store.get_json("result", params)
         except StoreError:
             params, stored = None, None

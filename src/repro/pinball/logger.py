@@ -51,16 +51,15 @@ class PinPlayLogger:
         self,
         points: Sequence[SimulationPoint],
         warmup_slices: Optional[int] = None,
-        region_length: int = 1,
     ) -> List[RegionalPinball]:
-        """Checkpoint each simulation point as a regional pinball.
+        """Checkpoint each simulation point as a one-slice regional pinball.
+
+        One slice stands for the paper's 30 M-instruction region.
 
         Args:
             points: Selected simulation points (slice index + weight).
             warmup_slices: Warmup prefix length; defaults to the paper's
                 500 M instructions expressed in slices.
-            region_length: Slices per region (the paper uses one slice ==
-                one 30 M-instruction region).
 
         Raises:
             PinballError: If a point lies outside the execution.
@@ -77,7 +76,7 @@ class PinPlayLogger:
                 RegionalPinball(
                     recipe=self.recipe,
                     region_start=point.slice_index,
-                    region_length=region_length,
+                    region_length=1,
                     weight=point.weight,
                     warmup_slices=warmup_slices,
                 )

@@ -268,6 +268,15 @@ def make_pinned_level(assoc, monkeypatch, wave):
 class TestWaveStrategy:
     """The vectorized wave path against the sequential oracle."""
 
+    def test_reference_level_keeps_the_oracle_loop(self):
+        level = CacheLevel(
+            CacheConfig("T", size_bytes=1024, line_size=32, associativity=4),
+            reference=True,
+        )
+        level.access_many(np.arange(100))
+        assert level._strategy == "sequential"
+        assert level._way_state is None
+
     @pytest.mark.parametrize("assoc", [2, 4, 8, 16, 32])
     def test_differential_against_oracle(self, assoc, rng, monkeypatch):
         wave = make_pinned_level(assoc, monkeypatch, wave=True)
@@ -540,12 +549,3 @@ class TestNativeKernels:
             walk.access_data(np.arange(8), np.zeros(4, dtype=bool))
         assert (walk.l1d._resident == -1).all()
         assert walk.l1d.stats.accesses == 0
-
-    def test_reference_level_keeps_the_oracle_loop(self):
-        level = CacheLevel(
-            CacheConfig("T", size_bytes=1024, line_size=32, associativity=4),
-            reference=True,
-        )
-        level.access_many(np.arange(100))
-        assert level._strategy == "sequential"
-        assert level._way_state is None

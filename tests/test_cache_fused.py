@@ -435,9 +435,7 @@ class TestExperimentBytes:
             elif path == "fused":
                 hide_kernel(patch)
             configure_cache(tmp_path / path)
-            common._PINPOINTS_CACHE.clear()
-            common._WHOLE_CACHE.clear()
-            common._POINTS_CACHE.clear()
+            common._MEMO.clear()
             quick = dict(slice_size=3000, total_slices=120)
             return "\n".join(
                 render(run(self.BENCH, jobs=1, **quick))

@@ -285,13 +285,15 @@ class TestAdmissionControl:
             server.submit("fig8", {"benchmarks": ["520.omnetpp_r"]})
 
     def test_stored_results_bypass_admission(self, server_factory):
-        from repro.campaign.jobs import result_params
+        from repro.experiments.registry import result_key_params
 
         server = server_factory(
             supervision=SupervisionPolicy(max_queued=1)
         )
         server.submit("fig8", {"benchmarks": ["505.mcf_r"]})
-        params = result_params("fig8", {"benchmarks": ["520.omnetpp_r"]})
+        params = result_key_params(
+            "fig8", {"benchmarks": ["520.omnetpp_r"]}
+        )
         server.store.put_json("result", params, {"any": "payload"})
         # The answer already exists: serving it adds no queue load, so
         # a full queue must not refuse it.

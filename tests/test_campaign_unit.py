@@ -13,7 +13,6 @@ import pytest
 from repro.campaign.jobs import (
     Job,
     job_key,
-    result_params,
     summarize_jobs,
     validate_submission,
 )
@@ -138,17 +137,13 @@ class TestJobKey:
 
     def test_matches_registry_result_cache_key(self, tmp_path):
         """The dedup predicate and the result cache share one key fn."""
-        from repro.experiments.registry import _result_key_params, get_spec
+        from repro.experiments.registry import result_key_params
         from repro.parallel.store import ArtifactStore
 
         store = ArtifactStore(tmp_path)
-        spec = get_spec("fig8")
         kwargs = {"benchmarks": ["505.mcf_r"], "jobs": 3}
-        assert result_params("fig8", kwargs) == _result_key_params(
-            spec, kwargs
-        )
         assert job_key(store, "fig8", kwargs) == store.key(
-            "result", _result_key_params(spec, kwargs)
+            "result", result_key_params("fig8", kwargs)
         )
 
     def test_no_store_means_no_key(self):
@@ -265,9 +260,9 @@ class TestServerSubmitDedup:
         assert second["job"]["id"] != first["job"]["id"]
 
     def test_stored_result_births_done_job(self, server):
-        from repro.campaign.jobs import result_params
+        from repro.experiments.registry import result_key_params
 
-        params = result_params("fig8", {"benchmarks": ["505.mcf_r"]})
+        params = result_key_params("fig8", {"benchmarks": ["505.mcf_r"]})
         server.store.put_json("result", params, {"any": "payload"})
         outcome = server.submit("fig8", {"benchmarks": ["505.mcf_r"]})
         assert outcome["deduped"] is True

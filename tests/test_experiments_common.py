@@ -1,10 +1,12 @@
 """Shared experiment plumbing: measurement caching and resolution."""
 
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
 
+from repro import __version__
 from repro.config import ALLCACHE_SIM, ALLCACHE_TABLE_I
 from repro.errors import ConfigError
 from repro.experiments import common
@@ -18,10 +20,31 @@ from repro.experiments.common import (
     pinpoints_for,
     resolve_benchmarks,
 )
+from repro.parallel import ArtifactStore, artifact_key
+from repro.pinball.pinball import RegionalPinball
 from repro.pinpoints.pipeline import run_pinpoints
+from repro.simpoint.simpoints import DEFAULT_MAX_K
+from repro.workloads.scaling import (
+    DEFAULT_SLICE_INSTRUCTIONS,
+    DEFAULT_TOTAL_SLICES,
+)
 from repro.workloads.spec2017 import benchmark_names, build_program
 
 from conftest import QUICK
+
+
+def memo_keys(monkeypatch, *calls):
+    """The memo key each call asks for; nothing is computed or cached."""
+    keys = []
+
+    def record(kind, params, compute, result_type=None):
+        keys.append(artifact_key(kind, params, version=__version__))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(common, "memo", record)
+        for call in calls:
+            call()
+    return keys
 
 
 class TestResolveBenchmarks:
@@ -77,6 +100,19 @@ class TestPinpointsCache:
         assert a is b
         assert a is not c
         assert a.selection.sampler == "stratified2"
+
+    def test_live_objects_compute_uncached(self, tmp_path):
+        # A live program has no stable key: each call runs the pipeline,
+        # and nothing reaches either tier.
+        configure_cache(tmp_path / "store")
+        clear_pinpoints_cache()
+        program = build_program("620.omnetpp_s", **QUICK)
+        a = pinpoints_for("620.omnetpp_s", program=program, **QUICK)
+        b = pinpoints_for("620.omnetpp_s", program=program, **QUICK)
+        assert a is not b
+        assert a.program is b.program is program
+        assert not common._MEMO
+        assert common.get_store().info().total_artifacts == 0
 
 
 class TestMeasurementCache:
@@ -136,7 +172,7 @@ class TestMeasurementCache:
 class TestMetricsKeys:
     """Cached metrics are keyed on every input that changes them."""
 
-    def test_whole_metrics_keyed_on_the_program(self):
+    def test_whole_metrics_keyed_on_the_program(self, monkeypatch):
         clear_pinpoints_cache()
         short_runs = run_pinpoints(
             "505.mcf_r",
@@ -144,8 +180,12 @@ class TestMetricsKeys:
             **QUICK,
         )
         default = run_pinpoints("505.mcf_r", **QUICK)
-        assert (common._metrics_key(short_runs, None)
-                != common._metrics_key(default, None))
+        short_key, default_key = memo_keys(
+            monkeypatch,
+            lambda: measure_whole(short_runs),
+            lambda: measure_whole(default),
+        )
+        assert short_key != default_key
         first = measure_whole(short_runs)
         second = measure_whole(default)
         clear_pinpoints_cache()
@@ -169,15 +209,117 @@ class TestMetricsKeys:
         assert measure_points(out, reweighted).miss_rates == shifted.miss_rates
 
 
+def _geometries(base):
+    """``base`` with each cache-geometry field of each level changed."""
+    for level in ("l1i", "l1d", "l2", "l3"):
+        config = getattr(base, level)
+        for field in ("size_bytes", "associativity"):
+            changed = dataclasses.replace(
+                config, **{field: getattr(config, field) * 2}
+            )
+            yield dataclasses.replace(base, **{level: changed})
+    yield dataclasses.replace(base, **{
+        level: dataclasses.replace(getattr(base, level), line_size=64)
+        for level in ("l1i", "l1d", "l2", "l3")
+    })
+
+
+class TestMemoKeys:
+    """Changing any one determinism-relevant input changes the memo key."""
+
+    #: A changed value for every keyword of ``run_pinpoints`` that is
+    #: not a live object.
+    PIPELINE_KWARGS = {
+        "slice_size": 6000,
+        "total_slices": 240,
+        "max_k": 10,
+        "percentile": 0.8,
+        "warmup_slices": 3,
+        "sampler": "stratified2",
+        "sampler_params": {"projection_dim": 8},
+    }
+
+    def test_pipeline_key_covers_every_run_pinpoints_keyword(
+        self, monkeypatch
+    ):
+        keywords = set(inspect.signature(run_pinpoints).parameters)
+        assert keywords == (
+            {"benchmark", "program", "analysis"} | set(self.PIPELINE_KWARGS)
+        )
+        calls = [lambda: pinpoints_for("505.mcf_r", **QUICK),
+                 lambda: pinpoints_for("520.omnetpp_r", **QUICK)]
+        for name, value in self.PIPELINE_KWARGS.items():
+            calls.append(
+                lambda kw={**QUICK, name: value}: pinpoints_for(
+                    "505.mcf_r", **kw
+                )
+            )
+        keys = memo_keys(monkeypatch, *calls)
+        assert len(set(keys)) == len(keys) == 2 + len(self.PIPELINE_KWARGS)
+
+    def test_pipeline_key_fills_in_the_defaults(self, monkeypatch):
+        implicit, explicit = memo_keys(
+            monkeypatch,
+            lambda: pinpoints_for("505.mcf_r"),
+            lambda: pinpoints_for(
+                "505.mcf_r", slice_size=DEFAULT_SLICE_INSTRUCTIONS,
+                total_slices=DEFAULT_TOTAL_SLICES, max_k=DEFAULT_MAX_K,
+                percentile=0.9, sampler="simpoint",
+            ),
+        )
+        assert implicit == explicit
+
+    def test_metrics_key_covers_every_replay_input(self, monkeypatch):
+        out = run_pinpoints("505.mcf_r", **QUICK)
+        other_program = dataclasses.replace(
+            out,
+            program=build_program("505.mcf_r", mean_run_length=3, **QUICK),
+        )
+        pinball = RegionalPinball(
+            recipe=out.whole.recipe, region_start=5, region_length=1,
+            weight=0.5, warmup_slices=2,
+        )
+        variants = [
+            dataclasses.replace(pinball, **change) for change in (
+                {"region_start": 6}, {"region_length": 3},
+                {"warmup_slices": 3}, {"weight": 0.25},
+            )
+        ]
+        calls = [
+            lambda: measure_points(out, [pinball]),
+            lambda: measure_points(out, [pinball], with_warmup=True),
+            lambda: measure_points(other_program, [pinball]),
+            lambda: measure_whole(out),
+            lambda: measure_whole(other_program),
+        ]
+        calls += [lambda p=p: measure_points(out, [p]) for p in variants]
+        for config in _geometries(ALLCACHE_SIM):
+            calls.append(
+                lambda c=config: measure_points(out, [pinball], config=c)
+            )
+            calls.append(lambda c=config: measure_whole(out, config=c))
+        keys = memo_keys(monkeypatch, *calls)
+        assert len(set(keys)) == len(keys) == 5 + 4 + 2 * 9
+
+    def test_metrics_key_resolves_the_default_hierarchy(self, monkeypatch):
+        out = run_pinpoints("505.mcf_r", **QUICK)
+        default, explicit = memo_keys(
+            monkeypatch,
+            lambda: measure_whole(out),
+            lambda: measure_whole(out, config=ALLCACHE_SIM),
+        )
+        assert default == explicit
+
+
 class TestDiskTier:
-    """Two-tier behaviour: memory dicts in front of the artifact store."""
+    """Two-tier behaviour: one memory dict in front of the artifact store."""
 
     def test_metrics_survive_a_memory_clear(self, tmp_path):
         configure_cache(tmp_path / "store")
         clear_pinpoints_cache()
         out = pinpoints_for("620.omnetpp_s", **QUICK)
         first = measure_whole(out)
-        common._WHOLE_CACHE.clear()  # simulate a fresh process
+        common._MEMO.clear()  # simulate a fresh process
         again = measure_whole(out)
         assert again is not first
         assert np.array_equal(again.mix, first.mix)
@@ -190,7 +332,7 @@ class TestDiskTier:
         clear_pinpoints_cache()
         out = pinpoints_for("620.omnetpp_s", **QUICK)
         first = measure_points(out, out.reduced, with_warmup=True)
-        common._POINTS_CACHE.clear()
+        common._MEMO.clear()
         again = measure_points(out, out.reduced, with_warmup=True)
         assert again is not first
         assert again.miss_rates == first.miss_rates
@@ -199,7 +341,7 @@ class TestDiskTier:
         configure_cache(tmp_path / "store")
         clear_pinpoints_cache()
         first = pinpoints_for("620.omnetpp_s", **QUICK)
-        common._PINPOINTS_CACHE.clear()
+        common._MEMO.clear()
         again = pinpoints_for("620.omnetpp_s", **QUICK)
         assert again is not first
         assert again.benchmark == first.benchmark
@@ -207,6 +349,30 @@ class TestDiskTier:
         assert np.array_equal(
             measure_whole(again).mix, measure_whole(first).mix
         )
+
+    def test_malformed_stored_metrics_recompute(self, tmp_path, monkeypatch):
+        # A checksum-intact payload that no longer fits RunMetrics is a
+        # miss: recomputed and overwritten, not a KeyError.
+        configure_cache(tmp_path / "store")
+        clear_pinpoints_cache()
+        out = pinpoints_for("620.omnetpp_s", **QUICK)
+        store = common.get_store()
+        puts = []
+        put_json = store.put_json
+        monkeypatch.setattr(
+            store, "put_json",
+            lambda *args: puts.append(args) or put_json(*args),
+        )
+        first = measure_whole(out)
+        [(kind, params, payload)] = puts
+        broken = {k: v for k, v in payload.items() if k != "l3_accesses"}
+        ArtifactStore(store.root).put_json(kind, params, broken)
+        common._MEMO.clear()
+        again = measure_whole(out)
+        assert again is not first
+        assert again.l3_accesses == first.l3_accesses
+        assert again.miss_rates == first.miss_rates
+        assert store.get_json(kind, params) == payload
 
     def test_clear_covers_the_disk_tier(self, tmp_path):
         configure_cache(tmp_path / "store")

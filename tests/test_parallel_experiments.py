@@ -71,9 +71,7 @@ def test_warm_disk_run_is_byte_identical(tmp_path):
     clear_pinpoints_cache()
     cold = render_fig8(run_fig8(BENCHMARKS, jobs=1, **QUICK))
     assert common.get_store().info().total_artifacts > 0
-    common._PINPOINTS_CACHE.clear()  # fresh process, warm disk
-    common._WHOLE_CACHE.clear()
-    common._POINTS_CACHE.clear()
+    common._MEMO.clear()  # fresh process, warm disk
     warm = render_fig8(run_fig8(BENCHMARKS, jobs=1, **QUICK))
     assert warm == cold
 

@@ -34,8 +34,8 @@ from repro.experiments import all_specs, execute, get_spec
 from repro.experiments.common import configure_cache, get_store, set_store
 from repro.experiments.registry import (
     RESULT_SCHEMA,
-    _result_key_params,
     result_from_payload,
+    result_key_params,
     result_payload,
     write_result,
 )
@@ -269,7 +269,7 @@ class TestExecuteCaching:
             spec = get_spec("fig10")
             kwargs = QUICK_KWARGS["fig10"]
             first = execute(spec, kwargs)
-            params = _result_key_params(spec, kwargs)
+            params = result_key_params(spec.name, kwargs)
             get_store().put_json("result", params, {"schema": "garbage"})
             second = execute(spec, kwargs)
             assert spec.renderer(second) == spec.renderer(first)
@@ -307,7 +307,7 @@ class TestExecuteCaching:
         mangle(bad["data"])
         previous = configure_cache(tmp_path / "store")
         try:
-            params = _result_key_params(spec, {})
+            params = result_key_params(spec.name, {})
             get_store().put_json("result", params, bad)
             first = execute(dataclasses.replace(spec, runner=runner), {})
             assert len(calls) == 1
