@@ -69,22 +69,6 @@ def add_serve_parser(sub) -> None:
              "their campaigns from their journals",
     )
     serve.add_argument(
-        "--retries", type=int, default=0, metavar="N",
-        help="per-item retry budget applied to every job's campaign",
-    )
-    serve.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
-        dest="timeout_s",
-        help="per-item deadline applied to every job's campaign",
-    )
-    serve.add_argument(
-        "--on-failure", default="skip", dest="on_failure",
-        choices=["fail", "skip", "serial-fallback"],
-        help="per-item failure policy for every job's campaign "
-             "(default: skip — one bad item must not take the service's "
-             "whole queue down)",
-    )
-    serve.add_argument(
         "--heartbeat", type=float, default=1.0, metavar="SECONDS",
         dest="heartbeat_s",
         help="worker liveness beat cadence (default: 1.0)",
@@ -222,15 +206,6 @@ def run_serve(args) -> int:
     from repro.experiments.common import configure_cache, get_store, set_store
 
     try:
-        policy_options = {
-            "retries": args.retries,
-            "timeout_s": args.timeout_s,
-            "on_failure": args.on_failure,
-        }
-        # Fail fast on bad policy options, before binding anything.
-        from repro.resilience import ResiliencePolicy
-
-        ResiliencePolicy.from_options(**policy_options)
         supervision = SupervisionPolicy(
             heartbeat_s=args.heartbeat_s,
             stall_timeout_s=args.stall_timeout_s,
@@ -248,7 +223,6 @@ def run_serve(args) -> int:
             _socket_path(args),
             workers=args.workers,
             resume=args.resume,
-            policy_options=policy_options,
             metrics_out=args.metrics_out,
             supervision=supervision,
         )

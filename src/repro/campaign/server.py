@@ -94,7 +94,6 @@ class CampaignServer:
         *,
         workers: int = 2,
         resume: bool = False,
-        policy_options: Optional[dict] = None,
         metrics_out=None,
         supervision: Optional[SupervisionPolicy] = None,
     ) -> None:
@@ -108,7 +107,6 @@ class CampaignServer:
         self.socket_path = Path(socket_path)
         self.workers = max(1, int(workers))
         self.resume = resume
-        self.policy_options = dict(policy_options or {})
         self.metrics_out = metrics_out
         self.recorder = TraceRecorder()
         self.ledger = ServerLedger(store.root)
@@ -312,7 +310,6 @@ class CampaignServer:
             "job_id": job.id,
             "experiment": job.experiment,
             "kwargs": dict(job.kwargs),
-            "policy": dict(self.policy_options),
             "resume": job.resume,
             "close_fds": self._child_close_fds(),
             "heartbeat_s": self.supervision.heartbeat_s,
@@ -444,12 +441,6 @@ class CampaignServer:
                 job.reused_items = int(status.get("reused_items", 0))
                 job.completed_items = int(status.get("completed_items", 0))
                 job.total_items = int(status.get("total_items", 0))
-                # OR, don't overwrite: the flag covers both "ran
-                # no-cache" (set at start under the disk watermark)
-                # and "result degraded" (the worker's survivor count).
-                job.degraded = job.degraded or bool(
-                    status.get("degraded", False)
-                )
                 job.error = status.get("error")
                 self._transition(
                     job, STATE_DONE if status.get("ok") else STATE_FAILED

@@ -9,7 +9,7 @@ journal behind, and the re-adopted job resumes from it.
 
 Progress streaming: :class:`ProgressRecorder` extends the normal
 :class:`TraceRecorder` by mirroring a whitelist of per-item counters
-(journal appends, cache hits, retries) as JSONL lines into
+(journal appends, cache hits, fan-out sizes) as JSONL lines into
 ``<store root>/campaigns/<job id>.progress.jsonl``.  The server tails
 that file on its scheduler tick and broadcasts new lines to ``watch``
 subscribers — no sockets in the child, no extra IPC machinery, and a
@@ -50,16 +50,15 @@ __all__ = [
 ]
 
 #: Counters mirrored into the progress stream.  Everything here is
-#: incremented per item (or per attempt) by the parallel runner or the
-#: registry, so the stream reads as a live per-item trace of the job.
+#: incremented per item or per fan-out by the parallel runner, the
+#: journal or the registry, so the stream reads as a live per-item
+#: trace of the job.
 PROGRESS_COUNTERS = frozenset(
     {
         "journal.append",
         "journal.hit",
         "result.hit",
         "result.miss",
-        "item.retry",
-        "item.timeout",
         "parallel.tasks",
     }
 )
@@ -171,19 +170,18 @@ def run_job(payload: dict) -> dict:
 
     ``payload`` carries everything the child needs (it must be
     picklable across the fork): store root, experiment name, kwargs,
-    resilience policy fields, and the resume flag.
+    and the resume flag.  The job's first failed item fails it: the
+    status document carries that item's error.
     """
     from repro.experiments.common import configure_cache
     from repro.experiments.registry import execute, get_spec
     from repro.resilience.context import Campaign, using_campaign
-    from repro.resilience.policy import ResiliencePolicy
     from repro.telemetry.recorder import using_recorder
 
     store_root = payload["store_root"]
     job_id = payload["job_id"]
     spec = get_spec(payload["experiment"])
-    policy = ResiliencePolicy.from_options(**payload.get("policy", {}))
-    campaign = Campaign(policy=policy, resume=bool(payload.get("resume")))
+    campaign = Campaign(resume=bool(payload.get("resume")))
     recorder = ProgressRecorder(progress_path(store_root, job_id))
     # Degraded (low-disk) mode: run memory-only so the job completes
     # without a single artifact write that could ENOSPC mid-campaign.
@@ -200,7 +198,6 @@ def run_job(payload: dict) -> dict:
         "reused_items": 0,
         "completed_items": 0,
         "total_items": 0,
-        "degraded": False,
     }
     try:
         with using_recorder(recorder), using_campaign(campaign):
@@ -215,7 +212,6 @@ def run_job(payload: dict) -> dict:
     status["reused_items"] = campaign.reused_items
     status["completed_items"] = campaign.completed_items
     status["total_items"] = campaign.total_items
-    status["degraded"] = campaign.degraded
     return status
 
 

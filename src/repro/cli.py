@@ -15,8 +15,7 @@ Examples::
     repro-spec2017 cache info             # on-disk artifact store status
     repro-spec2017 cache doctor --prune   # verify checksums, drop quarantine
     repro-spec2017 table2 --resume        # continue an interrupted campaign
-    repro-spec2017 table2 --retries 2 --on-failure skip
-    repro-spec2017 fig8 --inject-faults crash:items=1   # test recovery
+    REPRO_INJECT_FAULTS=crash:items=1 repro-spec2017 fig8   # test recovery
     repro-spec2017 trace fig7 --jobs 2 --trace-out run.trace.json
     repro-spec2017 trace view run.trace.json
     python -m repro fig12
@@ -80,35 +79,9 @@ def _add_experiment_options(
         help="also write the structured result payload as JSON",
     )
     exp.add_argument(
-        "--retries", type=int, default=0, metavar="N",
-        help="re-run a failed item up to N extra times "
-             "(deterministic seeded backoff)",
-    )
-    exp.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
-        dest="timeout_s",
-        help="per-item deadline for pooled work; a late worker counts "
-             "as a failed attempt",
-    )
-    exp.add_argument(
-        "--on-failure", default="fail", dest="on_failure",
-        choices=["fail", "skip", "serial-fallback"],
-        help="what a finally-failed item does: abort the campaign "
-             "(fail), drop the item and report the survivors (skip), or "
-             "rerun the remainder in-process after a pool collapse "
-             "(serial-fallback)",
-    )
-    exp.add_argument(
         "--resume", action="store_true",
-        help="reuse per-item outcomes journaled by a previous "
-             "interrupted run of the same campaign (needs the artifact "
-             "store)",
-    )
-    exp.add_argument(
-        "--inject-faults", metavar="SPEC", default=None,
-        dest="inject_faults",
-        help="deterministic fault-injection spec or preset (e.g. "
-             "'crash:items=2', 'ci-default') for testing recovery paths",
+        help="reuse the items journaled by a previous interrupted run "
+             "of the same campaign (needs the artifact store)",
     )
 
 
@@ -423,77 +396,33 @@ def _run_report(args) -> int:
     return 0
 
 
-def _campaign_setup(args):
-    """(campaign, fault plan) from the resilience options, or None on error.
-
-    Every experiment run executes as a campaign — journaling per-item
-    outcomes is what makes an interrupted run resumable, so it is on
-    whenever the artifact store is.
-    """
-    from repro.errors import ConfigError
-    from repro.resilience import Campaign, ResiliencePolicy, parse_spec
-
-    try:
-        policy = ResiliencePolicy.from_options(
-            retries=args.retries,
-            timeout_s=args.timeout_s,
-            on_failure=args.on_failure,
-        )
-        plan = (
-            parse_spec(args.inject_faults)
-            if args.inject_faults is not None else None
-        )
-    except ConfigError as exc:
-        print(f"invalid resilience options: {exc}", file=sys.stderr)
-        return None
-    if args.resume and args.no_cache:
-        print("--resume needs the artifact store; drop --no-cache",
-              file=sys.stderr)
-        return None
-    return Campaign(policy=policy, resume=args.resume), plan
-
-
-def _report_campaign(campaign) -> int:
-    """Print survivor/resume lines to stderr; exit code for the run.
-
-    Degraded output goes to stderr so stdout (the rendered table) stays
-    byte-identical between a clean run and a resumed one.
-    """
-    if campaign.reused_items:
-        print(
-            f"resumed: {campaign.reused_items} journaled item(s) reused",
-            file=sys.stderr,
-        )
-    if campaign.degraded:
-        print(campaign.summary(), file=sys.stderr)
-        return 3
-    return 0
-
-
 def _run_experiment(args, name: str, recorder=None) -> int:
-    """Run experiment ``name`` as the CLI does; traced under ``recorder``."""
+    """Run experiment ``name`` as the CLI does; traced under ``recorder``.
+
+    Every experiment run executes as a campaign: journaling items as
+    they complete is what makes an interrupted run resumable, so it is
+    on whenever the artifact store is.
+    """
     from repro import telemetry
     from repro.experiments.common import configure_cache, set_store
-    from repro.resilience import using_campaign, using_plan
+    from repro.resilience import Campaign, using_campaign
 
     spec = experiments.get_spec(name)
     kwargs = _experiment_kwargs(spec, args)
     if kwargs is None:
         return 2
-    setup = _campaign_setup(args)
-    if setup is None:
+    if args.resume and args.no_cache:
+        print("--resume needs the artifact store; drop --no-cache",
+              file=sys.stderr)
         return 2
-    campaign, plan = setup
+    campaign = Campaign(resume=args.resume)
     previous = configure_cache(args.cache_dir, enabled=not args.no_cache)
     try:
         trace_scope = (
             telemetry.using_recorder(recorder)
             if recorder is not None else contextlib.nullcontext()
         )
-        plan_scope = (
-            using_plan(plan) if plan is not None else contextlib.nullcontext()
-        )
-        with trace_scope, plan_scope, using_campaign(campaign):
+        with trace_scope, using_campaign(campaign):
             with telemetry.span("experiment", experiment=spec.name):
                 result = experiments.execute(spec, kwargs)
         print(spec.renderer(result))
@@ -505,7 +434,14 @@ def _run_experiment(args, name: str, recorder=None) -> int:
         set_store(previous)
     if recorder is not None:
         _write_trace(args, recorder)
-    return _report_campaign(campaign)
+    if campaign.reused_items:
+        # stderr, so the rendered table on stdout stays byte-identical
+        # between a clean run and a resumed one.
+        print(
+            f"resumed: {campaign.reused_items} journaled item(s) reused",
+            file=sys.stderr,
+        )
+    return 0
 
 
 def _run_samplers() -> str:
@@ -545,6 +481,14 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         return lint_main(argv[1:])
     args = _build_parser().parse_args(argv)
+    from repro.errors import ConfigError
+    from repro.resilience.faults import get_plan
+
+    try:
+        get_plan()
+    except ConfigError as exc:
+        print(f"invalid REPRO_INJECT_FAULTS: {exc}", file=sys.stderr)
+        return 2
     if args.command == "list":
         print(_run_list())
         return 0

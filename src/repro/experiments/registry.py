@@ -276,11 +276,11 @@ def execute(spec: ExperimentSpec, kwargs: Optional[dict] = None):
 
     With an active :class:`~repro.resilience.context.Campaign` and a
     store, the campaign's journal attaches under the same content
-    address before the runner starts, so per-item outcomes persist as
-    they complete and an interrupted run resumes (``--resume``) without
-    recomputing journaled items.  A degraded result (items skipped under
-    the campaign's policy) is *never* written to the result cache — a
-    later full run must not be poisoned by a survivor subset.
+    address before the runner starts, so items persist as they complete
+    and an interrupted run resumes (``--resume``) without recomputing
+    journaled items.  A runner that raises stores no result; its
+    campaign is sealed unfinished (journal closed, no completion
+    record) and the exception propagates.
     """
     from repro.experiments.common import get_store
     from repro.resilience.context import get_campaign
@@ -308,16 +308,18 @@ def execute(spec: ExperimentSpec, kwargs: Optional[dict] = None):
     if campaign is not None and store is not None and params is not None:
         campaign.attach_journal(store.root, store.key("campaign", params))
     telemetry_count("result.miss", experiment=spec.name)
-    with span("experiment.run", experiment=spec.name):
-        result = spec.runner(**kwargs)
-    degraded = campaign is not None and campaign.degraded
-    if degraded:
-        telemetry_count("result.degraded", experiment=spec.name)
-    if store is not None and params is not None and not degraded:
+    try:
+        with span("experiment.run", experiment=spec.name):
+            result = spec.runner(**kwargs)
+    except BaseException:
+        if campaign is not None:
+            campaign.finish(complete=False)
+        raise
+    if store is not None and params is not None:
         try:
             store.put_json("result", params, result_payload(spec, result))
         except StoreError:
             pass
     if campaign is not None:
-        campaign.finish(complete=not degraded)
+        campaign.finish()
     return result

@@ -603,8 +603,7 @@ def check_raw_clock(ctx) -> Yield:
 
 #: Functions whose call fans work out to pool workers (REP013).
 _DISPATCH_FUNCTIONS = frozenset({
-    "parallel_map", "resilient_map", "map_benchmarks", "map_items",
-    "as_completed",
+    "parallel_map", "map_benchmarks", "map_items", "as_completed",
 })
 
 #: Future/executor methods on the worker dispatch and harvest path.
@@ -633,10 +632,9 @@ def _dispatch_call(ctx, try_node: ast.Try) -> Optional[ast.AST]:
     "bare-except-dispatch",
     hazard=(
         "a bare except around worker dispatch swallows every failure "
-        "class the resilience layer must tell apart — injected faults, "
-        "BrokenProcessPool, per-item timeouts, KeyboardInterrupt — so "
-        "crashed items vanish instead of becoming ItemOutcome records "
-        "and degraded results are silently reported as complete."
+        "the runner raises — a failed item's own exception, injected "
+        "faults, a broken pool, KeyboardInterrupt — so a run with a "
+        "crashed item is silently reported as complete."
     ),
 )
 def check_bare_except_dispatch(ctx) -> Yield:
@@ -649,8 +647,7 @@ def check_bare_except_dispatch(ctx) -> Yield:
             if handler.type is None and not _handler_reraises(handler):
                 yield handler, (
                     "bare except around worker dispatch; catch the "
-                    "specific failures (or let the resilience policy "
-                    "classify them into ItemOutcome records), or re-raise"
+                    "specific failures, or re-raise"
                 )
 
 
@@ -660,16 +657,13 @@ def check_bare_except_dispatch(ctx) -> Yield:
 _REP017_FUNCTIONS = _DISPATCH_FUNCTIONS | {"journal_item"}
 _REP017_METHODS = frozenset({"submit", "result", "journal_item"})
 
-#: Names that mark a handler as producing a recorded failure outcome.
-_OUTCOME_NAMES = frozenset({"ItemOutcome", "_failure_outcome", "failure_outcome"})
-
 
 @rule(
     "REP017",
     "swallowed-failure",
     hazard=(
         "an exception handler around worker dispatch or journal writes "
-        "that neither re-raises nor records an outcome turns a failed "
+        "that neither re-raises nor reads the error turns a failed "
         "measurement into a silent gap: the run reports success while "
         "the sampled data is incomplete."
     ),
@@ -686,9 +680,8 @@ def check_swallowed_failure(ctx) -> Yield:
                 continue
             yield handler, (
                 f"exception handler around {sink} swallows the failure: "
-                "it neither re-raises, uses the bound exception, nor "
-                "produces an ItemOutcome -- failed work becomes a "
-                "silent gap in the results"
+                "it neither re-raises nor uses the bound exception -- "
+                "failed work becomes a silent gap in the results"
             )
 
 
@@ -713,25 +706,15 @@ def _rep017_sink(ctx, try_node: ast.Try) -> Optional[str]:
 
 
 def _handler_surfaces_error(handler: ast.ExceptHandler) -> bool:
-    """Whether the handler re-raises, uses the exception, or records it."""
+    """Whether the handler re-raises or uses the bound exception."""
     if _handler_reraises(handler):
         return True
-    for node in ast.walk(handler):
-        if isinstance(node, ast.Call):
-            func = node.func
-            name = func.id if isinstance(func, ast.Name) else (
-                func.attr if isinstance(func, ast.Attribute) else None
-            )
-            if name in _OUTCOME_NAMES:
-                return True
-        elif (
-            handler.name
-            and isinstance(node, ast.Name)
-            and node.id == handler.name
-            and isinstance(node.ctx, ast.Load)
-        ):
-            return True
-    return False
+    return bool(handler.name) and any(
+        isinstance(node, ast.Name)
+        and node.id == handler.name
+        and isinstance(node.ctx, ast.Load)
+        for node in ast.walk(handler)
+    )
 
 
 #: Synchronous sleeps that stall an event loop (REP018).

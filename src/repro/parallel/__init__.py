@@ -2,12 +2,11 @@
 
 Two halves, composed by ``repro.experiments.common``:
 
-* :mod:`repro.parallel.pool` — a deterministic, fault-tolerant
-  process-pool runner that fans per-benchmark work across cores and
-  merges results in submission order, so parallel runs are
-  bit-identical to serial ones; per-item failures are classified under
-  the active :mod:`repro.resilience` policy instead of aborting the
-  suite.
+* :mod:`repro.parallel.pool` — a deterministic process-pool runner
+  that fans per-benchmark work across cores and merges results in
+  submission order, so parallel runs are bit-identical to serial ones;
+  the first failed item fails the run, and an interrupted run resumes
+  from its :mod:`repro.resilience` journal.
 * :mod:`repro.parallel.store` — a content-addressed on-disk artifact
   store (pipeline outputs, replay metrics) shared across worker
   processes and across sessions, versioned by a schema tag plus a
@@ -15,7 +14,7 @@ Two halves, composed by ``repro.experiments.common``:
   corrupt artifacts.
 """
 
-from repro.parallel.pool import parallel_map, resilient_map, resolve_jobs
+from repro.parallel.pool import parallel_map, resolve_jobs
 from repro.parallel.store import (
     ENVELOPE_TAG,
     SCHEMA_TAG,
@@ -37,6 +36,5 @@ __all__ = [
     "canonical_params",
     "default_cache_dir",
     "parallel_map",
-    "resilient_map",
     "resolve_jobs",
 ]

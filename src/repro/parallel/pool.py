@@ -1,4 +1,4 @@
-"""Deterministic, fault-tolerant process-pool fan-out.
+"""Deterministic process-pool fan-out with one failure policy.
 
 The suite's per-benchmark axis is embarrassingly parallel: every
 pipeline run and replay is a pure, seeded function of its parameters.
@@ -7,21 +7,16 @@ and merges results **in submission order**, so rendered output is
 bit-identical to a serial run no matter which worker finishes first
 (the hazard repro-lint REP011 guards against).
 
-Fault tolerance: :func:`resilient_map` is the underlying engine.  It
-applies a :class:`~repro.resilience.policy.ResiliencePolicy` — taken
-from the active :class:`~repro.resilience.context.Campaign`, or passed
-explicitly — to every item: worker exceptions, per-item timeouts, and
-``BrokenProcessPool`` collapses become structured
-:class:`~repro.resilience.policy.ItemOutcome` records (retried with
-deterministic backoff while the budget lasts) instead of suite-wide
-aborts.  Under the default strict policy the first submission-order
-failure re-raises the original exception — the historical
-``parallel_map`` contract — while ``skip`` drops failed items from the
-result set and ``serial-fallback`` reruns the remainder in-process
-after a pool collapse.  With a campaign journal attached, every fresh
-outcome is durably appended as it completes, and journaled items from
-an interrupted run are merged back byte-identically in submission
-order without recomputing.
+Failures: every item runs once, and the first failed item in submission
+order fails the map with its own exception, whichever worker finished
+first.  The items after it never start (serially) or are cancelled (in
+a pool).  A worker process that dies mid-task breaks the pool, which
+raises :class:`~repro.errors.ResilienceError`.  Nothing is retried,
+timed out or skipped, so no result is ever computed from a subset of
+its items.  With a campaign journal attached
+(:mod:`repro.resilience.context`), every item is durably appended as it
+completes, and the journaled items of an interrupted run merge back
+byte-identically in submission order without recomputing.
 
 Fork safety: workers are forked where the platform supports it (cheap,
 inherits the configured artifact store and loaded registries); on
@@ -40,8 +35,7 @@ fresh :class:`~repro.telemetry.recorder.TraceRecorder` whose snapshot
 ships back alongside the result and is merged into the parent recorder
 **in submission order** (worker events get ``tid = 1 + item index``),
 so traces and aggregated metrics are deterministic regardless of worker
-completion interleaving.  Retries and timeouts count on the
-``item.retry`` / ``item.timeout`` counters.
+completion interleaving.
 """
 
 from __future__ import annotations
@@ -49,26 +43,13 @@ from __future__ import annotations
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, Iterable, List, Optional, Sequence, TypeVar
 
 from repro.errors import ConfigError, ResilienceError
-from repro.resilience.context import Campaign, get_campaign
+from repro.resilience.context import get_campaign
 from repro.resilience.faults import FaultPlan, get_plan, inject_worker_fault
-from repro.resilience.policy import (
-    KIND_BROKEN_POOL,
-    KIND_EXCEPTION,
-    KIND_TIMEOUT,
-    STATUS_FAILED,
-    STATUS_OK,
-    ItemOutcome,
-    MapOutcome,
-    OnFailure,
-    ResiliencePolicy,
-    backoff_sleep,
-)
 from repro.telemetry.recorder import (
     TraceRecorder,
     get_recorder,
@@ -76,7 +57,7 @@ from repro.telemetry.recorder import (
     span,
 )
 
-__all__ = ["parallel_map", "resilient_map", "resolve_jobs"]
+__all__ = ["parallel_map", "resolve_jobs"]
 
 _ItemT = TypeVar("_ItemT")
 _ResultT = TypeVar("_ResultT")
@@ -121,8 +102,8 @@ class _TracedResult:
     telemetry: dict
 
 
-def _resilient_call(
-    fn: Callable, item, index: int, attempt: int, plan: Optional[FaultPlan]
+def _traced_call(
+    fn: Callable, item, index: int, plan: Optional[FaultPlan]
 ) -> _TracedResult:
     """Run one item in a pool worker (module-level, so it pickles).
 
@@ -137,7 +118,7 @@ def _resilient_call(
     previous = set_recorder(worker_recorder)
     previous_plan = set_plan(plan)
     try:
-        inject_worker_fault(index, attempt)
+        inject_worker_fault(index)
         result = fn(item)
     finally:
         set_plan(previous_plan)
@@ -155,233 +136,94 @@ def _default_labels(work: Sequence) -> List[str]:
     return labels
 
 
-def _failure_outcome(
-    index: int, label: str, attempts: int, kind: str, error: BaseException
-) -> ItemOutcome:
-    return ItemOutcome(
-        index=index,
-        label=label,
-        status=STATUS_FAILED,
-        attempts=attempts,
-        kind=kind,
-        error=f"{type(error).__name__}: {error}",
-        exception=error,
-    )
-
-
-def _raise_outcome(outcome: ItemOutcome) -> None:
-    """Re-raise a failed item the way the strict contract promises."""
-    if outcome.kind == KIND_EXCEPTION and outcome.exception is not None:
-        raise outcome.exception
-    raise ResilienceError(
-        f"item {outcome.label!r} failed after {outcome.attempts} attempt(s) "
-        f"({outcome.kind}): {outcome.error}"
-    ) from outcome.exception
-
-
-def _serial_item(
-    fn: Callable,
-    item,
-    index: int,
-    label: str,
-    policy: ResiliencePolicy,
-) -> ItemOutcome:
-    """Run one item in-process under the retry budget."""
-    recorder = get_recorder()
-    error: Optional[BaseException] = None
-    for attempt in range(1, policy.retry.attempts + 1):
-        if attempt > 1:
-            if recorder is not None:
-                recorder.count("item.retry", label=label)
-            backoff_sleep(policy.retry, index, attempt)
-        try:
-            inject_worker_fault(index, attempt)
-            value = fn(item)
-        except Exception as exc:  # repro-lint: disable=REP006 -- worker failures are classified into ItemOutcome records; the policy engine re-raises them unless the campaign opted into skip
-            error = exc
-            continue
-        return ItemOutcome(
-            index=index, label=label, status=STATUS_OK,
-            attempts=attempt, value=value,
-        )
-    return _failure_outcome(
-        index, label, policy.retry.attempts, KIND_EXCEPTION, error
-    )
-
-
 def _run_serial(
-    fn: Callable,
-    work: Sequence,
-    pending: Sequence[int],
-    labels: Sequence[str],
-    policy: ResiliencePolicy,
-    outcomes: List[Optional[ItemOutcome]],
-    campaign: Optional[Campaign],
-    seq: int,
+    fn: Callable, work: Sequence, pending: Sequence[int], finish: Callable
 ) -> None:
     for index in pending:
-        outcome = _serial_item(fn, work[index], index, labels[index], policy)
-        outcomes[index] = outcome
-        if campaign is not None:
-            campaign.journal_item(seq, outcome)
-        if not outcome.ok and policy.on_failure is not OnFailure.SKIP:
-            # Fail fast: the items after the first failure never run,
-            # exactly like the plain serial loop this path descends from.
-            return
+        inject_worker_fault(index)
+        finish(index, fn(work[index]))
 
 
 def _run_pool(
     fn: Callable,
     work: Sequence,
     pending: Sequence[int],
-    labels: Sequence[str],
-    policy: ResiliencePolicy,
-    outcomes: List[Optional[ItemOutcome]],
-    campaign: Optional[Campaign],
-    seq: int,
+    finish: Callable,
     workers: int,
     recorder,
 ) -> None:
     plan = get_plan()
-    timeout_s = None if policy.timeout is None else policy.timeout.seconds
-    broken: Optional[BaseException] = None
     with ProcessPoolExecutor(
         max_workers=min(workers, len(pending)), mp_context=_mp_context()
     ) as pool:
-        futures = {
-            index: pool.submit(
-                _resilient_call, fn, work[index], index, 1, plan
-            )
+        futures = [
+            pool.submit(_traced_call, fn, work[index], index, plan)
             for index in pending
-        }
-        attempts = {index: 1 for index in pending}
+        ]
         try:
-            for index in pending:
-                if broken is not None:
-                    break
-                while outcomes[index] is None:
-                    kind: Optional[str] = None
-                    error: Optional[BaseException] = None
-                    try:
-                        shipped = futures[index].result(timeout=timeout_s)
-                    except FuturesTimeoutError as exc:
-                        kind, error = KIND_TIMEOUT, exc
-                        futures[index].cancel()
-                        if recorder is not None:
-                            recorder.count("item.timeout", label=labels[index])
-                    except BrokenProcessPool as exc:
-                        broken = exc
-                        break
-                    except Exception as exc:  # repro-lint: disable=REP006 -- worker failures are classified into ItemOutcome records; the policy engine re-raises them unless the campaign opted into skip/serial-fallback
-                        kind, error = KIND_EXCEPTION, exc
-                    else:
-                        if recorder is not None:
-                            recorder.merge(shipped.telemetry, tid=index + 1)
-                        outcomes[index] = ItemOutcome(
-                            index=index, label=labels[index],
-                            status=STATUS_OK, attempts=attempts[index],
-                            value=shipped.result,
-                        )
-                        break
-                    if attempts[index] < policy.retry.attempts:
-                        attempts[index] += 1
-                        if recorder is not None:
-                            recorder.count("item.retry", label=labels[index])
-                        backoff_sleep(
-                            policy.retry, index, attempts[index]
-                        )
-                        futures[index] = pool.submit(
-                            _resilient_call, fn, work[index], index,
-                            attempts[index], plan,
-                        )
-                        continue
-                    outcomes[index] = _failure_outcome(
-                        index, labels[index], attempts[index], kind, error
-                    )
-                    break
-                if outcomes[index] is None:
-                    break
-                if campaign is not None:
-                    campaign.journal_item(seq, outcomes[index])
-                if (
-                    not outcomes[index].ok
-                    and policy.on_failure is not OnFailure.SKIP
-                ):
-                    for future in futures.values():
-                        future.cancel()
-                    return
+            for done, (index, future) in enumerate(zip(pending, futures)):
+                try:
+                    shipped = future.result()
+                except BrokenProcessPool as exc:
+                    raise ResilienceError(
+                        f"worker pool broke with {len(pending) - done} of "
+                        f"{len(pending)} item(s) unfinished (a worker "
+                        "process died)"
+                    ) from exc
+                if recorder is not None:
+                    recorder.merge(shipped.telemetry, tid=index + 1)
+                finish(index, shipped.result)
         except BaseException:
-            for future in futures.values():
+            for future in futures:
                 future.cancel()
             raise
-    if broken is None:
-        return
-    # The pool collapsed (a worker died mid-task).  Under
-    # ``serial-fallback`` the unfinished remainder reruns in-process —
-    # the submission-order merge makes the combined result byte-identical
-    # to a clean run; under ``skip`` the unfinished items are recorded as
-    # broken-pool casualties; strict campaigns abort.
-    if policy.on_failure is OnFailure.FAIL:
-        raise ResilienceError(
-            f"worker pool broke while {len([i for i in pending if outcomes[i] is None])} "
-            "item(s) were outstanding (a worker process died); rerun with "
-            "--on-failure serial-fallback to finish in-process"
-        ) from broken
-    remaining = [index for index in pending if outcomes[index] is None]
-    if policy.on_failure is OnFailure.SERIAL_FALLBACK:
-        if recorder is not None:
-            recorder.count("parallel.serial_fallback", len(remaining))
-        _run_serial(
-            fn, work, remaining, labels, policy, outcomes, campaign, seq
-        )
-        return
-    for index in remaining:
-        outcomes[index] = _failure_outcome(
-            index, labels[index], attempts[index], KIND_BROKEN_POOL, broken
-        )
-        if campaign is not None:
-            campaign.journal_item(seq, outcomes[index])
 
 
-def resilient_map(
+def parallel_map(
     fn: Callable[[_ItemT], _ResultT],
     items: Iterable[_ItemT],
     jobs: Optional[int] = None,
-    policy: Optional[ResiliencePolicy] = None,
     labels: Optional[Sequence[str]] = None,
-) -> MapOutcome:
-    """Apply ``fn`` to every item under a resilience policy.
+) -> List[_ResultT]:
+    """Apply ``fn`` to every item, results in input order.
 
-    Returns the full :class:`MapOutcome` — per-item status, attempts,
-    and values in submission order — without raising for failed items
-    under a ``skip`` policy.  ``labels`` name the items in outcome
-    records and journals (default: the item itself when it is a string,
-    else ``item[i]``).
+    With one worker (or one item left to run) this is a plain serial
+    loop in the current process — no pool, no pickling — which is also
+    the bit-identical reference behaviour the parallel path must match.
+    The first failed item in submission order raises its own exception,
+    regardless of completion interleaving; a pool broken by a dying
+    worker raises :class:`~repro.errors.ResilienceError`.  ``labels``
+    name the items in the campaign journal (default: the item itself
+    when it is a string, else ``item[i]``).
     """
     work = list(items)
-    campaign = get_campaign()
-    if policy is None:
-        policy = campaign.policy if campaign is not None else ResiliencePolicy.strict()
     if labels is None:
         labels = _default_labels(work)
     elif len(labels) != len(work):
         raise ConfigError(
             f"labels length {len(labels)} != items length {len(work)}"
         )
+    campaign = get_campaign()
     recorder = get_recorder()
     workers = resolve_jobs(jobs, items=len(work))
-    seq = campaign.begin_map() if campaign is not None else 0
 
-    outcomes: List[Optional[ItemOutcome]] = [None] * len(work)
-    pending: List[int] = []
-    for index in range(len(work)):
-        cached = None
+    results: List = [None] * len(work)
+    pending = list(range(len(work)))
+    seq = 0
+    if campaign is not None:
+        seq = campaign.begin_map(len(work))
+        pending = []
+        for index in range(len(work)):
+            journaled, value = campaign.journaled_value(seq, index)
+            if journaled:
+                results[index] = value
+            else:
+                pending.append(index)
+
+    def finish(index: int, value) -> None:
+        results[index] = value
         if campaign is not None:
-            cached = campaign.cached_outcome(seq, index, labels[index])
-        if cached is not None:
-            outcomes[index] = cached
-        else:
-            pending.append(index)
+            campaign.journal_item(seq, index, labels[index], value)
 
     with span("parallel.map", items=len(work)):
         if recorder is not None:
@@ -392,49 +234,11 @@ def resilient_map(
             # merged parallel trace must aggregate to.
             if recorder is not None:
                 recorder.gauge("parallel.workers", 1)
-            _run_serial(
-                fn, work, pending, labels, policy, outcomes, campaign, seq
-            )
+            _run_serial(fn, work, pending, finish)
         else:
             if recorder is not None:
                 recorder.gauge(
                     "parallel.workers", min(workers, len(pending))
                 )
-            _run_pool(
-                fn, work, pending, labels, policy, outcomes,
-                campaign, seq, workers, recorder,
-            )
-
-    result = MapOutcome(outcomes=[o for o in outcomes if o is not None])
-    if campaign is not None:
-        campaign.record(result)
-    failed = result.failed
-    if failed and policy.on_failure is not OnFailure.SKIP:
-        _raise_outcome(failed[0])
-    if failed and recorder is not None:
-        recorder.count("parallel.skipped", len(failed))
-    return result
-
-
-def parallel_map(
-    fn: Callable[[_ItemT], _ResultT],
-    items: Iterable[_ItemT],
-    jobs: Optional[int] = None,
-    policy: Optional[ResiliencePolicy] = None,
-    labels: Optional[Sequence[str]] = None,
-) -> List[_ResultT]:
-    """Apply ``fn`` to every item, results in input order.
-
-    With one worker (or one item) this is a plain serial loop in the
-    current process — no pool, no pickling — which is also the
-    bit-identical reference behaviour the parallel path must match.
-    Under the default strict policy, worker exceptions propagate in
-    submission order, so the *first* failing item raises regardless of
-    completion interleaving.  Under a ``skip`` policy the returned list
-    holds only the surviving items' results (callers see the explicit
-    survivor count through the active campaign / the returned
-    :class:`MapOutcome` of :func:`resilient_map`).
-    """
-    return resilient_map(
-        fn, items, jobs=jobs, policy=policy, labels=labels
-    ).results
+            _run_pool(fn, work, pending, finish, workers, recorder)
+    return results

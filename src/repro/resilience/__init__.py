@@ -1,28 +1,26 @@
-"""Fault-tolerant campaign execution.
+"""Failing loudly, resuming cheaply, and testing both.
 
-The source paper's central operational lesson is partial failure:
-checkpointing completed for only 29 of the SPEC CPU2017 workloads, and
-Table II is defined over the survivors.  This package gives the suite
-runner the same posture — one crashed worker or one corrupt artifact
-must not throw away hours of completed per-benchmark work:
+The source paper reports Table II over the 29 SPEC CPU2017 workloads
+whose checkpointing completed.  Here those 29 are the registered suite,
+so a run needs no policy that drops, retries or times out items: every
+fan-out (:func:`repro.parallel.parallel_map`) runs each item once and
+fails on its first failed item.  What a long campaign does need is to
+lose nothing it already computed when it dies, and a way to rehearse
+every failure path deterministically:
 
-* :mod:`repro.resilience.policy` — per-item :class:`Timeout`,
-  :class:`Retry` with deterministic seeded backoff, and the
-  :class:`OnFailure` modes (``fail`` / ``skip`` / ``serial-fallback``)
-  that :func:`repro.parallel.parallel_map` honors, turning worker
-  crashes, ``BrokenProcessPool`` and timeouts into structured
-  :class:`ItemOutcome` records instead of suite-wide aborts;
 * :mod:`repro.resilience.journal` — an append-only, fsync'd JSONL
-  journal of per-item outcomes under the artifact store root, so an
+  journal of completed items under the artifact store root, so an
   interrupted campaign resumes (``--resume``) without recomputing
   anything already journaled;
 * :mod:`repro.resilience.context` — the active :class:`Campaign`
-  (policy + journal + degraded-result bookkeeping), installed in a
-  module-level slot like the telemetry recorder;
+  (journal + item counts), installed in a module-level slot like the
+  telemetry recorder;
 * :mod:`repro.resilience.faults` — a deterministic fault-injection
-  harness (:class:`FaultPlan`, ``--inject-faults SPEC``,
-  ``REPRO_INJECT_FAULTS``) so every recovery path is testable in CI
-  without real crashes.
+  harness (:class:`FaultPlan`, ``REPRO_INJECT_FAULTS``) so every
+  recovery path is testable in CI without real crashes;
+* :mod:`repro.resilience.policy` — :class:`Retry` and
+  :func:`backoff_sleep`, the seeded backoff the campaign client's
+  ``watch`` reconnect sleeps on.
 """
 
 from repro.resilience.context import (
@@ -44,15 +42,7 @@ from repro.resilience.faults import (
     using_plan,
 )
 from repro.resilience.journal import JOURNAL_SCHEMA, CampaignJournal
-from repro.resilience.policy import (
-    ItemOutcome,
-    MapOutcome,
-    OnFailure,
-    ResiliencePolicy,
-    Retry,
-    Timeout,
-    backoff_sleep,
-)
+from repro.resilience.policy import Retry, backoff_sleep
 
 __all__ = [
     "Campaign",
@@ -60,13 +50,8 @@ __all__ = [
     "FaultClause",
     "FaultPlan",
     "InjectedFaultError",
-    "ItemOutcome",
     "JOURNAL_SCHEMA",
-    "MapOutcome",
-    "OnFailure",
-    "ResiliencePolicy",
     "Retry",
-    "Timeout",
     "backoff_sleep",
     "get_campaign",
     "get_plan",

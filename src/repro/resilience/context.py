@@ -1,55 +1,46 @@
-"""The active campaign: one policy + journal + outcome ledger per run.
+"""The active campaign: one journal and item count per run.
 
-A :class:`Campaign` ties together everything fault-tolerance needs to
-know about one experiment execution: the :class:`ResiliencePolicy` the
-parallel runner applies to every fan-out, the journal that makes the run
-resumable, and the accumulated :class:`MapOutcome` records that decide
-whether the final result is degraded (fewer survivors than items — the
-paper's Table II situation) and what the "N of M completed" summary
-says.
+A :class:`Campaign` ties together what resuming needs to know about one
+experiment execution: the journal that makes the run resumable, and how
+many items its fan-outs submitted, completed and replayed from an
+interrupted run's journal (the ``resumed: N journaled item(s) reused``
+line, and the item counts a campaign job reports).
 
 Like the telemetry recorder and the artifact store, the active campaign
 lives in a module-level slot (:func:`get_campaign` /
 :func:`set_campaign` / :func:`using_campaign`).  ``None`` — the default
-for library use and for tests that don't opt in — means strict
-policies, no journal, and zero bookkeeping overhead.
+for library use and for tests that don't opt in — means no journal and
+zero bookkeeping overhead.
 """
 
 from __future__ import annotations
 
 import contextlib
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 from repro.errors import ResilienceError
 from repro.resilience.journal import CampaignJournal, decode_value, encode_value
-from repro.resilience.policy import ItemOutcome, MapOutcome, ResiliencePolicy
 from repro.telemetry.recorder import count as telemetry_count
 
 __all__ = ["Campaign", "get_campaign", "set_campaign", "using_campaign"]
 
 
 class Campaign:
-    """One fault-tolerant experiment execution.
+    """One resumable experiment execution.
 
     Args:
-        policy: Applied by every fan-out that runs while this campaign is
-            active (an explicit ``policy=`` on ``parallel_map`` wins).
-        resume: Whether to reuse outcomes journaled by a previous
+        resume: Whether to reuse items journaled by a previous
             interrupted run of the same campaign.  When False (the
             default), a stale journal for this campaign is discarded —
-            a fresh run must never silently reuse old outcomes.
+            a fresh run must never silently reuse old items.
     """
 
-    def __init__(
-        self,
-        policy: Optional[ResiliencePolicy] = None,
-        resume: bool = False,
-    ) -> None:
-        self.policy = policy if policy is not None else ResiliencePolicy.strict()
+    def __init__(self, resume: bool = False) -> None:
         self.resume = resume
         self.journal: Optional[CampaignJournal] = None
         self.key: Optional[str] = None
-        self.map_outcomes: List[MapOutcome] = []
+        self.total_items = 0
+        self.completed_items = 0
         self.reused_items = 0
         self._cached: Dict[Tuple[int, int], dict] = {}
         self._next_seq = 0
@@ -60,8 +51,8 @@ class Campaign:
         """Bind this campaign to its journal under the store root.
 
         Called by ``registry.execute`` once the campaign's identity (the
-        experiment + kwargs content address) is known.  On resume, ok
-        outcomes from the existing journal become the replay cache.
+        experiment + kwargs content address) is known.  On resume, the
+        existing journal's completed items become the replay cache.
 
         Takes the journal's exclusive writer lock up front, so two
         processes resuming the same campaign key cannot interleave
@@ -88,76 +79,48 @@ class Campaign:
                 journal.discard()
         self.journal = journal
 
-    def begin_map(self) -> int:
+    def begin_map(self, items: int) -> int:
         """Sequence number of the next fan-out (journal identity axis)."""
         seq = self._next_seq
         self._next_seq += 1
+        self.total_items += items
         return seq
 
-    def cached_outcome(
-        self, seq: int, index: int, label: str
-    ) -> Optional[ItemOutcome]:
-        """A journaled ok outcome for this item, decoded — or None."""
+    def journaled_value(self, seq: int, index: int) -> Tuple[bool, object]:
+        """``(True, value)`` when the journal replays this item.
+
+        ``(False, None)`` when the item must run: it was never journaled,
+        or its journaled payload fails its integrity check.
+        """
         record = self._cached.get((seq, index))
         if record is None:
-            return None
+            return False, None
         try:
             value = decode_value(record.get("payload") or {})
         except ResilienceError:
             # Damaged payload: drop the entry and recompute the item.
             self._cached.pop((seq, index), None)
-            return None
+            return False, None
         telemetry_count("journal.hit")
         self.reused_items += 1
-        return ItemOutcome(
-            index=index,
-            label=label,
-            status="ok",
-            attempts=0,
-            cached=True,
-            value=value,
-        )
+        self.completed_items += 1
+        return True, value
 
-    def journal_item(self, seq: int, outcome: ItemOutcome) -> None:
-        """Durably record one freshly computed item outcome."""
-        if self.journal is None or outcome.cached:
+    def journal_item(self, seq: int, index: int, label: str, value) -> None:
+        """Count one freshly computed item and durably record it."""
+        self.completed_items += 1
+        if self.journal is None:
             return
-        record = dict(outcome.to_payload())
-        record["event"] = "item"
-        record["seq"] = seq
-        if outcome.ok:
-            record["payload"] = encode_value(outcome.value)
-        self.journal.append(record)
-
-    # -- outcome ledger ------------------------------------------------
-
-    def record(self, outcome: MapOutcome) -> None:
-        self.map_outcomes.append(outcome)
-
-    @property
-    def degraded(self) -> bool:
-        return any(m.degraded for m in self.map_outcomes)
-
-    @property
-    def total_items(self) -> int:
-        return sum(m.total for m in self.map_outcomes)
-
-    @property
-    def completed_items(self) -> int:
-        return sum(m.completed for m in self.map_outcomes)
-
-    def summary(self) -> str:
-        """The explicit survivor report for degraded/resumed runs."""
-        head = (
-            f"campaign: {self.completed_items} of {self.total_items} "
-            "items completed"
+        self.journal.append(
+            {
+                "event": "item",
+                "seq": seq,
+                "index": index,
+                "label": label,
+                "status": "ok",
+                "payload": encode_value(value),
+            }
         )
-        if self.reused_items:
-            head += f" ({self.reused_items} reused from journal)"
-        skipped = [o.label for m in self.map_outcomes for o in m.failed]
-        if skipped:
-            head += "; skipped: " + ", ".join(skipped)
-        return head
 
     def finish(self, complete: bool = True) -> None:
         """Seal the campaign; a complete one gets a terminal record."""
@@ -173,7 +136,7 @@ _CAMPAIGN: Optional[Campaign] = None
 
 
 def get_campaign() -> Optional[Campaign]:
-    """The active campaign, or None (strict policies, no journal)."""
+    """The active campaign, or None (no journal)."""
     return _CAMPAIGN
 
 

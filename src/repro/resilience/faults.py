@@ -13,18 +13,16 @@ Spec grammar (clauses joined by ``;``, options by ``:``)::
     crash:items=2             # raise in the worker for item 2
     crash:every=3             # ... for every third item (2, 5, 8, ...)
     crash:p=0.2:seed=7        # ... for a seeded 20% of items
-    hang:items=1:hang=0.5     # sleep 0.5 s in the worker for item 1
     poolcrash:items=0         # os._exit in the worker: BrokenProcessPool
     truncate:every=7          # write half of every 7th store artifact
     garbage:every=11          # write checksum-garbage bytes instead
     enospc:every=13           # raise OSError(ENOSPC) on the write
-    crash:items=2:attempt=2   # only hit the second attempt (retry tests)
     truncate:kinds=metrics    # only hit this artifact kind
 
-Worker faults (``crash``/``hang``/``poolcrash``) trigger by item index
-and attempt number; store faults (``truncate``/``garbage``/``enospc``)
-trigger by a per-artifact-kind write ordinal, with ``every=N`` hitting
-ordinals N-1, 2N-1, ... so the first writes of a run stay clean.
+Worker faults (``crash``/``poolcrash``) trigger by item index; store
+faults (``truncate``/``garbage``/``enospc``) trigger by a
+per-artifact-kind write ordinal, with ``every=N`` hitting ordinals
+N-1, 2N-1, ... so the first writes of a run stay clean.
 
 Service-level faults (the campaign chaos harness)::
 
@@ -47,8 +45,9 @@ ordinal via :func:`inject_service_fault`, like store faults.
 The active plan lives in a module-level slot like the telemetry
 recorder: explicit :func:`set_plan`/:func:`using_plan`, or lazily from
 the ``REPRO_INJECT_FAULTS`` environment variable (the CI ``faults`` job
-sets it to the ``ci-default`` preset).  ``None`` means no injection and
-costs one global load per hook.
+sets it to the ``ci-default`` preset; the CLI parses it once at start-up
+and refuses a malformed one).  ``None`` means no injection and costs one
+global load per hook.
 """
 
 from __future__ import annotations
@@ -62,7 +61,6 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import ConfigError
-from repro.telemetry.clock import sleep_s
 from repro.telemetry.recorder import count as telemetry_count
 
 __all__ = [
@@ -88,7 +86,7 @@ __all__ = [
 #: Faults raised inside (or instead of) the worker callable.
 #: ``workerkill``/``workerhang`` only ever fire in a process marked as
 #: a campaign service worker (see :func:`set_service_context`).
-WORKER_FAULT_KINDS = ("crash", "hang", "poolcrash", "workerkill", "workerhang")
+WORKER_FAULT_KINDS = ("crash", "poolcrash", "workerkill", "workerhang")
 
 #: Faults applied to artifact-store writes.
 STORE_FAULT_KINDS = ("truncate", "garbage", "enospc")
@@ -108,9 +106,9 @@ _ALL_KINDS = WORKER_FAULT_KINDS + STORE_FAULT_KINDS + SERVICE_FAULT_KINDS
 #: decoy ledger line every 3rd append, and drop every 2nd watch stream.
 PRESETS = {
     "ci-default": (
-        "truncate:every=7:kinds=metrics,points,pinpoints;"
-        "garbage:every=11:kinds=metrics,points,pinpoints;"
-        "enospc:every=13:kinds=metrics,points,pinpoints"
+        "truncate:every=7:kinds=metrics,pinpoints;"
+        "garbage:every=11:kinds=metrics,pinpoints;"
+        "enospc:every=13:kinds=metrics,pinpoints"
     ),
     "ci-chaos": (
         "workerhang:items=1:gen=0;"
@@ -138,8 +136,6 @@ class FaultClause:
     items: Optional[Tuple[int, ...]] = None
     every: Optional[int] = None
     probability: Optional[float] = None
-    attempt: Optional[int] = None
-    hang_s: float = 30.0
     seed: int = 0
     kinds: Optional[Tuple[str, ...]] = None
     generation: Optional[int] = None
@@ -156,12 +152,6 @@ class FaultClause:
             raise ConfigError(
                 f"fault p= must be within [0, 1], got {self.probability!r}"
             )
-        if self.attempt is not None and self.attempt < 1:
-            raise ConfigError(
-                f"fault attempt= must be >= 1, got {self.attempt!r}"
-            )
-        if self.hang_s <= 0:
-            raise ConfigError(f"fault hang= must be > 0, got {self.hang_s!r}")
         if self.items is not None and any(i < 0 for i in self.items):
             raise ConfigError("fault items= indices must be >= 0")
         if self.generation is not None and self.generation < 0:
@@ -169,10 +159,8 @@ class FaultClause:
                 f"fault gen= must be >= 0, got {self.generation!r}"
             )
 
-    def triggers(self, index: int, attempt: int = 1) -> bool:
-        """Whether this clause fires for (item/write ``index``, ``attempt``)."""
-        if self.attempt is not None and attempt != self.attempt:
-            return False
+    def triggers(self, index: int) -> bool:
+        """Whether this clause fires for item/write ``index``."""
         if self.items is not None:
             return index in self.items
         if self.every is not None:
@@ -191,7 +179,7 @@ class FaultPlan:
     Instances pickle with the plan's clauses *and* the originating
     process id, so a ``poolcrash`` clause can tell a forked worker
     (``os._exit`` → ``BrokenProcessPool``) apart from the driving
-    process (no-op, so serial fallback succeeds).
+    process, which it must never kill.
 
     Store-fault triggering keeps one write ordinal per artifact kind in
     this process; :func:`reset_plan` in the test harness gives every
@@ -205,9 +193,7 @@ class FaultPlan:
         self._write_ordinals: Dict[str, int] = {}
         self._service_ordinals: Dict[str, int] = {}
 
-    def worker_clause(
-        self, index: int, attempt: int = 1
-    ) -> Optional[FaultClause]:
+    def worker_clause(self, index: int) -> Optional[FaultClause]:
         """The first worker-fault clause firing for this item, if any."""
         for clause in self.clauses:
             if clause.kind not in WORKER_FAULT_KINDS:
@@ -217,7 +203,7 @@ class FaultPlan:
                 and clause.generation != _SERVICE["generation"]
             ):
                 continue
-            if clause.triggers(index, attempt):
+            if clause.triggers(index):
                 return clause
         return None
 
@@ -265,13 +251,11 @@ def _parse_clause(raw: str) -> FaultClause:
         "items": lambda v: tuple(int(x) for x in v.split(",")),
         "every": int,
         "p": float,
-        "attempt": int,
-        "hang": float,
         "seed": int,
         "kinds": lambda v: tuple(x.strip() for x in v.split(",")),
         "gen": int,
     }
-    renames = {"p": "probability", "hang": "hang_s", "gen": "generation"}
+    renames = {"p": "probability", "gen": "generation"}
     for part in parts[1:]:
         key, sep, value = part.partition("=")
         key = key.strip()
@@ -366,25 +350,22 @@ def using_plan(plan: Optional[FaultPlan]) -> Iterator[Optional[FaultPlan]]:
         set_plan(previous)
 
 
-def inject_worker_fault(index: int, attempt: int = 1) -> None:
+def inject_worker_fault(index: int) -> None:
     """Dispatch-path hook: fire any worker fault due for this item.
 
     Called by the parallel runner right before the worker callable, in
     whichever process runs the item (pool worker or, serially, the
     driver).  ``poolcrash`` kills only forked workers — in the driving
-    process it is a no-op, which is exactly what lets ``serial-fallback``
-    recover from the pool collapse it causes.
+    process it is a no-op, so it breaks a pool but never takes down
+    the CLI or test process that drives it.
     """
     plan = get_plan()
     if plan is None:
         return
-    clause = plan.worker_clause(index, attempt)
+    clause = plan.worker_clause(index)
     if clause is None:
         return
     telemetry_count("fault.injected", kind=clause.kind)
-    if clause.kind == "hang":
-        sleep_s(clause.hang_s)
-        return
     if clause.kind == "poolcrash":
         if os.getpid() != plan.origin_pid:
             os._exit(3)
@@ -399,9 +380,7 @@ def inject_worker_fault(index: int, attempt: int = 1) -> None:
         if _SERVICE["worker"]:
             os.kill(os.getpid(), signal.SIGSTOP)
         return
-    raise InjectedFaultError(
-        f"injected crash at item {index} (attempt {attempt})"
-    )
+    raise InjectedFaultError(f"injected crash at item {index}")
 
 
 def inject_service_fault(point: str) -> bool:

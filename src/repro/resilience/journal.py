@@ -1,13 +1,14 @@
-"""Append-only campaign journal: fsync'd JSONL of per-item outcomes.
+"""Append-only campaign journal: fsync'd JSONL of completed items.
 
 Every completed item of a campaign's fan-outs is appended as one JSON
-line — outcome metadata plus the worker's pickled return value (base64,
-with a SHA-256 integrity digest) — and the file descriptor is fsync'd
-after each append, so a campaign killed at any instant leaves a journal
-whose entries are all complete.  A re-run with ``--resume`` replays the
-journal instead of recomputing: the drivers are deterministic, so the
-i-th item of the k-th fan-out in the resumed run is the same work as in
-the interrupted one, and ``(seq, index)`` identifies it.
+line — its fan-out sequence number, index and label plus the worker's
+pickled return value (base64, with a SHA-256 integrity digest) — and
+the file descriptor is fsync'd after each append, so a campaign killed
+at any instant leaves a journal whose entries are all complete.  A
+re-run with ``--resume`` replays the journal instead of recomputing:
+the drivers are deterministic, so the i-th item of the k-th fan-out in
+the resumed run is the same work as in the interrupted one, and
+``(seq, index)`` identifies it.
 
 Corrupt lines (the torn final append of a hard kill, stray editing) are
 counted and skipped, never trusted; a payload whose digest does not
@@ -75,7 +76,7 @@ def decode_value(payload: dict):
 
 
 class CampaignJournal:
-    """One campaign's append-only JSONL outcome log."""
+    """One campaign's append-only JSONL item log."""
 
     def __init__(self, path) -> None:
         self.path = Path(path)

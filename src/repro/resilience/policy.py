@@ -1,94 +1,24 @@
-"""Per-item fault-tolerance policies and structured outcome records.
+"""Deterministic retry backoff: the one sanctioned retry sleep.
 
-A :class:`ResiliencePolicy` describes what the parallel runner does when
-one item of a fan-out misbehaves: how many times to retry it (with a
-deterministic seeded backoff — no hidden RNG state, no host-entropy
-jitter), how long to wait for a pooled worker before declaring it hung,
-and whether a finally-failed item aborts the campaign (``fail``), is
-dropped from the result set (``skip``, the paper's 29-survivor Table II
-posture), or triggers an in-process rerun after the worker pool
-collapsed (``serial-fallback``).
-
-Failures never travel as raw exceptions through the runner's merge
-logic; they are classified into :class:`ItemOutcome` records first, and
-a whole fan-out reports as a :class:`MapOutcome` whose ``summary()`` is
-the explicit "N of M items completed" line degraded results surface.
+A fan-out has no per-item retry, timeout or skip: its first failed item
+fails the run (:mod:`repro.parallel.pool`).  Retrying belongs to the
+callers that talk to something which can recover on its own — today the
+campaign client, whose ``watch`` stream reconnects after a dropped
+connection.  :class:`Retry` describes such a budget with a seeded
+backoff (no hidden RNG state, no host-entropy jitter) and
+:func:`backoff_sleep` sleeps it through the telemetry clock, the only
+retry sleep lint rule REP020 allows.
 """
 
 from __future__ import annotations
 
-import enum
 import hashlib
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
 
 from repro.errors import ConfigError
 from repro.telemetry.clock import sleep_s
 
-__all__ = [
-    "KIND_BROKEN_POOL",
-    "KIND_EXCEPTION",
-    "KIND_TIMEOUT",
-    "STATUS_FAILED",
-    "STATUS_OK",
-    "ItemOutcome",
-    "MapOutcome",
-    "OnFailure",
-    "ResiliencePolicy",
-    "Retry",
-    "Timeout",
-    "backoff_sleep",
-]
-
-STATUS_OK = "ok"
-STATUS_FAILED = "failed"
-
-#: Failure classifications carried by :attr:`ItemOutcome.kind`.
-KIND_EXCEPTION = "exception"
-KIND_TIMEOUT = "timeout"
-KIND_BROKEN_POOL = "broken-pool"
-
-
-class OnFailure(enum.Enum):
-    """What a finally-failed item does to the campaign."""
-
-    FAIL = "fail"
-    SKIP = "skip"
-    SERIAL_FALLBACK = "serial-fallback"
-
-    @classmethod
-    def parse(cls, value) -> "OnFailure":
-        if isinstance(value, cls):
-            return value
-        for mode in cls:
-            if mode.value == value:
-                return mode
-        choices = ", ".join(mode.value for mode in cls)
-        raise ConfigError(
-            f"unknown on-failure mode {value!r}; expected one of: {choices}"
-        )
-
-
-@dataclass(frozen=True)
-class Timeout:
-    """Per-item deadline for pooled work.
-
-    Enforced by waiting on the item's future, so it only applies when a
-    pool is actually running (a serial in-process call cannot be
-    preempted without threads — the asymmetry is documented in
-    DESIGN.md §11).  A worker that blows the deadline counts as a failed
-    attempt of kind ``timeout``.
-    """
-
-    seconds: float
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.seconds, (int, float)) or isinstance(
-            self.seconds, bool
-        ) or self.seconds <= 0:
-            raise ConfigError(
-                f"timeout seconds must be a positive number, got {self.seconds!r}"
-            )
+__all__ = ["Retry", "backoff_sleep"]
 
 
 @dataclass(frozen=True)
@@ -149,118 +79,10 @@ def backoff_sleep(retry: Retry, index: int, attempt: int) -> float:
 
     Computes the deterministic seeded delay for ``attempt`` of item
     ``index`` under ``retry`` and sleeps it through the telemetry
-    clock, so every retry loop — the parallel runner, the campaign
-    client's reconnect, anything new — backs off on the same
-    reproducible schedule.  Returns the delay actually slept.
+    clock, so every retry loop — the campaign client's reconnect,
+    anything new — backs off on the same reproducible schedule.  Returns the delay actually slept.
     """
     delay = retry.delay_s(index, attempt)
     if delay > 0:
         sleep_s(delay)
     return delay
-
-
-@dataclass(frozen=True)
-class ResiliencePolicy:
-    """The complete per-item fault-tolerance contract for one fan-out."""
-
-    retry: Retry = field(default_factory=Retry)
-    timeout: Optional[Timeout] = None
-    on_failure: OnFailure = OnFailure.FAIL
-
-    @classmethod
-    def strict(cls) -> "ResiliencePolicy":
-        """The default: no retries, no timeout, first failure aborts."""
-        return cls()
-
-    @classmethod
-    def from_options(
-        cls,
-        retries: int = 0,
-        timeout_s: Optional[float] = None,
-        on_failure="fail",
-    ) -> "ResiliencePolicy":
-        """Build a policy from CLI-shaped options (``--retries`` etc.)."""
-        if not isinstance(retries, int) or isinstance(retries, bool) or retries < 0:
-            raise ConfigError(
-                f"retries must be a non-negative integer, got {retries!r}"
-            )
-        return cls(
-            retry=Retry(attempts=retries + 1),
-            timeout=None if timeout_s is None else Timeout(float(timeout_s)),
-            on_failure=OnFailure.parse(on_failure),
-        )
-
-
-@dataclass
-class ItemOutcome:
-    """What happened to one item of a fan-out.
-
-    ``value`` carries the worker's return value only when ``status`` is
-    ``ok``; ``exception`` keeps the original exception object (in the
-    driving process) so ``fail`` policies re-raise exactly what the
-    worker raised, preserving the old ``parallel_map`` contract.
-    """
-
-    index: int
-    label: str
-    status: str
-    attempts: int
-    kind: Optional[str] = None
-    error: Optional[str] = None
-    cached: bool = False
-    value: object = field(default=None, compare=False)
-    exception: Optional[BaseException] = field(
-        default=None, compare=False, repr=False
-    )
-
-    @property
-    def ok(self) -> bool:
-        return self.status == STATUS_OK
-
-    def to_payload(self) -> dict:
-        """JSON-compatible record for the campaign journal."""
-        return {
-            "index": self.index,
-            "label": self.label,
-            "status": self.status,
-            "attempts": self.attempts,
-            "kind": self.kind,
-            "error": self.error,
-        }
-
-
-@dataclass
-class MapOutcome:
-    """One fan-out's complete, submission-ordered outcome set."""
-
-    outcomes: List[ItemOutcome]
-
-    @property
-    def results(self) -> List:
-        """Values of the surviving items, in submission order."""
-        return [o.value for o in self.outcomes if o.ok]
-
-    @property
-    def failed(self) -> List[ItemOutcome]:
-        """The non-surviving items, in submission order."""
-        return [o for o in self.outcomes if not o.ok]
-
-    @property
-    def total(self) -> int:
-        return len(self.outcomes)
-
-    @property
-    def completed(self) -> int:
-        return sum(1 for o in self.outcomes if o.ok)
-
-    @property
-    def degraded(self) -> bool:
-        """Whether any item was dropped (the 29-survivor situation)."""
-        return self.completed < self.total
-
-    def summary(self) -> str:
-        head = f"{self.completed} of {self.total} items completed"
-        if self.degraded:
-            dropped = ", ".join(o.label for o in self.failed)
-            head += f"; skipped: {dropped}"
-        return head

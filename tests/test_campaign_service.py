@@ -38,11 +38,18 @@ BOOT_TIMEOUT_S = 30.0
 JOB_TIMEOUT_S = 180.0
 
 
-def _spawn_server(cache_dir: Path, *extra_args: str) -> subprocess.Popen:
-    """Start ``serve`` in its own session; returns once it is listening."""
+def _spawn_server(
+    cache_dir: Path, *extra_args: str, faults: str = None
+) -> subprocess.Popen:
+    """Start ``serve`` in its own session; returns once it is listening.
+
+    ``faults``, when given, is the server's ``REPRO_INJECT_FAULTS``.
+    """
     ready = cache_dir / f"ready-{time.monotonic_ns()}.json"
     env = dict(os.environ)
     env["REPRO_CACHE_DIR"] = str(cache_dir)
+    if faults is not None:
+        env["REPRO_INJECT_FAULTS"] = faults
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = src + os.pathsep * bool(env.get("PYTHONPATH")) + env.get(
         "PYTHONPATH", ""
@@ -229,6 +236,39 @@ class TestServiceEndToEnd:
             assert _shutdown(client2, proc2) == 0
         direct = _direct_json(tmp_path, KILL_BENCH)
         assert svc_json.read_bytes() == direct.read_bytes()
+
+    def test_failed_item_fails_the_job_and_frees_its_key(
+        self, tmp_path, capsys
+    ):
+        """A crashed item ends its job ``failed`` with the item's own
+        error; ``campaign result`` refuses the job, and an identical
+        resubmission runs anew instead of joining the failed job."""
+        from repro.cli import main as cli_main
+
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        proc = _spawn_server(cache, faults="crash:items=1")
+        client = _client_for(cache)
+        kwargs = {"benchmarks": KILL_BENCH, "jobs": 1}
+        try:
+            job_id = client.submit("fig8", kwargs)["job"]["id"]
+            job = client.wait(job_id, timeout_s=JOB_TIMEOUT_S)
+            assert job["state"] == "failed"
+            assert "InjectedFaultError" in job["error"]
+            assert job["completed_items"] == 1
+            assert job["total_items"] == len(KILL_BENCH)
+
+            code = cli_main(["campaign", "result", job_id,
+                             "--socket", str(cache / "campaign.sock")])
+            assert code == 2
+            assert f"{job_id} is failed, not done" in capsys.readouterr().err
+
+            again = client.submit("fig8", kwargs)
+            assert again["deduped"] is False
+            assert again["job"]["id"] != job_id
+            client.cancel(again["job"]["id"])
+        finally:
+            assert _shutdown(client, proc) == 0
 
     def test_sigterm_drains_and_exits_zero(self, tmp_path):
         cache = tmp_path / "cache"

@@ -6,7 +6,7 @@ doctor's quarantine, ledger compaction, admission control, and the
 poisoned quarantine surviving ``--resume`` — all driven directly as
 objects.  The end-to-end choreography (real forked workers, SIGKILL,
 the watchdog task) lives in ``test_campaign_service.py`` and the chaos
-harness (``repro.resilience.chaos``).
+harness (``tools/chaos.py``).
 """
 
 from __future__ import annotations

@@ -31,8 +31,6 @@ UNREACHED = {
     "sampled estimates",
     "repro.stats.distribution": "formal instruction-mix comparisons for the "
     "tolerances of sampled estimates",
-    "repro.resilience.chaos": "the service chaos harness that "
-    "tools/chaos_smoke.sh runs",
 }
 
 

@@ -157,6 +157,20 @@ class TestParserGeneration:
             twin = _option_strings(_subparser(trace, name))
             assert twin - trace_only == plain, name
 
+    def test_one_failure_policy_leaves_nothing_to_choose(self):
+        # Every fan-out fails on its first failed item; no option picks
+        # another policy, and --resume is how a failed run continues.
+        parser = _build_parser()
+        trace = _subparser(parser, "trace")
+        subparsers = [_subparser(parser, "serve")]
+        for name in SPEC_NAMES:
+            subparsers += [_subparser(parser, name), _subparser(trace, name)]
+        gone = {"--retries", "--timeout", "--on-failure", "--inject-faults"}
+        for sub in subparsers:
+            options = _option_strings(sub)
+            assert not options & gone, sub.prog
+            assert "--resume" in options, sub.prog
+
 
 @pytest.mark.parametrize("name", SPEC_NAMES)
 def test_payload_round_trip_has_render_fidelity(name):

@@ -1,10 +1,10 @@
 """Checkpoint/resume: the campaign journal and its replay semantics.
 
-The acceptance contract: a campaign interrupted partway (here: items
-failing under a ``skip`` policy, the moral equivalent of a kill) leaves
-a journal from which ``--resume`` completes the run without recomputing
-journaled items, and the resumed output is byte-identical to a clean
-uninterrupted run.
+The acceptance contract: a campaign interrupted partway (here: an
+injected crash, whose first failed item fails the run like a kill
+would) leaves a journal from which ``--resume`` completes the run
+without recomputing journaled items, and the resumed output is
+byte-identical to a clean uninterrupted run.
 """
 
 from __future__ import annotations
@@ -18,13 +18,12 @@ import pytest
 from repro.errors import ResilienceError
 from repro.experiments.common import configure_cache, map_items, set_store
 from repro.experiments.registry import ExperimentSpec, execute
-from repro.parallel import parallel_map, resilient_map
+from repro.parallel import parallel_map
 from repro.resilience import (
     Campaign,
     CampaignJournal,
+    InjectedFaultError,
     JOURNAL_SCHEMA,
-    OnFailure,
-    ResiliencePolicy,
     parse_spec,
     using_campaign,
     using_plan,
@@ -35,11 +34,36 @@ from repro.telemetry.recorder import TraceRecorder, using_recorder
 pytestmark = pytest.mark.resilience
 
 ITEMS = list(range(5))
-SKIP = ResiliencePolicy(on_failure=OnFailure.SKIP)
+
+#: Items ``_tenfold_logged`` computed (serial runs only: the calls of
+#: pool workers happen in other processes).
+_COMPUTED: List[int] = []
 
 
 def _tenfold(x):
     return x * 10
+
+
+def _tenfold_logged(x):
+    _COMPUTED.append(x)
+    return x * 10
+
+
+def _journaled_indices(store_root, key: str) -> List[int]:
+    """Indices of the journal's item records, in append order."""
+    journal = CampaignJournal(CampaignJournal.path_for(store_root, key))
+    return [r["index"] for r in journal.load() if r.get("event") == "item"]
+
+
+def _resume_serially(store_root, key: str):
+    """Resume ``key`` at jobs=1: (results, items recomputed, campaign)."""
+    campaign = Campaign(resume=True)
+    campaign.attach_journal(store_root, key)
+    _COMPUTED.clear()
+    with using_campaign(campaign):
+        results = parallel_map(_tenfold_logged, ITEMS, jobs=1)
+    campaign.finish(complete=False)
+    return results, list(_COMPUTED), campaign
 
 
 class TestValueCodec:
@@ -98,25 +122,27 @@ class TestJournalFile:
 
 class TestCampaignAttach:
     def test_fresh_campaign_discards_stale_journal(self, tmp_path):
-        stale = Campaign(policy=SKIP)
+        stale = Campaign()
         stale.attach_journal(tmp_path, "key-1")
         with using_campaign(stale):
-            resilient_map(_tenfold, ITEMS, jobs=1)
+            parallel_map(_tenfold, ITEMS, jobs=1)
         stale.finish(complete=False)
         assert CampaignJournal.path_for(tmp_path, "key-1").exists()
 
         fresh = Campaign()  # resume=False: never reuse silently
         fresh.attach_journal(tmp_path, "key-1")
         assert not fresh._cached
+        _COMPUTED.clear()
         with using_campaign(fresh):
-            outcome = resilient_map(_tenfold, ITEMS, jobs=1)
-        assert all(not o.cached for o in outcome.outcomes)
+            parallel_map(_tenfold_logged, ITEMS, jobs=1)
+        assert _COMPUTED == ITEMS
+        assert fresh.reused_items == 0
 
     def test_damaged_payload_entry_recomputes(self, tmp_path):
-        first = Campaign(policy=SKIP)
+        first = Campaign()
         first.attach_journal(tmp_path, "key-2")
         with using_campaign(first):
-            resilient_map(_tenfold, ITEMS, jobs=1)
+            parallel_map(_tenfold, ITEMS, jobs=1)
         first.finish(complete=False)
         # Corrupt item 3's payload digest in place.
         path = CampaignJournal.path_for(tmp_path, "key-2")
@@ -129,59 +155,55 @@ class TestCampaignAttach:
             doctored.append(json.dumps(record).encode())
         path.write_bytes(b"\n".join(doctored) + b"\n")
 
-        resumed = Campaign(resume=True)
-        resumed.attach_journal(tmp_path, "key-2")
-        with using_campaign(resumed):
-            outcome = resilient_map(_tenfold, ITEMS, jobs=1)
-        assert outcome.results == [x * 10 for x in ITEMS]
-        assert [o.cached for o in outcome.outcomes] == [
-            True, True, True, False, True,
-        ]
+        results, recomputed, _ = _resume_serially(tmp_path, "key-2")
+        assert results == [x * 10 for x in ITEMS]
+        assert recomputed == [3]
 
 
 class TestResume:
     def test_interrupted_campaign_resumes_byte_identically(self, tmp_path):
         reference = parallel_map(_tenfold, ITEMS, jobs=1)
 
-        first = Campaign(policy=SKIP)
+        first = Campaign()
         first.attach_journal(tmp_path, "campaign-key")
         with using_campaign(first), using_plan(parse_spec("crash:items=2")):
-            partial = resilient_map(_tenfold, ITEMS, jobs=2)
+            with pytest.raises(InjectedFaultError, match="item 2"):
+                parallel_map(_tenfold, ITEMS, jobs=2)
         first.finish(complete=False)
-        assert partial.degraded and partial.completed == len(ITEMS) - 1
-        assert first.summary() == (
-            "campaign: 4 of 5 items completed; skipped: item[2]"
-        )
+        # Results are journaled in submission order, so the run stops
+        # journaling at its first failed item.
+        assert _journaled_indices(tmp_path, "campaign-key") == [0, 1]
+        assert (first.completed_items, first.total_items) == (2, len(ITEMS))
 
         resumed = Campaign(resume=True)
         resumed.attach_journal(tmp_path, "campaign-key")
         rec = TraceRecorder()
         with using_recorder(rec), using_campaign(resumed):
-            outcome = resilient_map(_tenfold, ITEMS, jobs=2)
-        assert outcome.results == reference
-        assert resumed.reused_items == len(ITEMS) - 1
-        assert rec.metrics.counters["journal.hit"] == len(ITEMS) - 1
-        # Only the crashed item was recomputed.
-        assert [o.cached for o in outcome.outcomes] == [
-            True, True, False, True, True,
+            results = parallel_map(_tenfold, ITEMS, jobs=2)
+        assert results == reference
+        assert resumed.reused_items == 2
+        assert rec.metrics.counters["journal.hit"] == 2
+        assert resumed.completed_items == resumed.total_items == len(ITEMS)
+        # Only the items from the crash on were recomputed.
+        assert _journaled_indices(tmp_path, "campaign-key") == [
+            0, 1, 2, 3, 4,
         ]
-        assert "4 reused from journal" in resumed.summary()
 
     def test_sequence_numbers_separate_fanouts(self, tmp_path):
-        first = Campaign(policy=SKIP)
+        first = Campaign()
         first.attach_journal(tmp_path, "two-maps")
         with using_campaign(first):
-            resilient_map(_tenfold, [1, 2], jobs=1)
-            resilient_map(_tenfold, [7, 8], jobs=1)
+            parallel_map(_tenfold, [1, 2], jobs=1)
+            parallel_map(_tenfold, [7, 8], jobs=1)
         first.finish(complete=False)
 
         resumed = Campaign(resume=True)
         resumed.attach_journal(tmp_path, "two-maps")
         with using_campaign(resumed):
-            a = resilient_map(_tenfold, [1, 2], jobs=1)
-            b = resilient_map(_tenfold, [7, 8], jobs=1)
-        assert a.results == [10, 20]
-        assert b.results == [70, 80]
+            a = parallel_map(_tenfold, [1, 2], jobs=1)
+            b = parallel_map(_tenfold, [7, 8], jobs=1)
+        assert a == [10, 20]
+        assert b == [70, 80]
         assert resumed.reused_items == 4
 
 
@@ -209,20 +231,25 @@ def _toy_spec() -> ExperimentSpec:
 
 
 class TestExecuteWithCampaign:
-    def test_degraded_result_is_never_cached(self, tmp_path):
+    def test_failed_run_is_never_cached(self, tmp_path):
         previous = configure_cache(tmp_path / "store")
         try:
             spec = _toy_spec()
-            campaign = Campaign(policy=SKIP)
+            campaign = Campaign()
             with using_campaign(campaign), using_plan(
                 parse_spec("crash:items=1")
             ):
-                degraded = execute(spec, {"jobs": 1})
-            assert degraded.values == [0, 20, 30, 40]
-            assert campaign.degraded
+                with pytest.raises(InjectedFaultError, match="item 1"):
+                    execute(spec, {"jobs": 1})
             from repro.experiments.common import get_store
 
             assert not get_store().info().artifacts.get("result")
+            # The failed campaign was sealed: its journal holds no
+            # completion record, and another writer can take its lock.
+            assert campaign.journal.load()[-1]["event"] == "item"
+            rival = CampaignJournal(campaign.journal.path)
+            rival.acquire()
+            rival.close()
         finally:
             set_store(previous)
 
@@ -230,18 +257,18 @@ class TestExecuteWithCampaign:
         previous = configure_cache(tmp_path / "store")
         try:
             spec = _toy_spec()
-            first = Campaign(policy=SKIP)
+            first = Campaign()
             with using_campaign(first), using_plan(
                 parse_spec("crash:items=1")
             ):
-                execute(spec, {"jobs": 1})
+                with pytest.raises(InjectedFaultError):
+                    execute(spec, {"jobs": 1})
 
             resumed = Campaign(resume=True)
             with using_campaign(resumed):
                 result = execute(spec, {"jobs": 1})
             assert result.values == [x * 10 for x in ITEMS]
-            assert resumed.reused_items == len(ITEMS) - 1
-            assert not resumed.degraded
+            assert resumed.reused_items == 1
 
             # The completed result is cached: a poisoned runner must
             # never execute on the third run.
@@ -260,18 +287,19 @@ class TestExecuteWithCampaign:
         previous = configure_cache(tmp_path / "store")
         try:
             spec = _toy_spec()
-            first = Campaign(policy=SKIP)
+            first = Campaign()
             with using_campaign(first), using_plan(
                 parse_spec("crash:items=1")
             ):
-                execute(spec, {"jobs": 2})
+                with pytest.raises(InjectedFaultError):
+                    execute(spec, {"jobs": 2})
             # Resume with a different jobs value: same campaign key
             # (jobs is excluded from the result key), same journal.
             resumed = Campaign(resume=True)
             with using_campaign(resumed):
                 result = execute(spec, {"jobs": 1})
             assert result.values == [x * 10 for x in ITEMS]
-            assert resumed.reused_items == len(ITEMS) - 1
+            assert resumed.reused_items == 1
         finally:
             set_store(previous)
 
@@ -282,10 +310,11 @@ class TestExecuteWithCampaign:
 class TestCliCampaign:
     """The user-facing acceptance path: exit codes, stderr, --resume."""
 
-    def test_degraded_run_then_resume_is_byte_identical(
-        self, tmp_path, capsys
+    def test_interrupted_run_then_resume_is_byte_identical(
+        self, tmp_path, capsys, inject_faults
     ):
         from repro.cli import main
+        from repro.resilience import set_plan
 
         benchmarks = ["620.omnetpp_s", "557.xz_r"]
         ref_args = ["fig10", "--benchmarks", *benchmarks, "--jobs", "2",
@@ -295,12 +324,11 @@ class TestCliCampaign:
 
         args = ["fig10", "--benchmarks", *benchmarks, "--jobs", "2",
                 "--cache-dir", str(tmp_path / "store")]
-        code = main(args + ["--inject-faults", "crash:items=1",
-                            "--on-failure", "skip"])
-        captured = capsys.readouterr()
-        assert code == 3
-        assert "1 of 2 items completed" in captured.err
-        assert "557.xz_r" in captured.err
+        inject_faults("crash:items=1")
+        with pytest.raises(InjectedFaultError, match="item 1"):
+            main(args)
+        assert capsys.readouterr().out == ""
+        set_plan(None)
 
         assert main(args + ["--resume"]) == 0
         captured = capsys.readouterr()
@@ -315,13 +343,42 @@ class TestCliCampaign:
         assert code == 2
         assert "--resume" in capsys.readouterr().err
 
-    def test_bad_fault_spec_is_a_usage_error(self, capsys):
+    def test_bad_fault_spec_is_a_usage_error(self, capsys, monkeypatch):
         from repro.cli import main
+        from repro.resilience import reset_plan
 
-        code = main(["fig10", "--benchmarks", "620.omnetpp_s",
-                     "--inject-faults", "meteor"])
+        monkeypatch.setenv("REPRO_INJECT_FAULTS", "meteor")
+        reset_plan()
+        code = main(["fig10", "--benchmarks", "620.omnetpp_s"])
         assert code == 2
-        assert "resilience options" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("invalid REPRO_INJECT_FAULTS: ")
+        assert "meteor" in line
+
+    def test_bad_fault_spec_stops_serve_before_it_binds(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from repro.campaign.server import CampaignServer
+        from repro.cli import main
+        from repro.resilience import reset_plan
+
+        def _must_not_boot(self):
+            raise AssertionError("serve booted despite a malformed plan")
+
+        monkeypatch.setattr(CampaignServer, "boot", _must_not_boot)
+        monkeypatch.setenv("REPRO_INJECT_FAULTS", "crash:items=1:hang=2")
+        reset_plan()
+        cache = tmp_path / "store"
+        ready = tmp_path / "ready.json"
+        code = main(["serve", "--cache-dir", str(cache),
+                     "--ready-file", str(ready)])
+        assert code == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("invalid REPRO_INJECT_FAULTS: ")
+        assert not (cache / "campaign.sock").exists()
+        assert not ready.exists()
 
     def test_cache_doctor_flow(self, tmp_path, capsys):
         from repro.cli import main
@@ -344,10 +401,10 @@ class TestReplayEdgeCases:
     """The journal states a hard kill (or stray edit) can leave behind."""
 
     def _journaled_run(self, tmp_path, key: str) -> CampaignJournal:
-        campaign = Campaign(policy=SKIP)
+        campaign = Campaign()
         campaign.attach_journal(tmp_path, key)
         with using_campaign(campaign):
-            resilient_map(_tenfold, ITEMS, jobs=1)
+            parallel_map(_tenfold, ITEMS, jobs=1)
         campaign.finish(complete=False)
         return CampaignJournal(CampaignJournal.path_for(tmp_path, key))
 
@@ -357,14 +414,9 @@ class TestReplayEdgeCases:
         # Tear the last append mid-record, as SIGKILL during write would.
         journal.path.write_bytes(raw[: raw.rfind(b'"status"')])
 
-        resumed = Campaign(resume=True)
-        resumed.attach_journal(tmp_path, "trunc")
-        with using_campaign(resumed):
-            outcome = resilient_map(_tenfold, ITEMS, jobs=1)
-        assert outcome.results == [x * 10 for x in ITEMS]
-        assert [o.cached for o in outcome.outcomes] == [
-            True, True, True, True, False,
-        ]
+        results, recomputed, resumed = _resume_serially(tmp_path, "trunc")
+        assert results == [x * 10 for x in ITEMS]
+        assert recomputed == [4]
         assert resumed.reused_items == len(ITEMS) - 1
 
     def test_duplicate_item_records_last_write_wins(self, tmp_path):
@@ -380,32 +432,23 @@ class TestReplayEdgeCases:
         )
         journal.close()
 
-        resumed = Campaign(resume=True)
-        resumed.attach_journal(tmp_path, "dup")
-        with using_campaign(resumed):
-            outcome = resilient_map(_tenfold, ITEMS, jobs=1)
-        assert outcome.results == [0, 10, 999, 30, 40]
-        assert all(o.cached for o in outcome.outcomes)
+        results, recomputed, _ = _resume_serially(tmp_path, "dup")
+        assert results == [0, 10, 999, 30, 40]
+        assert recomputed == []
 
     def test_item_outcome_payload_round_trip(self, tmp_path):
-        """to_payload -> journal -> cached_outcome preserves the item."""
-        from repro.resilience.policy import ItemOutcome
-
-        original = ItemOutcome(
-            index=3, label="item-3", status="ok", attempts=2,
-            value={"nested": [1, 2.5, "x"]},
-        )
+        """journal_item -> journal -> journaled_value preserves the item."""
+        value = {"nested": [1, 2.5, "x"]}
         campaign = Campaign()
         campaign.attach_journal(tmp_path, "rt")
-        campaign.journal_item(0, original)
+        campaign.journal_item(0, 3, "item-3", value)
         campaign.finish(complete=False)
 
         resumed = Campaign(resume=True)
         resumed.attach_journal(tmp_path, "rt")
-        replayed = resumed.cached_outcome(0, 3, "item-3")
-        assert replayed is not None
-        assert replayed.value == original.value
-        assert replayed.cached is True
+        assert resumed.journaled_value(0, 3) == (True, value)
+        assert resumed.journaled_value(0, 2) == (False, None)
+        assert resumed.reused_items == 1
 
     def test_future_schema_lines_are_ignored_not_trusted(self, tmp_path):
         """Version skew: records from any other journal schema replay as
@@ -420,14 +463,9 @@ class TestReplayEdgeCases:
             doctored.append(json.dumps(record).encode())
         journal.path.write_bytes(b"\n".join(doctored) + b"\n")
 
-        resumed = Campaign(resume=True)
-        resumed.attach_journal(tmp_path, "ver")
-        with using_campaign(resumed):
-            outcome = resilient_map(_tenfold, ITEMS, jobs=1)
-        assert outcome.results == [x * 10 for x in ITEMS]
-        assert [o.cached for o in outcome.outcomes] == [
-            True, False, True, True, True,
-        ]
+        results, recomputed, _ = _resume_serially(tmp_path, "ver")
+        assert results == [x * 10 for x in ITEMS]
+        assert recomputed == [1]
 
     def test_unknown_record_fields_are_tolerated(self, tmp_path):
         journal = self._journaled_run(tmp_path, "fwd")
@@ -439,11 +477,8 @@ class TestReplayEdgeCases:
             doctored.append(json.dumps(record).encode())
         journal.path.write_bytes(b"\n".join(doctored) + b"\n")
 
-        resumed = Campaign(resume=True)
-        resumed.attach_journal(tmp_path, "fwd")
-        with using_campaign(resumed):
-            outcome = resilient_map(_tenfold, ITEMS, jobs=1)
-        assert all(o.cached for o in outcome.outcomes)
+        _, recomputed, _ = _resume_serially(tmp_path, "fwd")
+        assert recomputed == []
 
 
 class TestJournalLock:
@@ -488,7 +523,7 @@ class TestJournalLock:
     def test_campaign_attach_conflict(self, tmp_path):
         from repro.errors import JournalLockedError
 
-        first = Campaign(policy=SKIP)
+        first = Campaign()
         first.attach_journal(tmp_path, "same-key")
         second = Campaign(resume=True)
         with pytest.raises(JournalLockedError):

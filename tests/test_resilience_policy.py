@@ -1,49 +1,14 @@
-"""Resilience policies, outcome records, and the fault-spec grammar."""
+"""Retry backoff and the fault-spec grammar."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import ConfigError
-from repro.resilience import (
-    FaultClause,
-    InjectedFaultError,
-    ItemOutcome,
-    MapOutcome,
-    OnFailure,
-    ResiliencePolicy,
-    Retry,
-    Timeout,
-    parse_spec,
-)
+from repro.resilience import FaultClause, InjectedFaultError, Retry, parse_spec
 from repro.resilience.faults import PRESETS, STORE_FAULT_KINDS
-from repro.resilience.policy import KIND_EXCEPTION, STATUS_FAILED, STATUS_OK
 
 pytestmark = pytest.mark.resilience
-
-
-class TestOnFailure:
-    def test_parse_every_mode(self):
-        assert OnFailure.parse("fail") is OnFailure.FAIL
-        assert OnFailure.parse("skip") is OnFailure.SKIP
-        assert OnFailure.parse("serial-fallback") is OnFailure.SERIAL_FALLBACK
-
-    def test_parse_passes_instances_through(self):
-        assert OnFailure.parse(OnFailure.SKIP) is OnFailure.SKIP
-
-    def test_parse_rejects_unknown(self):
-        with pytest.raises(ConfigError, match="on-failure"):
-            OnFailure.parse("retry-forever")
-
-
-class TestTimeout:
-    def test_positive_seconds_accepted(self):
-        assert Timeout(0.5).seconds == 0.5
-
-    @pytest.mark.parametrize("bad", [0, -1, -0.5, True])
-    def test_non_positive_rejected(self, bad):
-        with pytest.raises(ConfigError):
-            Timeout(bad)
 
 
 class TestRetry:
@@ -89,70 +54,22 @@ class TestRetry:
         assert retry.delay_s(0, 1) == 0.0
 
 
-class TestPolicy:
-    def test_strict_defaults(self):
-        policy = ResiliencePolicy.strict()
-        assert policy.retry.attempts == 1
-        assert policy.timeout is None
-        assert policy.on_failure is OnFailure.FAIL
-
-    def test_from_options(self):
-        policy = ResiliencePolicy.from_options(
-            retries=2, timeout_s=1.5, on_failure="skip"
-        )
-        assert policy.retry.attempts == 3
-        assert policy.timeout == Timeout(1.5)
-        assert policy.on_failure is OnFailure.SKIP
-
-    def test_from_options_rejects_negative_retries(self):
-        with pytest.raises(ConfigError, match="retries"):
-            ResiliencePolicy.from_options(retries=-1)
-
-
-class TestOutcomes:
-    def test_item_outcome_payload(self):
-        outcome = ItemOutcome(
-            index=2, label="505.mcf_r", status=STATUS_FAILED, attempts=3,
-            kind=KIND_EXCEPTION, error="ValueError: boom",
-        )
-        assert not outcome.ok
-        assert outcome.to_payload() == {
-            "index": 2, "label": "505.mcf_r", "status": "failed",
-            "attempts": 3, "kind": "exception", "error": "ValueError: boom",
-        }
-
-    def test_map_outcome_survivor_accounting(self):
-        outcomes = [
-            ItemOutcome(0, "a", STATUS_OK, 1, value=10),
-            ItemOutcome(1, "b", STATUS_FAILED, 2, kind=KIND_EXCEPTION,
-                        error="x"),
-            ItemOutcome(2, "c", STATUS_OK, 1, value=30),
-        ]
-        result = MapOutcome(outcomes)
-        assert result.results == [10, 30]
-        assert [o.label for o in result.failed] == ["b"]
-        assert result.total == 3 and result.completed == 2
-        assert result.degraded
-        assert result.summary() == "2 of 3 items completed; skipped: b"
-
-    def test_complete_map_outcome_is_not_degraded(self):
-        result = MapOutcome([ItemOutcome(0, "a", STATUS_OK, 1, value=1)])
-        assert not result.degraded
-        assert result.summary() == "1 of 1 items completed"
-
-
 class TestSpecGrammar:
     def test_single_clause_options(self):
-        plan = parse_spec("crash:items=2,5:attempt=2")
+        plan = parse_spec("crash:items=2,5:seed=3")
         (clause,) = plan.clauses
         assert clause.kind == "crash"
         assert clause.items == (2, 5)
-        assert clause.attempt == 2
+        assert clause.seed == 3
 
     def test_multiple_clauses_and_renamed_options(self):
-        plan = parse_spec("hang:items=1:hang=0.5; truncate:every=7:kinds=metrics")
-        hang, truncate = plan.clauses
-        assert hang.hang_s == 0.5
+        plan = parse_spec(
+            "workerhang:items=1:gen=2; crash:p=0.5; "
+            "truncate:every=7:kinds=metrics"
+        )
+        hang, crash, truncate = plan.clauses
+        assert hang.generation == 2
+        assert crash.probability == 0.5
         assert truncate.every == 7
         assert truncate.kinds == ("metrics",)
 
@@ -160,14 +77,15 @@ class TestSpecGrammar:
         plan = parse_spec("ci-default")
         assert plan.spec == PRESETS["ci-default"]
         assert {c.kind for c in plan.clauses} == set(STORE_FAULT_KINDS)
-        # The CI preset never touches the "result" artifact kind: a
-        # degraded result cached as complete would poison later runs.
-        assert all("result" not in c.kinds for c in plan.clauses)
+        # The CI preset corrupts only the kinds a run recomputes on a
+        # corrupt read, never the "result" kind an execute serves as is.
+        assert all(c.kinds == ("metrics", "pinpoints") for c in plan.clauses)
 
     @pytest.mark.parametrize(
         "bad",
         ["", "  ;  ", "meteor:items=1", "crash:items", "crash:every=0",
-         "crash:p=1.5", "hang:hang=0", "crash:items=x", "crash:wat=1"],
+         "crash:p=1.5", "hang:hang=0", "crash:items=x", "crash:wat=1",
+         "hang:items=1", "crash:items=1:attempt=2", "crash:items=1:hang=1"],
     )
     def test_rejected_specs(self, bad):
         with pytest.raises(ConfigError):
@@ -182,11 +100,6 @@ class TestTriggers:
     def test_every_skips_the_first_writes(self):
         clause = FaultClause(kind="truncate", every=3)
         assert [i for i in range(9) if clause.triggers(i)] == [2, 5, 8]
-
-    def test_attempt_gating(self):
-        clause = FaultClause(kind="crash", items=(0,), attempt=1)
-        assert clause.triggers(0, attempt=1)
-        assert not clause.triggers(0, attempt=2)
 
     def test_probability_is_seed_deterministic(self):
         clause = FaultClause(kind="crash", probability=0.5, seed=3)

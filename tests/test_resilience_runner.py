@@ -1,24 +1,22 @@
-"""The parallel runner under faults: retry, timeout, skip, fallback.
+"""The parallel runner under faults: the first failed item fails the run.
 
 Every fault here is injected deterministically through a
-:class:`~repro.resilience.faults.FaultPlan`, so each recovery path runs
-the same way on every machine.  The central contract: whatever a policy
-recovers from, the surviving results are byte-identical (and in the same
-submission order) as a clean serial run's.
+:class:`~repro.resilience.faults.FaultPlan`, so each failure path runs
+the same way on every machine.  The central contract: a fan-out either
+returns every item's result in submission order, or raises the first
+failed item's own exception (a worker death breaking the pool raises
+:class:`~repro.errors.ResilienceError`), serially and in a pool alike.
 """
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.errors import ConfigError, ResilienceError
-from repro.parallel import parallel_map, resilient_map, resolve_jobs
-from repro.resilience import OnFailure, ResiliencePolicy, Retry, Timeout
-from repro.resilience.policy import (
-    KIND_BROKEN_POOL,
-    KIND_EXCEPTION,
-    KIND_TIMEOUT,
-)
+from repro.parallel import parallel_map, resolve_jobs
+from repro.resilience import Campaign, CampaignJournal, using_campaign
 from repro.telemetry.recorder import TraceRecorder, using_recorder
 
 pytestmark = pytest.mark.resilience
@@ -26,33 +24,34 @@ pytestmark = pytest.mark.resilience
 ITEMS = list(range(6))
 
 
-def counter_total(rec: TraceRecorder, name: str) -> int:
-    """Sum a counter across its tag variants (``name`` and ``name{...}``)."""
-    return sum(
-        value for key, value in rec.metrics.counters.items()
-        if key == name or key.startswith(name + "{")
-    )
-
-
 def _tenfold(x):
     return x * 10
 
 
-def _fail_on_two(x):
+def _two_slow_four_fast(x):
+    # In a pool, item 4 fails while item 2 is still running; item 2 is
+    # still the first failure in submission order.
     if x == 2:
+        time.sleep(0.5)
         raise ValueError("item two exploded")
+    if x == 4:
+        raise KeyError("item four exploded")
     return x * 10
 
 
-SKIP = ResiliencePolicy(on_failure=OnFailure.SKIP)
+def _journal_labels(tmp_path, labels, items):
+    campaign = Campaign()
+    campaign.attach_journal(tmp_path, "labels")
+    with using_campaign(campaign):
+        parallel_map(str, items, jobs=1, labels=labels)
+    campaign.finish()
+    journal = CampaignJournal(CampaignJournal.path_for(tmp_path, "labels"))
+    return [r["label"] for r in journal.load() if r["event"] == "item"]
 
 
 class TestStrictPolicy:
     def test_clean_run_reports_every_item_ok(self):
-        outcome = resilient_map(_tenfold, ITEMS, jobs=2)
-        assert outcome.results == [x * 10 for x in ITEMS]
-        assert not outcome.degraded
-        assert all(o.attempts == 1 for o in outcome.outcomes)
+        assert parallel_map(_tenfold, ITEMS, jobs=2) == [x * 10 for x in ITEMS]
 
     def test_injected_crash_reraises_the_injected_error(self, inject_faults):
         from repro.resilience import InjectedFaultError
@@ -61,129 +60,41 @@ class TestStrictPolicy:
         with pytest.raises(InjectedFaultError, match="item 2"):
             parallel_map(_tenfold, ITEMS, jobs=2)
 
-    def test_worker_exception_survives_retries(self):
-        # The original exception (not a wrapper) must come back even
-        # when a retry budget re-ran the item first.
-        policy = ResiliencePolicy(retry=Retry(attempts=2))
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_first_failure_in_submission_order_reraises(self, jobs):
+        # The item's own exception, not a wrapper, and never item 4's
+        # although a pool sees item 4 fail first.
         with pytest.raises(ValueError, match="item two exploded"):
-            parallel_map(_fail_on_two, ITEMS, jobs=1, policy=policy)
+            parallel_map(_two_slow_four_fast, ITEMS, jobs=jobs)
 
+    def test_serial_run_stops_at_the_first_failure(self, inject_faults):
+        from repro.resilience import InjectedFaultError
 
-class TestSkipPolicy:
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_survivors_reported_explicitly(self, inject_faults, jobs):
-        inject_faults("crash:items=2")
-        outcome = resilient_map(_tenfold, ITEMS, jobs=jobs, policy=SKIP)
-        assert outcome.results == [0, 10, 30, 40, 50]
-        assert outcome.degraded
-        assert outcome.summary() == "5 of 6 items completed; skipped: item[2]"
-        (failed,) = outcome.failed
-        assert failed.kind == KIND_EXCEPTION
-        assert "InjectedFaultError" in failed.error
-
-    def test_parallel_survivors_match_serial_survivors(self, inject_faults):
-        inject_faults("crash:items=1,4")
-        serial = resilient_map(_tenfold, ITEMS, jobs=1, policy=SKIP)
-        inject_faults("crash:items=1,4")
-        parallel = resilient_map(_tenfold, ITEMS, jobs=3, policy=SKIP)
-        assert parallel.results == serial.results
-        assert [o.to_payload() for o in parallel.outcomes] == [
-            o.to_payload() for o in serial.outcomes
-        ]
-
-    def test_parallel_map_returns_surviving_subset(self, inject_faults):
-        inject_faults("crash:items=0")
-        assert parallel_map(_tenfold, ITEMS, jobs=2, policy=SKIP) == [
-            10, 20, 30, 40, 50,
-        ]
-
-    def test_skipped_items_count_on_telemetry(self, inject_faults):
         inject_faults("crash:items=2")
         rec = TraceRecorder()
-        with using_recorder(rec):
-            resilient_map(_tenfold, ITEMS, jobs=1, policy=SKIP)
-        assert rec.metrics.counters["parallel.skipped"] == 1
-
-
-class TestRetries:
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_first_attempt_crash_recovers(self, inject_faults, jobs):
-        inject_faults("crash:items=1:attempt=1")
-        policy = ResiliencePolicy(retry=Retry(attempts=2))
-        rec = TraceRecorder()
-        with using_recorder(rec):
-            outcome = resilient_map(_tenfold, ITEMS, jobs=jobs, policy=policy)
-        assert outcome.results == [x * 10 for x in ITEMS]
-        assert outcome.outcomes[1].attempts == 2
-        assert all(
-            o.attempts == 1 for o in outcome.outcomes if o.index != 1
-        )
-        assert counter_total(rec, "item.retry") == 1
-
-    def test_budget_exhaustion_fails_the_item(self, inject_faults):
-        inject_faults("crash:items=1")  # every attempt
-        policy = ResiliencePolicy(
-            retry=Retry(attempts=3), on_failure=OnFailure.SKIP
-        )
-        outcome = resilient_map(_tenfold, ITEMS, jobs=1, policy=policy)
-        (failed,) = outcome.failed
-        assert failed.attempts == 3
-        assert outcome.summary() == "5 of 6 items completed; skipped: item[1]"
-
-
-class TestTimeouts:
-    def test_hung_worker_becomes_timeout_outcome(self, inject_faults):
-        inject_faults("hang:items=0:hang=1.5")
-        policy = ResiliencePolicy(
-            timeout=Timeout(0.25), on_failure=OnFailure.SKIP
-        )
-        rec = TraceRecorder()
-        with using_recorder(rec):
-            outcome = resilient_map(_tenfold, [0, 1], jobs=2, policy=policy)
-        assert outcome.results == [10]
-        (failed,) = outcome.failed
-        assert failed.kind == KIND_TIMEOUT
-        assert counter_total(rec, "item.timeout") == 1
-
-    def test_strict_timeout_raises_resilience_error(self, inject_faults):
-        inject_faults("hang:items=0:hang=1.5")
-        policy = ResiliencePolicy(timeout=Timeout(0.25))
-        with pytest.raises(ResilienceError, match="timeout"):
-            parallel_map(_tenfold, [0, 1], jobs=2, policy=policy)
+        with using_recorder(rec), pytest.raises(InjectedFaultError):
+            parallel_map(_tenfold, ITEMS, jobs=1)
+        # Items after the failure never start, so no fault fires there.
+        assert rec.metrics.counters["fault.injected{kind=crash}"] == 1
 
 
 class TestBrokenPool:
     """A worker dying mid-task (``os._exit``) collapses the whole pool."""
 
-    def test_serial_fallback_is_byte_identical(self, inject_faults):
-        # Satellite differential: the recovered run must equal the
-        # clean serial reference exactly, not just "mostly complete".
-        reference = parallel_map(_tenfold, ITEMS, jobs=1)
-        inject_faults("poolcrash:items=1")
-        policy = ResiliencePolicy(on_failure=OnFailure.SERIAL_FALLBACK)
-        rec = TraceRecorder()
-        with using_recorder(rec):
-            recovered = resilient_map(_tenfold, ITEMS, jobs=2, policy=policy)
-        assert recovered.results == reference
-        assert not recovered.degraded
-        assert counter_total(rec, "parallel.serial_fallback") >= 1
-
     def test_strict_policy_reports_the_collapse(self, inject_faults):
         inject_faults("poolcrash:items=1")
-        with pytest.raises(ResilienceError, match="serial-fallback"):
+        with pytest.raises(ResilienceError, match="worker pool broke") as info:
             parallel_map(_tenfold, ITEMS, jobs=2)
+        message = str(info.value)
+        for gone in ("--on-failure", "serial-fallback", "--retries",
+                     "--timeout", "skip"):
+            assert gone not in message
 
-    def test_skip_policy_records_broken_pool_casualties(self, inject_faults):
+    def test_poolcrash_spares_the_driving_process(self, inject_faults):
+        # Serially the item runs in the driver, which poolcrash must
+        # never kill.
         inject_faults("poolcrash:items=1")
-        outcome = resilient_map(_tenfold, ITEMS, jobs=2, policy=SKIP)
-        assert outcome.degraded
-        assert outcome.failed
-        assert all(o.kind == KIND_BROKEN_POOL for o in outcome.failed)
-        # Whatever survived matches the serial reference values.
-        expected = [x * 10 for x in ITEMS]
-        assert all(
-            o.value == expected[o.index] for o in outcome.outcomes if o.ok
-        )
+        assert parallel_map(_tenfold, ITEMS, jobs=1) == [x * 10 for x in ITEMS]
 
 
 class TestJobsClamp:
@@ -208,17 +119,14 @@ class TestJobsClamp:
 
 
 class TestLabels:
-    def test_custom_labels_name_outcomes(self, inject_faults):
-        inject_faults("crash:items=1")
-        outcome = resilient_map(
-            _tenfold, [0, 1], jobs=1, policy=SKIP, labels=["mcf", "xz"]
-        )
-        assert outcome.summary() == "1 of 2 items completed; skipped: xz"
+    def test_custom_labels_name_outcomes(self, tmp_path):
+        labels = _journal_labels(tmp_path, ["mcf", "xz"], [0, 1])
+        assert labels == ["mcf", "xz"]
 
-    def test_string_items_label_themselves(self):
-        outcome = resilient_map(str.upper, ["mcf", "xz"], jobs=1)
-        assert [o.label for o in outcome.outcomes] == ["mcf", "xz"]
+    def test_string_items_label_themselves(self, tmp_path):
+        labels = _journal_labels(tmp_path, None, ["mcf", 7])
+        assert labels == ["mcf", "item[1]"]
 
     def test_label_length_mismatch_rejected(self):
         with pytest.raises(ConfigError, match="labels"):
-            resilient_map(_tenfold, [0, 1], jobs=1, labels=["only-one"])
+            parallel_map(_tenfold, [0, 1], jobs=1, labels=["only-one"])

@@ -1,8 +1,10 @@
 """Service-level chaos harness for the campaign daemon.
 
-``python -m repro.resilience.chaos --seed S --workdir D`` drives a real
-``repro-spec2017 serve`` subprocess through a seeded crash schedule and
-asserts the supervision invariants the system promises:
+``python tools/chaos.py --seed S --workdir D`` (with ``src`` on
+``PYTHONPATH``; ``tools/chaos_smoke.sh`` sets it and gates the wall
+time) drives a real ``repro-spec2017 serve`` subprocess through a
+seeded crash schedule and asserts the supervision invariants the system
+promises:
 
 * **no job lost** — every accepted submission reaches a terminal state
   across worker hangs (``workerhang``), worker SIGKILLs
@@ -46,8 +48,6 @@ from repro.campaign.client import CampaignClient
 from repro.campaign.ledger import ServerLedger
 from repro.errors import CampaignRejectedError, CampaignServiceError
 from repro.telemetry.clock import monotonic_ns, sleep_s
-
-__all__ = ["CHAOS_PLAN", "DEGRADED_PLAN", "ChaosRunner", "main"]
 
 #: Fault plan of the crash phase (see faults.PRESETS["ci-chaos"]).
 CHAOS_PLAN = "ci-chaos"
@@ -452,7 +452,7 @@ class ChaosRunner:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        prog="python -m repro.resilience.chaos",
+        prog="python tools/chaos.py",
         description="seeded chaos scenario against the campaign service",
     )
     parser.add_argument(

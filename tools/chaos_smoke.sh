@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # CI chaos smoke for the campaign service's supervision layer.
 #
-# Runs the seeded chaos scenario (`python -m repro.resilience.chaos`)
+# Runs the seeded chaos scenario (`tools/chaos.py`)
 # with a pinned seed: boots a real server under the ci-chaos fault plan
 # (worker hangs, worker SIGKILLs, torn ledger lines, dropped watch
 # streams), SIGKILLs the whole server session mid-run, reboots with
@@ -22,7 +22,7 @@ SEED="${CHAOS_SEED:-42}"
 WORK="${1:-$(mktemp -d)}"
 
 echo "==> running seeded chaos scenario (seed $SEED, workdir $WORK)"
-python -m repro.resilience.chaos --seed "$SEED" --workdir "$WORK"
+python tools/chaos.py --seed "$SEED" --workdir "$WORK"
 
 echo "==> gating wall time against the chaos budget"
 python - "$WORK/chaos_report.json" <<'EOF'
