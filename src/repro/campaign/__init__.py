@@ -5,9 +5,9 @@ service: clients submit registry experiments over a unix socket, a
 priority/FIFO scheduler fans them onto a bounded pool of forked worker
 processes, identical submissions dedup against in-flight jobs and the
 artifact store, ``watch`` streams live per-item progress, and an
-fsync'd ledger + per-campaign journals make the whole thing survive
-SIGKILL: reboot with ``--resume`` and in-flight jobs re-adopt without
-recomputing journaled items.
+fsync'd ledger plus the store's per-item artifacts make the whole thing
+survive SIGKILL: reboot with ``--resume`` and in-flight jobs re-adopt
+without recomputing their stored items.
 
 Module map — :mod:`protocol` (the ``repro-campaign-v1`` wire frames),
 :mod:`jobs` (validation, states, dedup keys), :mod:`queue` (the

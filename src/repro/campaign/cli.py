@@ -65,8 +65,8 @@ def add_serve_parser(sub) -> None:
     )
     serve.add_argument(
         "--resume", action="store_true",
-        help="re-adopt in-flight jobs from the server ledger and resume "
-             "their campaigns from their journals",
+        help="re-adopt in-flight jobs from the server ledger; their "
+             "finished items come back from the artifact store",
     )
     serve.add_argument(
         "--heartbeat", type=float, default=1.0, metavar="SECONDS",
@@ -266,10 +266,7 @@ def _print_job(job: dict, as_json: bool = False) -> None:
             f"{job['total_items']} completed"
         )
     if job.get("reused_items"):
-        print(
-            f"resumed: {job['reused_items']} journaled item(s) reused",
-            file=sys.stderr,
-        )
+        print(f"  reused: {job['reused_items']} stored item(s)")
     if job.get("error"):
         print(f"  error: {job['error']}", file=sys.stderr)
 

@@ -163,7 +163,6 @@ class Job:
     priority: int = DEFAULT_PRIORITY
     key: Optional[str] = None
     state: str = STATE_QUEUED
-    resume: bool = False
     cached: bool = False
     error: Optional[str] = None
     submitted_ns: int = 0
@@ -192,7 +191,6 @@ class Job:
             "priority": self.priority,
             "key": self.key,
             "state": self.state,
-            "resume": self.resume,
             "cached": self.cached,
             "error": self.error,
             "submitted_ns": self.submitted_ns,
@@ -207,10 +205,14 @@ class Job:
 
     @classmethod
     def from_record(cls, record: dict) -> "Job":
-        """Rebuild a job from a :meth:`describe` dict (ledger replay)."""
+        """Rebuild a job from a :meth:`describe` dict (ledger replay).
+
+        Fields it does not know are ignored, so older ledgers (whose
+        records carry a ``resume`` flag) still load.
+        """
         known = {
             "id", "experiment", "kwargs", "priority", "key", "state",
-            "resume", "cached", "error", "submitted_ns", "started_ns",
+            "cached", "error", "submitted_ns", "started_ns",
             "finished_ns", "reused_items", "completed_items",
             "total_items", "degraded", "kills",
         }

@@ -1,17 +1,17 @@
-"""The server's crash-safe job ledger, built on the campaign journal.
+"""The server's crash-safe job ledger, built on the append-only journal.
 
 The campaign server durably records every accepted submission and every
 job state transition by appending to a :class:`CampaignJournal` under
-the fixed key ``campaign-server`` — the same fsync'd JSONL machinery
-(and the same exclusive writer lock) that makes individual campaigns
-resumable.  The lock doubles as the server singleton guard: a second
+the fixed key ``campaign-server`` (fsync'd JSONL behind an exclusive
+writer lock).  The lock doubles as the server singleton guard: a second
 ``serve`` against the same store root gets a structured
 :class:`~repro.errors.JournalLockedError` at boot instead of two
 daemons racing one ledger.
 
 On restart, :meth:`ServerLedger.load` replays the ledger last-write-wins
 per job id, giving the server back every job it had accepted; jobs in a
-non-terminal state are re-adopted and resumed.
+non-terminal state are re-adopted and run again, their finished items
+read back from the artifact store.
 
 Self-healing (``serve --resume`` boot): :meth:`doctor` quarantines
 torn/corrupt lines instead of dying on them, and :meth:`compact`

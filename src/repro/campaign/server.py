@@ -6,11 +6,12 @@ One :class:`CampaignServer` owns four things:
   ``repro-campaign-v1`` frames;
 * the **scheduler** — a priority/FIFO :class:`JobQueue` drained onto a
   bounded pool of forked children (one process per job, because the
-  recorder/store/campaign slots are process-level singletons);
+  recorder/store/fault-plan slots are process-level singletons);
 * the **ledger** — every accepted submission and state transition is
   fsync'd through :class:`ServerLedger` before it is acknowledged, so a
   SIGKILL'd server rebooted with ``--resume`` re-adopts its in-flight
-  jobs and their campaigns resume from their own journals;
+  jobs, which run again and read their finished items back from the
+  artifact store;
 * the **broadcast plane** — the scheduler tick tails each running job's
   progress JSONL and fans new lines out to ``watch`` subscribers.
 
@@ -20,8 +21,8 @@ identical submission either joins the existing job or is born ``done``
 from the stored result, and ``campaign.dedup.hit`` counts both.
 
 Shutdown is a drain: SIGTERM (or the ``shutdown`` op) stops the
-scheduler from starting new work, lets running children finish and
-journal, then exits 0.  Queued jobs stay in the ledger and run on the
+scheduler from starting new work, lets running children finish, then
+exits 0.  Queued jobs stay in the ledger and run on the
 next ``--resume`` boot.
 """
 
@@ -168,10 +169,9 @@ class CampaignServer:
             ):
                 self._by_key.setdefault(job.key, job.id)
             if not job.terminal:
-                # Re-adopt: whatever this job had journaled survives in
-                # its own campaign journal; resume=True replays it.
+                # Re-adopt: the job runs again, and the items it had
+                # finished come back from the artifact store.
                 job.state = STATE_QUEUED
-                job.resume = True
                 job.error = None
                 self._queue.push(job.id, job.priority)
                 self._adopted += 1
@@ -310,7 +310,6 @@ class CampaignServer:
             "job_id": job.id,
             "experiment": job.experiment,
             "kwargs": dict(job.kwargs),
-            "resume": job.resume,
             "close_fds": self._child_close_fds(),
             "heartbeat_s": self.supervision.heartbeat_s,
             "no_cache": self.degraded,
@@ -450,8 +449,8 @@ class CampaignServer:
             else:
                 # Died without finishing: a watchdog kill or a
                 # spontaneous crash.  Charge the kill budget — requeue
-                # with resume (journaled items replay) while under it,
-                # quarantine as poisoned at it.
+                # (stored items are reused) while under it, quarantine
+                # as poisoned at it.
                 reason = self.supervisor.kill_reason(job_id)
                 if reason is None:
                     reason = (
@@ -468,7 +467,6 @@ class CampaignServer:
                     self._transition(job, STATE_POISONED)
                 else:
                     job.error = reason
-                    job.resume = True
                     job.state = STATE_QUEUED
                     self.ledger.record_state(job)
                     self._queue.push(job.id, job.priority)

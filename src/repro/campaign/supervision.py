@@ -14,8 +14,8 @@ they are testable without an event loop or a real forked child:
 
 * **Kill budget** — each crash-or-kill increments the job's ``kills``
   count (persisted in the ledger, so a server restart cannot launder a
-  repeat offender).  Under the budget the job is requeued with
-  ``resume=True`` — journaled items replay, only lost work recomputes.
+  repeat offender).  Under the budget the job is requeued — its stored
+  items are reused, only lost work recomputes.
   At the budget the job is quarantined as ``poisoned``: terminal,
   surfaced by ``status``/``ls``, never blocking the queue.
 

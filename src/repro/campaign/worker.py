@@ -1,15 +1,15 @@
 """Job execution in an isolated child process, with live progress.
 
-The recorder, store, campaign, and fault-plan slots are all
-module-level singletons, so two experiments cannot share one process.
-The server therefore forks one child per job (:func:`child_main` is the
+The recorder, store and fault-plan slots are all module-level
+singletons, so two experiments cannot share one process.  The server
+therefore forks one child per job (:func:`child_main` is the
 ``multiprocessing.Process`` target) — which also gives the service its
-crash semantics for free: a SIGKILL'd child leaves its fsync'd campaign
-journal behind, and the re-adopted job resumes from it.
+crash semantics for free: every item a SIGKILL'd child finished is
+already in the artifact store, and the re-adopted job reads it back.
 
 Progress streaming: :class:`ProgressRecorder` extends the normal
 :class:`TraceRecorder` by mirroring a whitelist of per-item counters
-(journal appends, cache hits, fan-out sizes) as JSONL lines into
+(completed items, result-cache hits, fan-out sizes) as JSONL lines into
 ``<store root>/campaigns/<job id>.progress.jsonl``.  The server tails
 that file on its scheduler tick and broadcasts new lines to ``watch``
 subscribers — no sockets in the child, no extra IPC machinery, and a
@@ -37,6 +37,7 @@ import sys
 import threading
 from pathlib import Path
 
+from repro.telemetry.metrics import metric_key
 from repro.telemetry.recorder import TraceRecorder
 
 __all__ = [
@@ -50,17 +51,22 @@ __all__ = [
 ]
 
 #: Counters mirrored into the progress stream.  Everything here is
-#: incremented per item or per fan-out by the parallel runner, the
-#: journal or the registry, so the stream reads as a live per-item
-#: trace of the job.
+#: incremented per item or per fan-out by the parallel runner or the
+#: registry, so the stream reads as a live per-item trace of the job.
 PROGRESS_COUNTERS = frozenset(
     {
-        "journal.append",
-        "journal.hit",
+        "parallel.completed",
+        "parallel.tasks",
         "result.hit",
         "result.miss",
-        "parallel.tasks",
     }
+)
+
+#: Counters of a fan-out item answered by the ``item`` memo without
+#: computing: from this process's memory, or from the artifact store.
+_REUSED_COUNTERS = (
+    metric_key("memtier.hit", {"kind": "item"}),
+    metric_key("store.hit", {"kind": "item"}),
 )
 
 
@@ -169,19 +175,19 @@ def run_job(payload: dict) -> dict:
     """Execute one job in this process; returns its status document.
 
     ``payload`` carries everything the child needs (it must be
-    picklable across the fork): store root, experiment name, kwargs,
-    and the resume flag.  The job's first failed item fails it: the
-    status document carries that item's error.
+    picklable across the fork): store root, job id, experiment name and
+    kwargs.  The job's first failed item fails it: the status document
+    carries that item's error.  Its item counts come from the job's
+    recorder: fan-out sizes, merged items, and items the ``item`` memo
+    answered without computing.
     """
     from repro.experiments.common import configure_cache
     from repro.experiments.registry import execute, get_spec
-    from repro.resilience.context import Campaign, using_campaign
     from repro.telemetry.recorder import using_recorder
 
     store_root = payload["store_root"]
     job_id = payload["job_id"]
     spec = get_spec(payload["experiment"])
-    campaign = Campaign(resume=bool(payload.get("resume")))
     recorder = ProgressRecorder(progress_path(store_root, job_id))
     # Degraded (low-disk) mode: run memory-only so the job completes
     # without a single artifact write that could ENOSPC mid-campaign.
@@ -191,16 +197,9 @@ def run_job(payload: dict) -> dict:
     if heartbeat_s > 0:
         pump = HeartbeatPump(recorder, heartbeat_s)
         pump.start()
-    status = {
-        "job_id": job_id,
-        "ok": False,
-        "error": None,
-        "reused_items": 0,
-        "completed_items": 0,
-        "total_items": 0,
-    }
+    status = {"job_id": job_id, "ok": False, "error": None}
     try:
-        with using_recorder(recorder), using_campaign(campaign):
+        with using_recorder(recorder):
             execute(spec, payload.get("kwargs") or {})
         status["ok"] = True
     except Exception as exc:  # repro-lint: disable=REP006 -- the child is the process boundary: any failure must become a status document for the server, not a traceback lost in a daemon log
@@ -209,9 +208,10 @@ def run_job(payload: dict) -> dict:
         if pump is not None:
             pump.stop()
         recorder.close_stream()
-    status["reused_items"] = campaign.reused_items
-    status["completed_items"] = campaign.completed_items
-    status["total_items"] = campaign.total_items
+    counters = recorder.metrics.counters
+    status["total_items"] = counters.get("parallel.tasks", 0)
+    status["completed_items"] = counters.get("parallel.completed", 0)
+    status["reused_items"] = sum(counters.get(k, 0) for k in _REUSED_COUNTERS)
     return status
 
 

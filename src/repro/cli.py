@@ -14,8 +14,8 @@ Examples::
     repro-spec2017 report --out-dir results
     repro-spec2017 cache info             # on-disk artifact store status
     repro-spec2017 cache doctor --prune   # verify checksums, drop quarantine
-    repro-spec2017 table2 --resume        # continue an interrupted campaign
     REPRO_INJECT_FAULTS=crash:items=1 repro-spec2017 fig8   # test recovery
+    repro-spec2017 fig8                   # rerun: finished items are reused
     repro-spec2017 trace fig7 --jobs 2 --trace-out run.trace.json
     repro-spec2017 trace view run.trace.json
     python -m repro fig12
@@ -77,11 +77,6 @@ def _add_experiment_options(
     exp.add_argument(
         "--json-out", metavar="FILE", default=None,
         help="also write the structured result payload as JSON",
-    )
-    exp.add_argument(
-        "--resume", action="store_true",
-        help="reuse the items journaled by a previous interrupted run "
-             "of the same campaign (needs the artifact store)",
     )
 
 
@@ -397,32 +392,21 @@ def _run_report(args) -> int:
 
 
 def _run_experiment(args, name: str, recorder=None) -> int:
-    """Run experiment ``name`` as the CLI does; traced under ``recorder``.
-
-    Every experiment run executes as a campaign: journaling items as
-    they complete is what makes an interrupted run resumable, so it is
-    on whenever the artifact store is.
-    """
+    """Run experiment ``name`` as the CLI does; traced under ``recorder``."""
     from repro import telemetry
     from repro.experiments.common import configure_cache, set_store
-    from repro.resilience import Campaign, using_campaign
 
     spec = experiments.get_spec(name)
     kwargs = _experiment_kwargs(spec, args)
     if kwargs is None:
         return 2
-    if args.resume and args.no_cache:
-        print("--resume needs the artifact store; drop --no-cache",
-              file=sys.stderr)
-        return 2
-    campaign = Campaign(resume=args.resume)
     previous = configure_cache(args.cache_dir, enabled=not args.no_cache)
     try:
         trace_scope = (
             telemetry.using_recorder(recorder)
             if recorder is not None else contextlib.nullcontext()
         )
-        with trace_scope, using_campaign(campaign):
+        with trace_scope:
             with telemetry.span("experiment", experiment=spec.name):
                 result = experiments.execute(spec, kwargs)
         print(spec.renderer(result))
@@ -434,13 +418,6 @@ def _run_experiment(args, name: str, recorder=None) -> int:
         set_store(previous)
     if recorder is not None:
         _write_trace(args, recorder)
-    if campaign.reused_items:
-        # stderr, so the rendered table on stdout stays byte-identical
-        # between a clean run and a resumed one.
-        print(
-            f"resumed: {campaign.reused_items} journaled item(s) reused",
-            file=sys.stderr,
-        )
     return 0
 
 

@@ -60,18 +60,17 @@ class StoreError(ReproError):
 
 
 class ResilienceError(ReproError):
-    """Fault-tolerant execution failed: a timeout expired, the worker
-    pool collapsed under a ``fail`` policy, or a journal entry could not
-    be decoded."""
+    """A run could not go on: a worker process died and broke the pool,
+    or a journal file could not be written."""
 
 
 class JournalLockedError(ResilienceError):
-    """Another process holds the exclusive lock on a campaign journal.
+    """Another process holds the exclusive lock on a journal.
 
-    Two writers interleaving appends into one JSONL journal would corrupt
-    the resume state both of them depend on, so the second acquirer gets
-    this structured error instead of a torn journal.  ``path`` is the
-    journal the lock guards.
+    Two writers interleaving appends into one JSONL journal (the
+    campaign server's ledger) would corrupt it, so the second acquirer
+    gets this structured error instead of a torn journal.  ``path`` is
+    the journal the lock guards.
     """
 
     def __init__(self, path, detail: str = "") -> None:

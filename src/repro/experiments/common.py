@@ -1,23 +1,26 @@
 """Shared measurement plumbing for the experiment drivers.
 
-Every expensive intermediate -- a benchmark's PinPoints pipeline and the
-metrics of each Whole or Regional replay -- goes through one
-:func:`memo`: a per-process dict in front of an optional
-content-addressed :class:`~repro.parallel.store.ArtifactStore` shared
-across worker processes and sessions (enabled by the CLI and the
+Every expensive intermediate -- a benchmark's PinPoints pipeline, the
+metrics of each Whole or Regional replay, and each fan-out item's
+result -- goes through one :func:`memo`: a per-process dict in front of
+an optional content-addressed :class:`~repro.parallel.store.ArtifactStore`
+shared across worker processes and sessions (enabled by the CLI and the
 benchmark harness via :func:`configure_cache`, disabled by default for
 library use so tests stay hermetic).  Both tiers are keyed by the
 store's own content address: the store schema tag, the repro package
 version, the artifact kind and a canonical document of every
 determinism-relevant input (pipeline kwargs; the program fingerprint,
-the resolved cache hierarchy and each replayed pinball), so a stale
-artifact from an older code revision or a different configuration can
-never be read back.
+the resolved cache hierarchy and each replayed pinball; a fan-out's
+worker, item and bound keywords), so a stale artifact from an older
+code revision or a different configuration can never be read back.
 
-Per-benchmark work fans out through :func:`map_benchmarks`, which
-drives :func:`measure_benchmark` workers over a deterministic process
-pool (results merged in submission order — parallel output is
-bit-identical to serial).
+Per-benchmark work fans out through :func:`map_items` (and its
+:func:`measure_benchmark` form, :func:`map_benchmarks`) over a
+deterministic process pool, results merged in submission order, so
+parallel output is bit-identical to serial.  Each item's result is a
+memo artifact of its own (kind ``item``), stored by the worker the
+moment the item completes: a rerun of an interrupted or failed run
+computes only the items that never finished.
 """
 
 from __future__ import annotations
@@ -374,43 +377,52 @@ def map_benchmarks(
 ) -> List[Dict[str, object]]:
     """Fan :func:`measure_benchmark` across the suite, one result per name.
 
-    Results come back in suite order regardless of worker completion
-    order, so driver output is identical for any ``jobs`` value.  With a
-    disk store configured, workers share pipelines and metrics through
-    it; without one, each worker recomputes its own (still correct, just
-    colder).
+    :func:`map_items` over the benchmark names; the item key holds the
+    resolved hierarchy, so the default and an explicit
+    :data:`~repro.config.ALLCACHE_SIM` share entries.
     """
-    worker = functools.partial(
+    return map_items(
         measure_benchmark,
+        resolve_benchmarks(benchmarks),
+        jobs=jobs,
         runs=tuple(runs),
-        config=config,
+        config=config if config is not None else ALLCACHE_SIM,
         pinpoints_kwargs=dict(pinpoints_kwargs),
     )
-    names = resolve_benchmarks(benchmarks)
-    return parallel_map(worker, names, jobs=jobs, labels=names)
+
+
+def _run_item(worker: Callable, bound: dict, item):
+    """``worker(item, **bound)`` through the ``item`` memo (a pool task).
+
+    Keyed on the worker's qualified name, the item and every bound
+    keyword.  A lambda or local function has no stable name, so its
+    items compute uncached.
+    """
+    if "<" in worker.__qualname__:
+        return worker(item, **bound)
+    params = {
+        "worker": f"{worker.__module__}.{worker.__qualname__}",
+        "item": item,
+        "bound": bound,
+    }
+    return memo("item", params, lambda: worker(item, **bound))
 
 
 def map_items(
-    worker: Callable,
-    items: Sequence,
-    jobs: Optional[int] = None,
-    labels: Optional[Sequence[str]] = None,
-    **bound,
+    worker: Callable, items: Sequence, jobs: Optional[int] = None, **bound
 ) -> List:
-    """Fan any per-item worker across the process pool, input order kept.
+    """``[worker(item, **bound) for item in items]`` across the pool.
 
-    The generalized sibling of :func:`map_benchmarks` for drivers whose
-    per-benchmark unit is not :func:`measure_benchmark` (variance
-    sweeps, cost models, Sniper runs, ...).  ``worker`` must be a
-    module-level callable (pool tasks are pickled even under fork);
-    ``bound`` keywords are attached via :func:`functools.partial`.
-    Results merge in submission order, so output is byte-identical for
-    any ``jobs`` value.
-
-    Resilience policies from the active campaign apply per item; under a
-    ``skip`` policy the returned list holds only the survivors (string
-    items label their own outcome records unless ``labels`` overrides).
+    The one fan-out of the experiment drivers (variance sweeps, cost
+    models, Sniper runs, :func:`map_benchmarks`, ...).  ``worker`` must
+    be a module-level callable (pool tasks are pickled even under fork)
+    and takes every parameter but the item from ``bound``, since the
+    ``item`` memo keys exactly those.  Each item runs through that memo
+    inside its worker, so a finished item is stored as soon as it
+    completes and any later run with the same worker, item and bound
+    keywords reuses it.  Results merge in submission order, so output
+    is byte-identical for any ``jobs`` value; the first failed item
+    fails the map with its own exception.
     """
-    if bound:
-        worker = functools.partial(worker, **bound)
-    return parallel_map(worker, list(items), jobs=jobs, labels=labels)
+    unit = functools.partial(_run_item, worker, bound)
+    return parallel_map(unit, list(items), jobs=jobs)

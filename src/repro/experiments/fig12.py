@@ -71,19 +71,14 @@ class Fig12Result:
         return max(rows, key=lambda r: r.reduced_error_pct)
 
 
-def _benchmark_cpi(
-    name: str,
-    native: Optional[NativeMachine],
-    simulator: Optional[SniperSimulator],
-    pinpoints_kwargs: dict,
-) -> Fig12Row:
+def _benchmark_cpi(name: str, pinpoints_kwargs: dict) -> Fig12Row:
     """One benchmark's native-vs-Sniper CPI (process-pool worker unit).
 
-    ``native``/``simulator`` default to the paper's configurations when
-    ``None``; constructing them here keeps the task payload picklable.
+    Runs the paper's machines: the i7-3770 native model and Sniper's
+    Table III configuration.
     """
-    native = native if native is not None else NativeMachine()
-    simulator = simulator if simulator is not None else SniperSimulator()
+    native = NativeMachine()
+    simulator = SniperSimulator()
     out = pinpoints_for(name, **pinpoints_kwargs)
     counters = native.run(out.program)
 
@@ -116,8 +111,6 @@ def _benchmark_cpi(
 )
 def run_fig12(
     benchmarks: Optional[Sequence[str]] = None,
-    native: Optional[NativeMachine] = None,
-    simulator: Optional[SniperSimulator] = None,
     jobs: Optional[int] = None,
     **pinpoints_kwargs,
 ) -> Fig12Result:
@@ -133,8 +126,6 @@ def run_fig12(
         _benchmark_cpi,
         resolve_benchmarks(benchmarks),
         jobs=jobs,
-        native=native,
-        simulator=simulator,
         pinpoints_kwargs=dict(pinpoints_kwargs),
     )
     return Fig12Result(rows=rows)

@@ -272,22 +272,14 @@ def execute(spec: ExperimentSpec, kwargs: Optional[dict] = None):
     serialized result with the same key is deserialized instead of
     re-running the experiment; on a miss the runner executes and its
     payload is persisted.  Unkeyable kwargs (live objects) simply bypass
-    the cache.
-
-    With an active :class:`~repro.resilience.context.Campaign` and a
-    store, the campaign's journal attaches under the same content
-    address before the runner starts, so items persist as they complete
-    and an interrupted run resumes (``--resume``) without recomputing
-    journaled items.  A runner that raises stores no result; its
-    campaign is sealed unfinished (journal closed, no completion
-    record) and the exception propagates.
+    the cache.  A runner that raises stores no result; the items its
+    fan-outs finished before the failure stay stored, so a rerun
+    computes only the rest.
     """
     from repro.experiments.common import get_store
-    from repro.resilience.context import get_campaign
 
     kwargs = dict(kwargs or {})
     store = get_store()
-    campaign = get_campaign()
     params = None
     if store is not None:
         try:
@@ -302,24 +294,13 @@ def execute(spec: ExperimentSpec, kwargs: Optional[dict] = None):
                 stored = None
             else:
                 telemetry_count("result.hit", experiment=spec.name)
-                if campaign is not None:
-                    campaign.finish()
                 return result
-    if campaign is not None and store is not None and params is not None:
-        campaign.attach_journal(store.root, store.key("campaign", params))
     telemetry_count("result.miss", experiment=spec.name)
-    try:
-        with span("experiment.run", experiment=spec.name):
-            result = spec.runner(**kwargs)
-    except BaseException:
-        if campaign is not None:
-            campaign.finish(complete=False)
-        raise
+    with span("experiment.run", experiment=spec.name):
+        result = spec.runner(**kwargs)
     if store is not None and params is not None:
         try:
             store.put_json("result", params, result_payload(spec, result))
         except StoreError:
             pass
-    if campaign is not None:
-        campaign.finish()
     return result

@@ -651,11 +651,11 @@ def check_bare_except_dispatch(ctx) -> Yield:
                 )
 
 
-#: Calls whose failure must surface: worker dispatch/harvest and the
-#: resilience journal's write path (REP017).  Derived from REP013's
-#: dispatch set, so the two rules cannot drift apart.
-_REP017_FUNCTIONS = _DISPATCH_FUNCTIONS | {"journal_item"}
-_REP017_METHODS = frozenset({"submit", "result", "journal_item"})
+#: Calls whose failure must surface: worker dispatch/harvest (REP013's
+#: own sets, so the two rules cannot drift apart) and journal appends
+#: (REP017).
+_REP017_FUNCTIONS = _DISPATCH_FUNCTIONS
+_REP017_METHODS = _DISPATCH_METHODS
 
 
 @rule(

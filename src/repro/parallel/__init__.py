@@ -5,13 +5,13 @@ Two halves, composed by ``repro.experiments.common``:
 * :mod:`repro.parallel.pool` — a deterministic process-pool runner
   that fans per-benchmark work across cores and merges results in
   submission order, so parallel runs are bit-identical to serial ones;
-  the first failed item fails the run, and an interrupted run resumes
-  from its :mod:`repro.resilience` journal.
+  the first failed item fails the run.
 * :mod:`repro.parallel.store` — a content-addressed on-disk artifact
-  store (pipeline outputs, replay metrics) shared across worker
-  processes and across sessions, versioned by a schema tag plus a
-  pipeline-parameter hash, with checksum envelopes and quarantine of
-  corrupt artifacts.
+  store (pipeline outputs, replay metrics, fan-out items) shared across
+  worker processes and across sessions, versioned by a schema tag plus
+  a parameter hash, with checksum envelopes and quarantine of corrupt
+  artifacts.  Items are stored as they finish, so a rerun of an
+  interrupted run computes only the rest.
 """
 
 from repro.parallel.pool import parallel_map, resolve_jobs

@@ -13,10 +13,10 @@ first.  The items after it never start (serially) or are cancelled (in
 a pool).  A worker process that dies mid-task breaks the pool, which
 raises :class:`~repro.errors.ResilienceError`.  Nothing is retried,
 timed out or skipped, so no result is ever computed from a subset of
-its items.  With a campaign journal attached
-(:mod:`repro.resilience.context`), every item is durably appended as it
-completes, and the journaled items of an interrupted run merge back
-byte-identically in submission order without recomputing.
+its items.  Nothing here skips finished work either: the experiment
+drivers' units store each item's result as it completes
+(:func:`repro.experiments.common.map_items`), so a rerun reads those
+back from the artifact store.
 
 Fork safety: workers are forked where the platform supports it (cheap,
 inherits the configured artifact store and loaded registries); on
@@ -35,7 +35,9 @@ fresh :class:`~repro.telemetry.recorder.TraceRecorder` whose snapshot
 ships back alongside the result and is merged into the parent recorder
 **in submission order** (worker events get ``tid = 1 + item index``),
 so traces and aggregated metrics are deterministic regardless of worker
-completion interleaving.
+completion interleaving.  The parent counts ``parallel.tasks`` once per
+map and ``parallel.completed`` once per item as it merges, which is
+what a campaign job's item counts and live progress read.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, List, Optional, Sequence, TypeVar
 
 from repro.errors import ConfigError, ResilienceError
-from repro.resilience.context import get_campaign
 from repro.resilience.faults import FaultPlan, get_plan, inject_worker_fault
 from repro.telemetry.recorder import (
     TraceRecorder,
@@ -126,48 +127,31 @@ def _traced_call(
     return _TracedResult(result=result, telemetry=worker_recorder.snapshot())
 
 
-def _default_labels(work: Sequence) -> List[str]:
-    labels = []
+def _run_serial(fn: Callable, work: Sequence, finish: Callable) -> None:
     for index, item in enumerate(work):
-        if isinstance(item, str):
-            labels.append(item)
-        else:
-            labels.append(f"item[{index}]")
-    return labels
-
-
-def _run_serial(
-    fn: Callable, work: Sequence, pending: Sequence[int], finish: Callable
-) -> None:
-    for index in pending:
         inject_worker_fault(index)
-        finish(index, fn(work[index]))
+        finish(index, fn(item))
 
 
 def _run_pool(
-    fn: Callable,
-    work: Sequence,
-    pending: Sequence[int],
-    finish: Callable,
-    workers: int,
-    recorder,
+    fn: Callable, work: Sequence, finish: Callable, workers: int, recorder
 ) -> None:
     plan = get_plan()
     with ProcessPoolExecutor(
-        max_workers=min(workers, len(pending)), mp_context=_mp_context()
+        max_workers=workers, mp_context=_mp_context()
     ) as pool:
         futures = [
-            pool.submit(_traced_call, fn, work[index], index, plan)
-            for index in pending
+            pool.submit(_traced_call, fn, item, index, plan)
+            for index, item in enumerate(work)
         ]
         try:
-            for done, (index, future) in enumerate(zip(pending, futures)):
+            for index, future in enumerate(futures):
                 try:
                     shipped = future.result()
                 except BrokenProcessPool as exc:
                     raise ResilienceError(
-                        f"worker pool broke with {len(pending) - done} of "
-                        f"{len(pending)} item(s) unfinished (a worker "
+                        f"worker pool broke with {len(work) - index} of "
+                        f"{len(work)} item(s) unfinished (a worker "
                         "process died)"
                     ) from exc
                 if recorder is not None:
@@ -183,62 +167,38 @@ def parallel_map(
     fn: Callable[[_ItemT], _ResultT],
     items: Iterable[_ItemT],
     jobs: Optional[int] = None,
-    labels: Optional[Sequence[str]] = None,
 ) -> List[_ResultT]:
     """Apply ``fn`` to every item, results in input order.
 
-    With one worker (or one item left to run) this is a plain serial
-    loop in the current process — no pool, no pickling — which is also
-    the bit-identical reference behaviour the parallel path must match.
+    With one worker (or one item) this is a plain serial loop in the
+    current process — no pool, no pickling — which is also the
+    bit-identical reference behaviour the parallel path must match.
     The first failed item in submission order raises its own exception,
     regardless of completion interleaving; a pool broken by a dying
-    worker raises :class:`~repro.errors.ResilienceError`.  ``labels``
-    name the items in the campaign journal (default: the item itself
-    when it is a string, else ``item[i]``).
+    worker raises :class:`~repro.errors.ResilienceError`.
     """
     work = list(items)
-    if labels is None:
-        labels = _default_labels(work)
-    elif len(labels) != len(work):
-        raise ConfigError(
-            f"labels length {len(labels)} != items length {len(work)}"
-        )
-    campaign = get_campaign()
     recorder = get_recorder()
     workers = resolve_jobs(jobs, items=len(work))
-
     results: List = [None] * len(work)
-    pending = list(range(len(work)))
-    seq = 0
-    if campaign is not None:
-        seq = campaign.begin_map(len(work))
-        pending = []
-        for index in range(len(work)):
-            journaled, value = campaign.journaled_value(seq, index)
-            if journaled:
-                results[index] = value
-            else:
-                pending.append(index)
 
     def finish(index: int, value) -> None:
         results[index] = value
-        if campaign is not None:
-            campaign.journal_item(seq, index, labels[index], value)
+        if recorder is not None:
+            recorder.count("parallel.completed")
 
     with span("parallel.map", items=len(work)):
         if recorder is not None:
             recorder.count("parallel.tasks", len(work))
-        if workers <= 1 or len(pending) <= 1:
+        if workers <= 1:
             # Serial reference path: events flow straight into the
             # active recorder (no wrapping), which is also what the
             # merged parallel trace must aggregate to.
             if recorder is not None:
                 recorder.gauge("parallel.workers", 1)
-            _run_serial(fn, work, pending, finish)
+            _run_serial(fn, work, finish)
         else:
             if recorder is not None:
-                recorder.gauge(
-                    "parallel.workers", min(workers, len(pending))
-                )
-            _run_pool(fn, work, pending, finish, workers, recorder)
+                recorder.gauge("parallel.workers", workers)
+            _run_pool(fn, work, finish, workers, recorder)
     return results

@@ -1,11 +1,12 @@
 """Content-addressed on-disk artifact store for expensive intermediates.
 
-The experiment drivers recompute two kinds of expensive artifacts:
-PinPoints pipeline outputs (logging + BBV profiling + clustering) and
-replay measurements (:class:`~repro.experiments.common.RunMetrics`).
-Both are deterministic functions of *(benchmark, pipeline parameters,
-machine geometry, code version)*, so they can be persisted once and
-shared across worker processes and across sessions.
+The experiment drivers recompute three kinds of expensive artifacts:
+PinPoints pipeline outputs (logging + BBV profiling + clustering),
+replay measurements (:class:`~repro.experiments.common.RunMetrics`)
+and the per-item results of their fan-outs.  All are deterministic
+functions of *(benchmark, parameters, machine geometry, code
+version)*, so they can be persisted once and shared across worker
+processes and across sessions.
 
 Keys are content addresses: the SHA-256 of a canonical JSON document
 containing the store schema tag, the repro package version, the artifact
@@ -31,7 +32,7 @@ Layout::
     <root>/repro-store.json                 # marker, guards clear()
     <root>/objects/<kind>/<aa>/<digest>.json|.pkl
     <root>/quarantine/<digest>.json|.pkl    # corrupt artifacts, doctor
-    <root>/journals/<campaign>.jsonl        # campaign journals (resume)
+    <root>/journals/campaign-server.jsonl   # the campaign server's ledger
 """
 
 from __future__ import annotations
@@ -540,9 +541,10 @@ class ArtifactStore:
 
         A directory without the store marker is never touched: pointing
         ``--cache-dir`` at, say, a home directory must not delete it.
-        Campaign journals and the quarantine are deliberately kept —
-        clearing intermediates must not destroy resume state or
-        corruption evidence.
+        The campaign server's ledger and the quarantine are deliberately
+        kept — clearing intermediates must not lose the server's jobs or
+        corruption evidence.  Stored fan-out items go with the rest, so
+        a rerun after a clear computes every item again.
         """
         if not self.root.exists():
             return 0

@@ -97,8 +97,9 @@ SERVICE_FAULT_KINDS = ("connreset", "ledgertear", "diskfull")
 _ALL_KINDS = WORKER_FAULT_KINDS + STORE_FAULT_KINDS + SERVICE_FAULT_KINDS
 
 #: Named plans; ``ci-default`` corrupts only the self-healing artifact
-#: kinds (metrics/pinpoints recompute transparently on a corrupt read),
-#: sparsely enough that small unit-test write sequences stay clean.
+#: kinds (metrics, pinpoints and item recompute transparently on a
+#: corrupt read), sparsely enough that small unit-test write sequences
+#: stay clean.
 #: ``ci-chaos`` is the campaign chaos-smoke plan: wedge every job's
 #: first run at item 1 (the watchdog must kill + requeue it), SIGKILL
 #: any run that reaches item 4 (only jobs wide enough to get there —
@@ -106,9 +107,9 @@ _ALL_KINDS = WORKER_FAULT_KINDS + STORE_FAULT_KINDS + SERVICE_FAULT_KINDS
 #: decoy ledger line every 3rd append, and drop every 2nd watch stream.
 PRESETS = {
     "ci-default": (
-        "truncate:every=7:kinds=metrics,pinpoints;"
-        "garbage:every=11:kinds=metrics,pinpoints;"
-        "enospc:every=13:kinds=metrics,pinpoints"
+        "truncate:every=7:kinds=metrics,pinpoints,item;"
+        "garbage:every=11:kinds=metrics,pinpoints,item;"
+        "enospc:every=13:kinds=metrics,pinpoints,item"
     ),
     "ci-chaos": (
         "workerhang:items=1:gen=0;"

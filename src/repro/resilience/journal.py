@@ -1,41 +1,32 @@
-"""Append-only campaign journal: fsync'd JSONL of completed items.
+"""Append-only journal: fsync'd JSONL records under the store root.
 
-Every completed item of a campaign's fan-outs is appended as one JSON
-line — its fan-out sequence number, index and label plus the worker's
-pickled return value (base64, with a SHA-256 integrity digest) — and
-the file descriptor is fsync'd after each append, so a campaign killed
-at any instant leaves a journal whose entries are all complete.  A
-re-run with ``--resume`` replays the journal instead of recomputing:
-the drivers are deterministic, so the i-th item of the k-th fan-out in
-the resumed run is the same work as in the interrupted one, and
-``(seq, index)`` identifies it.
+The campaign server's job ledger (:mod:`repro.campaign.ledger`) is one
+such file.  Every record is appended as one schema-stamped JSON line
+and the file descriptor is fsync'd after each append, so a process
+killed at any instant leaves a journal whose entries are all complete.
 
 Corrupt lines (the torn final append of a hard kill, stray editing) are
-counted and skipped, never trusted; a payload whose digest does not
-verify is treated as absent and the item recomputes.
+counted and skipped on load, never trusted; :meth:`CampaignJournal.doctor`
+quarantines them.
 
-Layout: ``<store root>/journals/<campaign key>.jsonl``, beside the
-artifact objects, so ``cache clear`` (which only removes ``objects/``)
-keeps journals and an interrupted campaign survives a cache wipe of its
-intermediates.
+Layout: ``<store root>/journals/<key>.jsonl``, beside the artifact
+objects, so ``cache clear`` (which only removes ``objects/``) keeps the
+ledger.
 
 Concurrency: a journal is a single-writer file.  :meth:`acquire` takes
 an exclusive ``flock`` on ``<journal>.lock`` (released by :meth:`close`,
 and by the kernel if the holder dies, including SIGKILL), so two
-processes resuming the same campaign key cannot interleave appends —
-the second acquirer gets a structured
-:class:`~repro.errors.JournalLockedError` instead of a torn journal.
+processes can never interleave appends — the second acquirer gets a
+structured :class:`~repro.errors.JournalLockedError` instead of a torn
+journal.
 """
 
 from __future__ import annotations
 
-import base64
-import hashlib
 import json
 import os
-import pickle
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 try:
     import fcntl
@@ -45,38 +36,15 @@ except ImportError:  # non-POSIX: locking degrades to best-effort
 from repro.errors import JournalLockedError, ResilienceError
 from repro.telemetry.recorder import count as telemetry_count
 
-__all__ = ["JOURNAL_SCHEMA", "CampaignJournal", "decode_value", "encode_value"]
+__all__ = ["JOURNAL_SCHEMA", "CampaignJournal"]
 
 #: Schema tag stamped on every journal line; lines with any other tag
 #: (or none) are ignored on load.
 JOURNAL_SCHEMA = "repro-journal-v1"
 
 
-def encode_value(value) -> Dict[str, str]:
-    """Pickle an item's return value into a JSON-safe, digest-guarded dict."""
-    data = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-    return {
-        "pickle_b64": base64.b64encode(data).decode("ascii"),
-        "sha256": hashlib.sha256(data).hexdigest(),
-    }
-
-
-def decode_value(payload: dict):
-    """Inverse of :func:`encode_value`; raises on any integrity failure."""
-    try:
-        data = base64.b64decode(payload["pickle_b64"].encode("ascii"))
-    except (KeyError, AttributeError, TypeError, ValueError) as exc:
-        raise ResilienceError(f"journal payload is malformed: {exc}") from exc
-    if hashlib.sha256(data).hexdigest() != payload.get("sha256"):
-        raise ResilienceError("journal payload failed its integrity check")
-    try:
-        return pickle.loads(data)
-    except Exception as exc:  # repro-lint: disable=REP006 -- unpickling journal bytes can raise nearly anything; the caller treats the entry as absent and recomputes
-        raise ResilienceError(f"journal payload does not unpickle: {exc}") from exc
-
-
 class CampaignJournal:
-    """One campaign's append-only JSONL item log."""
+    """One append-only, single-writer JSONL record log."""
 
     def __init__(self, path) -> None:
         self.path = Path(path)
@@ -84,9 +52,9 @@ class CampaignJournal:
         self._lock_handle = None
 
     @classmethod
-    def path_for(cls, store_root, campaign_key: str) -> Path:
-        """Journal location for a campaign under an artifact-store root."""
-        return Path(store_root) / "journals" / f"{campaign_key}.jsonl"
+    def path_for(cls, store_root, key: str) -> Path:
+        """Journal location for ``key`` under an artifact-store root."""
+        return Path(store_root) / "journals" / f"{key}.jsonl"
 
     @property
     def lock_path(self) -> Path:
@@ -96,9 +64,6 @@ class CampaignJournal:
     def quarantine_path(self) -> Path:
         """Where :meth:`doctor` moves corrupt lines (forensics, not replay)."""
         return self.path.with_name(self.path.name + ".quarantine")
-
-    def exists(self) -> bool:
-        return self.path.is_file()
 
     def acquire(self) -> None:
         """Take the exclusive single-writer lock on this journal.
@@ -162,7 +127,7 @@ class CampaignJournal:
             os.fsync(self._handle.fileno())
         except OSError as exc:
             raise ResilienceError(
-                f"cannot append to campaign journal {self.path}: {exc}"
+                f"cannot append to journal {self.path}: {exc}"
             ) from exc
         telemetry_count("journal.append")
 
@@ -248,7 +213,7 @@ class CampaignJournal:
             os.replace(tmp, self.path)
         except OSError as exc:
             raise ResilienceError(
-                f"cannot rewrite campaign journal {self.path}: {exc}"
+                f"cannot rewrite journal {self.path}: {exc}"
             ) from exc
 
     def rewrite(self, records: List[dict]) -> None:
@@ -277,9 +242,9 @@ class CampaignJournal:
         self.release()
 
     def discard(self) -> None:
-        """Delete the journal (a fresh, non-resumed campaign).
+        """Delete the journal (a server booted without ``--resume``).
 
-        Keeps the writer lock if this instance holds it: the campaign
+        Keeps the writer lock if this instance holds it: the writer
         that discarded a stale journal is about to write a fresh one,
         and no other writer may slip in between.
         """

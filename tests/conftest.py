@@ -26,12 +26,10 @@ def _hermetic_store(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "artifact-store"))
     from repro.experiments.common import get_store, set_store
     from repro.resilience import faults
-    from repro.resilience.context import set_campaign
     from repro.telemetry.recorder import set_recorder
 
     previous = get_store()
     previous_recorder = set_recorder(None)
-    previous_campaign = set_campaign(None)
     # Re-arm the fault-plan slot: each test sees fresh write ordinals
     # (deterministic trigger positions) and picks up REPRO_INJECT_FAULTS
     # lazily, so the CI faults job injects into every test independently.
@@ -39,7 +37,6 @@ def _hermetic_store(tmp_path, monkeypatch):
     yield
     set_store(previous)
     set_recorder(previous_recorder)
-    set_campaign(previous_campaign)
     faults.reset_plan()
 
 

@@ -302,7 +302,6 @@ class TestServerSubmitDedup:
         try:
             assert reborn._adopted == 1
             jobs = list(reborn._jobs.values())
-            assert jobs[0].resume is True
             assert jobs[0].state == "queued"
         finally:
             reborn.ledger.close()
@@ -325,3 +324,57 @@ class TestServerSubmitDedup:
 
         with pytest.raises(CampaignServiceError, match="store"):
             CampaignServer(None, tmp_path / "sock")
+
+
+class _StubClient:
+    """Answers ``status``/``wait``/``watch`` with one job in ``state``."""
+
+    def __init__(self, state: str) -> None:
+        self.job = {
+            "id": "job-0001", "experiment": "fig8", "state": state,
+            "total_items": 3, "completed_items": 3, "reused_items": 2,
+        }
+
+    def status(self, job_id=None):
+        return dict(self.job)
+
+    def wait(self, job_id, timeout_s=None):
+        return dict(self.job)
+
+    def watch(self, job_id):
+        yield {"event": "progress", "counter": "parallel.completed",
+               "tags": {}}
+        yield {"event": "end", "job": job_id, "state": self.job["state"]}
+
+
+class TestClientExitCodes:
+    """``campaign status`` and ``watch`` agree on a job's exit code."""
+
+    EXPECTED = {"done": 0, "failed": 3, "cancelled": 0, "poisoned": 5}
+
+    @pytest.mark.parametrize("state", sorted(EXPECTED))
+    @pytest.mark.parametrize("wait", [False, True])
+    def test_status(self, state, wait, capsys):
+        import argparse
+
+        from repro.campaign.cli import _run_status
+
+        args = argparse.Namespace(
+            job="job-0001", wait=wait, wait_timeout=1.0, as_json=False
+        )
+        assert _run_status(_StubClient(state), args) == self.EXPECTED[state]
+        out = capsys.readouterr().out
+        assert "items: 3 of 3 completed" in out
+        assert "reused: 2 stored item(s)" in out
+
+    @pytest.mark.parametrize("state", sorted(EXPECTED))
+    def test_watch(self, state, capsys):
+        import argparse
+
+        from repro.campaign.cli import _run_watch
+
+        args = argparse.Namespace(job="job-0001")
+        assert _run_watch(_StubClient(state), args) == self.EXPECTED[state]
+        out = capsys.readouterr().out
+        assert "job-0001: parallel.completed" in out
+        assert f"job-0001: finished ({state})" in out

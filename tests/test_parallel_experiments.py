@@ -101,7 +101,10 @@ class TestCli:
         capsys.readouterr()
         assert not store_dir.exists()
 
-    def test_cache_info_and_clear(self, tmp_path, capsys):
+    def test_cache_info_and_clear(self, tmp_path, capsys, monkeypatch):
+        # An earlier test's fig10 item in this process's memo would
+        # answer first and store only itself: start from an empty memo.
+        monkeypatch.setattr(common, "_MEMO", {})
         store_dir = str(tmp_path / "store")
         assert main(["cache", "info", "--cache-dir", store_dir]) == 0
         assert "not created yet" in capsys.readouterr().out

@@ -13,7 +13,10 @@ Contracts under test:
   from the cache key, and recomputes a stored payload whose data does not
   fit its result type;
 * empty-result aggregates raise :class:`ConfigError` instead of
-  ``ZeroDivisionError``.
+  ``ZeroDivisionError``;
+* every experiment that fans out binds each worker parameter but the
+  item, and its ``item`` memo key changes with the item and with every
+  bound value.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from __future__ import annotations
 import argparse
 import copy
 import dataclasses
+import inspect
 import json
 from pathlib import Path
 from typing import Optional
@@ -29,8 +33,9 @@ import pytest
 
 import repro
 from repro.cli import _build_parser, main
+from repro.config import ALLCACHE_SIM, ALLCACHE_TABLE_I, CacheHierarchyConfig
 from repro.errors import ConfigError
-from repro.experiments import all_specs, execute, get_spec
+from repro.experiments import all_specs, common, execute, get_spec
 from repro.experiments.common import configure_cache, get_store, set_store
 from repro.experiments.registry import (
     RESULT_SCHEMA,
@@ -40,6 +45,7 @@ from repro.experiments.registry import (
     write_result,
 )
 from repro.experiments.serialize import _codec, to_payload
+from repro.parallel import artifact_key
 
 from conftest import QUICK
 
@@ -159,17 +165,100 @@ class TestParserGeneration:
 
     def test_one_failure_policy_leaves_nothing_to_choose(self):
         # Every fan-out fails on its first failed item; no option picks
-        # another policy, and --resume is how a failed run continues.
+        # another policy, and a plain rerun is how a failed run
+        # continues: finished items come back from the store.  Only
+        # serve keeps --resume, to re-adopt the jobs in its ledger.
         parser = _build_parser()
         trace = _subparser(parser, "trace")
-        subparsers = [_subparser(parser, "serve")]
+        serve = _subparser(parser, "serve")
+        subparsers = [serve]
         for name in SPEC_NAMES:
             subparsers += [_subparser(parser, name), _subparser(trace, name)]
         gone = {"--retries", "--timeout", "--on-failure", "--inject-faults"}
         for sub in subparsers:
             options = _option_strings(sub)
             assert not options & gone, sub.prog
-            assert "--resume" in options, sub.prog
+            assert ("--resume" in options) == (sub is serve), sub.prog
+
+
+class _FannedOut(Exception):
+    """Stops a runner at its fan-out: the key tests need only the unit."""
+
+
+def _captured_fanout(monkeypatch, name: str):
+    """The worker, bound keywords and items ``name``'s runner fans out."""
+    captured = []
+
+    def capture(unit, items, jobs=None):
+        captured.append((unit, list(items)))
+        raise _FannedOut
+
+    monkeypatch.setattr(common, "parallel_map", capture)
+    with pytest.raises(_FannedOut):
+        get_spec(name).runner(**QUICK_KWARGS[name])
+    ((unit, items),) = captured
+    assert unit.func is common._run_item
+    worker, bound = unit.args
+    return worker, bound, items
+
+
+def _item_key(monkeypatch, worker, bound: dict, item) -> str:
+    """The ``item`` memo key of one item; nothing is computed."""
+    keys = []
+
+    def record(kind, params, compute, result_type=None):
+        keys.append(artifact_key(kind, params, version=repro.__version__))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(common, "memo", record)
+        common._run_item(worker, bound, item)
+    (key,) = keys
+    return key
+
+
+def _changed(value):
+    """Another value of the same kind as ``value``."""
+    if isinstance(value, (int, float)):
+        return value + 1
+    if isinstance(value, str):
+        return value + "-changed"
+    if isinstance(value, (tuple, list)):
+        return type(value)([*value, *value[-1:]] or ["changed"])
+    if isinstance(value, dict):
+        return {**value, "changed": True}
+    if isinstance(value, CacheHierarchyConfig):
+        return ALLCACHE_TABLE_I if value == ALLCACHE_SIM else ALLCACHE_SIM
+    raise AssertionError(f"no changed value for {value!r}")
+
+
+FANNED_OUT = [spec.name for spec in all_specs() if spec.supports_jobs]
+
+
+class TestItemKeys:
+    """Changing the item or any one bound value changes its item key."""
+
+    @pytest.mark.parametrize("name", FANNED_OUT)
+    def test_worker_binds_every_parameter_but_the_item(
+        self, name, monkeypatch
+    ):
+        worker, bound, _ = _captured_fanout(monkeypatch, name)
+        assert "<" not in worker.__qualname__  # a stable, importable name
+        parameters = list(inspect.signature(worker).parameters)
+        assert set(bound) == set(parameters[1:])
+
+    @pytest.mark.parametrize("name", FANNED_OUT)
+    def test_item_key_covers_the_item_and_every_bound_value(
+        self, name, monkeypatch
+    ):
+        worker, bound, items = _captured_fanout(monkeypatch, name)
+        item = items[0]
+        variants = [(item, bound), (_changed(item), bound)]
+        variants += [
+            (item, {**bound, keyword: _changed(value)})
+            for keyword, value in bound.items()
+        ]
+        keys = [_item_key(monkeypatch, worker, b, i) for i, b in variants]
+        assert len(set(keys)) == len(keys) == 2 + len(bound)
 
 
 @pytest.mark.parametrize("name", SPEC_NAMES)

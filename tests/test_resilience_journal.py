@@ -1,34 +1,34 @@
-"""Checkpoint/resume: the campaign journal and its replay semantics.
+"""Rerunning an interrupted run, and the journal file behind the ledger.
 
-The acceptance contract: a campaign interrupted partway (here: an
-injected crash, whose first failed item fails the run like a kill
-would) leaves a journal from which ``--resume`` completes the run
-without recomputing journaled items, and the resumed output is
-byte-identical to a clean uninterrupted run.
+The acceptance contract: a run interrupted partway (here: an injected
+crash, whose first failed item fails the run like a kill would) leaves
+every item it finished in the artifact store, so a plain rerun with the
+same arguments computes only the unfinished items, and its output is
+byte-identical to a clean uninterrupted run.  The append-only journal
+that remains is the campaign server's ledger file.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import time
 from typing import List
 
 import pytest
 
-from repro.errors import ResilienceError
+from repro.experiments import common
 from repro.experiments.common import configure_cache, map_items, set_store
 from repro.experiments.registry import ExperimentSpec, execute
-from repro.parallel import parallel_map
+from repro.parallel import ArtifactStore
 from repro.resilience import (
-    Campaign,
     CampaignJournal,
     InjectedFaultError,
     JOURNAL_SCHEMA,
     parse_spec,
-    using_campaign,
+    set_plan,
     using_plan,
 )
-from repro.resilience.journal import decode_value, encode_value
 from repro.telemetry.recorder import TraceRecorder, using_recorder
 
 pytestmark = pytest.mark.resilience
@@ -38,6 +38,27 @@ ITEMS = list(range(5))
 #: Items ``_tenfold_logged`` computed (serial runs only: the calls of
 #: pool workers happen in other processes).
 _COMPUTED: List[int] = []
+
+#: The counters of the ``item`` memo.
+ITEM_MISS = "memtier.miss{kind=item}"
+ITEM_STORE_HIT = "store.hit{kind=item}"
+ITEM_MEMORY_HIT = "memtier.hit{kind=item}"
+
+
+@pytest.fixture(autouse=True)
+def _fresh_memo(monkeypatch):
+    """An empty in-process memo, so no other test's items answer here."""
+    monkeypatch.setattr(common, "_MEMO", {})
+
+
+@pytest.fixture()
+def store(tmp_path):
+    """A configured artifact store for this test; restored afterwards."""
+    previous = configure_cache(tmp_path / "store")
+    try:
+        yield common.get_store()
+    finally:
+        set_store(previous)
 
 
 def _tenfold(x):
@@ -49,37 +70,29 @@ def _tenfold_logged(x):
     return x * 10
 
 
-def _journaled_indices(store_root, key: str) -> List[int]:
-    """Indices of the journal's item records, in append order."""
-    journal = CampaignJournal(CampaignJournal.path_for(store_root, key))
-    return [r["index"] for r in journal.load() if r.get("event") == "item"]
+def _slow_first(x):
+    # Item 0 holds the driving process's in-order harvest while the
+    # other pool worker finishes every later item.
+    if x == 0:
+        time.sleep(1.0)
+    return x * 10
 
 
-def _resume_serially(store_root, key: str):
-    """Resume ``key`` at jobs=1: (results, items recomputed, campaign)."""
-    campaign = Campaign(resume=True)
-    campaign.attach_journal(store_root, key)
+def _nested_value(tag):
+    return {"tag": tag, "nested": [1, 2.5, (tag, None)]}
+
+
+def _stored_items(store) -> int:
+    return store.info().artifacts.get("item", 0)
+
+
+def _rerun_serially(items=ITEMS):
+    """Rerun at jobs=1: (results, items recomputed, recorder)."""
     _COMPUTED.clear()
-    with using_campaign(campaign):
-        results = parallel_map(_tenfold_logged, ITEMS, jobs=1)
-    campaign.finish(complete=False)
-    return results, list(_COMPUTED), campaign
-
-
-class TestValueCodec:
-    def test_round_trip(self):
-        payload = encode_value({"rows": [1, 2], "rate": 0.25})
-        assert decode_value(payload) == {"rows": [1, 2], "rate": 0.25}
-
-    def test_tampered_payload_rejected(self):
-        payload = encode_value([1, 2, 3])
-        payload["sha256"] = "0" * 64
-        with pytest.raises(ResilienceError, match="integrity"):
-            decode_value(payload)
-
-    def test_malformed_payload_rejected(self):
-        with pytest.raises(ResilienceError, match="malformed"):
-            decode_value({"sha256": "x"})
+    rec = TraceRecorder()
+    with using_recorder(rec):
+        results = map_items(_tenfold_logged, items, jobs=1)
+    return results, list(_COMPUTED), rec
 
 
 class TestJournalFile:
@@ -120,91 +133,43 @@ class TestJournalFile:
         assert not journal.path.exists()
 
 
-class TestCampaignAttach:
-    def test_fresh_campaign_discards_stale_journal(self, tmp_path):
-        stale = Campaign()
-        stale.attach_journal(tmp_path, "key-1")
-        with using_campaign(stale):
-            parallel_map(_tenfold, ITEMS, jobs=1)
-        stale.finish(complete=False)
-        assert CampaignJournal.path_for(tmp_path, "key-1").exists()
-
-        fresh = Campaign()  # resume=False: never reuse silently
-        fresh.attach_journal(tmp_path, "key-1")
-        assert not fresh._cached
-        _COMPUTED.clear()
-        with using_campaign(fresh):
-            parallel_map(_tenfold_logged, ITEMS, jobs=1)
-        assert _COMPUTED == ITEMS
-        assert fresh.reused_items == 0
-
-    def test_damaged_payload_entry_recomputes(self, tmp_path):
-        first = Campaign()
-        first.attach_journal(tmp_path, "key-2")
-        with using_campaign(first):
-            parallel_map(_tenfold, ITEMS, jobs=1)
-        first.finish(complete=False)
-        # Corrupt item 3's payload digest in place.
-        path = CampaignJournal.path_for(tmp_path, "key-2")
-        lines = path.read_bytes().splitlines()
-        doctored = []
-        for line in lines:
-            record = json.loads(line)
-            if record.get("index") == 3:
-                record["payload"]["sha256"] = "0" * 64
-            doctored.append(json.dumps(record).encode())
-        path.write_bytes(b"\n".join(doctored) + b"\n")
-
-        results, recomputed, _ = _resume_serially(tmp_path, "key-2")
-        assert results == [x * 10 for x in ITEMS]
-        assert recomputed == [3]
-
-
 class TestResume:
-    def test_interrupted_campaign_resumes_byte_identically(self, tmp_path):
-        reference = parallel_map(_tenfold, ITEMS, jobs=1)
+    def test_interrupted_campaign_resumes_byte_identically(
+        self, store, inject_faults
+    ):
+        reference = [x * 10 for x in range(6)]
+        inject_faults("crash:items=1")
+        with pytest.raises(InjectedFaultError, match="item 1"):
+            map_items(_slow_first, range(6), jobs=2)
+        # Each item is stored by its worker as it completes, so the
+        # items the other worker finished behind the failed one survive
+        # although the in-order harvest never reached them.
+        assert _stored_items(store) == 5
+        set_plan(None)
 
-        first = Campaign()
-        first.attach_journal(tmp_path, "campaign-key")
-        with using_campaign(first), using_plan(parse_spec("crash:items=2")):
-            with pytest.raises(InjectedFaultError, match="item 2"):
-                parallel_map(_tenfold, ITEMS, jobs=2)
-        first.finish(complete=False)
-        # Results are journaled in submission order, so the run stops
-        # journaling at its first failed item.
-        assert _journaled_indices(tmp_path, "campaign-key") == [0, 1]
-        assert (first.completed_items, first.total_items) == (2, len(ITEMS))
-
-        resumed = Campaign(resume=True)
-        resumed.attach_journal(tmp_path, "campaign-key")
         rec = TraceRecorder()
-        with using_recorder(rec), using_campaign(resumed):
-            results = parallel_map(_tenfold, ITEMS, jobs=2)
+        with using_recorder(rec):
+            results = map_items(_slow_first, range(6), jobs=2)
         assert results == reference
-        assert resumed.reused_items == 2
-        assert rec.metrics.counters["journal.hit"] == 2
-        assert resumed.completed_items == resumed.total_items == len(ITEMS)
-        # Only the items from the crash on were recomputed.
-        assert _journaled_indices(tmp_path, "campaign-key") == [
-            0, 1, 2, 3, 4,
-        ]
+        assert rec.metrics.counters[ITEM_STORE_HIT] == 5
+        assert rec.metrics.counters[ITEM_MISS] == 1
 
-    def test_sequence_numbers_separate_fanouts(self, tmp_path):
-        first = Campaign()
-        first.attach_journal(tmp_path, "two-maps")
-        with using_campaign(first):
-            parallel_map(_tenfold, [1, 2], jobs=1)
-            parallel_map(_tenfold, [7, 8], jobs=1)
-        first.finish(complete=False)
+    def test_two_fanouts_reuse_their_own_items(self, store):
+        map_items(_tenfold_logged, [1, 2], jobs=1)
+        map_items(_tenfold_logged, [7, 8], jobs=1)
+        common._MEMO.clear()  # a new process: the store answers
 
-        resumed = Campaign(resume=True)
-        resumed.attach_journal(tmp_path, "two-maps")
-        with using_campaign(resumed):
-            a = parallel_map(_tenfold, [1, 2], jobs=1)
-            b = parallel_map(_tenfold, [7, 8], jobs=1)
-        assert a == [10, 20]
-        assert b == [70, 80]
-        assert resumed.reused_items == 4
+        a, recomputed_a, _ = _rerun_serially([1, 2])
+        b, recomputed_b, _ = _rerun_serially([8, 7])
+        assert (a, b) == ([10, 20], [80, 70])
+        assert recomputed_a == recomputed_b == []
+        # Items are keyed by value, not position: an overlapping fan-out
+        # computes only its new item (the others, read back above, are
+        # now in memory).
+        c, recomputed_c, rec = _rerun_serially([2, 7, 9])
+        assert c == [20, 70, 90]
+        assert recomputed_c == [9]
+        assert rec.metrics.counters[ITEM_MEMORY_HIT] == 2
 
 
 # -- through the experiment registry -----------------------------------
@@ -216,7 +181,7 @@ class _ToyResult:
 
 
 def _toy_runner(jobs=None):
-    return _ToyResult(values=map_items(_tenfold, ITEMS, jobs=jobs))
+    return _ToyResult(values=map_items(_tenfold_logged, ITEMS, jobs=jobs))
 
 
 def _toy_renderer(result: _ToyResult) -> str:
@@ -231,90 +196,65 @@ def _toy_spec() -> ExperimentSpec:
 
 
 class TestExecuteWithCampaign:
-    def test_failed_run_is_never_cached(self, tmp_path):
-        previous = configure_cache(tmp_path / "store")
-        try:
-            spec = _toy_spec()
-            campaign = Campaign()
-            with using_campaign(campaign), using_plan(
-                parse_spec("crash:items=1")
-            ):
-                with pytest.raises(InjectedFaultError, match="item 1"):
-                    execute(spec, {"jobs": 1})
-            from repro.experiments.common import get_store
+    def test_failed_run_is_never_cached(self, store):
+        spec = _toy_spec()
+        with using_plan(parse_spec("crash:items=1")):
+            with pytest.raises(InjectedFaultError, match="item 1"):
+                execute(spec, {"jobs": 1})
+        info = store.info().artifacts
+        assert not info.get("result")
+        # The item finished before the failure is stored all the same.
+        assert info.get("item") == 1
 
-            assert not get_store().info().artifacts.get("result")
-            # The failed campaign was sealed: its journal holds no
-            # completion record, and another writer can take its lock.
-            assert campaign.journal.load()[-1]["event"] == "item"
-            rival = CampaignJournal(campaign.journal.path)
-            rival.acquire()
-            rival.close()
-        finally:
-            set_store(previous)
+    def test_resume_completes_and_caches(self, store):
+        spec = _toy_spec()
+        _COMPUTED.clear()
+        with using_plan(parse_spec("crash:items=1")):
+            with pytest.raises(InjectedFaultError):
+                execute(spec, {"jobs": 1})
+        assert _COMPUTED == [0]
 
-    def test_resume_completes_and_caches(self, tmp_path):
-        previous = configure_cache(tmp_path / "store")
-        try:
-            spec = _toy_spec()
-            first = Campaign()
-            with using_campaign(first), using_plan(
-                parse_spec("crash:items=1")
-            ):
-                with pytest.raises(InjectedFaultError):
-                    execute(spec, {"jobs": 1})
+        _COMPUTED.clear()
+        result = execute(spec, {"jobs": 1})
+        assert result.values == [x * 10 for x in ITEMS]
+        assert _COMPUTED == [1, 2, 3, 4]
 
-            resumed = Campaign(resume=True)
-            with using_campaign(resumed):
-                result = execute(spec, {"jobs": 1})
-            assert result.values == [x * 10 for x in ITEMS]
-            assert resumed.reused_items == 1
+        # The completed result is cached: a poisoned runner must never
+        # execute on the third run.
+        def _boom(**kwargs):
+            raise AssertionError("must hit the result cache")
 
-            # The completed result is cached: a poisoned runner must
-            # never execute on the third run.
-            def _boom(**kwargs):
-                raise AssertionError("must hit the result cache")
+        poisoned = dataclasses.replace(spec, runner=_boom)
+        cached = execute(poisoned, {"jobs": 1})
+        assert cached.values == result.values
 
-            poisoned = dataclasses.replace(spec, runner=_boom)
-            third = Campaign()
-            with using_campaign(third):
-                cached = execute(poisoned, {"jobs": 1})
-            assert cached.values == result.values
-        finally:
-            set_store(previous)
-
-    def test_jobs_value_does_not_change_campaign_identity(self, tmp_path):
-        previous = configure_cache(tmp_path / "store")
-        try:
-            spec = _toy_spec()
-            first = Campaign()
-            with using_campaign(first), using_plan(
-                parse_spec("crash:items=1")
-            ):
-                with pytest.raises(InjectedFaultError):
-                    execute(spec, {"jobs": 2})
-            # Resume with a different jobs value: same campaign key
-            # (jobs is excluded from the result key), same journal.
-            resumed = Campaign(resume=True)
-            with using_campaign(resumed):
-                result = execute(spec, {"jobs": 1})
-            assert result.values == [x * 10 for x in ITEMS]
-            assert resumed.reused_items == 1
-        finally:
-            set_store(previous)
+    def test_jobs_value_does_not_change_campaign_identity(self, store):
+        spec = _toy_spec()
+        with using_plan(parse_spec("crash:items=1")):
+            with pytest.raises(InjectedFaultError):
+                execute(spec, {"jobs": 2})
+        # Rerun with another jobs value: the pool workers' items (jobs
+        # is no part of an item key) come back from the store.
+        stored = _stored_items(store)
+        assert stored >= 1
+        rec = TraceRecorder()
+        with using_recorder(rec):
+            result = execute(spec, {"jobs": 1})
+        assert result.values == [x * 10 for x in ITEMS]
+        assert rec.metrics.counters[ITEM_STORE_HIT] == stored
+        assert rec.metrics.counters[ITEM_MISS] == len(ITEMS) - stored
 
 
 # -- through the CLI ----------------------------------------------------
 
 
 class TestCliCampaign:
-    """The user-facing acceptance path: exit codes, stderr, --resume."""
+    """The user-facing acceptance path: exit codes, stderr, reruns."""
 
     def test_interrupted_run_then_resume_is_byte_identical(
         self, tmp_path, capsys, inject_faults
     ):
         from repro.cli import main
-        from repro.resilience import set_plan
 
         benchmarks = ["620.omnetpp_s", "557.xz_r"]
         ref_args = ["fig10", "--benchmarks", *benchmarks, "--jobs", "2",
@@ -330,18 +270,13 @@ class TestCliCampaign:
         assert capsys.readouterr().out == ""
         set_plan(None)
 
-        assert main(args + ["--resume"]) == 0
-        captured = capsys.readouterr()
-        assert captured.out == reference
-        assert "resumed: 1 journaled item(s) reused" in captured.err
-
-    def test_resume_requires_the_store(self, capsys):
-        from repro.cli import main
-
-        code = main(["fig10", "--benchmarks", "620.omnetpp_s",
-                     "--resume", "--no-cache"])
-        assert code == 2
-        assert "--resume" in capsys.readouterr().err
+        # The same command again, no flag: only the crashed item runs.
+        rec = TraceRecorder()
+        with using_recorder(rec):
+            assert main(args) == 0
+        assert capsys.readouterr().out == reference
+        assert rec.metrics.counters[ITEM_STORE_HIT] == 1
+        assert rec.metrics.counters[ITEM_MISS] == 1
 
     def test_bad_fault_spec_is_a_usage_error(self, capsys, monkeypatch):
         from repro.cli import main
@@ -398,87 +333,75 @@ class TestCliCampaign:
 
 
 class TestReplayEdgeCases:
-    """The journal states a hard kill (or stray edit) can leave behind."""
+    """What a hard kill, a stray edit or version skew leaves behind."""
 
-    def _journaled_run(self, tmp_path, key: str) -> CampaignJournal:
-        campaign = Campaign()
-        campaign.attach_journal(tmp_path, key)
-        with using_campaign(campaign):
-            parallel_map(_tenfold, ITEMS, jobs=1)
-        campaign.finish(complete=False)
-        return CampaignJournal(CampaignJournal.path_for(tmp_path, key))
+    def test_torn_item_artifact_recomputes_only_that_item(self, store):
+        map_items(_tenfold_logged, ITEMS, jobs=1)
+        common._MEMO.clear()
+        # Tear item 3's artifact mid-payload, as a damaged disk would.
+        params = {
+            "worker": f"{__name__}._tenfold_logged", "item": 3, "bound": {},
+        }
+        path = store.path_for("item", store.key("item", params), "pickle")
+        raw = path.read_bytes()
+        path.write_bytes(raw[: len(raw) // 2])
 
-    def test_truncated_final_line_recomputes_only_that_item(self, tmp_path):
-        journal = self._journaled_run(tmp_path, "trunc")
-        raw = journal.path.read_bytes()
-        # Tear the last append mid-record, as SIGKILL during write would.
-        journal.path.write_bytes(raw[: raw.rfind(b'"status"')])
-
-        results, recomputed, resumed = _resume_serially(tmp_path, "trunc")
+        results, recomputed, rec = _rerun_serially()
         assert results == [x * 10 for x in ITEMS]
-        assert recomputed == [4]
-        assert resumed.reused_items == len(ITEMS) - 1
+        assert recomputed == [3]
+        assert rec.metrics.counters[ITEM_STORE_HIT] == len(ITEMS) - 1
 
-    def test_duplicate_item_records_last_write_wins(self, tmp_path):
-        journal = self._journaled_run(tmp_path, "dup")
-        # Re-append item 2 with a different (detectably newer) value, as
-        # an interrupted retry that ran the item twice would.
-        journal.append(
-            {
-                "event": "item", "seq": 0, "index": 2, "status": "ok",
-                "label": "2", "attempts": 1, "kind": None, "error": None,
-                "payload": encode_value(999),
-            }
-        )
-        journal.close()
-
-        results, recomputed, _ = _resume_serially(tmp_path, "dup")
-        assert results == [0, 10, 999, 30, 40]
-        assert recomputed == []
-
-    def test_item_outcome_payload_round_trip(self, tmp_path):
-        """journal_item -> journal -> journaled_value preserves the item."""
-        value = {"nested": [1, 2.5, "x"]}
-        campaign = Campaign()
-        campaign.attach_journal(tmp_path, "rt")
-        campaign.journal_item(0, 3, "item-3", value)
-        campaign.finish(complete=False)
-
-        resumed = Campaign(resume=True)
-        resumed.attach_journal(tmp_path, "rt")
-        assert resumed.journaled_value(0, 3) == (True, value)
-        assert resumed.journaled_value(0, 2) == (False, None)
-        assert resumed.reused_items == 1
+    def test_item_outcome_payload_round_trip(self, store):
+        """A stored item reads back equal to the value its worker
+        returned, with no recomputation."""
+        first = map_items(_nested_value, ["a", "b"], jobs=1)
+        common._MEMO.clear()
+        rec = TraceRecorder()
+        with using_recorder(rec):
+            again = map_items(_nested_value, ["a", "b"], jobs=1)
+        assert again == first == [_nested_value("a"), _nested_value("b")]
+        assert rec.metrics.counters[ITEM_STORE_HIT] == 2
+        assert ITEM_MISS not in rec.metrics.counters
 
     def test_future_schema_lines_are_ignored_not_trusted(self, tmp_path):
-        """Version skew: records from any other journal schema replay as
-        absent (recompute), never as misparsed values."""
-        journal = self._journaled_run(tmp_path, "ver")
-        lines = journal.path.read_bytes().splitlines()
-        doctored = []
-        for line in lines:
-            record = json.loads(line)
-            if record.get("index") == 1:
-                record["schema"] = "repro-journal-v999"
-            doctored.append(json.dumps(record).encode())
-        journal.path.write_bytes(b"\n".join(doctored) + b"\n")
-
-        results, recomputed, _ = _resume_serially(tmp_path, "ver")
+        """Version skew: items stored by another package version are
+        never read back, only recomputed."""
+        old = ArtifactStore(tmp_path / "store", version="0.0-old")
+        previous = set_store(old)
+        try:
+            map_items(_tenfold_logged, ITEMS, jobs=1)
+        finally:
+            set_store(previous)
+        common._MEMO.clear()
+        previous = configure_cache(tmp_path / "store")
+        try:
+            results, recomputed, _ = _rerun_serially()
+        finally:
+            set_store(previous)
         assert results == [x * 10 for x in ITEMS]
-        assert recomputed == [1]
+        assert recomputed == ITEMS
 
     def test_unknown_record_fields_are_tolerated(self, tmp_path):
-        journal = self._journaled_run(tmp_path, "fwd")
-        lines = journal.path.read_bytes().splitlines()
-        doctored = []
-        for line in lines:
-            record = json.loads(line)
-            record["future_field"] = {"anything": True}
-            doctored.append(json.dumps(record).encode())
-        journal.path.write_bytes(b"\n".join(doctored) + b"\n")
+        """Ledger lines from older or newer servers still replay: a job
+        record's unknown fields (an old ``resume`` flag, say) are
+        dropped, never fatal."""
+        from repro.campaign.ledger import ServerLedger
 
-        _, recomputed, _ = _resume_serially(tmp_path, "fwd")
-        assert recomputed == []
+        ledger = ServerLedger(tmp_path)
+        ledger.journal.append(
+            {
+                "event": "job", "action": "submit",
+                "job": {"id": "job-0001", "experiment": "fig8",
+                        "state": "running", "resume": True},
+                "future_field": {"anything": True},
+            }
+        )
+        ledger.close()
+        (job,) = ServerLedger(tmp_path).load()
+        assert (job.id, job.experiment, job.state) == (
+            "job-0001", "fig8", "running",
+        )
+        assert "resume" not in job.describe()
 
 
 class TestJournalLock:
@@ -519,20 +442,6 @@ class TestJournalLock:
         with pytest.raises(JournalLockedError):
             rival.acquire()
         holder.close()
-
-    def test_campaign_attach_conflict(self, tmp_path):
-        from repro.errors import JournalLockedError
-
-        first = Campaign()
-        first.attach_journal(tmp_path, "same-key")
-        second = Campaign(resume=True)
-        with pytest.raises(JournalLockedError):
-            second.attach_journal(tmp_path, "same-key")
-        first.finish(complete=False)
-        # After the holder seals its campaign, attaching succeeds.
-        third = Campaign(resume=True)
-        third.attach_journal(tmp_path, "same-key")
-        third.finish(complete=False)
 
     def test_lock_dies_with_the_process(self, tmp_path):
         """Kernel-released lock: a SIGKILL'd holder does not wedge the

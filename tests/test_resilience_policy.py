@@ -79,7 +79,9 @@ class TestSpecGrammar:
         assert {c.kind for c in plan.clauses} == set(STORE_FAULT_KINDS)
         # The CI preset corrupts only the kinds a run recomputes on a
         # corrupt read, never the "result" kind an execute serves as is.
-        assert all(c.kinds == ("metrics", "pinpoints") for c in plan.clauses)
+        assert all(
+            c.kinds == ("metrics", "pinpoints", "item") for c in plan.clauses
+        )
 
     @pytest.mark.parametrize(
         "bad",

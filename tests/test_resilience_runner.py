@@ -16,7 +16,6 @@ import pytest
 
 from repro.errors import ConfigError, ResilienceError
 from repro.parallel import parallel_map, resolve_jobs
-from repro.resilience import Campaign, CampaignJournal, using_campaign
 from repro.telemetry.recorder import TraceRecorder, using_recorder
 
 pytestmark = pytest.mark.resilience
@@ -37,16 +36,6 @@ def _two_slow_four_fast(x):
     if x == 4:
         raise KeyError("item four exploded")
     return x * 10
-
-
-def _journal_labels(tmp_path, labels, items):
-    campaign = Campaign()
-    campaign.attach_journal(tmp_path, "labels")
-    with using_campaign(campaign):
-        parallel_map(str, items, jobs=1, labels=labels)
-    campaign.finish()
-    journal = CampaignJournal(CampaignJournal.path_for(tmp_path, "labels"))
-    return [r["label"] for r in journal.load() if r["event"] == "item"]
 
 
 class TestStrictPolicy:
@@ -118,15 +107,23 @@ class TestJobsClamp:
             resolve_jobs(-1, items=3)
 
 
-class TestLabels:
-    def test_custom_labels_name_outcomes(self, tmp_path):
-        labels = _journal_labels(tmp_path, ["mcf", "xz"], [0, 1])
-        assert labels == ["mcf", "xz"]
+class TestItemCounters:
+    """What a campaign job's item counts and live progress read."""
 
-    def test_string_items_label_themselves(self, tmp_path):
-        labels = _journal_labels(tmp_path, None, ["mcf", 7])
-        assert labels == ["mcf", "item[1]"]
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_each_merged_item_is_counted(self, jobs):
+        rec = TraceRecorder()
+        with using_recorder(rec):
+            parallel_map(_tenfold, ITEMS, jobs=jobs)
+        assert rec.metrics.counters["parallel.tasks"] == len(ITEMS)
+        assert rec.metrics.counters["parallel.completed"] == len(ITEMS)
 
-    def test_label_length_mismatch_rejected(self):
-        with pytest.raises(ConfigError, match="labels"):
-            parallel_map(_tenfold, [0, 1], jobs=1, labels=["only-one"])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_count_stops_at_the_first_failed_item(self, inject_faults, jobs):
+        from repro.resilience import InjectedFaultError
+
+        inject_faults("crash:items=2")
+        rec = TraceRecorder()
+        with using_recorder(rec), pytest.raises(InjectedFaultError):
+            parallel_map(_tenfold, ITEMS, jobs=jobs)
+        assert rec.metrics.counters["parallel.completed"] == 2
