@@ -395,11 +395,8 @@ def _run_item(worker: Callable, bound: dict, item):
     """``worker(item, **bound)`` through the ``item`` memo (a pool task).
 
     Keyed on the worker's qualified name, the item and every bound
-    keyword.  A lambda or local function has no stable name, so its
-    items compute uncached.
+    keyword.
     """
-    if "<" in worker.__qualname__:
-        return worker(item, **bound)
     params = {
         "worker": f"{worker.__module__}.{worker.__qualname__}",
         "item": item,
@@ -422,7 +419,14 @@ def map_items(
     completes and any later run with the same worker, item and bound
     keywords reuses it.  Results merge in submission order, so output
     is byte-identical for any ``jobs`` value; the first failed item
-    fails the map with its own exception.
+    fails the map with its own exception.  A lambda or local function
+    has no stable name to key its items by and raises
+    :class:`ConfigError`.
     """
+    if "<" in worker.__qualname__:
+        raise ConfigError(
+            f"map_items needs a module-level worker, not "
+            f"{worker.__qualname__!r}: its items are keyed by its name"
+        )
     unit = functools.partial(_run_item, worker, bound)
     return parallel_map(unit, list(items), jobs=jobs)

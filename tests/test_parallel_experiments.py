@@ -2,10 +2,15 @@
 
 The contract under test: for every driver that takes ``jobs``, the
 rendered table from a parallel run is byte-identical to the serial
-run's, and a warm-from-disk run is byte-identical to a cold one.
+run's, and a warm-from-disk run is byte-identical to a cold one.  Each
+comparison empties the in-process memo before its second run, so the
+second run recomputes its fan-out items instead of answering from the
+first run's (pool workers fork from this process and inherit it).
 """
 
 from __future__ import annotations
+
+import shutil
 
 import pytest
 
@@ -32,10 +37,15 @@ from repro.experiments.rate_scaling import (
 )
 from repro.experiments.table2 import render_table2, run_table2
 from repro.experiments.turnaround import render_turnaround, run_turnaround
+from repro.telemetry.recorder import TraceRecorder, using_recorder
 
 from conftest import QUICK
 
 BENCHMARKS = ["620.omnetpp_s", "557.xz_r"]
+
+#: Fan-out items computed, and items read back from the store.
+ITEM_MISS = "memtier.miss{kind=item}"
+ITEM_STORE_HIT = "store.hit{kind=item}"
 
 #: (runner, renderer) for every driver exposing the ``jobs`` axis.
 DRIVERS = [
@@ -62,7 +72,12 @@ DRIVERS = [
 def test_parallel_output_is_byte_identical(runner, renderer):
     clear_pinpoints_cache()
     serial = renderer(runner(BENCHMARKS, jobs=1, **QUICK))
-    parallel = renderer(runner(BENCHMARKS, jobs=4, **QUICK))
+    common._MEMO.clear()
+    rec = TraceRecorder()
+    with using_recorder(rec):
+        parallel = renderer(runner(BENCHMARKS, jobs=4, **QUICK))
+    # Every item ran in a pool worker, not answered from the serial run.
+    assert rec.metrics.counters[ITEM_MISS] == len(BENCHMARKS)
     assert parallel == serial
 
 
@@ -70,10 +85,30 @@ def test_warm_disk_run_is_byte_identical(tmp_path):
     configure_cache(tmp_path / "store")
     clear_pinpoints_cache()
     cold = render_fig8(run_fig8(BENCHMARKS, jobs=1, **QUICK))
-    assert common.get_store().info().total_artifacts > 0
-    common._MEMO.clear()  # fresh process, warm disk
-    warm = render_fig8(run_fig8(BENCHMARKS, jobs=1, **QUICK))
+    store = common.get_store()
+    assert store.info().artifacts.get("item", 0) > 0
+
+    # A fresh process on a warm disk without the items: every item is
+    # rebuilt from the stored pipelines and replay metrics (an injected
+    # store fault may spoil a few of those, which then recompute).
+    shutil.rmtree(store.root / "objects" / "item")
+    common._MEMO.clear()
+    rec = TraceRecorder()
+    with using_recorder(rec):
+        warm = render_fig8(run_fig8(BENCHMARKS, jobs=1, **QUICK))
+    counters = rec.metrics.counters
+    assert counters[ITEM_MISS] == len(BENCHMARKS)
+    assert counters["store.hit{kind=pinpoints}"] > 0
+    assert counters["store.hit{kind=metrics}"] > 0
     assert warm == cold
+
+    # Again, with the items the warm run stored: they answer first.
+    common._MEMO.clear()
+    rec = TraceRecorder()
+    with using_recorder(rec):
+        from_items = render_fig8(run_fig8(BENCHMARKS, jobs=1, **QUICK))
+    assert rec.metrics.counters[ITEM_STORE_HIT] > 0
+    assert from_items == cold
 
 
 def test_parallel_cold_run_with_shared_store(tmp_path):
@@ -87,11 +122,13 @@ def test_parallel_cold_run_with_shared_store(tmp_path):
 
 class TestCli:
     def test_jobs_flag_output_matches_serial(self, tmp_path, capsys):
-        args = ["fig10", "--benchmarks", "620.omnetpp_s",
-                "--cache-dir", str(tmp_path / "store")]
-        assert main(args + ["--jobs", "1"]) == 0
+        args = ["fig10", "--benchmarks", "620.omnetpp_s"]
+        assert main(args + ["--jobs", "1",
+                            "--cache-dir", str(tmp_path / "serial")]) == 0
         serial = capsys.readouterr().out
-        assert main(args + ["--jobs", "2"]) == 0
+        common._MEMO.clear()
+        assert main(args + ["--jobs", "2",
+                            "--cache-dir", str(tmp_path / "parallel")]) == 0
         assert capsys.readouterr().out == serial
 
     def test_no_cache_flag_disables_disk_tier(self, tmp_path, capsys):

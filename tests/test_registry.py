@@ -260,6 +260,14 @@ class TestItemKeys:
         keys = [_item_key(monkeypatch, worker, b, i) for i, b in variants]
         assert len(set(keys)) == len(keys) == 2 + len(bound)
 
+    def test_worker_without_a_stable_name_is_rejected(self):
+        def local_worker(item):
+            return item
+
+        for worker in (lambda item: item, local_worker):
+            with pytest.raises(ConfigError, match="module-level worker"):
+                common.map_items(worker, [1, 2], jobs=1)
+
 
 @pytest.mark.parametrize("name", SPEC_NAMES)
 def test_payload_round_trip_has_render_fidelity(name):
