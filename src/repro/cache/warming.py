@@ -5,7 +5,7 @@ runs (Section IV-D): execute a warmup prefix before each simulation
 point, or "run the set of Regional Pinballs multiple times, thus
 exercising the LLC to remove the cold cache effects".  The prefix
 strategy lives on the standard measurement path
-(``measure_points(..., with_warmup=True)``); this module implements the
+(a ``Run`` with ``with_warmup=True``); this module implements the
 second strategy — the *double run* — plus a comparison helper.
 """
 
@@ -17,16 +17,18 @@ from repro.config import CacheHierarchyConfig
 from repro.errors import SimulationError
 from repro.experiments.common import (
     LEVELS,
+    WHOLE,
+    Run,
     RunMetrics,
-    measure_points,
-    measure_whole,
+    combine_points,
+    measure_runs,
+    replay_metrics,
 )
 from repro.pin.engine import Engine
 from repro.pin.tools.allcache import AllCache
 from repro.pin.tools.ldstmix import LdStMix
 from repro.pinball.pinball import RegionalPinball
 from repro.pinpoints.pipeline import PinPointsOutput
-from repro.stats.compare import weighted_average, weighted_mix
 
 
 def measure_points_double_run(
@@ -52,8 +54,7 @@ def measure_points_double_run(
     if passes < 2:
         raise SimulationError("double-run warming needs at least two passes")
     program = out.program
-    mixes, weights, instructions, l3_accesses = [], [], 0, 0
-    rates: Dict[str, list] = {lv: [] for lv in LEVELS}
+    points = []
     for pinball in pinballs:
         cache = AllCache(config)
         mix = LdStMix()
@@ -63,19 +64,8 @@ def measure_points_double_run(
         Engine([cache, mix]).run(
             pinball.replay_slices(program), warmup=warm_passes
         )
-        stats = cache.stats()
-        for lv in LEVELS:
-            rates[lv].append(stats[lv].miss_rate)
-        mixes.append(mix.fractions())
-        weights.append(pinball.weight)
-        instructions += mix.total_instructions
-        l3_accesses += stats["L3"].accesses
-    return RunMetrics(
-        instructions=instructions,
-        mix=weighted_mix(mixes, weights),
-        miss_rates={lv: weighted_average(rates[lv], weights) for lv in LEVELS},
-        l3_accesses=l3_accesses,
-    )
+        points.append(replay_metrics(cache, mix))
+    return combine_points(points, [pinball.weight for pinball in pinballs])
 
 
 def compare_warming_strategies(
@@ -87,16 +77,20 @@ def compare_warming_strategies(
     Returns:
         ``{"cold" | "prefix" | "double-run": {level: delta_pp}}``.
     """
-    whole = measure_whole(out, config=config)
-    strategies = {
-        "cold": measure_points(out, out.regional, config=config),
-        "prefix": measure_points(
-            out, out.regional, with_warmup=True, config=config
-        ),
-        "double-run": measure_points_double_run(
-            out, out.regional, config=config
-        ),
-    }
+    regional = tuple(out.regional)
+    strategies = measure_runs(
+        out,
+        {
+            "whole": WHOLE,
+            "cold": Run(regional),
+            "prefix": Run(regional, with_warmup=True),
+        },
+        config,
+    )
+    whole = strategies.pop("whole")
+    strategies["double-run"] = measure_points_double_run(
+        out, out.regional, config=config
+    )
     return {
         name: {
             lv: (metrics.miss_rates[lv] - whole.miss_rates[lv]) * 100.0

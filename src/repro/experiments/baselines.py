@@ -15,9 +15,10 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.experiments.common import (
+    WHOLE,
+    Run,
     map_items,
-    measure_points,
-    measure_whole,
+    measure_runs,
     pinpoints_for,
     require_rows,
     resolve_benchmarks,
@@ -60,21 +61,30 @@ class BaselineResult:
 
 
 def _benchmark_baselines(name: str, pinpoints_kwargs: dict) -> BaselineRow:
-    """One benchmark's strategy comparison (process-pool worker unit)."""
+    """One benchmark's strategy comparison (process-pool worker unit).
+
+    The Whole Run and every strategy's run are measured in one
+    :func:`measure_runs` call, one replay pass.
+    """
     out = pinpoints_for(name, **pinpoints_kwargs)
-    whole = measure_whole(out)
     logger = PinPlayLogger(out.benchmark, out.program)
     budget = out.num_points
 
-    mix_errors: Dict[str, float] = {}
-    l3_errors: Dict[str, float] = {}
+    runs = {"whole": WHOLE}
     for strategy in STRATEGIES:
         if strategy == "simpoint":
             pinballs = out.regional
         else:
             selection = run_sampler(strategy, out.features, budget)
             pinballs = logger.log_regions(selection.replay_points())
-        metrics = measure_points(out, pinballs)
+        runs[strategy] = Run(tuple(pinballs))
+    measured = measure_runs(out, runs)
+    whole = measured["whole"]
+
+    mix_errors: Dict[str, float] = {}
+    l3_errors: Dict[str, float] = {}
+    for strategy in STRATEGIES:
+        metrics = measured[strategy]
         mix_errors[strategy] = max_abs_percentage_points(
             metrics.mix, whole.mix
         )

@@ -1,8 +1,9 @@
 """Shared measurement plumbing for the experiment drivers.
 
 Every expensive intermediate -- a benchmark's PinPoints pipeline, the
-metrics of each Whole or Regional replay, and each fan-out item's
-result -- goes through one :func:`memo`: a per-process dict in front of
+metrics of each measured run, and each fan-out item's result -- goes
+through one memo (:func:`recall` and :func:`keep`, which :func:`memo`
+composes): a per-process dict in front of
 an optional content-addressed :class:`~repro.parallel.store.ArtifactStore`
 shared across worker processes and sessions (enabled by the CLI and the
 benchmark harness via :func:`configure_cache`, disabled by default for
@@ -13,6 +14,11 @@ determinism-relevant input (pipeline kwargs; the program fingerprint,
 the resolved cache hierarchy and each replayed pinball; a fan-out's
 worker, item and bound keywords), so a stale artifact from an older
 code revision or a different configuration can never be read back.
+
+A driver asks for every run it measures on one benchmark (Whole,
+Regional, Reduced, Warmup Regional, or any set of weighted pinballs) in
+one :func:`measure_runs` call, which replays the runs the memo misses
+in one program-order pass.
 
 Per-benchmark work fans out through :func:`map_items` (and its
 :func:`measure_benchmark` form, :func:`map_benchmarks`) over a
@@ -28,7 +34,7 @@ from __future__ import annotations
 import functools
 import inspect
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,6 +46,7 @@ from repro.parallel import ArtifactStore, artifact_key, parallel_map
 from repro.pin.tools.allcache import AllCache
 from repro.pin.tools.ldstmix import LdStMix
 from repro.pinball.pinball import RegionalPinball
+from repro.pinball.replayer import ReplayJob
 from repro.pinpoints.pipeline import PinPointsOutput, run_pinpoints
 from repro.stats.compare import weighted_average, weighted_mix
 from repro.telemetry.recorder import count as telemetry_count
@@ -139,6 +146,100 @@ metrics_to_payload = to_payload
 #: The memory tier of :func:`memo`: content address -> value.
 _MEMO: Dict[str, object] = {}
 
+#: What :func:`recall` returns when neither tier holds the value.
+MISSING = object()
+
+
+@dataclass(frozen=True)
+class MemoKey:
+    """Where a memo value lives: its kind, params and content address.
+
+    ``digest`` is the store's content address of ``params`` under this
+    package's version; it keys the memory tier, and the store reuses it
+    instead of canonicalizing ``params`` again.
+    """
+
+    kind: str
+    params: dict
+    digest: str
+
+
+def memo_key(kind: str, params: dict) -> Optional[MemoKey]:
+    """The memo address of ``params``, or None when they have no stable
+    key (live objects the canonicalizer rejects)."""
+    try:
+        digest = artifact_key(kind, params, version=__version__)
+    except StoreError:
+        return None
+    return MemoKey(kind, params, digest)
+
+
+def _stored_at(store: ArtifactStore, key: MemoKey) -> Optional[str]:
+    """``key``'s address in ``store``: its digest, unless the store keys
+    another package version (then the store derives its own)."""
+    return key.digest if store.version == __version__ else None
+
+
+def recall(key: MemoKey, result_type: Optional[type] = None):
+    """The value remembered under ``key``, or :data:`MISSING`.
+
+    Memory answers first, backfilling a store configured since the value
+    was kept; then the store, whose value memory then keeps.  A stored
+    value that no longer decodes is a miss (and :func:`keep` overwrites
+    it), and a failing store behaves as no store.  Values of
+    ``result_type`` are stored as JSON through the result codec, other
+    values pickled.
+    """
+    kind = key.kind
+    store = _STORE
+    if key.digest in _MEMO:
+        telemetry_count("memtier.hit", kind=kind)
+        value = _MEMO[key.digest]
+        fmt = "pickle" if result_type is None else "json"
+        if store is not None and not store.has(
+            kind, key.params, fmt, digest=_stored_at(store, key)
+        ):
+            _put(store, key, value, result_type)
+        return value
+    if store is not None:
+        value = None
+        digest = _stored_at(store, key)
+        try:
+            if result_type is None:
+                value = store.get_pickle(kind, key.params, digest=digest)
+            else:
+                payload = store.get_json(kind, key.params, digest=digest)
+                if payload is not None:
+                    value = from_payload(result_type, payload)
+        except (StoreError, KeyError, TypeError, ValueError):
+            pass  # unreadable, or no longer fits: a miss
+        if value is not None:
+            _MEMO[key.digest] = value
+            return value
+    telemetry_count("memtier.miss", kind=kind)
+    return MISSING
+
+
+def keep(key: MemoKey, value, result_type: Optional[type] = None):
+    """Remember ``value`` under ``key`` in both tiers, and return it."""
+    _MEMO[key.digest] = value
+    if _STORE is not None:
+        _put(_STORE, key, value, result_type)
+    return value
+
+
+def _put(store: ArtifactStore, key: MemoKey, value, result_type) -> None:
+    digest = _stored_at(store, key)
+    try:
+        if result_type is None:
+            store.put_pickle(key.kind, key.params, value, digest=digest)
+        else:
+            store.put_json(
+                key.kind, key.params, to_payload(value), digest=digest
+            )
+    except StoreError:
+        pass
+
 
 def memo(
     kind: str,
@@ -148,57 +249,22 @@ def memo(
 ):
     """``compute()``, remembered in this process and in the artifact store.
 
-    ``params`` holds every input the value depends on, and its store
-    content address keys both tiers.  Memory answers first (backfilling
-    a store configured since the value was computed), then the store,
-    and only then ``compute``, whose value both tiers keep.  Values of
-    ``result_type`` are stored as JSON through the result codec, other
-    values pickled.  A stored value that no longer decodes is a miss and
-    is overwritten, a failing store behaves as no store, and params the
-    canonicalizer rejects (live objects) compute uncached.
+    ``recall(key)``, or else ``keep(key, compute())``: ``params`` holds
+    every input the value depends on, and its content address
+    (:func:`memo_key`, derived once per call) keys both tiers.  Params
+    the canonicalizer rejects (live objects) compute uncached.
     """
-    try:
-        key = artifact_key(kind, params, version=__version__)
-    except StoreError:
+    key = memo_key(kind, params)
+    if key is None:
         return compute()
-    fmt = "pickle" if result_type is None else "json"
-    store = _STORE
-    if key in _MEMO:
-        telemetry_count("memtier.hit", kind=kind)
-        value = _MEMO[key]
-        if store is None or store.has(kind, params, fmt):
-            return value
-    else:
-        value = None
-        if store is not None:
-            try:
-                if result_type is None:
-                    value = store.get_pickle(kind, params)
-                else:
-                    payload = store.get_json(kind, params)
-                    if payload is not None:
-                        value = from_payload(result_type, payload)
-            except (StoreError, KeyError, TypeError, ValueError):
-                pass  # unreadable, or no longer fits: overwritten below
-            if value is not None:
-                _MEMO[key] = value
-                return value
-        telemetry_count("memtier.miss", kind=kind)
-        value = _MEMO[key] = compute()
-        if store is None:
-            return value
-    try:
-        if result_type is None:
-            store.put_pickle(kind, params, value)
-        else:
-            store.put_json(kind, params, to_payload(value))
-    except StoreError:
-        pass
+    value = recall(key, result_type)
+    if value is MISSING:
+        value = keep(key, compute(), result_type)
     return value
 
 
 def _replay_params(
-    out: PinPointsOutput, config: Optional[CacheHierarchyConfig], **replay
+    out: PinPointsOutput, config: Optional[CacheHierarchyConfig], run: "Run"
 ) -> dict:
     """The metrics memo's params: everything a replay of ``out`` reads.
 
@@ -206,12 +272,144 @@ def _replay_params(
     benchmark and shape (a custom ``mean_run_length``, say) replay
     different slices.  The hierarchy is the resolved one, so the default
     and an explicit :data:`~repro.config.ALLCACHE_SIM` share entries.
+    A run of points adds each pinball (region, warmup and weight) and
+    its warmup flag.
     """
-    return dict(
+    params = dict(
         benchmark=out.benchmark,
         program=out.program._trace_key,
         hierarchy=config or ALLCACHE_SIM,
-        **replay,
+    )
+    if run.pinballs is None:
+        params.update(run="whole")
+    else:
+        params.update(
+            run="points", pinballs=list(run.pinballs),
+            with_warmup=run.with_warmup,
+        )
+    return params
+
+
+@dataclass(frozen=True)
+class Run:
+    """A run to measure over a pipeline's program.
+
+    ``pinballs=None`` is the Whole Run: the whole pinball, continuously
+    warm caches.  Otherwise each pinball is replayed in isolation from
+    fresh caches, after its warmup prefix with statistics frozen when
+    ``with_warmup`` (the Warmup Regional Run), and the per-pinball
+    metrics are combined by SimPoint weight (:func:`combine_points`).
+    """
+
+    pinballs: Optional[Tuple[RegionalPinball, ...]] = None
+    with_warmup: bool = False
+
+
+#: The Whole Run.
+WHOLE = Run()
+
+
+def measure_runs(
+    out: PinPointsOutput,
+    runs: Dict[Hashable, Run],
+    config: Optional[CacheHierarchyConfig] = None,
+) -> Dict[Hashable, RunMetrics]:
+    """Measure every run of ``runs`` over ``out``'s program, by name.
+
+    Each run is memoized under its own ``metrics`` key (:func:`memo`),
+    keyed on the program, the resolved hierarchy and the run.  The runs
+    no tier remembers are computed together in one replay pass
+    (:meth:`~repro.pinball.replayer.Replayer.replay_all`), under one
+    ``cache.replay`` span: every distinct (pinball window, warmup) pair
+    is replayed once, and every run that holds it reuses that
+    measurement, so a benchmark's four run types draw each slice once.
+    """
+    keys = {
+        name: memo_key("metrics", _replay_params(out, config, run))
+        for name, run in runs.items()
+    }
+    measured = {
+        name: MISSING if key is None else recall(key, RunMetrics)
+        for name, key in keys.items()
+    }
+    missing = {
+        name: run for name, run in runs.items() if measured[name] is MISSING
+    }
+    if missing:
+        for name, metrics in _replay(out, missing, config).items():
+            key = keys[name]
+            measured[name] = (
+                metrics if key is None else keep(key, metrics, RunMetrics)
+            )
+    return measured
+
+
+def _replay(
+    out: PinPointsOutput,
+    runs: Dict[Hashable, Run],
+    config: Optional[CacheHierarchyConfig],
+) -> Dict[Hashable, RunMetrics]:
+    """Compute ``runs`` in one pass, each distinct replay once."""
+    def tools():
+        return AllCache(config), LdStMix()
+
+    jobs: List[ReplayJob] = []
+    slots: Dict[Tuple[int, int, int], int] = {}
+    plans: Dict[Hashable, List[int]] = {}
+    for name, run in runs.items():
+        plan = plans[name] = []
+        for pinball in (out.whole,) if run.pinballs is None else run.pinballs:
+            job = ReplayJob(pinball, tools, run.with_warmup)
+            if job.window not in slots:
+                slots[job.window] = len(jobs)
+                jobs.append(job)
+            plan.append(slots[job.window])
+    points: Dict[int, RunMetrics] = {}
+    with span(
+        "cache.replay", benchmark=out.benchmark, runs=len(runs),
+        replays=len(jobs),
+    ):
+        for index, (cache, mix) in out.replayer().replay_all(jobs):
+            points[index] = replay_metrics(cache, mix)
+    return {
+        name: points[plans[name][0]] if run.pinballs is None
+        else combine_points(
+            [points[index] for index in plans[name]],
+            [pinball.weight for pinball in run.pinballs],
+        )
+        for name, run in runs.items()
+    }
+
+
+def replay_metrics(cache: AllCache, mix: LdStMix) -> RunMetrics:
+    """One replay's metrics, read off its ended tools."""
+    stats = cache.stats()
+    return RunMetrics(
+        instructions=mix.total_instructions,
+        mix=mix.fractions(),
+        miss_rates={lv: stats[lv].miss_rate for lv in LEVELS},
+        l3_accesses=stats["L3"].accesses,
+    )
+
+
+def combine_points(
+    points: Sequence[RunMetrics], weights: Sequence[float]
+) -> RunMetrics:
+    """Weight-combine per-pinball metrics (in the order given).
+
+    Mixes and miss rates are weight-averaged (weights renormalized);
+    instruction and L3-access counts add up.
+    """
+    return RunMetrics(
+        instructions=sum(point.instructions for point in points),
+        mix=weighted_mix([point.mix for point in points], weights),
+        miss_rates={
+            lv: weighted_average(
+                [point.miss_rates[lv] for point in points], weights
+            )
+            for lv in LEVELS
+        },
+        l3_accesses=sum(point.l3_accesses for point in points),
     )
 
 
@@ -220,25 +418,9 @@ def measure_whole(
 ) -> RunMetrics:
     """Profile the Whole Run (full execution, continuously warm caches).
 
-    Whole replays are deterministic and several figures share them, so
-    the metrics are memoized per program and hierarchy (:func:`memo`).
+    The one-run case of :func:`measure_runs`.
     """
-
-    def replay() -> RunMetrics:
-        cache = AllCache(config)
-        mix = LdStMix()
-        with span("cache.replay", run="whole", benchmark=out.benchmark):
-            out.replayer().replay(out.whole, [cache, mix])
-        stats = cache.stats()
-        return RunMetrics(
-            instructions=mix.total_instructions,
-            mix=mix.fractions(),
-            miss_rates={lv: stats[lv].miss_rate for lv in LEVELS},
-            l3_accesses=stats["L3"].accesses,
-        )
-
-    params = _replay_params(out, config, run="whole")
-    return memo("metrics", params, replay, RunMetrics)
+    return measure_runs(out, {"whole": WHOLE}, config)["whole"]
 
 
 def measure_points(
@@ -251,47 +433,11 @@ def measure_points(
 
     Each pinball is replayed in isolation (fresh caches), matching the
     paper's methodology; ``with_warmup`` replays the warmup prefix with
-    statistics frozen first (the Warmup Regional Run).  Memoized like
-    :func:`measure_whole`, keyed also on every pinball (region, warmup
-    and weight) and on ``with_warmup``.
+    statistics frozen first (the Warmup Regional Run).  The one-run case
+    of :func:`measure_runs`.
     """
-
-    def replay() -> RunMetrics:
-        replayer = out.replayer()
-        mixes, weights, instructions, l3_accesses = [], [], 0, 0
-        rates: Dict[str, List[float]] = {lv: [] for lv in LEVELS}
-        with span(
-            "cache.replay",
-            run="points",
-            benchmark=out.benchmark,
-            points=len(pinballs),
-            warmup=with_warmup,
-        ):
-            for pinball in pinballs:
-                cache = AllCache(config)
-                mix = LdStMix()
-                replayer.replay(pinball, [cache, mix], with_warmup=with_warmup)
-                stats = cache.stats()
-                for lv in LEVELS:
-                    rates[lv].append(stats[lv].miss_rate)
-                mixes.append(mix.fractions())
-                weights.append(pinball.weight)
-                instructions += mix.total_instructions
-                l3_accesses += stats["L3"].accesses
-        return RunMetrics(
-            instructions=instructions,
-            mix=weighted_mix(mixes, weights),
-            miss_rates={
-                lv: weighted_average(rates[lv], weights) for lv in LEVELS
-            },
-            l3_accesses=l3_accesses,
-        )
-
-    params = _replay_params(
-        out, config, run="points", pinballs=list(pinballs),
-        with_warmup=with_warmup,
-    )
-    return memo("metrics", params, replay, RunMetrics)
+    run = Run(tuple(pinballs), with_warmup)
+    return measure_runs(out, {"points": run}, config)["points"]
 
 
 def pinpoints_for(benchmark: str, **kwargs) -> PinPointsOutput:
@@ -336,11 +482,13 @@ def measure_benchmark(
 ) -> Dict[str, object]:
     """Measure one benchmark: the process-pool worker unit.
 
-    Runs (or loads) the PinPoints pipeline, profiles the requested run
-    types, and returns a lightweight result dict — benchmark id, point
-    counts, and one :class:`RunMetrics` per entry of ``runs`` — instead
-    of shipping whole :class:`PinPointsOutput` bundles back through the
-    pool.  ``runs`` entries come from :data:`RUN_TYPES`.
+    Runs (or loads) the PinPoints pipeline, measures the requested run
+    types in one :func:`measure_runs` call, and returns a lightweight
+    result dict — benchmark id, point counts, and one
+    :class:`RunMetrics` per entry of ``runs`` — instead of shipping
+    whole :class:`PinPointsOutput` bundles back through the pool.
+    ``runs`` entries come from :data:`RUN_TYPES`; the Reduced Run's
+    pinballs are regional ones, so its replays are the Regional Run's.
     """
     for run in runs:
         if run not in RUN_TYPES:
@@ -349,22 +497,21 @@ def measure_benchmark(
             )
     with span("measure.benchmark", benchmark=benchmark, runs=len(runs)):
         out = pinpoints_for(benchmark, **(pinpoints_kwargs or {}))
+        regional = tuple(out.regional)
+        types = {
+            "whole": WHOLE,
+            "regional": Run(regional),
+            "reduced": Run(tuple(out.reduced)),
+            "warmup": Run(regional, with_warmup=True),
+        }
         result: Dict[str, object] = {
             "benchmark": out.benchmark,
             "num_points": out.num_points,
             "num_points_90": len(out.reduced),
         }
-        for run in runs:
-            if run == "whole":
-                result[run] = measure_whole(out, config)
-            elif run == "regional":
-                result[run] = measure_points(out, out.regional, config=config)
-            elif run == "reduced":
-                result[run] = measure_points(out, out.reduced, config=config)
-            else:
-                result[run] = measure_points(
-                    out, out.regional, with_warmup=True, config=config
-                )
+        result.update(
+            measure_runs(out, {run: types[run] for run in runs}, config)
+        )
         return result
 
 

@@ -3,8 +3,9 @@
 The paper sweeps the fraction of (descending-weight) simulation points
 executed — 100 % is the Regional Run, 90 % the Reduced Regional Run —
 and shows errors growing and execution time shrinking as points are
-dropped.  Each regional pinball is measured once; percentile subsets are
-then aggregated by weight.
+dropped.  Each regional pinball is measured once, in one replay pass
+with the Whole Run; each percentile subset is a run of its own,
+aggregated by weight.
 """
 
 from __future__ import annotations
@@ -17,21 +18,17 @@ import numpy as np
 from repro.errors import ConfigError
 from repro.experiments.common import (
     LEVELS,
+    WHOLE,
+    Run,
     map_items,
-    measure_whole,
+    measure_runs,
     pinpoints_for,
     resolve_benchmarks,
 )
 from repro.experiments.registry import experiment, renders
 from repro.experiments.report import format_table
-from repro.pin.tools.allcache import AllCache
-from repro.pin.tools.ldstmix import LdStMix
 from repro.simpoint.reduction import reduce_to_percentile
-from repro.stats.compare import (
-    max_abs_percentage_points,
-    weighted_average,
-    weighted_mix,
-)
+from repro.stats.compare import max_abs_percentage_points
 from repro.timemodel.runtime import reduced_regional_run_cost
 
 #: Percentiles swept (fractions of total weight retained).
@@ -65,43 +62,36 @@ def _benchmark_sweep(
 ) -> List[Tuple[float, Dict[str, float], float, int]]:
     """One benchmark's per-percentile errors (process-pool worker unit).
 
-    Measures every regional pinball once, then aggregates each
-    percentile subset by weight; returns, aligned with ``percentiles``,
-    tuples of (mix error, per-level |miss-rate error|, execution hours,
-    points retained).
+    Asks for the Whole Run and one run per percentile subset (its
+    regional pinballs in descending weight order) in one
+    :func:`measure_runs` call, so every regional pinball is replayed
+    once; returns, aligned with ``percentiles``, tuples of (mix error,
+    per-level |miss-rate error|, execution hours, points retained).
     """
     out = pinpoints_for(name, **pinpoints_kwargs)
-    whole = measure_whole(out)
-    replayer = out.replayer()
-    measured = {}
-    for pinball in out.regional:
-        cache = AllCache()
-        mix = LdStMix()
-        replayer.replay(pinball, [cache, mix])
-        stats = cache.stats()
-        measured[pinball.region_start] = (
-            mix.fractions(),
-            {lv: stats[lv].miss_rate for lv in LEVELS},
-        )
+    by_start = {pb.region_start: pb for pb in out.regional}
+    subsets = [
+        [by_start[p.slice_index]
+         for p in reduce_to_percentile(out.simpoints.points, percentile)]
+        for percentile in percentiles
+    ]
+    runs = {"whole": WHOLE}
+    runs.update(
+        (index, Run(tuple(subset))) for index, subset in enumerate(subsets)
+    )
+    measured = measure_runs(out, runs)
+    whole = measured["whole"]
 
     per_percentile = []
-    for percentile in percentiles:
-        subset = reduce_to_percentile(out.simpoints.points, percentile)
-        weights = [p.weight for p in subset]
-        mixes = [measured[p.slice_index][0] for p in subset]
-        agg_mix = weighted_mix(mixes, weights)
-        mix_error = max_abs_percentage_points(agg_mix, whole.mix)
-        level_errors = {}
-        for lv in LEVELS:
-            rates = [measured[p.slice_index][1][lv] for p in subset]
-            level_errors[lv] = (
-                abs(weighted_average(rates, weights)
-                    - whole.miss_rates[lv]) * 100
-            )
-        pinballs = [
-            pb for pb in out.regional
-            if pb.region_start in {p.slice_index for p in subset}
-        ]
+    for index, subset in enumerate(subsets):
+        metrics = measured[index]
+        mix_error = max_abs_percentage_points(metrics.mix, whole.mix)
+        level_errors = {
+            lv: abs(metrics.miss_rates[lv] - whole.miss_rates[lv]) * 100
+            for lv in LEVELS
+        }
+        starts = {pb.region_start for pb in subset}
+        pinballs = [pb for pb in out.regional if pb.region_start in starts]
         hours = reduced_regional_run_cost(pinballs).hours
         per_percentile.append((mix_error, level_errors, hours, len(subset)))
     return per_percentile

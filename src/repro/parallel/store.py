@@ -99,12 +99,23 @@ def canonical_params(value):
     so callers fall back to in-memory caching rather than building an
     unstable key.
     """
+    return _canonical(value, nested=False)
+
+
+def _canonical(value, nested: bool):
+    """:func:`canonical_params`; ``nested`` inside a dataclass's fields.
+
+    A top-level dataclass is tagged with its type name; one nested in
+    another's fields is its plain field dict, as
+    :func:`dataclasses.asdict` would give it.  The fields are read in
+    place rather than through ``asdict``'s deep copy.
+    """
     if value is None or isinstance(value, (bool, int, str)):
         return value
     if isinstance(value, float):
         return {"__float__": value.hex()}
     if isinstance(value, (list, tuple)):
-        return [canonical_params(item) for item in value]
+        return [_canonical(item, nested) for item in value]
     if isinstance(value, dict):
         out = {}
         for key in sorted(value):
@@ -112,16 +123,19 @@ def canonical_params(value):
                 raise StoreError(
                     f"artifact key parameters need string dict keys, got {key!r}"
                 )
-            out[key] = canonical_params(value[key])
+            out[key] = _canonical(value[key], nested)
         return out
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {
-            "__dataclass__": type(value).__name__,
-            "fields": canonical_params(dataclasses.asdict(value)),
+        fields = {
+            field.name: _canonical(getattr(value, field.name), nested=True)
+            for field in dataclasses.fields(value)
         }
+        if nested:
+            return fields
+        return {"__dataclass__": type(value).__name__, "fields": fields}
     item = getattr(value, "item", None)
     if callable(item):  # numpy scalar
-        return canonical_params(item())
+        return _canonical(item(), nested)
     raise StoreError(
         f"cannot build a stable artifact key from {type(value).__name__!r}"
     )
@@ -289,6 +303,9 @@ class ArtifactStore:
         """Content address for ``params`` under this store's version."""
         return artifact_key(kind, params, version=self.version)
 
+    def _address(self, kind: str, params, digest: Optional[str]) -> str:
+        return self.key(kind, params) if digest is None else digest
+
     def path_for(self, kind: str, digest: str, fmt: str) -> Path:
         ext = _EXTENSIONS.get(fmt)
         if ext is None:
@@ -297,9 +314,19 @@ class ArtifactStore:
 
     # -- reads ---------------------------------------------------------
 
-    def has(self, kind: str, params, fmt: str = "json") -> bool:
+    # Every read and write takes ``params`` and, optionally, ``digest``:
+    # their content address under this store's version, for a caller
+    # that has derived it already (the memo), so ``params`` are not
+    # canonicalized again.
+
+    def has(
+        self, kind: str, params, fmt: str = "json", *,
+        digest: Optional[str] = None,
+    ) -> bool:
         """Whether an artifact for ``params`` exists (no payload read)."""
-        return self.path_for(kind, self.key(kind, params), fmt).is_file()
+        return self.path_for(
+            kind, self._address(kind, params, digest), fmt
+        ).is_file()
 
     @staticmethod
     def _note_read(kind: str, hit: bool) -> None:
@@ -307,14 +334,14 @@ class ArtifactStore:
         if recorder is not None:
             recorder.count("store.hit" if hit else "store.miss", kind=kind)
 
-    def get_json(self, kind: str, params):
+    def get_json(self, kind: str, params, *, digest: Optional[str] = None):
         """Stored JSON payload for ``params``, or None (missing/corrupt).
 
         A corrupt artifact is quarantined and the read retried once —
         a concurrent writer may have republished a good copy under the
         same content address in the meantime.
         """
-        path = self.path_for(kind, self.key(kind, params), "json")
+        path = self.path_for(kind, self._address(kind, params, digest), "json")
         with span("store.get", kind=kind, fmt="json"):
             for _attempt in range(2):
                 try:
@@ -329,14 +356,16 @@ class ArtifactStore:
             self._note_read(kind, hit=False)
             return None
 
-    def get_pickle(self, kind: str, params):
+    def get_pickle(self, kind: str, params, *, digest: Optional[str] = None):
         """Stored pickled object for ``params``, or None (missing/corrupt).
 
         Same quarantine-and-retry-once behaviour as :meth:`get_json`;
         the checksum is verified *before* unpickling, so corrupt bytes
         never reach the unpickler.
         """
-        path = self.path_for(kind, self.key(kind, params), "pickle")
+        path = self.path_for(
+            kind, self._address(kind, params, digest), "pickle"
+        )
         with span("store.get", kind=kind, fmt="pickle"):
             for _attempt in range(2):
                 try:
@@ -358,24 +387,32 @@ class ArtifactStore:
 
     # -- writes --------------------------------------------------------
 
-    def put_json(self, kind: str, params, payload) -> Path:
+    def put_json(
+        self, kind: str, params, payload, *, digest: Optional[str] = None
+    ) -> Path:
         """Persist a JSON payload; returns the artifact path."""
         with span("store.put", kind=kind, fmt="json"):
             data = _encode_json_envelope(payload)
-            path = self.path_for(kind, self.key(kind, params), "json")
+            path = self.path_for(
+                kind, self._address(kind, params, digest), "json"
+            )
             self._atomic_write(path, data, kind=kind)
         recorder = get_recorder()
         if recorder is not None:
             recorder.count("store.put", kind=kind)
         return path
 
-    def put_pickle(self, kind: str, params, payload) -> Path:
+    def put_pickle(
+        self, kind: str, params, payload, *, digest: Optional[str] = None
+    ) -> Path:
         """Persist a pickled object; returns the artifact path."""
         with span("store.put", kind=kind, fmt="pickle"):
             data = _encode_pickle_envelope(
                 pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
             )
-            path = self.path_for(kind, self.key(kind, params), "pickle")
+            path = self.path_for(
+                kind, self._address(kind, params, digest), "pickle"
+            )
             self._atomic_write(path, data, kind=kind)
         recorder = get_recorder()
         if recorder is not None:

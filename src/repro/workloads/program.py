@@ -275,12 +275,15 @@ class SyntheticProgram:
             slicecache.store_header(key, header, rng)
         return header
 
-    def generate_slice(self, slice_index: int) -> SliceTrace:
+    def generate_slice(self, slice_index: int, keep: bool = True) -> SliceTrace:
         """Generate the trace of slice ``slice_index`` deterministically.
 
         The header stage and the body stage continue one per-slice
         generator, so the bytes do not depend on whether the header was
         drawn earlier (and memoized with its generator) or just now.
+        A trace the memo holds answers; otherwise the drawn trace is
+        memoized unless ``keep`` is false (a replay pass, which reads
+        each slice once).
 
         Raises:
             WorkloadError: If the index is out of range.
@@ -294,7 +297,8 @@ class SyntheticProgram:
         if staged is None:
             staged = self._draw_header(slice_index)
         trace = self._draw_body(*staged)
-        slicecache.store(key, trace)
+        if keep:
+            slicecache.store(key, trace)
         return trace
 
     def _draw_header(

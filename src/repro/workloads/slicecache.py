@@ -2,12 +2,20 @@
 
 Slice generation is a pure function of ``(program content, slice
 index)`` — that per-slice determinism is the repository's synthetic
-stand-in for PinPlay checkpoint replay.  The same slices are therefore
-generated repeatedly along the pipeline: the BBV profiling pass walks
-every slice of the whole run, the Whole Run measurement replays the very
-same stream moments later, and regional replays re-generate their warmup
-prefixes.  This module memoizes them behind one LRU byte budget, so each
-repeat is a dictionary hit instead of a fresh multinomial + shuffle draw.
+stand-in for PinPlay checkpoint replay.  Some flows read the same slices
+more than once, and this module memoizes them behind one LRU byte
+budget, so each repeat is a dictionary hit instead of a fresh
+multinomial + shuffle draw:
+
+* the BBV profiling pass reads only headers, and leaves each slice's
+  generator paused after them for whoever draws the body next;
+* the cache replays of the experiment drivers read each slice once, in
+  one pass over every run
+  (:meth:`~repro.pinball.replayer.Replayer.replay_all`), which uses a
+  full entry it finds but keeps none;
+* Sniper's flows re-read what they keep: Fig 12's native run draws the
+  whole execution and its regional replays re-read their slices, and
+  the warmup prefixes of nearby points overlap.
 
 An entry is one of two kinds, keyed alike by ``(program fingerprint,
 slice index)``:
@@ -21,7 +29,8 @@ A header request is answered by either kind.  A full request is answered
 only by a full entry; finding a header entry instead, it takes the entry
 out with its generator and draws just the body, so the header's draws are
 never repeated and no generator is continued twice.  The finished trace
-then takes the header entry's place.
+then takes the header entry's place, unless the request keeps nothing
+(a replay pass: ``generate_slice(i, keep=False)``).
 
 Memoization cannot change results: a hit returns a trace that is
 bit-identical to what generation would produce (it *is* that trace), and
@@ -48,7 +57,10 @@ from repro.errors import ConfigError
 from repro.isa.trace import SliceHeader, SliceTrace
 from repro.telemetry.recorder import get_recorder
 
-#: Default memo budget in megabytes (~two whole runs' slices).
+#: Default memo budget in megabytes: about two default-scale whole runs
+#: of full slices (505.mcf_r's 600 slices take about 94 MB).  The cache
+#: replays keep none, so what fills it is Sniper's flows, whose native
+#: run keeps the whole execution for the regional replays that follow.
 DEFAULT_BUDGET_MB = 192
 
 #: Bytes a header entry is charged for its paused generator (a PCG64

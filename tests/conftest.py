@@ -41,6 +41,22 @@ def _hermetic_store(tmp_path, monkeypatch):
 
 
 @pytest.fixture()
+def empty_memo(monkeypatch):
+    """An empty in-process memo and slice memo for this test.
+
+    ``common._MEMO`` and the slice memo are per process, so a test that
+    counts computes, slice draws or stored artifacts would otherwise
+    depend on which tests ran before it.  Both come back afterwards,
+    warm pipelines included, for the tests that follow.
+    """
+    from repro.experiments import common
+    from repro.workloads import slicecache
+
+    monkeypatch.setattr(common, "_MEMO", {})
+    monkeypatch.setattr(slicecache, "_CACHE", [])
+
+
+@pytest.fixture()
 def inject_faults():
     """Install a deterministic fault plan for this test; auto-restored.
 

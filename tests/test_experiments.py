@@ -207,3 +207,18 @@ class TestFig12:
 
     def test_render(self):
         assert "2.59" in render_fig12(run_fig12(SUBSET, **QUICK))
+
+    def test_each_regional_pinball_is_simulated_once(self, empty_memo):
+        """The Reduced CPI reuses the regional timings of its pinballs:
+        one Sniper region per regional pinball, plus the native run."""
+        from repro.experiments.common import pinpoints_for
+        from repro.experiments.fig12 import _benchmark_cpi
+        from repro.telemetry.recorder import TraceRecorder, using_recorder
+
+        out = pinpoints_for("557.xz_r", **QUICK)
+        assert len(out.reduced) < len(out.regional)
+        recorder = TraceRecorder()
+        with using_recorder(recorder):
+            _benchmark_cpi("557.xz_r", dict(QUICK))
+        regions = recorder.metrics.counters["sniper.regions"]
+        assert regions == len(out.regional) + 1

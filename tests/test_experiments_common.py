@@ -14,14 +14,17 @@ from repro.experiments.common import (
     clear_pinpoints_cache,
     configure_cache,
     map_benchmarks,
+    WHOLE,
+    Run,
     measure_benchmark,
     measure_points,
+    measure_runs,
     measure_whole,
     pinpoints_for,
     resolve_benchmarks,
 )
 from repro.parallel import ArtifactStore, artifact_key
-from repro.pinball.pinball import RegionalPinball
+from repro.pinball.pinball import ProgramRecipe, RegionalPinball
 from repro.pinpoints.pipeline import run_pinpoints
 from repro.simpoint.simpoints import DEFAULT_MAX_K
 from repro.workloads.scaling import (
@@ -37,11 +40,15 @@ def memo_keys(monkeypatch, *calls):
     """The memo key each call asks for; nothing is computed or cached."""
     keys = []
 
-    def record(kind, params, compute, result_type=None):
-        keys.append(artifact_key(kind, params, version=__version__))
+    def record(key, result_type=None):
+        assert key.digest == artifact_key(
+            key.kind, key.params, version=__version__
+        )
+        keys.append(key.digest)
+        return "recalled"
 
     with monkeypatch.context() as patch:
-        patch.setattr(common, "memo", record)
+        patch.setattr(common, "recall", record)
         for call in calls:
             call()
     return keys
@@ -311,6 +318,95 @@ class TestMemoKeys:
         assert default == explicit
 
 
+class TestPinnedDigests:
+    """Content addresses recorded before dataclasses were canonicalized
+    by walking their fields: a changed digest would orphan every stored
+    artifact, so each kind's is pinned (under a fixed version)."""
+
+    RECIPE = ProgramRecipe(benchmark="505.mcf_r", slice_size=3000,
+                           total_slices=120)
+
+    def test_pipeline_key(self):
+        call = inspect.signature(run_pinpoints).bind("505.mcf_r")
+        call.apply_defaults()
+        assert artifact_key("pinpoints", call.arguments, version="0") == (
+            "6fd48ec44a34700ae8d1dfea2bd5d846072fcb88f40f0593485405ac1220f30d"
+        )
+
+    def test_metrics_key_with_pinballs(self):
+        pinballs = [
+            RegionalPinball(recipe=self.RECIPE, region_start=7,
+                            region_length=1, weight=0.625, warmup_slices=17),
+            RegionalPinball(recipe=self.RECIPE, region_start=40,
+                            region_length=2, weight=0.375, warmup_slices=17),
+        ]
+        params = dict(
+            benchmark="505.mcf_r", program="f" * 64,
+            hierarchy=ALLCACHE_TABLE_I, run="points", pinballs=pinballs,
+            with_warmup=True,
+        )
+        assert artifact_key("metrics", params, version="0") == (
+            "15a7576a01282430b5a8a42a465c698073066353b83ca54ace63c5a659f611a5"
+        )
+
+    def test_item_key(self):
+        params = {
+            "worker": "repro.experiments.common.measure_benchmark",
+            "item": "505.mcf_r",
+            "bound": {"runs": tuple(common.RUN_TYPES), "config": ALLCACHE_SIM,
+                      "pinpoints_kwargs": {}},
+        }
+        assert artifact_key("item", params, version="0") == (
+            "ba3672ac6d84990a51dc6942b7b3c199b719a557e65b7e0bb274f84a06e22ebc"
+        )
+
+    def test_memo_keys_are_the_store_addresses(self):
+        params = {"item": "505.mcf_r", "pinball": self.RECIPE}
+        key = common.memo_key("item", params)
+        assert key.digest == artifact_key("item", params, version=__version__)
+        assert key.digest == ArtifactStore("unused").key("item", params)
+
+
+class TestAddressOnce:
+    """``memo`` derives each content address once and hands it to the
+    store, which never canonicalizes the params again."""
+
+    @pytest.fixture()
+    def derived(self, tmp_path, monkeypatch, empty_memo):
+        configure_cache(tmp_path / "store")
+        kinds = []
+        real = common.artifact_key
+
+        def counted(kind, params, **kw):
+            kinds.append(kind)
+            return real(kind, params, **kw)
+
+        def refuse(store, kind, params):
+            raise AssertionError("the store re-derived an address")
+
+        monkeypatch.setattr(common, "artifact_key", counted)
+        monkeypatch.setattr(ArtifactStore, "key", refuse)
+        return kinds
+
+    def test_compute_recall_and_backfill(self, derived, tmp_path):
+        assert common.memo("item", {"x": 1}, lambda: 7) == 7  # computed
+        assert derived == ["item"]
+        common._MEMO.clear()
+        assert common.memo("item", {"x": 1}, lambda: 8) == 7  # stored
+        configure_cache(tmp_path / "other")
+        assert common.memo("item", {"x": 1}, lambda: 9) == 7  # backfilled
+        assert common.get_store().get_pickle(
+            "item", None, digest=common.memo_key("item", {"x": 1}).digest
+        ) == 7
+        assert derived == ["item"] * 4
+
+    def test_measure_runs(self, derived):
+        out = pinpoints_for("620.omnetpp_s", **QUICK)
+        derived.clear()
+        measure_runs(out, {"whole": WHOLE, "reduced": Run(tuple(out.reduced))})
+        assert derived == ["metrics", "metrics"]
+
+
 class TestDiskTier:
     """Two-tier behaviour: one memory dict in front of the artifact store."""
 
@@ -361,7 +457,7 @@ class TestDiskTier:
         put_json = store.put_json
         monkeypatch.setattr(
             store, "put_json",
-            lambda *args: puts.append(args) or put_json(*args),
+            lambda *args, **kw: puts.append(args) or put_json(*args, **kw),
         )
         first = measure_whole(out)
         [(kind, params, payload)] = puts

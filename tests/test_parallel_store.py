@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import threading
 from dataclasses import dataclass
@@ -63,6 +64,43 @@ class TestKeys:
         geometry = canonical_params(_Geometry(sets=4, ways=2))
         assert geometry["__dataclass__"] == "_Geometry"
         assert geometry["fields"] == {"sets": 4, "ways": 2}
+
+    def test_field_walk_matches_asdict(self):
+        """Dataclasses canonicalize field by field, as they did through
+        ``dataclasses.asdict``: tagged at the top, plain dicts inside."""
+        from repro.config import ALLCACHE_TABLE_I
+        from repro.pinball.pinball import ProgramRecipe, RegionalPinball
+
+        def through_asdict(value):
+            if isinstance(value, (list, tuple)):
+                return [through_asdict(item) for item in value]
+            if isinstance(value, dict):
+                return {k: through_asdict(v) for k, v in value.items()}
+            if dataclasses.is_dataclass(value):
+                return {
+                    "__dataclass__": type(value).__name__,
+                    "fields": canonical_params(dataclasses.asdict(value)),
+                }
+            return canonical_params(value)
+
+        pinball = RegionalPinball(
+            recipe=ProgramRecipe("505.mcf_r", 3000, 120), region_start=5,
+            region_length=2, weight=0.375, warmup_slices=17,
+        )
+        for value in (
+            ALLCACHE_TABLE_I,
+            pinball,
+            {"pinballs": [pinball, pinball], "geometry": _Geometry(4, 2)},
+            [_Geometry(np.int64(8), 1), (0.1, None, "x")],
+        ):
+            assert canonical_params(value) == through_asdict(value)
+
+    def test_a_given_digest_is_used_as_the_address(self, store):
+        digest = store.key("metrics", {"k": 2})
+        store.put_json("metrics", {"ignored": True}, {"v": 2}, digest=digest)
+        assert store.has("metrics", {"k": 2})
+        assert store.get_json("metrics", {"k": 2}) == {"v": 2}
+        assert store.get_json("metrics", None, digest=digest) == {"v": 2}
 
     def test_unhashable_params_rejected(self):
         with pytest.raises(StoreError):

@@ -31,7 +31,9 @@ from repro.resilience import (
 )
 from repro.telemetry.recorder import TraceRecorder, using_recorder
 
-pytestmark = pytest.mark.resilience
+#: Each test starts from an empty in-process memo, so no other test's
+#: items answer here.
+pytestmark = [pytest.mark.resilience, pytest.mark.usefixtures("empty_memo")]
 
 ITEMS = list(range(5))
 
@@ -43,12 +45,6 @@ _COMPUTED: List[int] = []
 ITEM_MISS = "memtier.miss{kind=item}"
 ITEM_STORE_HIT = "store.hit{kind=item}"
 ITEM_MEMORY_HIT = "memtier.hit{kind=item}"
-
-
-@pytest.fixture(autouse=True)
-def _fresh_memo(monkeypatch):
-    """An empty in-process memo, so no other test's items answer here."""
-    monkeypatch.setattr(common, "_MEMO", {})
 
 
 @pytest.fixture()
