@@ -131,14 +131,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("list", help="list the registered benchmarks")
     sub.add_parser("samplers", help="list the registered samplers")
-    lint = sub.add_parser(
-        "lint",
-        help="run the repro-lint static analyzer (see repro-lint --help)",
-    )
-    lint.add_argument(
-        "lint_args", nargs=argparse.REMAINDER, metavar="ARGS",
-        help="arguments forwarded to repro-lint",
-    )
     checkpoint = sub.add_parser(
         "checkpoint",
         help="run PinPoints and save a pinball archive to a directory",
@@ -450,13 +442,6 @@ def _run_list() -> str:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    if argv[:1] == ["lint"]:
-        # Forward before argparse: REMAINDER does not reliably capture
-        # option-like tokens (bpo-17050), and repro-lint owns its own help.
-        from repro.lint.cli import main as lint_main
-
-        return lint_main(argv[1:])
     args = _build_parser().parse_args(argv)
     from repro.errors import ConfigError
     from repro.resilience.faults import get_plan

@@ -52,7 +52,7 @@ class SimulationError(ReproError):
 
 
 class LintError(ReproError):
-    """repro-lint could not run: bad config, baseline, or unparseable source."""
+    """repro-lint could not run: bad path, malformed waiver, or unparseable source."""
 
 
 class StoreError(ReproError):

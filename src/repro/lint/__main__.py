@@ -1,4 +1,4 @@
-"""``python -m repro.lint`` — same behaviour as the repro-lint script."""
+"""``python -m repro.lint`` — the linter's one entry point."""
 
 import sys
 

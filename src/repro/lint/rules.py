@@ -17,7 +17,8 @@ from typing import Iterator, Optional, Tuple
 from repro.lint.registry import rule
 
 __all__ = [
-    "ENTROPY_CALLS", "MONOTONIC_CLOCK_CALLS", "NUMPY_GLOBAL_RNG_FNS",
+    "CLOCK_MODULES", "ENTROPY_CALLS", "GEOMETRY_MODULES",
+    "MONOTONIC_CLOCK_CALLS", "NUMPY_GLOBAL_RNG_FNS", "RETRY_SLEEP_MODULES",
     "STDLIB_GLOBAL_RNG_FNS", "WALL_CLOCK_CALLS",
 ]
 
@@ -400,15 +401,7 @@ def _module_defines_all(tree: ast.Module) -> bool:
     ),
 )
 def check_missing_all(ctx) -> Yield:
-    is_public_init = ctx.is_package_init
-    is_public_module = (
-        ctx.config.rep008_all_modules
-        and not ctx.is_package_init
-        and not ctx.module_name.startswith("_")
-    )
-    if not (is_public_init or is_public_module):
-        return
-    if not _module_defines_all(ctx.tree):
+    if ctx.is_package_init and not _module_defines_all(ctx.tree):
         yield ctx.tree, (
             "public module defines no __all__; declare the exported names "
             "explicitly"
@@ -451,6 +444,11 @@ def _is_numeric_literal(node: ast.AST) -> bool:
     )
 
 
+#: Modules allowed to define cache-geometry literals (REP010): the
+#: Table I / Table III presets.
+GEOMETRY_MODULES = ("repro/config.py",)
+
+
 @rule(
     "REP010",
     "magic-geometry",
@@ -461,8 +459,7 @@ def _is_numeric_literal(node: ast.AST) -> bool:
     ),
 )
 def check_magic_geometry(ctx) -> Yield:
-    allowed = ctx.config.rep010_allowed
-    if any(ctx.rel_path.endswith(suffix) for suffix in allowed):
+    if ctx.rel_path.endswith(GEOMETRY_MODULES):
         return
     for node in ast.walk(ctx.tree):
         if not isinstance(node, ast.Call):
@@ -572,6 +569,10 @@ MONOTONIC_CLOCK_CALLS = frozenset({
 #: Every host-clock read REP012 fences off (wall + monotonic families).
 _RAW_CLOCK_CALLS = WALL_CLOCK_CALLS | MONOTONIC_CLOCK_CALLS
 
+#: Modules allowed to read host clocks directly (REP012): the telemetry
+#: clock, which every other module takes its time from.
+CLOCK_MODULES = ("repro/telemetry/clock.py",)
+
 
 @rule(
     "REP012",
@@ -586,8 +587,7 @@ _RAW_CLOCK_CALLS = WALL_CLOCK_CALLS | MONOTONIC_CLOCK_CALLS
 def check_raw_clock(ctx) -> Yield:
     if _inside_test_path(ctx.rel_path):
         return
-    allowed = ctx.config.rep012_allowed
-    if any(ctx.rel_path.endswith(suffix) for suffix in allowed):
+    if ctx.rel_path.endswith(CLOCK_MODULES):
         return
     for node in ast.walk(ctx.tree):
         if not isinstance(node, ast.Call):
@@ -890,6 +890,11 @@ def _loop_contains_try(loop: ast.AST) -> bool:
     return False
 
 
+#: Modules allowed to sleep inside retry loops directly (REP020): the
+#: home of the sanctioned ``backoff_sleep`` helper itself.
+RETRY_SLEEP_MODULES = ("repro/resilience/policy.py",)
+
+
 @rule(
     "REP020",
     "ad-hoc-retry-sleep",
@@ -905,7 +910,7 @@ def _loop_contains_try(loop: ast.AST) -> bool:
 def check_ad_hoc_retry_sleep(ctx) -> Yield:
     if _inside_test_path(ctx.rel_path):
         return
-    if any(ctx.rel_path.endswith(suffix) for suffix in ctx.config.rep020_allowed):
+    if ctx.rel_path.endswith(RETRY_SLEEP_MODULES):
         return
     seen = set()
     for loop in ast.walk(ctx.tree):

@@ -1,16 +1,10 @@
-"""Inline suppression comments.
+"""Inline waivers: the one way to silence a finding.
 
-Two forms are recognized, both anchored on the physical line the
-finding is reported at (the statement's first line):
-
-* ``# repro-lint: disable=REP002`` — suppress the listed rule(s) on
-  this line only; several ids may be given, comma-separated.
-* ``# repro-lint: disable-file=REP008`` — suppress the listed rule(s)
-  for the whole module; usually placed near the top of the file.
-
-``all`` is accepted in place of a rule id to suppress every rule.
-Suppressions are the escape hatch for *justified* violations — the
-comment should say why the flagged construct is safe, e.g.::
+``# repro-lint: disable=REP002`` on the physical line a finding is
+reported at (the statement's first line) waives the listed rule(s) on
+that line only; several ids may be given, comma-separated.  A waiver is
+for a *justified* violation, so the comment should say why the flagged
+construct is safe, e.g.::
 
     if entropy == 1.0:  # repro-lint: disable=REP002 -- validated exact input
 """
@@ -20,39 +14,22 @@ from __future__ import annotations
 import io
 import re
 import tokenize
-from dataclasses import dataclass, field
-from typing import Dict, Set
+from typing import Dict, FrozenSet, Set
 
 from repro.errors import LintError
 
-__all__ = ["SuppressionMap", "scan_suppressions"]
+__all__ = ["scan_suppressions"]
 
 #: Matches the directive anywhere inside a comment; trailing free text
 #: (a justification) is allowed after the id list.
 _DIRECTIVE = re.compile(
-    r"#\s*repro-lint:\s*(?P<kind>disable(?:-file)?)\s*=\s*"
-    r"(?P<ids>[A-Za-z0-9_,\s]+)"
+    r"#\s*repro-lint:\s*disable\s*=\s*(?P<ids>[A-Za-z0-9_,\s]+)"
 )
 
-_ID = re.compile(r"^(all|[A-Z]{3}\d{3})$")
+_ID = re.compile(r"^[A-Z]{3}\d{3}$")
 
 
-@dataclass
-class SuppressionMap:
-    """Per-line and per-file suppressed rule ids for one module."""
-
-    path: str = "<unknown>"
-    by_line: Dict[int, Set[str]] = field(default_factory=dict)
-    file_wide: Set[str] = field(default_factory=set)
-
-    def is_suppressed(self, rule_id: str, line: int) -> bool:
-        if "all" in self.file_wide or rule_id in self.file_wide:
-            return True
-        ids = self.by_line.get(line, ())
-        return "all" in ids or rule_id in ids
-
-
-def _parse_ids(raw: str, path: str, line: int) -> Set[str]:
+def _parse_ids(raw: str, path: str, line: int) -> FrozenSet[str]:
     ids: Set[str] = set()
     for token in raw.split(","):
         token = token.strip()
@@ -64,7 +41,7 @@ def _parse_ids(raw: str, path: str, line: int) -> Set[str]:
         if not _ID.match(first_word):
             raise LintError(
                 f"{path}:{line}: malformed repro-lint directive: "
-                f"{first_word!r} is not a rule id (expected e.g. REP001 or 'all')"
+                f"{first_word!r} is not a rule id (expected e.g. REP001)"
             )
         ids.add(first_word)
         if first_word != token:
@@ -73,12 +50,14 @@ def _parse_ids(raw: str, path: str, line: int) -> Set[str]:
         raise LintError(
             f"{path}:{line}: repro-lint directive lists no rule ids"
         )
-    return ids
+    return frozenset(ids)
 
 
-def scan_suppressions(source: str, path: str = "<unknown>") -> SuppressionMap:
-    """Extract every suppression directive from a module's comments."""
-    result = SuppressionMap(path=path)
+def scan_suppressions(
+    source: str, path: str = "<unknown>"
+) -> Dict[int, FrozenSet[str]]:
+    """Map each line holding a waiver to the rule ids it waives."""
+    waived: Dict[int, FrozenSet[str]] = {}
     try:
         tokens = tokenize.generate_tokens(io.StringIO(source).readline)
         for tok in tokens:
@@ -88,11 +67,7 @@ def scan_suppressions(source: str, path: str = "<unknown>") -> SuppressionMap:
             if match is None:
                 continue
             line = tok.start[0]
-            ids = _parse_ids(match.group("ids"), path, line)
-            if match.group("kind") == "disable-file":
-                result.file_wide.update(ids)
-            else:
-                result.by_line.setdefault(line, set()).update(ids)
+            waived[line] = _parse_ids(match.group("ids"), path, line)
     except tokenize.TokenError as exc:
         raise LintError(f"{path}: cannot tokenize: {exc}") from exc
-    return result
+    return waived

@@ -1,10 +1,10 @@
-"""AST walking driver: parse modules, run rules, apply suppressions.
+"""AST walking driver: parse modules, run rules, apply waivers.
 
 The walker owns everything rule bodies share: reading and parsing a
 file, resolving imported names back to dotted module paths (so
 ``rng()`` after ``from numpy.random import default_rng as rng`` is
-still recognized), and assembling per-rule ``(node, message)`` yields
-into suppression-filtered, severity-resolved :class:`Finding` lists.
+still recognized), and running every registered rule over every file
+into waiver-filtered, sorted :class:`Finding` lists.
 """
 
 from __future__ import annotations
@@ -14,8 +14,7 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.errors import LintError
-from repro.lint.config import LintConfig
-from repro.lint.registry import Finding, RuleSpec, Severity, all_rules
+from repro.lint.registry import Finding, all_rules
 from repro.lint.suppressions import scan_suppressions
 
 __all__ = [
@@ -24,26 +23,21 @@ __all__ = [
     "lint_file",
     "lint_paths",
     "relativize",
-    "selected_rules",
 ]
+
+#: Directories never linted: ``tests/lint_fixtures`` breaks every rule
+#: on purpose to pin its fire and no-fire cases.
+_FIXTURE_DIR = "lint_fixtures"
 
 
 class ModuleContext:
     """One parsed module plus the lookup helpers rules need."""
 
-    def __init__(
-        self,
-        path: Path,
-        rel_path: str,
-        source: str,
-        config: Optional[LintConfig] = None,
-    ) -> None:
+    def __init__(self, path: Path, rel_path: str, source: str) -> None:
         self.path = path
-        #: POSIX-style path used in reports and baseline fingerprints.
+        #: POSIX-style path used in reports and by path-scoped rules.
         self.rel_path = rel_path
         self.source = source
-        #: Active configuration; rules read their tuning knobs from here.
-        self.config = config if config is not None else LintConfig()
         self.lines = source.splitlines()
         try:
             self.tree = ast.parse(source, filename=str(path))
@@ -54,10 +48,6 @@ class ModuleContext:
     @property
     def is_package_init(self) -> bool:
         return self.path.name == "__init__.py"
-
-    @property
-    def module_name(self) -> str:
-        return self.path.stem
 
     def resolve(self, node: ast.AST) -> Optional[str]:
         """Dotted name a Name/Attribute refers to, through import aliases.
@@ -101,7 +91,7 @@ def _collect_import_aliases(tree: ast.Module) -> Dict[str, str]:
     return aliases
 
 
-def relativize(path: Path, root: Optional[Path]) -> str:
+def relativize(path: Path, root: Optional[Path] = None) -> str:
     """POSIX-style report path for ``path``, relative to root or cwd."""
     resolved = Path(path).resolve()
     for base in (root, Path.cwd()):
@@ -114,9 +104,7 @@ def relativize(path: Path, root: Optional[Path]) -> str:
     return resolved.as_posix()
 
 
-def iter_python_files(
-    paths: Sequence[Path], config: LintConfig
-) -> List[Path]:
+def iter_python_files(paths: Sequence[Path]) -> List[Path]:
     """Expand files/directories into a sorted list of lintable modules."""
     files: List[Path] = []
     for path in paths:
@@ -136,43 +124,32 @@ def iter_python_files(
         if resolved in seen:
             continue
         seen.add(resolved)
-        if config.is_excluded(relativize(path, config.root)):
+        if _FIXTURE_DIR in relativize(path).split("/"):
             continue
         unique.append(path)
     return unique
 
 
-def selected_rules(config: LintConfig) -> List[RuleSpec]:
-    """Rules that survive enable/disable/severity config."""
-    rules = []
-    for spec in all_rules():
-        if config.enable is not None and spec.id not in config.enable:
-            continue
-        if spec.id in config.disable:
-            continue
-        if config.severity_for(spec) is Severity.OFF:
-            continue
-        rules.append(spec)
-    return rules
+def lint_file(path: Path, root: Optional[Path] = None) -> List[Finding]:
+    """Run every rule over one file; waivers applied.
 
-
-def lint_file(path: Path, config: LintConfig) -> List[Finding]:
-    """Run every selected rule over one file; suppressions applied."""
+    Report paths are relative to ``root`` (default: the working
+    directory), and path-scoped rules read them.
+    """
     path = Path(path)
-    rel = relativize(path, config.root)
+    rel = relativize(path, root)
     try:
         source = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise LintError(f"cannot read {rel}: {exc}") from exc
-    ctx = ModuleContext(path, rel, source, config)
-    suppressions = scan_suppressions(source, rel)
+    ctx = ModuleContext(path, rel, source)
+    waived = scan_suppressions(source, rel)
     findings: List[Finding] = []
-    for spec in selected_rules(config):
-        severity = config.severity_for(spec)
+    for spec in all_rules():
         for node, message in spec.func(ctx):
             line = getattr(node, "lineno", 1)
             col = getattr(node, "col_offset", 0)
-            if suppressions.is_suppressed(spec.id, line):
+            if spec.id in waived.get(line, ()):
                 continue
             findings.append(
                 Finding(
@@ -181,23 +158,19 @@ def lint_file(path: Path, config: LintConfig) -> List[Finding]:
                     line=line,
                     col=col,
                     message=message,
-                    severity=severity,
                     snippet=ctx.snippet(line),
                 )
             )
     return sorted(findings, key=Finding.sort_key)
 
 
-def lint_paths(
-    paths: Iterable[Path], config: Optional[LintConfig] = None
-) -> List[Finding]:
+def lint_paths(paths: Iterable[Path]) -> List[Finding]:
     """Lint files and directories; the main library entry point.
 
-    Expands ``paths`` with :func:`iter_python_files` (config excludes
-    applied) and runs :func:`lint_file` over each module.
+    Expands ``paths`` with :func:`iter_python_files` and runs
+    :func:`lint_file` over each module.
     """
-    config = config if config is not None else LintConfig()
     findings: List[Finding] = []
-    for path in iter_python_files([Path(p) for p in paths], config):
-        findings.extend(lint_file(path, config))
+    for path in iter_python_files([Path(p) for p in paths]):
+        findings.extend(lint_file(path))
     return sorted(findings, key=Finding.sort_key)

@@ -6,27 +6,22 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import LintConfig, lint_file
+from repro.lint import lint_file, rules
 
 FIXTURES = Path(__file__).resolve().parent / "lint_fixtures"
 
 pytestmark = pytest.mark.lint
 
 
-def run_rule(rule_id: str, filename: str, **config_kwargs):
-    """Lint one fixture with a single rule enabled.
+def run_rule(rule_id: str, filename: str, root: Path = FIXTURES):
+    """One rule's findings on one fixture.
 
     ``root=FIXTURES`` keeps fixture rel-paths free of the ``tests/``
     component, so path-scoped rules (REP009) behave as they would on
     library code.
     """
-    config = LintConfig(
-        baseline=None,
-        root=FIXTURES,
-        enable=frozenset({rule_id}),
-        **config_kwargs,
-    )
-    return lint_file(FIXTURES / filename, config)
+    findings = lint_file(FIXTURES / filename, root=root)
+    return [f for f in findings if f.rule == rule_id]
 
 
 #: (rule id, bad fixture, expected findings, good fixture)
@@ -91,32 +86,17 @@ class TestRuleDetails:
             "PrefetcherConfig", "MemoryConfig",
         }
 
-    def test_rep008_all_modules_mode(self):
-        # A plain module without __all__ only fires in all-modules mode.
-        assert run_rule("REP008", "rep009_good.py") == []
-        findings = run_rule(
-            "REP008", "rep009_good.py", rep008_all_modules=True
-        )
-        assert len(findings) == 1
-
     def test_rep009_exempts_test_paths(self):
         repo_root = FIXTURES.parents[1]
-        config = LintConfig(
-            baseline=None, root=repo_root, enable=frozenset({"REP009"})
-        )
-        assert lint_file(FIXTURES / "rep009_bad.py", config) == []
+        assert run_rule("REP009", "rep009_bad.py", root=repo_root) == []
 
-    def test_rep010_respects_allowed_modules(self):
-        findings = run_rule(
-            "REP010", "rep010_bad.py", rep010_allowed=("rep010_bad.py",)
-        )
-        assert findings == []
+    def test_rep010_respects_allowed_modules(self, monkeypatch):
+        monkeypatch.setattr(rules, "GEOMETRY_MODULES", ("rep010_bad.py",))
+        assert run_rule("REP010", "rep010_bad.py") == []
 
-    def test_rep012_respects_allowed_modules(self):
-        findings = run_rule(
-            "REP012", "rep012_bad.py", rep012_allowed=("rep012_bad.py",)
-        )
-        assert findings == []
+    def test_rep012_respects_allowed_modules(self, monkeypatch):
+        monkeypatch.setattr(rules, "CLOCK_MODULES", ("rep012_bad.py",))
+        assert run_rule("REP012", "rep012_bad.py") == []
 
     def test_rep012_covers_both_clock_families(self):
         messages = " ".join(

@@ -14,11 +14,10 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-#: The console scripts and the two ``python -m`` modules.
+#: The console script, the campaign CLI and the two ``python -m`` modules.
 ENTRY_POINTS = (
     "repro.cli",
     "repro.campaign.cli",
-    "repro.lint.cli",
     "repro.__main__",
     "repro.lint.__main__",
 )
