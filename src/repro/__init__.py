@@ -41,7 +41,7 @@ from repro.errors import (
     WorkloadError,
 )
 from repro.isa import InstructionClass, SliceTrace
-from repro.pin import AllCache, BBVProfiler, BranchProfiler, Engine, InsCount, LdStMix
+from repro.pin import AllCache, BBVProfiler, Engine, InsCount, LdStMix
 from repro.pinball import PinPlayLogger, RegionalPinball, Replayer, WholePinball
 from repro.pinpoints import PinPointsOutput, run_pinpoints
 from repro.perf import NativeMachine, PerfCounters
@@ -83,7 +83,6 @@ __all__ = [
     "build_program", "get_descriptor",
     # pin
     "Engine", "InsCount", "LdStMix", "AllCache", "BBVProfiler",
-    "BranchProfiler",
     # pinball
     "WholePinball", "RegionalPinball", "PinPlayLogger", "Replayer",
     # simpoint

@@ -279,18 +279,10 @@ def _run_submit(client, args) -> int:
         kwargs["benchmark"] = args.benchmark
     if args.jobs is not None:
         kwargs["jobs"] = args.jobs
-    if getattr(args, "sampler", None):
-        from repro.errors import ConfigError
-        from repro.sampling.registry import parse_sampler_arg
+    if args.sampler:
+        from repro.sampling.registry import sampler_kwargs
 
-        try:
-            name, params = parse_sampler_arg(args.sampler)
-        except ConfigError as exc:
-            print(f"invalid sampler: {exc}", file=sys.stderr)
-            return 2
-        kwargs["sampler"] = name
-        if params:
-            kwargs["sampler_params"] = params
+        kwargs.update(sampler_kwargs(args.sampler))
     outcome = client.submit(args.experiment, kwargs, priority=args.priority)
     job = outcome["job"]
     if args.id_only:

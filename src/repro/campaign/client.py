@@ -8,12 +8,12 @@ detail instead.  Polling waits go through the telemetry clock's
 ``sleep_s`` like every other timed wait in the system.
 
 ``watch`` survives dropped connections: when the stream dies mid-job it
-backs off on the shared deterministic schedule
-(:func:`~repro.resilience.policy.backoff_sleep`), reconnects, and
-resubscribes — emitting a synthetic ``{"event": "reconnect"}`` so the
-consumer can tell the stream was stitched.  Only
-:data:`WATCH_RECONNECT_ATTEMPTS` *consecutive* failures give up; any
-successfully delivered event resets the budget.
+waits the next delay of the fixed backoff schedule (0.1, 0.2, 0.4, 0.8
+and 1.6 s, :func:`~repro.resilience.policy.backoff_sleep`), reconnects,
+and resubscribes — emitting a synthetic ``{"event": "reconnect"}`` so
+the consumer can tell the stream was stitched.  A drop after
+:data:`WATCH_RECONNECT_ATTEMPTS` *consecutive* reconnects, one per
+delay, gives up; any successfully delivered event resets the count.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from repro.campaign.protocol import (
     request_frame,
 )
 from repro.errors import CampaignServiceError, ProtocolError
-from repro.resilience.policy import Retry, backoff_sleep
+from repro.resilience.policy import BACKOFF_SCHEDULE_S, backoff_sleep
 from repro.telemetry.clock import monotonic_ns, sleep_s
 
 __all__ = ["CampaignClient", "default_socket_path"]
@@ -47,18 +47,9 @@ WATCH_IDLE_TIMEOUT_S = 300.0
 #: Status polling cadence for ``--wait``.
 POLL_INTERVAL_S = 0.2
 
-#: Consecutive stream failures before ``watch`` gives up.
-WATCH_RECONNECT_ATTEMPTS = 5
-
-#: Deterministic bounded backoff between watch reconnects (seeded: the
-#: same failure sequence always waits the same amounts).
-WATCH_RECONNECT_RETRY = Retry(
-    attempts=WATCH_RECONNECT_ATTEMPTS + 1,
-    base_delay_s=0.1,
-    multiplier=2.0,
-    jitter=0.5,
-    seed=1729,
-)
+#: Consecutive reconnects ``watch`` makes before a further drop gives
+#: up: one per backoff delay.
+WATCH_RECONNECT_ATTEMPTS = len(BACKOFF_SCHEDULE_S)
 
 
 def default_socket_path(cache_dir=None) -> Path:
@@ -198,12 +189,12 @@ class CampaignClient:
         """Yield progress/state events until the job's ``end`` frame.
 
         With ``reconnect`` (the default) a dropped stream is stitched:
-        bounded seeded backoff, a fresh subscription, and a synthetic
-        ``{"event": "reconnect", "attempt": k}`` marker in the stream.
-        The budget counts *consecutive* failures — any delivered event
-        resets it — so a long job under an unreliable path is watched
-        to completion, while a hard-down server fails after
-        :data:`WATCH_RECONNECT_ATTEMPTS` tries.
+        the schedule's next backoff delay, a fresh subscription, and a
+        synthetic ``{"event": "reconnect", "attempt": k}`` marker in the
+        stream.  The budget counts *consecutive* failures — any
+        delivered event resets it — so a long job under an unreliable
+        path is watched to completion, while a hard-down server fails
+        after :data:`WATCH_RECONNECT_ATTEMPTS` reconnects.
         """
         failures = 0
         while True:
@@ -226,9 +217,7 @@ class CampaignClient:
                 failures += 1
                 if failures > WATCH_RECONNECT_ATTEMPTS:
                     raise
-                # attempt is 2-based in Retry.delay_s; failure k waits
-                # the schedule's k-th delay.
-                backoff_sleep(WATCH_RECONNECT_RETRY, 0, failures + 1)
+                backoff_sleep(failures)
                 yield {
                     "event": "reconnect",
                     "job": job_id,

@@ -58,82 +58,18 @@ def validate_submission(experiment: str, kwargs: Optional[dict]) -> Tuple:
     """Validate a submission against the experiment registry.
 
     Returns ``(spec, normalized_kwargs)``.  Raises
-    :class:`CampaignServiceError` for an unknown experiment, a keyword
-    the runner does not take, or benchmark names outside the
-    experiment's universe — the same checks the CLI applies, performed
-    server-side so every client (socket, HTTP) gets them.
+    :class:`CampaignServiceError` for an unknown experiment or whatever
+    :meth:`~repro.experiments.registry.ExperimentSpec.check_kwargs`
+    refuses: the CLI's own request check, performed server-side so
+    every client gets it.
     """
     from repro.experiments.registry import get_spec
 
     try:
         spec = get_spec(experiment)
+        return spec, spec.check_kwargs(kwargs)
     except ConfigError as exc:
         raise CampaignServiceError(str(exc)) from exc
-    kwargs = dict(kwargs or {})
-    allowed = {"jobs"} if spec.supports_jobs else set()
-    if spec.supports_benchmarks:
-        allowed.add("benchmarks")
-    if spec.benchmark_option is not None:
-        allowed.add("benchmark")
-    if spec.supports_sampler:
-        allowed.update(("sampler", "sampler_params"))
-    unknown = sorted(set(kwargs) - allowed)
-    if unknown:
-        raise CampaignServiceError(
-            f"experiment {experiment!r} does not take keyword(s) "
-            f"{', '.join(unknown)}; allowed: {', '.join(sorted(allowed)) or 'none'}"
-        )
-    benchmarks = kwargs.get("benchmarks")
-    if benchmarks is not None:
-        if not isinstance(benchmarks, (list, tuple)) or not all(
-            isinstance(name, str) for name in benchmarks
-        ):
-            raise CampaignServiceError(
-                "benchmarks must be a list of benchmark names"
-            )
-        bad = spec.unknown_benchmarks(benchmarks)
-        if bad:
-            raise CampaignServiceError(
-                f"unknown benchmarks: {', '.join(bad)}"
-            )
-        kwargs["benchmarks"] = list(benchmarks)
-    benchmark = kwargs.get("benchmark")
-    if benchmark is not None:
-        if not isinstance(benchmark, str):
-            raise CampaignServiceError("benchmark must be a string")
-        bad = spec.unknown_benchmarks([benchmark])
-        if bad:
-            raise CampaignServiceError(f"unknown benchmark: {benchmark}")
-    jobs = kwargs.get("jobs")
-    if jobs is not None and (
-        isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 0
-    ):
-        raise CampaignServiceError(
-            f"jobs must be a non-negative integer, got {jobs!r}"
-        )
-    sampler_name = kwargs.get("sampler")
-    sampler_params = kwargs.get("sampler_params")
-    if sampler_name is not None or sampler_params is not None:
-        from repro.sampling.registry import get_sampler
-
-        if not isinstance(sampler_name, str):
-            raise CampaignServiceError(
-                "sampler must be a registered sampler name"
-            )
-        if sampler_params is not None and not isinstance(
-            sampler_params, dict
-        ):
-            raise CampaignServiceError(
-                "sampler_params must be a mapping of declared parameters"
-            )
-        try:
-            sampler_spec = get_sampler(sampler_name)
-            coerced = sampler_spec.coerce_params(sampler_params)
-        except ConfigError as exc:
-            raise CampaignServiceError(str(exc)) from exc
-        if sampler_params is not None:
-            kwargs["sampler_params"] = coerced
-    return spec, kwargs
 
 
 def job_key(store, experiment: str, kwargs: dict) -> Optional[str]:

@@ -214,8 +214,8 @@ class CampaignServer:
             ):
                 self.recorder.count("campaign.dedup.hit", source="inflight")
                 return {"job": existing.describe(), "deduped": True}
-        stored = key is not None and self._has_stored_result(
-            spec.name, kwargs
+        stored = key is not None and self.store.has(
+            "result", None, digest=key
         )
         if not stored and self._queue.full:
             self.recorder.count("campaign.rejected")
@@ -250,16 +250,6 @@ class CampaignServer:
         self._queue.push(job.id, job.priority)
         self.recorder.count("campaign.queued")
         return {"job": job.describe(), "deduped": False}
-
-    def _has_stored_result(self, experiment: str, kwargs: dict) -> bool:
-        from repro.experiments.registry import result_key_params
-
-        try:
-            return self.store.has(
-                "result", result_key_params(experiment, kwargs)
-            )
-        except StoreError:
-            return False
 
     def cancel(self, job_id: str) -> Job:
         job = self._require_job(job_id)
@@ -310,7 +300,7 @@ class CampaignServer:
             "job_id": job.id,
             "experiment": job.experiment,
             "kwargs": dict(job.kwargs),
-            "close_fds": self._child_close_fds(),
+            "close_fds": self.ledger.open_fds(),
             "heartbeat_s": self.supervision.heartbeat_s,
             "no_cache": self.degraded,
             "generation": job.kills,
@@ -332,19 +322,6 @@ class CampaignServer:
         self.recorder.count("campaign.running")
         self.ledger.record_state(job)
         self._broadcast(job.id, {"event": "state", "job": job.describe()})
-
-    def _child_close_fds(self) -> List[int]:
-        # The forked child inherits the server's ledger lock fd; were it
-        # to keep it, a child outliving a dead server would hold the
-        # singleton lock and block the restart it is supposed to enable.
-        fds = []
-        handle = self.ledger.journal._lock_handle
-        if handle is not None:
-            fds.append(handle.fileno())
-        data = self.ledger.journal._handle
-        if data is not None:
-            fds.append(data.fileno())
-        return fds
 
     def _tick(self) -> None:
         self._probe_disk()

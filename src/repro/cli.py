@@ -80,36 +80,25 @@ def _add_experiment_options(
     )
 
 
-def _experiment_kwargs(spec: ExperimentSpec, args) -> Optional[dict]:
-    """Translate parsed experiment options into runner kwargs.
+def _experiment_kwargs(spec: ExperimentSpec, args) -> dict:
+    """Translate parsed experiment options into checked runner kwargs.
 
-    Returns None (after printing to stderr) when a benchmark name does
-    not validate against the experiment's universe.
+    Raises :class:`~repro.errors.ConfigError` for anything
+    :meth:`ExperimentSpec.check_kwargs` refuses, and for a malformed
+    ``--sampler``.
     """
     kwargs = {}
     if spec.supports_benchmarks and args.benchmarks:
-        unknown = spec.unknown_benchmarks(args.benchmarks)
-        if unknown:
-            print(f"unknown benchmarks: {', '.join(unknown)}", file=sys.stderr)
-            return None
         kwargs["benchmarks"] = args.benchmarks
     if spec.supports_jobs:
         kwargs["jobs"] = args.jobs
-    if spec.supports_sampler and getattr(args, "sampler", None):
-        from repro.errors import ConfigError
-        from repro.sampling.registry import parse_sampler_arg
+    if spec.supports_sampler and args.sampler:
+        from repro.sampling.registry import sampler_kwargs
 
-        try:
-            name, params = parse_sampler_arg(args.sampler)
-        except ConfigError as exc:
-            print(f"invalid sampler: {exc}", file=sys.stderr)
-            return None
-        kwargs["sampler"] = name
-        if params:
-            kwargs["sampler_params"] = params
+        kwargs.update(sampler_kwargs(args.sampler))
     if spec.benchmark_option is not None:
         kwargs["benchmark"] = args.benchmark
-    return kwargs
+    return spec.check_kwargs(kwargs)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -386,11 +375,14 @@ def _run_report(args) -> int:
 def _run_experiment(args, name: str, recorder=None) -> int:
     """Run experiment ``name`` as the CLI does; traced under ``recorder``."""
     from repro import telemetry
+    from repro.errors import ConfigError
     from repro.experiments.common import configure_cache, set_store
 
     spec = experiments.get_spec(name)
-    kwargs = _experiment_kwargs(spec, args)
-    if kwargs is None:
+    try:
+        kwargs = _experiment_kwargs(spec, args)
+    except ConfigError as exc:
+        print(exc, file=sys.stderr)
         return 2
     previous = configure_cache(args.cache_dir, enabled=not args.no_cache)
     try:

@@ -43,10 +43,6 @@ class PinballError(ReproError):
     """A pinball could not be created, serialized, or replayed."""
 
 
-class ReplayMismatchError(PinballError):
-    """A replayed execution diverged from the recorded one."""
-
-
 class SimulationError(ReproError):
     """The timing or cache simulator was driven with invalid inputs."""
 
@@ -61,16 +57,16 @@ class StoreError(ReproError):
 
 class ResilienceError(ReproError):
     """A run could not go on: a worker process died and broke the pool,
-    or a journal file could not be written."""
+    or the campaign server's ledger could not be opened or written."""
 
 
 class JournalLockedError(ResilienceError):
-    """Another process holds the exclusive lock on a journal.
+    """Another process holds the exclusive lock on the server ledger.
 
-    Two writers interleaving appends into one JSONL journal (the
-    campaign server's ledger) would corrupt it, so the second acquirer
-    gets this structured error instead of a torn journal.  ``path`` is
-    the journal the lock guards.
+    Two writers interleaving appends into the campaign server's JSONL
+    ledger would corrupt it, so the second acquirer gets this
+    structured error instead of a torn ledger.  ``path`` is the ledger
+    the lock guards.
     """
 
     def __init__(self, path, detail: str = "") -> None:

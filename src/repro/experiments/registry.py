@@ -115,6 +115,82 @@ class ExperimentSpec:
         valid = set(self.valid_benchmarks())
         return [name for name in names if name not in valid]
 
+    def check_kwargs(self, kwargs: Optional[dict]) -> dict:
+        """The one request check: runner kwargs, validated and normalized.
+
+        Every front end calls it before any work runs (the experiment
+        subcommands and their ``trace`` twins, and the campaign server
+        for each submission), so all of them refuse the same input with
+        the same message.  Raises :class:`ConfigError` for a keyword the
+        runner does not take, a benchmark outside the experiment's
+        universe, a ``jobs`` that is not a non-negative integer, or a
+        sampler or sampler parameter the sampler registry refuses, and
+        for ``kwargs`` that are no mapping at all.  Returns a copy with
+        ``benchmarks`` as a list and ``sampler_params`` coerced to their
+        declared types.
+        """
+        if kwargs is not None and not isinstance(kwargs, dict):
+            raise ConfigError(
+                f"kwargs must be a mapping of runner keywords, got {kwargs!r}"
+            )
+        kwargs = dict(kwargs or {})
+        allowed = {"jobs"} if self.supports_jobs else set()
+        if self.supports_benchmarks:
+            allowed.add("benchmarks")
+        if self.benchmark_option is not None:
+            allowed.add("benchmark")
+        if self.supports_sampler:
+            allowed.update(("sampler", "sampler_params"))
+        unknown = sorted(set(kwargs) - allowed)
+        if unknown:
+            raise ConfigError(
+                f"experiment {self.name!r} does not take keyword(s) "
+                f"{', '.join(unknown)}; allowed: "
+                f"{', '.join(sorted(allowed)) or 'none'}"
+            )
+        benchmarks = kwargs.get("benchmarks")
+        if benchmarks is not None:
+            if not isinstance(benchmarks, (list, tuple)) or not all(
+                isinstance(name, str) for name in benchmarks
+            ):
+                raise ConfigError(
+                    "benchmarks must be a list of benchmark names"
+                )
+            bad = self.unknown_benchmarks(benchmarks)
+            if bad:
+                raise ConfigError(f"unknown benchmarks: {', '.join(bad)}")
+            kwargs["benchmarks"] = list(benchmarks)
+        benchmark = kwargs.get("benchmark")
+        if benchmark is not None:
+            if not isinstance(benchmark, str):
+                raise ConfigError("benchmark must be a string")
+            if self.unknown_benchmarks([benchmark]):
+                raise ConfigError(f"unknown benchmark: {benchmark}")
+        jobs = kwargs.get("jobs")
+        if jobs is not None and (
+            isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 0
+        ):
+            raise ConfigError(
+                f"jobs must be a non-negative integer, got {jobs!r}"
+            )
+        sampler_name = kwargs.get("sampler")
+        sampler_params = kwargs.get("sampler_params")
+        if sampler_name is not None or sampler_params is not None:
+            from repro.sampling.registry import get_sampler
+
+            if not isinstance(sampler_name, str):
+                raise ConfigError("sampler must be a registered sampler name")
+            if sampler_params is not None and not isinstance(
+                sampler_params, dict
+            ):
+                raise ConfigError(
+                    "sampler_params must be a mapping of declared parameters"
+                )
+            coerced = get_sampler(sampler_name).coerce_params(sampler_params)
+            if sampler_params is not None:
+                kwargs["sampler_params"] = coerced
+        return kwargs
+
 
 _REGISTRY: Dict[str, ExperimentSpec] = {}
 

@@ -901,10 +901,11 @@ RETRY_SLEEP_MODULES = ("repro/resilience/policy.py",)
     hazard=(
         "a hand-rolled sleep inside a retry loop (a loop that also "
         "catches exceptions) invents its own backoff schedule: "
-        "un-seeded, un-bounded, invisible to tests, and different from "
-        "every other retry in the system.  Route the wait through "
-        "repro.resilience.policy.backoff_sleep, which derives a "
-        "deterministic bounded delay from a Retry policy."
+        "unbounded, invisible to tests, and different from every "
+        "other retry in the system.  Route the wait through "
+        "repro.resilience.policy.backoff_sleep(attempt), which sleeps "
+        "the attempt's delay from the one fixed schedule (0.1, 0.2, "
+        "0.4, 0.8, 1.6 s)."
     ),
 )
 def check_ad_hoc_retry_sleep(ctx) -> Yield:
@@ -934,7 +935,7 @@ def check_ad_hoc_retry_sleep(ctx) -> Yield:
                 seen.add(node)
                 yield node, (
                     f"{basename}() inside a retry loop is an ad-hoc "
-                    "backoff; use backoff_sleep(retry, index, attempt) "
-                    "from repro.resilience.policy for the shared "
-                    "deterministic schedule"
+                    "backoff; use backoff_sleep(attempt) from "
+                    "repro.resilience.policy for the one fixed "
+                    "schedule"
                 )

@@ -5,7 +5,7 @@ feed statistics tools; this package provides the same observation points
 for synthetic programs.  An :class:`Engine` drives a slice stream and
 dispatches each :class:`~repro.isa.trace.SliceTrace` to attached
 :class:`Pintool` instances (re-implementations of ``inscount``,
-``ldstmix``, ``allcache``, a BBV profiler, and a branch profiler).
+``ldstmix`` and ``allcache``, and a BBV profiler).
 """
 
 from repro.pin.engine import Engine
@@ -14,7 +14,6 @@ from repro.pin.tools.inscount import InsCount
 from repro.pin.tools.ldstmix import LdStMix
 from repro.pin.tools.allcache import AllCache
 from repro.pin.tools.bbv import BBVProfiler
-from repro.pin.tools.branchprof import BranchProfiler
 
 __all__ = [
     "Engine",
@@ -23,5 +22,4 @@ __all__ = [
     "LdStMix",
     "AllCache",
     "BBVProfiler",
-    "BranchProfiler",
 ]

@@ -4,6 +4,5 @@ from repro.pin.tools.inscount import InsCount
 from repro.pin.tools.ldstmix import LdStMix
 from repro.pin.tools.allcache import AllCache
 from repro.pin.tools.bbv import BBVProfiler
-from repro.pin.tools.branchprof import BranchProfiler
 
-__all__ = ["InsCount", "LdStMix", "AllCache", "BBVProfiler", "BranchProfiler"]
+__all__ = ["InsCount", "LdStMix", "AllCache", "BBVProfiler"]

@@ -26,7 +26,7 @@ import numpy as np
 from repro.cache.fused import FusedHierarchy
 from repro.config import SNIPER_SIM, SystemConfig
 from repro.errors import SimulationError
-from repro.sniper.core import SNIPER_TIMING, TimingParams
+from repro.sniper.core import SNIPER_TIMING, IntervalCycles, TimingParams
 from repro.workloads.program import SyntheticProgram
 
 #: Address offset between copies, in cache lines (far above any arena).
@@ -142,17 +142,16 @@ class SPECrateRunner:
                 f"num_slices must be in [1, {program.num_slices}]"
             )
 
-        caches = self.system.caches
-        hierarchies = [FusedHierarchy(caches) for _ in range(num_copies)]
+        hierarchies = [
+            FusedHierarchy(self.system.caches) for _ in range(num_copies)
+        ]
         shared_l3 = hierarchies[0].l3
         for hierarchy in hierarchies[1:]:
             hierarchy.l3 = shared_l3
-        core = self.system.core
-
-        instructions = [0] * num_copies
-        issue = [0.0] * num_copies
-        dependency = [0.0] * num_copies
-        branch = [0.0] * num_copies
+        intervals = [
+            IntervalCycles(self.system, self.params)
+            for _ in range(num_copies)
+        ]
         l3_misses = [0] * num_copies
 
         for slice_index in range(num_slices):
@@ -170,35 +169,18 @@ class SPECrateRunner:
                 ))
                 hierarchy.drain()
                 l3_misses[copy] += shared_l3.stats.misses - before
-
-                instructions[copy] += trace.instruction_count
-                issue[copy] += trace.instruction_count / core.commit_width
-                mem_instructions = int(trace.class_counts[1:].sum())
-                dependency[copy] += mem_instructions * \
-                    self.params.dependency_cpi
-                rate = min(
-                    0.5,
-                    self.params.mispredict_base
-                    + self.params.mispredict_slope * trace.branch_entropy,
-                )
-                branch[copy] += rate * trace.branch_count * \
-                    core.branch_misprediction_penalty
+                intervals[copy].add(trace)
 
         copies = []
         for copy, hierarchy in enumerate(hierarchies):
             l2_misses = hierarchy.l2.stats.misses
-            mem_stalls = (
-                hierarchy.l1d.stats.misses * caches.l2.latency_cycles
-                + l2_misses * caches.l3.latency_cycles
-                + l3_misses[copy]
-                * self.system.memory_latency_cycles
-                / self.system.memory_level_parallelism
-            ) * self.params.stall_overlap
-            cycles = issue[copy] + dependency[copy] + branch[copy] + mem_stalls
+            cycles = intervals[copy].cycles(
+                hierarchy.l1d.stats.misses, l2_misses, l3_misses[copy]
+            )
             copies.append(
                 CopyStats(
                     copy_id=copy,
-                    instructions=instructions[copy],
+                    instructions=intervals[copy].instructions,
                     cycles=float(cycles),
                     l2_misses=l2_misses,
                     l3_misses=l3_misses[copy],

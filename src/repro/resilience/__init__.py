@@ -12,12 +12,13 @@ so a rerun computes only what never finished.  What this package adds:
 * :mod:`repro.resilience.faults` — a deterministic fault-injection
   harness (:class:`FaultPlan`, ``REPRO_INJECT_FAULTS``) so every
   recovery path is testable in CI without real crashes;
-* :mod:`repro.resilience.journal` — the append-only, fsync'd,
-  single-writer JSONL file under the artifact store root that the
-  campaign server's job ledger is built on;
-* :mod:`repro.resilience.policy` — :class:`Retry` and
-  :func:`backoff_sleep`, the seeded backoff the campaign client's
-  ``watch`` reconnect sleeps on.
+* :mod:`repro.resilience.policy` — the one retry backoff, a fixed
+  doubling schedule (:data:`BACKOFF_SCHEDULE_S`) that
+  :func:`backoff_sleep` waits out; the campaign client's ``watch``
+  reconnect sleeps on it.
+
+The campaign server's crash-safe ledger is
+:mod:`repro.campaign.ledger`.
 """
 
 from repro.resilience.faults import (
@@ -32,16 +33,13 @@ from repro.resilience.faults import (
     set_service_context,
     using_plan,
 )
-from repro.resilience.journal import JOURNAL_SCHEMA, CampaignJournal
-from repro.resilience.policy import Retry, backoff_sleep
+from repro.resilience.policy import BACKOFF_SCHEDULE_S, backoff_sleep
 
 __all__ = [
-    "CampaignJournal",
+    "BACKOFF_SCHEDULE_S",
     "FaultClause",
     "FaultPlan",
     "InjectedFaultError",
-    "JOURNAL_SCHEMA",
-    "Retry",
     "backoff_sleep",
     "get_plan",
     "inject_service_fault",

@@ -51,6 +51,7 @@ __all__ = [
     "parse_sampler_arg",
     "run_sampler",
     "sampler",
+    "sampler_kwargs",
     "sampler_names",
 ]
 
@@ -249,6 +250,24 @@ def parse_sampler_arg(arg: str) -> Tuple[str, Dict]:
                 )
             raw[key] = value
     return name, spec.coerce_params(raw)
+
+
+def sampler_kwargs(arg: str) -> Dict:
+    """Runner kwargs for a ``--sampler NAME[:k=v,...]`` option.
+
+    The one ``--sampler`` parse of both CLIs: ``{"sampler": name}``,
+    plus the coerced ``sampler_params`` when any parameter is given (a
+    run that gives none keys like one that never mentions them).
+    Raises :class:`ConfigError` ("invalid sampler: ...").
+    """
+    try:
+        name, params = parse_sampler_arg(arg)
+    except ConfigError as exc:
+        raise ConfigError(f"invalid sampler: {exc}") from exc
+    kwargs: Dict = {"sampler": name}
+    if params:
+        kwargs["sampler_params"] = params
+    return kwargs
 
 
 def _check_contract(

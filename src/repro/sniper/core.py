@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-import numpy as np
-
 from repro.cache.fused import FusedHierarchy
 from repro.config import SNIPER_SIM, SystemConfig
 from repro.errors import SimulationError
@@ -49,6 +47,66 @@ class TimingParams:
 
 #: Parameters Sniper was configured with for the Fig 12 study.
 SNIPER_TIMING = TimingParams()
+
+
+class IntervalCycles:
+    """One core's interval-model cycles, summed slice by slice.
+
+    Sniper's regions and each SPECrate copy feed their measured slices
+    through :meth:`add`, then :meth:`cycles` adds the memory stalls of
+    the misses the caller attributes to this core.  Each term keeps its
+    own running sum, added in the same order for both, so both callers
+    model a slice to the same bits.
+    """
+
+    __slots__ = (
+        "system", "params", "instructions", "mispredicts", "issue",
+        "dependency", "branch",
+    )
+
+    def __init__(self, system: SystemConfig, params: TimingParams) -> None:
+        self.system = system
+        self.params = params
+        self.instructions = 0
+        self.mispredicts = 0.0
+        self.issue = 0.0
+        self.dependency = 0.0
+        self.branch = 0.0
+
+    def add(self, trace: SliceTrace) -> None:
+        """Add one slice's issue, dependence and mispredict cycles."""
+        params = self.params
+        core = self.system.core
+        self.instructions += trace.instruction_count
+        rate = min(
+            0.5,
+            params.mispredict_base
+            + params.mispredict_slope * trace.branch_entropy,
+        )
+        mispredicts = rate * trace.branch_count
+        self.mispredicts += mispredicts
+        self.branch += mispredicts * core.branch_misprediction_penalty
+        self.issue += trace.instruction_count / core.commit_width
+        mem_instructions = int(trace.class_counts[1:].sum())
+        self.dependency += mem_instructions * params.dependency_cpi
+
+    def cycles(self, l1d_misses: int, l2_misses: int, l3_misses: int) -> float:
+        """The summed slice cycles plus the memory stall cycles.
+
+        Each miss at level N pays level N+1's latency (or memory latency
+        past L3); exposure is moderated by overlap and, for memory
+        accesses, by the machine's MLP.
+        """
+        system = self.system
+        caches = system.caches
+        mem_stalls = (
+            l1d_misses * caches.l2.latency_cycles
+            + l2_misses * caches.l3.latency_cycles
+            + l3_misses
+            * system.memory_latency_cycles
+            / system.memory_level_parallelism
+        ) * self.params.stall_overlap
+        return self.issue + self.dependency + self.branch + mem_stalls
 
 
 @dataclass
@@ -129,52 +187,23 @@ class SniperSimulator:
             hierarchy.process_trace(trace)
         hierarchy.set_recording(True)
 
-        instructions = 0
-        mispredicts = 0.0
-        branch_cycles = 0.0
-        issue_cycles = 0.0
-        dependency_cycles = 0.0
+        interval = IntervalCycles(self.system, self.params)
         for trace in slices:
             hierarchy.process_trace(trace)
-            instructions += trace.instruction_count
-            rate = min(
-                0.5,
-                self.params.mispredict_base
-                + self.params.mispredict_slope * trace.branch_entropy,
-            )
-            slice_mispredicts = rate * trace.branch_count
-            mispredicts += slice_mispredicts
-            branch_cycles += (
-                slice_mispredicts * self.system.core.branch_misprediction_penalty
-            )
-            issue_cycles += trace.instruction_count / self.system.core.commit_width
-            mem_instructions = int(trace.class_counts[1:].sum())
-            dependency_cycles += mem_instructions * self.params.dependency_cpi
+            interval.add(trace)
 
-        if instructions == 0:
+        if interval.instructions == 0:
             raise SimulationError("timing region contained no instructions")
 
         stats = hierarchy.snapshot().levels
-        caches = self.system.caches
         l1d = stats["L1D"]
         l2 = stats["L2"]
         l3 = stats["L3"]
-        # Stall cycles: each miss at level N pays level N+1's latency (or
-        # memory latency past L3); exposure is moderated by overlap and,
-        # for memory accesses, by the machine's MLP.
-        mem_stalls = (
-            l1d.misses * caches.l2.latency_cycles
-            + l2.misses * caches.l3.latency_cycles
-            + l3.misses
-            * self.system.memory_latency_cycles
-            / self.system.memory_level_parallelism
-        ) * self.params.stall_overlap
-
-        cycles = issue_cycles + dependency_cycles + branch_cycles + mem_stalls
+        cycles = interval.cycles(l1d.misses, l2.misses, l3.misses)
         return RegionTiming(
-            instructions=instructions,
+            instructions=interval.instructions,
             cycles=float(cycles),
-            branch_mispredicts=float(mispredicts),
+            branch_mispredicts=float(interval.mispredicts),
             l1d_misses=l1d.misses,
             l2_misses=l2.misses,
             l3_misses=l3.misses,

@@ -31,7 +31,6 @@ import numpy as np
 from repro import telemetry
 from repro.cache import _native
 from repro.errors import WorkloadError
-from repro.isa.basicblock import BasicBlock, CodeRegion
 from repro.isa.trace import SliceHeader, SliceTrace
 from repro.workloads import slicecache
 from repro.workloads.phases import PhaseSpec
@@ -114,20 +113,6 @@ class _RuntimePhase:
         self.native_body = int(self.body_sizes.max()) <= _native.BODY_MAX_RANGE
         self.mix = np.asarray(spec.mix, dtype=np.float64)
         self.mem_fractions = np.asarray(spec.mem_fractions, dtype=np.float64)
-
-    def code_region(self) -> CodeRegion:
-        """Static code view of this phase (for inspection and tests)."""
-        blocks = [
-            BasicBlock(
-                block_id=int(bid),
-                size=int(size),
-                mix=tuple(self.mix),
-                code_lines=max(1, int(size) // 4),
-            )
-            for bid, size in zip(self.block_ids, self.block_sizes)
-        ]
-        own = self.entry_freqs[-len(blocks):]
-        return CodeRegion(self.spec.phase_id, blocks, frequencies=own)
 
 
 def _numpy_body(
@@ -251,10 +236,6 @@ class SyntheticProgram:
     def phase_of_slice(self, slice_index: int) -> int:
         """Ground-truth phase id of a slice (for validation only)."""
         return self.schedule[slice_index]
-
-    def code_regions(self) -> List[CodeRegion]:
-        """Static code regions, one per phase."""
-        return [phase.code_region() for phase in self._runtime]
 
     def slice_header(self, slice_index: int) -> SliceHeader:
         """The header of slice ``slice_index``: its block and class counts.

@@ -2,17 +2,16 @@
 
 import time
 
-from repro.resilience.policy import Retry, backoff_sleep
+from repro.resilience.policy import backoff_sleep
 from repro.telemetry.clock import sleep_s
 
 
 def retry_through_the_shared_helper(fetch):
-    retry = Retry(attempts=5, base_delay_s=0.1)
     for attempt in range(1, 6):
         try:
             return fetch()
         except OSError:
-            backoff_sleep(retry, 0, attempt + 1)
+            backoff_sleep(attempt)
 
 
 def polling_loop_without_retries(ready):

@@ -31,7 +31,6 @@ from repro.campaign.supervision import (
 )
 from repro.errors import CampaignRejectedError, ConfigError
 from repro.resilience.faults import parse_spec, using_plan
-from repro.resilience.journal import CampaignJournal
 
 
 class TestSupervisionPolicy:
@@ -146,55 +145,55 @@ class TestFreeDiskBytes:
 
 
 class TestJournalDoctor:
-    def intact_journal(self, tmp_path, n: int = 3) -> CampaignJournal:
-        journal = CampaignJournal(tmp_path / "journals" / "doc.jsonl")
+    def intact_ledger(self, tmp_path, n: int = 3) -> ServerLedger:
+        ledger = ServerLedger(tmp_path)
         for i in range(n):
-            journal.append({"event": "job", "i": i})
-        journal.close()
-        return journal
+            ledger.record_submit(Job(id=f"job-{i}", experiment="fig8"))
+        ledger.close()
+        return ledger
 
     def test_clean_journal_untouched(self, tmp_path):
-        journal = self.intact_journal(tmp_path)
-        before = journal.path.read_bytes()
-        report = journal.doctor()
+        ledger = self.intact_ledger(tmp_path)
+        before = ledger.path.read_bytes()
+        report = ledger.doctor()
         assert report == {"lines": 3, "intact": 3, "quarantined": 0}
-        assert journal.path.read_bytes() == before
-        assert not journal.quarantine_path.exists()
+        assert ledger.path.read_bytes() == before
+        assert not ledger.quarantine_path.exists()
 
     def test_torn_final_line_quarantined(self, tmp_path):
-        journal = self.intact_journal(tmp_path)
-        with open(journal.path, "ab") as handle:
+        ledger = self.intact_ledger(tmp_path)
+        with open(ledger.path, "ab") as handle:
             handle.write(b'{"event": "job", "i": 3, "schema": "re')
-        report = journal.doctor()
+        report = ledger.doctor()
         assert report["quarantined"] == 1
         assert report["intact"] == 3
-        assert len(journal.load()) == 3
-        assert b'"i": 3' in journal.quarantine_path.read_bytes()
+        assert len(ledger.load()) == 3
+        assert b'"i": 3' in ledger.quarantine_path.read_bytes()
 
     def test_corrupt_midfile_line_quarantined_intact_kept(self, tmp_path):
-        journal = self.intact_journal(tmp_path)
-        lines = journal.path.read_bytes().splitlines()
+        ledger = self.intact_ledger(tmp_path)
+        lines = ledger.path.read_bytes().splitlines()
         mangled = lines[:1] + [b"\x00garbage\xff"] + lines[1:]
-        journal.path.write_bytes(b"\n".join(mangled) + b"\n")
-        report = journal.doctor()
+        ledger.path.write_bytes(b"\n".join(mangled) + b"\n")
+        report = ledger.doctor()
         assert report["quarantined"] == 1
         # Survivors are byte-identical, in their original order.
-        assert journal.path.read_bytes().splitlines() == lines
+        assert ledger.path.read_bytes().splitlines() == lines
 
     def test_doctor_is_idempotent(self, tmp_path):
-        journal = self.intact_journal(tmp_path)
-        with open(journal.path, "ab") as handle:
+        ledger = self.intact_ledger(tmp_path)
+        with open(ledger.path, "ab") as handle:
             handle.write(b"not json\n")
-        first = journal.doctor()
-        after_first = journal.path.read_bytes()
-        second = journal.doctor()
+        first = ledger.doctor()
+        after_first = ledger.path.read_bytes()
+        second = ledger.doctor()
         assert first["quarantined"] == 1
         assert second["quarantined"] == 0
-        assert journal.path.read_bytes() == after_first
+        assert ledger.path.read_bytes() == after_first
 
     def test_missing_journal_is_healthy(self, tmp_path):
-        journal = CampaignJournal(tmp_path / "journals" / "ghost.jsonl")
-        assert journal.doctor() == {"lines": 0, "intact": 0, "quarantined": 0}
+        ledger = ServerLedger(tmp_path / "ghost")
+        assert ledger.doctor() == {"lines": 0, "intact": 0, "quarantined": 0}
 
 
 class TestLedgerCompaction:
@@ -244,15 +243,15 @@ class TestLedgerCompaction:
         ledger.acquire()
         before = self.count_lines(ledger)
         ledger.compact(ledger.load())
-        once = ledger.journal.path.read_bytes()
+        once = ledger.path.read_bytes()
         assert self.count_lines(ledger) == 1 < before
         ledger.compact(ledger.load())
-        assert ledger.journal.path.read_bytes() == once
+        assert ledger.path.read_bytes() == once
         ledger.close()
 
     @staticmethod
     def count_lines(ledger) -> int:
-        return len(ledger.journal.path.read_bytes().splitlines())
+        return len(ledger.path.read_bytes().splitlines())
 
 
 @pytest.fixture

@@ -117,6 +117,11 @@ class TestValidateSubmission:
         with pytest.raises(CampaignServiceError, match="jobs"):
             validate_submission("fig8", {"jobs": True})
 
+    @pytest.mark.parametrize("kwargs", ["abc", [1], 5])
+    def test_kwargs_must_be_a_mapping(self, kwargs):
+        with pytest.raises(CampaignServiceError, match="mapping"):
+            validate_submission("fig8", kwargs)
+
     def test_valid_submission_normalizes(self):
         spec, kwargs = validate_submission(
             "fig8", {"benchmarks": ("505.mcf_r",), "jobs": 2}
@@ -204,7 +209,7 @@ class TestServerLedger:
         ledger.record_submit(Job(id="job-0001", experiment="fig8"))
         ledger.close()
         # Simulate the torn append of a hard kill.
-        path = ledger.journal.path
+        path = ledger.path
         with open(path, "ab") as handle:
             handle.write(b'{"event": "job", "action": "state", "jo')
         fresh = ServerLedger(tmp_path)
@@ -378,3 +383,85 @@ class TestClientExitCodes:
         out = capsys.readouterr().out
         assert "job-0001: parallel.completed" in out
         assert f"job-0001: finished ({state})" in out
+
+
+class TestWatchReconnect:
+    """``watch`` stitches a dropped stream on the fixed backoff schedule."""
+
+    STATE = {"event": "state", "job": {"id": "job-0001", "state": "running"}}
+    END = {"event": "end", "job": "job-0001", "state": "done"}
+
+    def watch(self, monkeypatch, streams):
+        """Events and sleeps of one ``watch`` over scripted subscriptions.
+
+        Each subscription yields its events, then drops the connection
+        unless its last event is ``end``.  Returns ``(events, slept,
+        error)``, where ``error`` is what ended the watch, if anything.
+        """
+        from repro.campaign.client import CampaignClient
+        from repro.resilience import policy
+
+        slept = []
+        monkeypatch.setattr(policy, "sleep_s", slept.append)
+        pending = iter(streams)
+
+        def watch_once(self, job_id):
+            events = next(pending)
+            yield from events
+            if not events or events[-1]["event"] != "end":
+                raise CampaignServiceError("connection reset")
+
+        monkeypatch.setattr(CampaignClient, "_watch_once", watch_once)
+        events, error = [], None
+        try:
+            for event in CampaignClient("unused.sock").watch("job-0001"):
+                events.append(event)
+        except CampaignServiceError as exc:
+            error = exc
+        return events, slept, error
+
+    def test_one_drop_waits_the_first_delay_and_resumes(self, monkeypatch):
+        from repro.resilience import BACKOFF_SCHEDULE_S
+
+        events, slept, error = self.watch(
+            monkeypatch, [[self.STATE], [self.STATE, self.END]]
+        )
+        assert error is None
+        assert events == [
+            self.STATE,
+            {"event": "reconnect", "job": "job-0001", "attempt": 1,
+             "resumed": True},
+            self.STATE,
+            self.END,
+        ]
+        assert slept == [BACKOFF_SCHEDULE_S[0]]
+
+    def test_gives_up_after_the_schedule(self, monkeypatch):
+        from repro.campaign.client import WATCH_RECONNECT_ATTEMPTS
+        from repro.resilience import BACKOFF_SCHEDULE_S
+
+        events, slept, error = self.watch(
+            monkeypatch, [[]] * (WATCH_RECONNECT_ATTEMPTS + 1)
+        )
+        assert "connection reset" in str(error)
+        assert [e["attempt"] for e in events] == list(
+            range(1, WATCH_RECONNECT_ATTEMPTS + 1)
+        )
+        assert not any(e["resumed"] for e in events)
+        assert slept == list(BACKOFF_SCHEDULE_S)
+
+    def test_a_delivered_event_resets_the_count(self, monkeypatch):
+        from repro.campaign.client import WATCH_RECONNECT_ATTEMPTS
+        from repro.resilience import BACKOFF_SCHEDULE_S
+
+        n = WATCH_RECONNECT_ATTEMPTS
+        events, slept, error = self.watch(
+            monkeypatch,
+            [[]] * n + [[self.STATE]] + [[]] * (n - 1)
+            + [[self.STATE, self.END]],
+        )
+        assert error is None
+        attempts = [e["attempt"] for e in events if e["event"] == "reconnect"]
+        assert attempts == [*range(1, n + 1), *range(1, n + 1)]
+        assert events[-1] == self.END
+        assert slept == 2 * list(BACKOFF_SCHEDULE_S)

@@ -26,6 +26,34 @@ class TestCli:
         assert main(["fig6", "--benchmarks", "999.bogus"]) == 2
         assert "unknown benchmarks" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,message", [
+        (["fig3a", "--benchmark", "bogus"], "unknown benchmark: bogus"),
+        (["fig10", "--benchmarks", "505.mcf_r", "--jobs", "-1"],
+         "jobs must be a non-negative integer, got -1"),
+    ], ids=["benchmark", "jobs"])
+    def test_invalid_request_is_a_usage_error(self, argv, message, capsys):
+        assert main(argv + ["--no-cache"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [message]
+
+    @pytest.mark.parametrize("argv,kwargs", [
+        (["fig8", "--benchmarks", "505.mcf_r", "--jobs", "2",
+          "--sampler", "ranked:set_size=7"],
+         {"benchmarks": ["505.mcf_r"], "jobs": 2, "sampler": "ranked",
+          "sampler_params": {"set_size": 7}}),
+        (["fig7", "--sampler", "random"], {"jobs": 0, "sampler": "random"}),
+        (["fig3b"], {"benchmark": "623.xalancbmk_s"}),
+    ], ids=["fig8", "fig7", "fig3b"])
+    def test_valid_request_passes_the_same_kwargs(self, argv, kwargs):
+        """The request check passes valid options on unchanged, so the
+        result key a run is stored under does not move."""
+        from repro.cli import _build_parser, _experiment_kwargs
+        from repro.experiments.registry import get_spec
+
+        args = _build_parser().parse_args(argv)
+        assert _experiment_kwargs(get_spec(argv[0]), args) == kwargs
+
     def test_turnaround_with_subset(self, capsys):
         assert main(["turnaround", "--benchmarks", "620.omnetpp_s"]) == 0
         out = capsys.readouterr().out

@@ -10,7 +10,6 @@ from repro.errors import (
     ConfigError,
     LintError,
     PinballError,
-    ReplayMismatchError,
     ReproError,
     SimPointError,
     SimulationError,
@@ -26,7 +25,6 @@ HIERARCHY = {
     ClusteringError: ReproError,
     SimPointError: ReproError,
     PinballError: ReproError,
-    ReplayMismatchError: PinballError,
     SimulationError: ReproError,
     LintError: ReproError,
 }
@@ -57,8 +55,6 @@ class TestHierarchy:
 
     def test_all_hierarchy_classes_exported_from_package(self):
         for cls in (*HIERARCHY, ReproError):
-            if cls is ReplayMismatchError:
-                continue  # implementation detail of the pinball layer
             assert cls.__name__ in repro.__all__
             assert getattr(repro, cls.__name__) is cls
 

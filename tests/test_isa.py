@@ -1,4 +1,4 @@
-"""Instruction classes, basic blocks, and slice traces."""
+"""Instruction classes and slice traces."""
 
 import numpy as np
 import pytest
@@ -7,8 +7,6 @@ from repro.errors import WorkloadError
 from repro.isa import (
     INSTRUCTION_CLASS_NAMES,
     NUM_INSTRUCTION_CLASSES,
-    BasicBlock,
-    CodeRegion,
     InstructionClass,
     SliceTrace,
 )
@@ -39,65 +37,6 @@ class TestInstructionClass:
 
     def test_values_are_dense(self):
         assert [c.value for c in InstructionClass] == [0, 1, 2, 3]
-
-
-class TestBasicBlock:
-    def test_class_counts_scale_with_executions(self):
-        block = BasicBlock(block_id=1, size=10, mix=(0.5, 0.3, 0.15, 0.05))
-        counts = block.class_counts(executions=4)
-        assert counts.sum() == pytest.approx(40)
-        assert counts[0] == pytest.approx(20)
-
-    def test_rejects_zero_size(self):
-        with pytest.raises(WorkloadError):
-            BasicBlock(block_id=1, size=0, mix=(1.0, 0.0, 0.0, 0.0))
-
-    def test_rejects_bad_mix_length(self):
-        with pytest.raises(WorkloadError):
-            BasicBlock(block_id=1, size=5, mix=(0.5, 0.5))
-
-    def test_rejects_unnormalized_mix(self):
-        with pytest.raises(WorkloadError):
-            BasicBlock(block_id=1, size=5, mix=(0.5, 0.3, 0.3, 0.3))
-
-
-class TestCodeRegion:
-    def _blocks(self, n=3):
-        return [
-            BasicBlock(block_id=i, size=4 + i, mix=(0.7, 0.2, 0.08, 0.02))
-            for i in range(n)
-        ]
-
-    def test_frequencies_normalized(self):
-        region = CodeRegion(0, self._blocks(), frequencies=np.array([2.0, 1.0, 1.0]))
-        assert region.frequencies.sum() == pytest.approx(1.0)
-        assert region.frequencies[0] == pytest.approx(0.5)
-
-    def test_default_uniform_frequencies(self):
-        region = CodeRegion(0, self._blocks(4))
-        assert np.allclose(region.frequencies, 0.25)
-
-    def test_expected_mix_normalized(self):
-        region = CodeRegion(0, self._blocks())
-        mix = region.expected_mix()
-        assert mix.shape == (4,)
-        assert mix.sum() == pytest.approx(1.0)
-
-    def test_instructions_per_entry(self):
-        region = CodeRegion(0, self._blocks(2), frequencies=np.array([1.0, 1.0]))
-        assert region.instructions_per_entry == pytest.approx((4 + 5) / 2)
-
-    def test_rejects_empty(self):
-        with pytest.raises(WorkloadError):
-            CodeRegion(0, [])
-
-    def test_rejects_misaligned_frequencies(self):
-        with pytest.raises(WorkloadError):
-            CodeRegion(0, self._blocks(3), frequencies=np.array([1.0, 1.0]))
-
-    def test_rejects_zero_sum_frequencies(self):
-        with pytest.raises(WorkloadError):
-            CodeRegion(0, self._blocks(2), frequencies=np.array([0.0, 0.0]))
 
 
 def _trace(**overrides):

@@ -9,7 +9,6 @@ from repro.isa.trace import SliceTrace
 from repro.pin import (
     AllCache,
     BBVProfiler,
-    BranchProfiler,
     Engine,
     InsCount,
     LdStMix,
@@ -117,24 +116,6 @@ class TestLdStMix:
         tool.process_slice(trace())
         tool.reset()
         assert tool.class_counts.sum() == 0
-
-
-class TestBranchProfiler:
-    def test_entropy_weighted(self):
-        tool = BranchProfiler()
-        tool.process_slice(trace(branches=10, entropy=0.1))
-        tool.process_slice(trace(branches=30, entropy=0.5))
-        assert tool.mean_entropy == pytest.approx((1 + 15) / 40)
-        assert tool.branch_fraction == pytest.approx(40 / 200)
-
-    def test_zero_branches(self):
-        tool = BranchProfiler()
-        tool.process_slice(trace(branches=0))
-        assert tool.mean_entropy == 0.0
-
-    def test_no_instructions_rejected(self):
-        with pytest.raises(SimulationError):
-            BranchProfiler().branch_fraction
 
 
 class TestBBVProfiler:

@@ -1,11 +1,11 @@
-"""Rerunning an interrupted run, and the journal file behind the ledger.
+"""Rerunning an interrupted run, and the campaign server's ledger file.
 
 The acceptance contract: a run interrupted partway (here: an injected
 crash, whose first failed item fails the run like a kill would) leaves
 every item it finished in the artifact store, so a plain rerun with the
 same arguments computes only the unfinished items, and its output is
-byte-identical to a clean uninterrupted run.  The append-only journal
-that remains is the campaign server's ledger file.
+byte-identical to a clean uninterrupted run.  The one append-only
+journal that remains is the campaign server's ledger file.
 """
 
 from __future__ import annotations
@@ -17,14 +17,15 @@ from typing import List
 
 import pytest
 
+from repro.campaign.jobs import Job
+from repro.campaign.ledger import ServerLedger
+from repro.errors import JournalLockedError
 from repro.experiments import common
 from repro.experiments.common import configure_cache, map_items, set_store
 from repro.experiments.registry import ExperimentSpec, execute
 from repro.parallel import ArtifactStore
 from repro.resilience import (
-    CampaignJournal,
     InjectedFaultError,
-    JOURNAL_SCHEMA,
     parse_spec,
     set_plan,
     using_plan,
@@ -91,42 +92,119 @@ def _rerun_serially(items=ITEMS):
     return results, list(_COMPUTED), rec
 
 
+#: The stamp on every ledger line since the ledger was first written.
+LEDGER_STAMP = "repro-journal-v1"
+
+
+def _ledger_line(record: dict) -> bytes:
+    """A ledger line exactly as earlier releases wrote it."""
+    stamped = dict(record, schema=LEDGER_STAMP)
+    return json.dumps(
+        stamped, sort_keys=True, separators=(",", ":")
+    ).encode("utf-8") + b"\n"
+
+
 class TestJournalFile:
     def test_append_and_load_round_trip(self, tmp_path):
-        journal = CampaignJournal(tmp_path / "j.jsonl")
-        journal.append({"event": "item", "seq": 0, "index": 1, "status": "ok"})
-        journal.append({"event": "complete"})
-        journal.close()
-        records = journal.load()
-        assert [r["event"] for r in records] == ["item", "complete"]
-        assert all(r["schema"] == JOURNAL_SCHEMA for r in records)
+        ledger = ServerLedger(tmp_path)
+        job = Job(id="job-0001", experiment="fig8")
+        ledger.record_submit(job)
+        job.state = "running"
+        ledger.record_state(job)
+        ledger.close()
+        # Each append is one line in the on-disk format, stamped.
+        assert ledger.path.read_bytes() == _ledger_line(
+            {"event": "job", "action": "submit",
+             "job": dict(job.describe(), state="queued")}
+        ) + _ledger_line(
+            {"event": "job", "action": "state", "job": job.describe()}
+        )
+        (loaded,) = ServerLedger(tmp_path).load()
+        assert loaded.describe() == job.describe()
 
     def test_layout_under_store_root(self, tmp_path):
-        path = CampaignJournal.path_for(tmp_path / "store", "abc123")
-        assert path == tmp_path / "store" / "journals" / "abc123.jsonl"
+        ledger = ServerLedger(tmp_path / "store")
+        journals = tmp_path / "store" / "journals"
+        assert ledger.path == journals / "campaign-server.jsonl"
+        assert ledger.lock_path == journals / "campaign-server.jsonl.lock"
+        assert ledger.quarantine_path == (
+            journals / "campaign-server.jsonl.quarantine"
+        )
 
     def test_corrupt_lines_are_skipped_and_counted(self, tmp_path):
-        journal = CampaignJournal(tmp_path / "j.jsonl")
-        journal.append({"event": "item", "seq": 0, "index": 0, "status": "ok"})
-        journal.close()
-        with open(journal.path, "ab") as handle:
+        ledger = ServerLedger(tmp_path)
+        ledger.record_submit(Job(id="job-0001", experiment="fig8"))
+        ledger.close()
+        with open(ledger.path, "ab") as handle:
             handle.write(b'{"torn": ')  # the hard-kill torn final append
             handle.write(b"\n")
             handle.write(
-                json.dumps({"schema": "other-v9", "event": "item"}).encode()
+                json.dumps({"schema": "other-v9", "event": "job"}).encode()
                 + b"\n"
             )
         rec = TraceRecorder()
         with using_recorder(rec):
-            records = journal.load()
-        assert len(records) == 1
+            jobs = ServerLedger(tmp_path).load()
+        assert [job.id for job in jobs] == ["job-0001"]
         assert rec.metrics.counters["journal.corrupt_line"] == 2
 
     def test_discard_removes_the_file(self, tmp_path):
-        journal = CampaignJournal(tmp_path / "j.jsonl")
-        journal.append({"event": "item"})
-        journal.discard()
-        assert not journal.path.exists()
+        ledger = ServerLedger(tmp_path)
+        ledger.record_submit(Job(id="job-0001", experiment="fig8"))
+        ledger.discard()
+        assert not ledger.path.exists()
+        ledger.close()
+
+    def test_earlier_ledger_is_doctored_compacted_and_resumed(self, tmp_path):
+        """A ledger in the on-disk format earlier releases wrote, with a
+        torn line among its records, boots a ``--resume`` server."""
+        from repro.campaign.server import CampaignServer
+
+        store = ArtifactStore(tmp_path / "store")
+        done = {"id": "job-0001", "experiment": "fig6", "kwargs": {},
+                "state": "done", "key": None}
+        running = {"id": "job-0002", "experiment": "fig8",
+                   "kwargs": {"benchmarks": ["505.mcf_r"]},
+                   "state": "running", "key": "k2"}
+        torn = _ledger_line({"event": "job", "action": "state",
+                             "job": dict(running, state="failed")})
+        lines = [
+            _ledger_line({"event": "job", "action": "submit",
+                          "job": dict(done, state="queued")}),
+            _ledger_line({"event": "job", "action": "state", "job": done}),
+            _ledger_line({"event": "job", "action": "submit",
+                          "job": dict(running, state="queued")}),
+            torn[: len(torn) // 2] + b"\n",
+            _ledger_line({"event": "job", "action": "state",
+                          "job": running}),
+        ]
+        path = tmp_path / "store" / "journals" / "campaign-server.jsonl"
+        path.parent.mkdir(parents=True)
+        path.write_bytes(b"".join(lines))
+
+        server = CampaignServer(store, tmp_path / "sock", resume=True)
+        server.boot()
+        try:
+            assert server._doctor_report == {
+                "lines": 5, "intact": 4, "quarantined": 1,
+            }
+            assert path.with_name(path.name + ".quarantine").read_bytes() \
+                == lines[3]
+            jobs = {job.id: job for job in server._jobs.values()}
+            assert jobs["job-0001"].state == "done"
+            # The job that was running is re-adopted and queued again.
+            assert jobs["job-0002"].state == "queued"
+            assert jobs["job-0002"].kwargs == running["kwargs"]
+            assert server._adopted == 1
+        finally:
+            server.ledger.close()
+        # Compacted: one snapshot line, then the re-adoption's tail.
+        records = [json.loads(line) for line in path.read_bytes().splitlines()]
+        assert [r["event"] for r in records] == ["snapshot", "job"]
+        assert all(r["schema"] == LEDGER_STAMP for r in records)
+        reloaded = {job.id: job.state for job in ServerLedger(
+            tmp_path / "store").load()}
+        assert reloaded == {"job-0001": "done", "job-0002": "queued"}
 
 
 class TestResume:
@@ -381,19 +459,17 @@ class TestReplayEdgeCases:
         """Ledger lines from older or newer servers still replay: a job
         record's unknown fields (an old ``resume`` flag, say) are
         dropped, never fatal."""
-        from repro.campaign.ledger import ServerLedger
-
         ledger = ServerLedger(tmp_path)
-        ledger.journal.append(
+        ledger.path.parent.mkdir(parents=True)
+        ledger.path.write_bytes(_ledger_line(
             {
                 "event": "job", "action": "submit",
                 "job": {"id": "job-0001", "experiment": "fig8",
                         "state": "running", "resume": True},
                 "future_field": {"anything": True},
             }
-        )
-        ledger.close()
-        (job,) = ServerLedger(tmp_path).load()
+        ))
+        (job,) = ledger.load()
         assert (job.id, job.experiment, job.state) == (
             "job-0001", "fig8", "running",
         )
@@ -401,47 +477,103 @@ class TestReplayEdgeCases:
 
 
 class TestJournalLock:
-    """One journal, one writer: the flock on <journal>.lock."""
+    """One ledger, one writer: the flock on <ledger>.lock."""
 
     def test_second_acquirer_gets_structured_error(self, tmp_path):
-        from repro.errors import JournalLockedError
-
-        first = CampaignJournal(tmp_path / "j.jsonl")
+        first = ServerLedger(tmp_path)
         first.acquire()
-        second = CampaignJournal(tmp_path / "j.jsonl")
+        second = ServerLedger(tmp_path)
         with pytest.raises(JournalLockedError) as excinfo:
             second.acquire()
-        assert str(tmp_path / "j.jsonl") == excinfo.value.path
+        assert str(first.path) == excinfo.value.path
         first.close()
 
     def test_lock_released_on_close(self, tmp_path):
-        first = CampaignJournal(tmp_path / "j.jsonl")
-        first.append({"event": "item"})
+        first = ServerLedger(tmp_path)
+        first.record_submit(Job(id="job-0001", experiment="fig8"))
         first.close()
-        second = CampaignJournal(tmp_path / "j.jsonl")
+        second = ServerLedger(tmp_path)
         second.acquire()  # must not raise
         second.close()
 
     def test_acquire_is_idempotent_per_instance(self, tmp_path):
-        journal = CampaignJournal(tmp_path / "j.jsonl")
-        journal.acquire()
-        journal.acquire()
-        journal.close()
+        ledger = ServerLedger(tmp_path)
+        ledger.acquire()
+        ledger.acquire()
+        ledger.close()
 
     def test_discard_keeps_the_lock(self, tmp_path):
-        holder = CampaignJournal(tmp_path / "j.jsonl")
-        holder.append({"event": "item"})
+        holder = ServerLedger(tmp_path)
+        holder.record_submit(Job(id="job-0001", experiment="fig8"))
         holder.discard()
-        from repro.errors import JournalLockedError
-
-        rival = CampaignJournal(tmp_path / "j.jsonl")
+        rival = ServerLedger(tmp_path)
         with pytest.raises(JournalLockedError):
             rival.acquire()
         holder.close()
 
+    def test_orphaned_job_child_does_not_hold_the_lock(self, tmp_path):
+        """A job child outliving its server does not block the restart.
+
+        The fork shares the server's lock, so the lock outlives the
+        server for as long as the child keeps the inherited descriptors.
+        The server hands them over as ``open_fds()`` in the
+        ``close_fds`` list :func:`repro.campaign.worker.child_main`
+        closes before the job runs.
+        """
+        import os
+        import signal
+        import subprocess
+        import sys
+
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        code = (
+            "import multiprocessing, os, sys, time\n"
+            "from repro.campaign import worker\n"
+            "from repro.campaign.jobs import Job\n"
+            "from repro.campaign.ledger import ServerLedger\n"
+            "root = sys.argv[1]\n"
+            "ledger = ServerLedger(root)\n"
+            "ledger.acquire()\n"
+            "ledger.record_submit(Job(id='job-0001', experiment='fig8'))\n"
+            "def run_job(payload):\n"
+            "    os.write(1, b'child %d\\n' % os.getpid())\n"
+            "    time.sleep(60)\n"
+            "worker.run_job = run_job\n"
+            "payload = {'store_root': root, 'job_id': 'job-0001',\n"
+            "           'experiment': 'fig8',\n"
+            "           'close_fds': ledger.open_fds()}\n"
+            "multiprocessing.get_context('fork').Process(\n"
+            "    target=worker.child_main, args=(payload,)).start()\n"
+            "os.write(1, b'fds %d\\n' % len(payload['close_fds']))\n"
+            "os._exit(0)\n"  # the server dies; its job child lives on
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        server = subprocess.Popen(
+            [sys.executable, "-c", code, str(tmp_path)],
+            env=env, stdout=subprocess.PIPE,
+        )
+        child_pid = None
+        try:
+            lines = dict(
+                server.stdout.readline().split() for _ in range(2)
+            )
+            child_pid = int(lines[b"child"])
+            assert lines[b"fds"] == b"2"  # the lock and the ledger
+            assert server.wait(timeout=10) == 0
+            os.kill(child_pid, 0)  # the orphaned child is still running
+            restarted = ServerLedger(tmp_path)
+            restarted.acquire()  # must not raise
+            restarted.close()
+        finally:
+            if child_pid is not None:
+                os.kill(child_pid, signal.SIGKILL)
+            if server.poll() is None:
+                server.kill()
+            server.stdout.close()
+
     def test_lock_dies_with_the_process(self, tmp_path):
         """Kernel-released lock: a SIGKILL'd holder does not wedge the
-        journal for the resuming process."""
+        ledger for the resuming process."""
         import os
         import signal
         import subprocess
@@ -451,9 +583,9 @@ class TestJournalLock:
         src = os.path.join(os.path.dirname(__file__), "..", "src")
         code = (
             "import sys, time\n"
-            "from repro.resilience.journal import CampaignJournal\n"
-            f"j = CampaignJournal({str(tmp_path / 'j.jsonl')!r})\n"
-            "j.acquire()\n"
+            "from repro.campaign.ledger import ServerLedger\n"
+            f"ledger = ServerLedger({str(tmp_path)!r})\n"
+            "ledger.acquire()\n"
             "print('locked', flush=True)\n"
             "time.sleep(60)\n"
         )
@@ -464,9 +596,7 @@ class TestJournalLock:
         )
         try:
             assert proc.stdout.readline().strip() == b"locked"
-            mine = CampaignJournal(tmp_path / "j.jsonl")
-            from repro.errors import JournalLockedError
-
+            mine = ServerLedger(tmp_path)
             with pytest.raises(JournalLockedError):
                 mine.acquire()
             proc.send_signal(signal.SIGKILL)

@@ -5,53 +5,31 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigError
-from repro.resilience import FaultClause, InjectedFaultError, Retry, parse_spec
+from repro.resilience import (
+    BACKOFF_SCHEDULE_S,
+    FaultClause,
+    InjectedFaultError,
+    backoff_sleep,
+    parse_spec,
+)
 from repro.resilience.faults import PRESETS, STORE_FAULT_KINDS
 
 pytestmark = pytest.mark.resilience
 
 
 class TestRetry:
-    def test_default_is_single_attempt_no_delay(self):
-        retry = Retry()
-        assert retry.attempts == 1
-        assert retry.delay_s(0, 1) == 0.0
-        assert retry.delay_s(0, 2) == 0.0  # base delay 0
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            dict(attempts=0),
-            dict(attempts=True),
-            dict(base_delay_s=-0.1),
-            dict(multiplier=0.5),
-            dict(jitter=1.5),
-            dict(jitter=-0.1),
-        ],
-    )
-    def test_validation(self, kwargs):
-        with pytest.raises(ConfigError):
-            Retry(**kwargs)
-
     def test_backoff_is_exponential(self):
-        retry = Retry(attempts=4, base_delay_s=0.1, multiplier=2.0)
-        assert retry.delay_s(3, 2) == pytest.approx(0.1)
-        assert retry.delay_s(3, 3) == pytest.approx(0.2)
-        assert retry.delay_s(3, 4) == pytest.approx(0.4)
+        assert BACKOFF_SCHEDULE_S == (0.1, 0.2, 0.4, 0.8, 1.6)
+        for before, after in zip(BACKOFF_SCHEDULE_S, BACKOFF_SCHEDULE_S[1:]):
+            assert after == 2 * before
 
-    def test_jitter_is_deterministic_and_bounded(self):
-        retry = Retry(attempts=3, base_delay_s=0.1, jitter=0.5, seed=11)
-        first = retry.delay_s(2, 2)
-        assert first == retry.delay_s(2, 2)  # same (seed, item, attempt)
-        assert 0.1 <= first <= 0.15
-        # A different item gets a different (but still bounded) delay.
-        other = retry.delay_s(3, 2)
-        assert other != first
-        assert 0.1 <= other <= 0.15
+    def test_backoff_sleep_sleeps_the_attempts_delay(self, monkeypatch):
+        from repro.resilience import policy
 
-    def test_first_attempt_never_delays(self):
-        retry = Retry(attempts=3, base_delay_s=5.0)
-        assert retry.delay_s(0, 1) == 0.0
+        slept = []
+        monkeypatch.setattr(policy, "sleep_s", slept.append)
+        delays = [backoff_sleep(attempt) for attempt in range(1, 6)]
+        assert delays == slept == list(BACKOFF_SCHEDULE_S)
 
 
 class TestSpecGrammar:

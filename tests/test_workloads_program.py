@@ -95,12 +95,6 @@ class TestStructure:
         trace = small_program.generate_slice(5)
         assert trace.mem_lines.min() >= 0
 
-    def test_code_regions(self, small_program):
-        regions = small_program.code_regions()
-        assert len(regions) == 3
-        ids = {b.block_id for r in regions for b in r.blocks}
-        assert len(ids) == sum(len(r.blocks) for r in regions)
-
     def test_block_sizes_exposed(self, small_program):
         assert small_program.block_sizes.shape == (small_program.num_blocks,)
         assert small_program.block_sizes.min() >= 1

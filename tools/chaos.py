@@ -323,14 +323,13 @@ class ChaosRunner:
 
     def check_ledger(self, ids: Dict[str, str]) -> None:
         """The ledger still replays, and no job un-completes."""
-        jobs = ServerLedger(self.cache).load()
-        by_id = {job.id: job for job in jobs}
+        ledger = ServerLedger(self.cache)
+        by_id = {job.id: job for job in ledger.load()}
         for name, job_id in ids.items():
             if job_id not in by_id:
                 self._fail(f"{name} job {job_id} lost from the ledger")
-        ledger_path = self.cache / "journals" / "campaign-server.jsonl"
         done: set = set()
-        for line in ledger_path.read_bytes().splitlines():
+        for line in ledger.path.read_bytes().splitlines():
             try:
                 record = json.loads(line)
             except ValueError:
