@@ -17,6 +17,19 @@ multinomial + shuffle draw:
   whole execution and its regional replays re-read their slices, and
   the warmup prefixes of nearby points overlap.
 
+The memo holds one program.  Every reader replays one program at a time
+and never returns to one it finished (Fig 12, the sampler frontier, the
+SPECrate copy sweep and the benchmark's ``sniper-regional`` round each go
+benchmark by benchmark), so inserting an entry under another program
+fingerprint first drops every entry of the program held, whether or not
+the new entry fits the budget.  A lookup of another program is a plain
+miss and drops nothing.  Within the program the byte budget evicts the
+least recently used entry first.  Measured at the default scale, a
+whole run's full slices take 63.0 MB (519.lbm_r) to 107.7 MB
+(600.perlbench_s), and one benchmark's Sniper regional and reduced
+replays keep 8.8 MB (620.omnetpp_s) to 56.1 MB (605.mcf_s), so the
+budget binds only above the default scale.
+
 An entry is one of two kinds, keyed alike by ``(program fingerprint,
 slice index)``:
 
@@ -42,7 +55,9 @@ The budget is ``REPRO_SLICE_CACHE_MB`` megabytes (default
 :data:`DEFAULT_BUDGET_MB`); ``0`` disables the memo entirely.  The memo
 is per-process: parallel workers each keep their own, which preserves
 the repo's partition-independent determinism story.  Full lookups count
-``slice.cache.{hit,miss}`` and header lookups ``slice.header.{hit,miss}``.
+``slice.cache.{hit,miss}`` and header lookups ``slice.header.{hit,miss}``;
+``slice.cache.evict`` counts each dropped entry, tagged
+``reason=program`` or ``reason=budget``.
 """
 
 from __future__ import annotations
@@ -57,10 +72,11 @@ from repro.errors import ConfigError
 from repro.isa.trace import SliceHeader, SliceTrace
 from repro.telemetry.recorder import get_recorder
 
-#: Default memo budget in megabytes: about two default-scale whole runs
-#: of full slices (505.mcf_r's 600 slices take about 94 MB).  The cache
-#: replays keep none, so what fills it is Sniper's flows, whose native
-#: run keeps the whole execution for the regional replays that follow.
+#: Default memo budget in megabytes.  The memo holds one program, and a
+#: default-scale whole run of full slices takes 63.0-107.7 MB, so the
+#: budget binds only above the default scale.  The cache replays keep
+#: none; what fills it is Sniper's flows, whose native run keeps the
+#: whole execution for the regional replays that follow.
 DEFAULT_BUDGET_MB = 192
 
 #: Bytes a header entry is charged for its paused generator (a PCG64
@@ -80,6 +96,9 @@ class _Entry(NamedTuple):
 
 class SliceTraceCache:
     """LRU map from ``(program fingerprint, slice index)`` to memo entries.
+
+    Every entry is of one program: inserting another program's entry
+    drops them all first.
 
     Args:
         budget_bytes: Maximum total size of the cached arrays (plus
@@ -131,34 +150,37 @@ class SliceTraceCache:
 
     def put(self, key: Key, trace: SliceTrace) -> None:
         """Insert a full trace (its header entry was taken before)."""
-        if key in self._entries:
-            self._entries.move_to_end(key)
-            return
-        size = _nbytes(trace, _TRACE_ARRAYS)
-        if size > self.budget_bytes:
-            return
-        self._insert(key, _Entry(trace, size, None), _TRACE_ARRAYS)
+        self._insert(key, trace, None, _TRACE_ARRAYS)
 
     def put_header(
         self, key: Key, header: SliceHeader, rng: np.random.Generator
     ) -> None:
         """Insert a header with the generator paused after its draws."""
+        self._insert(key, header, rng, _HEADER_ARRAYS)
+
+    def _insert(self, key: Key, value, rng, arrays) -> None:
         if key in self._entries:
             self._entries.move_to_end(key)
             return
-        size = _nbytes(header, _HEADER_ARRAYS) + GENERATOR_BYTES
+        # One program at a time: every reader is done with the program
+        # it read before, so its entries go before the first of another.
+        if self._entries and next(iter(self._entries))[0] != key[0]:
+            _count_evicted("program", len(self._entries))
+            self.clear()
+        size = _nbytes(value, arrays) + (0 if rng is None else GENERATOR_BYTES)
         if size > self.budget_bytes:
             return
-        self._insert(key, _Entry(header, size, rng), _HEADER_ARRAYS)
-
-    def _insert(self, key: Key, entry: _Entry, arrays) -> None:
         for name in arrays:
-            getattr(entry.value, name).flags.writeable = False
-        self._entries[key] = entry
-        self._bytes += entry.size
+            getattr(value, name).flags.writeable = False
+        self._entries[key] = _Entry(value, size, rng)
+        self._bytes += size
+        evicted = 0
         while self._bytes > self.budget_bytes:
-            _, evicted = self._entries.popitem(last=False)
-            self._bytes -= evicted.size
+            _, oldest = self._entries.popitem(last=False)
+            self._bytes -= oldest.size
+            evicted += 1
+        if evicted:
+            _count_evicted("budget", evicted)
 
     def clear(self) -> None:
         self._entries.clear()
@@ -210,6 +232,12 @@ def _count(name: str, found: bool) -> None:
     recorder = get_recorder()
     if recorder is not None:
         recorder.count(f"{name}.{'hit' if found else 'miss'}", 1)
+
+
+def _count_evicted(reason: str, n: int) -> None:
+    recorder = get_recorder()
+    if recorder is not None:
+        recorder.count("slice.cache.evict", n, reason=reason)
 
 
 def lookup(key: Key) -> Optional[SliceTrace]:
