@@ -92,13 +92,6 @@ def add_serve_parser(sub) -> None:
              "'rejected' answer (default: unbounded)",
     )
     serve.add_argument(
-        "--min-free-mb", type=int, default=0, metavar="MB",
-        dest="min_free_mb",
-        help="free-disk watermark on the store root; below it new jobs "
-             "run memory-only (degraded mode) instead of risking ENOSPC "
-             "(default: 0 = disabled)",
-    )
-    serve.add_argument(
         "--ready-file", metavar="FILE", default=None,
         help="write {socket, pid} as JSON once listening "
              "(for scripts that must wait for boot)",
@@ -136,10 +129,6 @@ def add_campaign_parser(sub) -> None:
         "--sampler", metavar="NAME[:k=v,...]", default=None,
         help="sampling methodology for experiments that support one "
              "(validated server-side against the sampler registry)",
-    )
-    submit.add_argument(
-        "--priority", type=int, default=100, metavar="P",
-        help="scheduling priority; lower runs sooner (default: 100)",
     )
     submit.add_argument(
         "--id-only", action="store_true",
@@ -211,7 +200,6 @@ def run_serve(args) -> int:
             stall_timeout_s=args.stall_timeout_s,
             max_kills=args.max_kills,
             max_queued=args.max_queued,
-            min_free_bytes=args.min_free_mb * 1024 * 1024,
         )
     except ConfigError as exc:
         print(f"invalid serve options: {exc}", file=sys.stderr)
@@ -283,7 +271,7 @@ def _run_submit(client, args) -> int:
         from repro.sampling.registry import sampler_kwargs
 
         kwargs.update(sampler_kwargs(args.sampler))
-    outcome = client.submit(args.experiment, kwargs, priority=args.priority)
+    outcome = client.submit(args.experiment, kwargs)
     job = outcome["job"]
     if args.id_only:
         print(job["id"])

@@ -128,18 +128,10 @@ class CampaignClient:
     def ping(self) -> dict:
         return self._request("ping")["server"]
 
-    def submit(
-        self,
-        experiment: str,
-        kwargs: Optional[dict] = None,
-        priority: int = 100,
-    ) -> dict:
+    def submit(self, experiment: str, kwargs: Optional[dict] = None) -> dict:
         """Submit; returns ``{"job": ..., "deduped": bool}``."""
         return self._request(
-            "submit",
-            experiment=experiment,
-            kwargs=kwargs or {},
-            priority=priority,
+            "submit", experiment=experiment, kwargs=kwargs or {}
         )
 
     def status(self, job_id: Optional[str] = None) -> dict:

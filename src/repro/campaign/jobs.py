@@ -50,9 +50,6 @@ TERMINAL_STATES = frozenset(
     {STATE_DONE, STATE_FAILED, STATE_CANCELLED, STATE_POISONED}
 )
 
-#: Default scheduling priority (lower runs sooner; FIFO within a tier).
-DEFAULT_PRIORITY = 100
-
 
 def validate_submission(experiment: str, kwargs: Optional[dict]) -> Tuple:
     """Validate a submission against the experiment registry.
@@ -96,7 +93,6 @@ class Job:
     id: str
     experiment: str
     kwargs: Dict = field(default_factory=dict)
-    priority: int = DEFAULT_PRIORITY
     key: Optional[str] = None
     state: str = STATE_QUEUED
     cached: bool = False
@@ -107,7 +103,6 @@ class Job:
     reused_items: int = 0
     completed_items: int = 0
     total_items: int = 0
-    degraded: bool = False
     cancel_requested: bool = False
     #: How many times this job's worker died without a status document
     #: (crash or watchdog kill).  Doubles as the run generation handed
@@ -124,7 +119,6 @@ class Job:
             "id": self.id,
             "experiment": self.experiment,
             "kwargs": dict(self.kwargs),
-            "priority": self.priority,
             "key": self.key,
             "state": self.state,
             "cached": self.cached,
@@ -135,7 +129,6 @@ class Job:
             "reused_items": self.reused_items,
             "completed_items": self.completed_items,
             "total_items": self.total_items,
-            "degraded": self.degraded,
             "kills": self.kills,
         }
 
@@ -144,13 +137,13 @@ class Job:
         """Rebuild a job from a :meth:`describe` dict (ledger replay).
 
         Fields it does not know are ignored, so older ledgers (whose
-        records carry a ``resume`` flag) still load.
+        records carry ``resume``, ``priority`` or ``degraded``) still
+        load.
         """
         known = {
-            "id", "experiment", "kwargs", "priority", "key", "state",
-            "cached", "error", "submitted_ns", "started_ns",
-            "finished_ns", "reused_items", "completed_items",
-            "total_items", "degraded", "kills",
+            "id", "experiment", "kwargs", "key", "state", "cached",
+            "error", "submitted_ns", "started_ns", "finished_ns",
+            "reused_items", "completed_items", "total_items", "kills",
         }
         fields = {k: v for k, v in record.items() if k in known}
         missing = {"id", "experiment"} - set(fields)
@@ -168,7 +161,6 @@ def summarize_jobs(jobs: List[Job]) -> List[dict]:
             "id": job.id,
             "experiment": job.experiment,
             "state": job.state,
-            "priority": job.priority,
             "cached": job.cached,
             "reused_items": job.reused_items,
             "completed_items": job.completed_items,

@@ -4,9 +4,9 @@ One :class:`CampaignServer` owns four things:
 
 * the **listener** — a unix-domain socket speaking newline-delimited
   ``repro-campaign-v1`` frames;
-* the **scheduler** — a priority/FIFO :class:`JobQueue` drained onto a
-  bounded pool of forked children (one process per job, because the
-  recorder/store/fault-plan slots are process-level singletons);
+* the **scheduler** — a FIFO queue drained onto a bounded pool of
+  forked children (one process per job, because the recorder/store/
+  fault-plan slots are process-level singletons);
 * the **ledger** — every accepted submission and state transition is
   fsync'd through :class:`ServerLedger` before it is acknowledged, so a
   SIGKILL'd server rebooted with ``--resume`` re-adopts its in-flight
@@ -15,10 +15,14 @@ One :class:`CampaignServer` owns four things:
 * the **broadcast plane** — the scheduler tick tails each running job's
   progress JSONL and fans new lines out to ``watch`` subscribers.
 
-Deduplication happens at submit time against both the in-flight job
-table and the artifact store, using the registry result-cache key — an
-identical submission either joins the existing job or is born ``done``
-from the stored result, and ``campaign.dedup.hit`` counts both.
+The artifact store is the one record of finished work.  A job is
+``done`` only when its result is stored under its key (the registry
+result-cache key): a child that reports success without one ends its
+job ``failed``.  An identical submission joins the latest job with its
+key while that job is queued or running, or ``done`` with its result
+still stored; otherwise a stored result births a new job already
+``done``, and without one the work queues.  ``campaign.dedup.hit``
+counts every submission answered without queueing.
 
 Shutdown is a drain: SIGTERM (or the ``shutdown`` op) stops the
 scheduler from starting new work, lets running children finish, then
@@ -29,16 +33,16 @@ next ``--resume`` boot.
 from __future__ import annotations
 
 import asyncio
+import collections
 import json
 import multiprocessing
 import os
 import signal
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Deque, Dict, List, Optional
 
 from repro.campaign import worker
 from repro.campaign.jobs import (
-    DEFAULT_PRIORITY,
     STATE_CANCELLED,
     STATE_DONE,
     STATE_FAILED,
@@ -60,13 +64,11 @@ from repro.campaign.protocol import (
     error_frame,
     ok_frame,
 )
-from repro.campaign.queue import JobQueue
 from repro.campaign.supervision import (
     DECISION_POISON,
     HEARTBEAT_COUNTER,
     JobSupervisor,
     SupervisionPolicy,
-    free_disk_bytes,
 )
 from repro.errors import (
     CampaignRejectedError,
@@ -115,8 +117,9 @@ class CampaignServer:
         self.supervisor = JobSupervisor(self.supervision)
         self._jobs: Dict[str, Job] = {}
         self._order: List[str] = []
+        #: Key -> id of the latest job submitted under it.
         self._by_key: Dict[str, str] = {}
-        self._queue = JobQueue(limit=self.supervision.max_queued)
+        self._queue: Deque[str] = collections.deque()
         self._running: Dict[str, multiprocessing.Process] = {}
         self._watchers: Dict[str, List[asyncio.Queue]] = {}
         self._progress_offset: Dict[str, int] = {}
@@ -124,8 +127,6 @@ class CampaignServer:
         self._draining = False
         self._adopted = 0
         self._conn_tasks: set = set()
-        self.degraded = False
-        self._last_disk_probe_ns: Optional[int] = None
         self._doctor_report: Dict[str, int] = {}
 
     # -- boot ----------------------------------------------------------
@@ -163,29 +164,23 @@ class CampaignServer:
                     self._next_id = max(self._next_id, int(job.id[4:]) + 1)
                 except ValueError:
                     pass
-            if job.key and (
-                job.state not in (STATE_FAILED, STATE_POISONED)
-                or job.key not in self._by_key
-            ):
-                self._by_key.setdefault(job.key, job.id)
+            if job.key is not None:
+                # Ledger order is submission order: the latest job of a
+                # key owns it, as it does after a submit.
+                self._by_key[job.key] = job.id
             if not job.terminal:
                 # Re-adopt: the job runs again, and the items it had
                 # finished come back from the artifact store.
                 job.state = STATE_QUEUED
                 job.error = None
-                self._queue.push(job.id, job.priority)
+                self._queue.append(job.id)
                 self._adopted += 1
                 self.recorder.count("campaign.adopted")
                 self.ledger.record_state(job)
 
     # -- submission / dedup --------------------------------------------
 
-    def submit(
-        self,
-        experiment: str,
-        kwargs: Optional[dict] = None,
-        priority: int = DEFAULT_PRIORITY,
-    ) -> dict:
+    def submit(self, experiment: str, kwargs: Optional[dict] = None) -> dict:
         """Validate, dedup, ledger, and queue one submission.
 
         Returns ``{"job": <describe>, "deduped": bool}``.  Raises
@@ -198,36 +193,26 @@ class CampaignServer:
             raise CampaignServiceError(
                 "server is draining and not accepting submissions"
             )
-        if not isinstance(priority, int) or isinstance(priority, bool):
-            raise CampaignServiceError(
-                f"priority must be an integer, got {priority!r}"
-            )
         spec, kwargs = validate_submission(experiment, kwargs)
         key = job_key(self.store, spec.name, kwargs)
-        if key is not None:
-            existing_id = self._by_key.get(key)
-            existing = self._jobs.get(existing_id) if existing_id else None
-            if existing is not None and existing.state not in (
-                STATE_FAILED,
-                STATE_CANCELLED,
-                STATE_POISONED,
-            ):
-                self.recorder.count("campaign.dedup.hit", source="inflight")
-                return {"job": existing.describe(), "deduped": True}
-        stored = key is not None and self.store.has(
-            "result", None, digest=key
-        )
-        if not stored and self._queue.full:
+        stored = self._result_stored(key)
+        existing = self._jobs.get(self._by_key.get(key))
+        if existing is not None and (
+            not existing.terminal or (existing.state == STATE_DONE and stored)
+        ):
+            self.recorder.count("campaign.dedup.hit", source="inflight")
+            return {"job": existing.describe(), "deduped": True}
+        limit = self.supervision.max_queued
+        if not stored and limit is not None and len(self._queue) >= limit:
             self.recorder.count("campaign.rejected")
             raise CampaignRejectedError(
-                f"queue is full ({self.supervision.max_queued} queued); "
+                f"queue is full ({limit} queued); "
                 f"retry after the backlog drains"
             )
         job = Job(
             id=f"job-{self._next_id:04d}",
             experiment=spec.name,
             kwargs=kwargs,
-            priority=priority,
             key=key,
             submitted_ns=monotonic_ns(),
         )
@@ -247,9 +232,13 @@ class CampaignServer:
             self.ledger.record_submit(job)
             return {"job": job.describe(), "deduped": True}
         self.ledger.record_submit(job)
-        self._queue.push(job.id, job.priority)
+        self._queue.append(job.id)
         self.recorder.count("campaign.queued")
         return {"job": job.describe(), "deduped": False}
+
+    def _result_stored(self, key: Optional[str]) -> bool:
+        """Whether the store holds the result under ``key``."""
+        return key is not None and self.store.has("result", None, digest=key)
 
     def cancel(self, job_id: str) -> Job:
         job = self._require_job(job_id)
@@ -257,7 +246,7 @@ class CampaignServer:
             return job
         job.cancel_requested = True
         if job.state == STATE_QUEUED:
-            self._queue.drop(job.id)
+            self._queue.remove(job.id)
             self._transition(job, STATE_CANCELLED)
         else:
             proc = self._running.get(job.id)
@@ -302,11 +291,8 @@ class CampaignServer:
             "kwargs": dict(job.kwargs),
             "close_fds": self.ledger.open_fds(),
             "heartbeat_s": self.supervision.heartbeat_s,
-            "no_cache": self.degraded,
             "generation": job.kills,
         }
-        if self.degraded:
-            job.degraded = True
         ctx = multiprocessing.get_context(
             "fork"
             if "fork" in multiprocessing.get_all_start_methods()
@@ -324,48 +310,11 @@ class CampaignServer:
         self._broadcast(job.id, {"event": "state", "job": job.describe()})
 
     def _tick(self) -> None:
-        self._probe_disk()
         if not self._draining:
-            while len(self._running) < self.workers:
-                job_id = self._queue.pop()
-                if job_id is None:
-                    break
-                job = self._jobs[job_id]
-                if job.cancel_requested:
-                    self._transition(job, STATE_CANCELLED)
-                    continue
-                self._start_job(job)
+            while self._queue and len(self._running) < self.workers:
+                self._start_job(self._jobs[self._queue.popleft()])
         self._pump_progress()
         self._reap()
-
-    def _probe_disk(self) -> None:
-        """Flip degraded (no-cache) mode on the free-disk watermark.
-
-        Degradation, not death: below the watermark new children run
-        memory-only so the campaign keeps answering, just without
-        artifacts.  The mode clears itself once space returns.
-        """
-        if self.supervision.min_free_bytes <= 0:
-            return
-        now_ns = monotonic_ns()
-        interval_ns = int(self.supervision.disk_probe_interval_s * 1e9)
-        if (
-            self._last_disk_probe_ns is not None
-            and now_ns - self._last_disk_probe_ns < interval_ns
-        ):
-            return
-        self._last_disk_probe_ns = now_ns
-        low = (
-            free_disk_bytes(self.store.root)
-            < self.supervision.min_free_bytes
-        )
-        if low != self.degraded:
-            self.degraded = low
-            self.recorder.count(
-                "campaign.degraded.flip",
-                direction="enter" if low else "exit",
-            )
-        self.recorder.gauge("campaign.degraded", 1 if self.degraded else 0)
 
     def _pump_progress(self) -> None:
         for job_id in list(self._running):
@@ -418,9 +367,15 @@ class CampaignServer:
                 job.completed_items = int(status.get("completed_items", 0))
                 job.total_items = int(status.get("total_items", 0))
                 job.error = status.get("error")
-                self._transition(
-                    job, STATE_DONE if status.get("ok") else STATE_FAILED
-                )
+                ok = bool(status.get("ok"))
+                done = ok and self._result_stored(job.key)
+                if ok and not done:
+                    # A result write that failed (a full disk, say)
+                    # leaves nothing to fetch: that is not done.
+                    job.error = (
+                        "the run finished but its result was not stored"
+                    )
+                self._transition(job, STATE_DONE if done else STATE_FAILED)
             elif job.cancel_requested:
                 self._transition(job, STATE_CANCELLED)
             else:
@@ -446,7 +401,7 @@ class CampaignServer:
                     job.error = reason
                     job.state = STATE_QUEUED
                     self.ledger.record_state(job)
-                    self._queue.push(job.id, job.priority)
+                    self._queue.append(job.id)
                     self.recorder.count("campaign.requeued")
             self._broadcast(job_id, {"event": "state", "job": job.describe()})
             if job.terminal:
@@ -508,7 +463,6 @@ class CampaignServer:
             "adopted": self._adopted,
             "jobs": states,
             "queue_depth": len(self._queue),
-            "degraded": self.degraded,
             "supervision": self.supervision.describe(),
             "ledger_quarantined": self._doctor_report.get("quarantined", 0),
             "metrics": self.recorder.metrics.snapshot(),
@@ -657,12 +611,9 @@ class CampaignServer:
             if op == "ping":
                 return ok_frame(server=self.server_status())
             if op == "submit":
-                outcome = self.submit(
-                    frame.get("experiment"),
-                    frame.get("kwargs"),
-                    priority=frame.get("priority", DEFAULT_PRIORITY),
+                return ok_frame(
+                    **self.submit(frame.get("experiment"), frame.get("kwargs"))
                 )
-                return ok_frame(**outcome)
             if op == "status":
                 if frame.get("job") is None:
                     return ok_frame(server=self.server_status())

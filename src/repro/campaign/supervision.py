@@ -1,4 +1,4 @@
-"""Supervision: heartbeats, hang detection, backpressure, degradation.
+"""Supervision: heartbeats, hang detection, kill budgets, backpressure.
 
 The campaign server's self-defense layer.  Three concerns live here so
 they are testable without an event loop or a real forked child:
@@ -19,12 +19,8 @@ they are testable without an event loop or a real forked child:
   At the budget the job is quarantined as ``poisoned``: terminal,
   surfaced by ``status``/``ls``, never blocking the queue.
 
-* **Backpressure + degradation** — a bounded queue (``max_queued``)
-  turns overload into a structured ``rejected`` frame instead of an
-  unbounded backlog, and a free-disk watermark on the store root flips
-  the server into a no-cache degraded mode (children run memory-only,
-  ``campaign.degraded`` gauge, warning in ``status``) instead of dying
-  of ENOSPC mid-campaign.
+* **Backpressure** — a bounded queue (``max_queued``) turns overload
+  into a structured ``rejected`` frame instead of an unbounded backlog.
 
 All decision logic is pure functions of (policy, clock reading, job
 bookkeeping); the server supplies the clock and executes the verdicts.
@@ -32,12 +28,10 @@ bookkeeping); the server supplies the clock and executes the verdicts.
 
 from __future__ import annotations
 
-import shutil
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.errors import ConfigError
-from repro.resilience.faults import inject_service_fault
 
 __all__ = [
     "DECISION_POISON",
@@ -45,7 +39,6 @@ __all__ = [
     "HEARTBEAT_COUNTER",
     "JobSupervisor",
     "SupervisionPolicy",
-    "free_disk_bytes",
 ]
 
 #: Counter name of worker liveness beats in the progress stream.  The
@@ -62,12 +55,12 @@ DECISION_POISON = "poison"
 class SupervisionPolicy:
     """The server's self-defense knobs (all CLI-surfaced).
 
-    ``stall_timeout_s <= 0`` disables hang detection, ``max_queued is
-    None`` unbounds the queue, ``min_free_bytes <= 0`` disables the
-    disk watermark — each guard is independently optional, and the
-    defaults keep historical behavior except for the kill budget
-    (previously a crashed child failed its job outright; now it retries
-    up to ``max_kills`` times before the harsher ``poisoned`` verdict).
+    ``stall_timeout_s <= 0`` disables hang detection and ``max_queued
+    is None`` unbounds the queue — each guard is independently
+    optional, and the defaults keep historical behavior except for the
+    kill budget (previously a crashed child failed its job outright; now
+    it retries up to ``max_kills`` times before the harsher
+    ``poisoned`` verdict).
     """
 
     #: Beat cadence inside the worker child.
@@ -78,10 +71,6 @@ class SupervisionPolicy:
     max_kills: int = 3
     #: Queue bound for admission control (None = unbounded).
     max_queued: Optional[int] = None
-    #: Free-disk watermark on the store root (0 = disabled).
-    min_free_bytes: int = 0
-    #: Cadence of the free-disk probe.
-    disk_probe_interval_s: float = 5.0
 
     def __post_init__(self) -> None:
         if self.heartbeat_s <= 0:
@@ -102,11 +91,6 @@ class SupervisionPolicy:
             raise ConfigError(
                 f"max queued must be a positive integer, got {self.max_queued!r}"
             )
-        if self.disk_probe_interval_s <= 0:
-            raise ConfigError(
-                f"disk probe interval must be > 0, "
-                f"got {self.disk_probe_interval_s!r}"
-            )
 
     @property
     def watchdog_interval_s(self) -> float:
@@ -124,24 +108,7 @@ class SupervisionPolicy:
             "stall_timeout_s": self.stall_timeout_s,
             "max_kills": self.max_kills,
             "max_queued": self.max_queued,
-            "min_free_bytes": self.min_free_bytes,
         }
-
-
-def free_disk_bytes(root) -> int:
-    """Free bytes on the filesystem holding ``root``.
-
-    The ``diskfull`` service fault forces a zero reading, so degraded
-    mode is testable without actually filling a disk.
-    """
-    if inject_service_fault("diskfull"):
-        return 0
-    try:
-        return int(shutil.disk_usage(str(root)).free)
-    except OSError:
-        # An unstatable store root is indistinguishable from a sick
-        # disk; report empty so the server degrades instead of crashing.
-        return 0
 
 
 class JobSupervisor:

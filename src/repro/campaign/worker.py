@@ -189,9 +189,7 @@ def run_job(payload: dict) -> dict:
     job_id = payload["job_id"]
     spec = get_spec(payload["experiment"])
     recorder = ProgressRecorder(progress_path(store_root, job_id))
-    # Degraded (low-disk) mode: run memory-only so the job completes
-    # without a single artifact write that could ENOSPC mid-campaign.
-    configure_cache(store_root, enabled=not payload.get("no_cache"))
+    configure_cache(store_root)
     pump = None
     heartbeat_s = float(payload.get("heartbeat_s", 0) or 0)
     if heartbeat_s > 0:

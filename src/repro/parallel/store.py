@@ -17,7 +17,9 @@ are never *read*, only orphaned (and removable with ``cache clear``).
 Writes are crash- and race-safe: payloads land in a temporary file in
 the destination directory and are published with :func:`os.replace`, so
 concurrent writers of the same key each produce a complete artifact and
-the last atomic rename wins.
+the last atomic rename wins.  A write that fails anywhere on the way (a
+full disk at the root, the directory or the temp file) raises
+:class:`~repro.errors.StoreError`, which every caller survives.
 
 Every payload travels inside a checksum envelope (``repro-envelope-v1``:
 a SHA-256 digest over the payload bytes), so corruption that JSON or
@@ -210,6 +212,24 @@ def _decode_pickle_envelope(raw: bytes):
     if hashlib.sha256(data).hexdigest().encode("ascii") != fields[1]:
         return None, False
     return data, True
+
+
+def _replace_atomically(target: Path, data: bytes) -> None:
+    """Write ``data`` to a temp file beside ``target``, then rename it
+    over ``target``; the temp file is removed if that fails."""
+    fd, tmp_name = tempfile.mkstemp(
+        dir=str(target.parent), prefix=target.name + ".", suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+        os.replace(tmp_name, target)
+    except OSError:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        raise
 
 
 @dataclass(frozen=True)
@@ -422,50 +442,29 @@ class ArtifactStore:
     def _atomic_write(
         self, path: Path, data: bytes, kind: Optional[str] = None
     ) -> None:
-        if kind is not None and self.inject_faults:
-            from repro.resilience.faults import inject_store_fault
-
-            try:
-                data = inject_store_fault(kind, data)
-            except OSError as exc:
-                raise StoreError(f"cannot write artifact {path}: {exc}") from exc
-        self._ensure_root()
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(
-            dir=str(path.parent), prefix=path.name + ".", suffix=".tmp"
-        )
+        """Publish ``data`` at ``path``; any ``OSError`` is a
+        :class:`StoreError`."""
         try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(data)
-            os.replace(tmp_name, path)
+            if kind is not None and self.inject_faults:
+                from repro.resilience.faults import inject_store_fault
+
+                data = inject_store_fault(kind, data)
+            self._ensure_root()
+            path.parent.mkdir(parents=True, exist_ok=True)
+            _replace_atomically(path, data)
         except OSError as exc:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
             raise StoreError(f"cannot write artifact {path}: {exc}") from exc
 
     def _ensure_root(self) -> None:
         marker = self.root / MARKER_NAME
         if marker.is_file():
             return
-        self.root.mkdir(parents=True, exist_ok=True)
-        self._atomic_marker(marker)
-
-    def _atomic_marker(self, marker: Path) -> None:
-        data = json.dumps({"schema": SCHEMA_TAG}).encode("utf-8")
-        fd, tmp_name = tempfile.mkstemp(
-            dir=str(self.root), prefix=MARKER_NAME + ".", suffix=".tmp"
-        )
         try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(data)
-            os.replace(tmp_name, marker)
+            self.root.mkdir(parents=True, exist_ok=True)
+            _replace_atomically(
+                marker, json.dumps({"schema": SCHEMA_TAG}).encode("utf-8")
+            )
         except OSError as exc:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
             raise StoreError(f"cannot initialize store {self.root}: {exc}") from exc
 
     def _quarantine(self, path: Path, kind: str) -> None:

@@ -30,7 +30,6 @@ Service-level faults (the campaign chaos harness)::
     workerhang:items=1:gen=0  # SIGSTOP it (beats stop; watchdog fires)
     connreset:every=2         # drop every 2nd watch stream mid-events
     ledgertear:every=3        # write a torn decoy line into the journal
-    diskfull:every=1          # free-disk probe reports zero bytes free
 
 ``workerkill``/``workerhang`` ride the worker dispatch hook but only
 ever fire inside a process marked as a *service worker*
@@ -39,8 +38,8 @@ CLI run with the same plan in its environment is never killed.  The
 ``gen=N`` option matches the job's kill count, so a clause can wedge a
 job's first run (``gen=0``) and let the requeued run through — the
 deterministic kill→requeue→complete cycle the chaos smoke asserts.
-``connreset``/``ledgertear``/``diskfull`` trigger by a per-point
-ordinal via :func:`inject_service_fault`, like store faults.
+``connreset``/``ledgertear`` trigger by a per-point ordinal via
+:func:`inject_service_fault`, like store faults.
 
 The active plan lives in a module-level slot like the telemetry
 recorder: explicit :func:`set_plan`/:func:`using_plan`, or lazily from
@@ -92,7 +91,7 @@ WORKER_FAULT_KINDS = ("crash", "poolcrash", "workerkill", "workerhang")
 STORE_FAULT_KINDS = ("truncate", "garbage", "enospc")
 
 #: Faults applied at campaign-service hook points, by per-point ordinal.
-SERVICE_FAULT_KINDS = ("connreset", "ledgertear", "diskfull")
+SERVICE_FAULT_KINDS = ("connreset", "ledgertear")
 
 _ALL_KINDS = WORKER_FAULT_KINDS + STORE_FAULT_KINDS + SERVICE_FAULT_KINDS
 
@@ -389,8 +388,7 @@ def inject_service_fault(point: str) -> bool:
 
     ``point`` is one of :data:`SERVICE_FAULT_KINDS`; the caller owns the
     fault's semantics (the server drops the connection, the journal
-    writes a torn decoy line, the disk probe reports zero free bytes) —
-    this hook only answers "fire now?" deterministically and counts it.
+    writes a torn decoy line) — this hook only answers "fire now?" deterministically and counts it.
     """
     plan = get_plan()
     if plan is None:

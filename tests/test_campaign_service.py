@@ -7,7 +7,8 @@ the service's three headline guarantees:
 
 * a service-run result is byte-identical to a direct CLI run;
 * identical concurrent submissions run the work exactly once
-  (``campaign.dedup.hit`` >= 1);
+  (``campaign.dedup.hit`` >= 1), and a job is ``done`` only when its
+  result is stored;
 * kill -9 mid-campaign + restart ``--resume`` reuses the items the
   killed job stored instead of recomputing them, and the final artifact
   is still byte-identical.
@@ -263,6 +264,29 @@ class TestServiceEndToEnd:
             again = client.submit("fig8", kwargs)
             assert again["deduped"] is False
             assert again["job"]["id"] != job_id
+            client.cancel(again["job"]["id"])
+        finally:
+            assert _shutdown(client, proc) == 0
+
+    def test_unstored_result_fails_the_job(self, tmp_path):
+        """A run whose result write fails (ENOSPC on every ``result``
+        artifact) computes, but leaves nothing to fetch: its job ends
+        ``failed``, and the same work submitted again queues anew."""
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        proc = _spawn_server(cache, faults="enospc:every=1:kinds=result")
+        client = _client_for(cache)
+        try:
+            job_id = client.submit("fig8", {"benchmarks": QUICK_BENCH})[
+                "job"]["id"]
+            job = client.wait(job_id, timeout_s=JOB_TIMEOUT_S)
+            assert job["state"] == "failed"
+            assert "result was not stored" in job["error"]
+            assert job["completed_items"] == job["total_items"] > 0
+            with pytest.raises(CampaignServiceError, match="not done"):
+                client.result(job_id)
+            again = client.submit("fig8", {"benchmarks": QUICK_BENCH})
+            assert again["deduped"] is False
             client.cancel(again["job"]["id"])
         finally:
             assert _shutdown(client, proc) == 0

@@ -1,9 +1,8 @@
 """Unit tests for the supervision layer (no sockets, no forks).
 
 The policy knobs, the supervisor's stall/kill-budget verdicts, the
-free-disk probe under the ``diskfull`` service fault, the journal
-doctor's quarantine, ledger compaction, admission control, and the
-poisoned quarantine surviving ``--resume`` — all driven directly as
+journal doctor's quarantine, ledger compaction, admission control, and
+the poisoned quarantine surviving ``--resume`` — all driven directly as
 objects.  The end-to-end choreography (real forked workers, SIGKILL,
 the watchdog task) lives in ``test_campaign_service.py`` and the chaos
 harness (``tools/chaos.py``).
@@ -27,10 +26,8 @@ from repro.campaign.supervision import (
     DECISION_REQUEUE,
     JobSupervisor,
     SupervisionPolicy,
-    free_disk_bytes,
 )
 from repro.errors import CampaignRejectedError, ConfigError
-from repro.resilience.faults import parse_spec, using_plan
 
 
 class TestSupervisionPolicy:
@@ -50,7 +47,6 @@ class TestSupervisionPolicy:
             {"max_kills": 1.5},
             {"max_queued": 0},
             {"max_queued": True},
-            {"disk_probe_interval_s": 0},
         ],
         ids=lambda kw: repr(kw),
     )
@@ -60,7 +56,8 @@ class TestSupervisionPolicy:
 
     def test_watchdog_wakes_well_inside_one_deadline(self):
         assert SupervisionPolicy(stall_timeout_s=8.0).watchdog_interval_s == 2.0
-        # Disabled hang detection still ticks (cheaply) for disk probes.
+        # With hang detection disabled the watchdog still wakes once a
+        # second; it checks nothing.
         assert SupervisionPolicy(stall_timeout_s=0).watchdog_interval_s == 1.0
         # Never busier than 20 Hz, however tight the deadline.
         assert SupervisionPolicy(
@@ -130,18 +127,6 @@ class TestJobSupervisor:
         assert sup.record_kill(job) == DECISION_REQUEUE
         assert sup.record_kill(job) == DECISION_POISON
         assert job.kills == 3
-
-
-class TestFreeDiskBytes:
-    def test_reports_real_free_space(self, tmp_path):
-        assert free_disk_bytes(tmp_path) > 0
-
-    def test_diskfull_fault_forces_zero(self, tmp_path):
-        with using_plan(parse_spec("diskfull:every=1")):
-            assert free_disk_bytes(tmp_path) == 0
-
-    def test_unstatable_root_reads_empty(self, tmp_path):
-        assert free_disk_bytes(tmp_path / "no" / "such" / "dir") == 0
 
 
 class TestJournalDoctor:

@@ -1,12 +1,14 @@
 """Unit tests for the campaign service's pieces (no sockets, no forks).
 
-The wire protocol, the scheduling queue, submission validation, the
-dedup key, the server ledger, and the server's submit/dedup logic
-driven directly as objects.  The end-to-end daemon behaviour (real
+The wire protocol, submission validation, the dedup key, the server
+ledger, and the server's submit/dedup, scheduling and reap logic driven
+directly as objects.  The end-to-end daemon behaviour (real
 subprocesses, kill -9, drain) lives in ``test_campaign_service.py``.
 """
 
 from __future__ import annotations
+
+import json
 
 import pytest
 
@@ -27,7 +29,6 @@ from repro.campaign.protocol import (
     ok_frame,
     request_frame,
 )
-from repro.campaign.queue import JobQueue
 from repro.errors import CampaignServiceError, ProtocolError
 
 
@@ -71,31 +72,6 @@ class TestProtocol:
         assert check_ok(ok_frame(x=1))["x"] == 1
         with pytest.raises(ProtocolError, match="refused-code"):
             check_ok(error_frame("refused-code", "nope"))
-
-
-class TestJobQueue:
-    def test_priority_order(self):
-        q = JobQueue()
-        q.push("low", 200)
-        q.push("high", 10)
-        q.push("mid", 100)
-        assert [q.pop(), q.pop(), q.pop()] == ["high", "mid", "low"]
-        assert q.pop() is None
-
-    def test_fifo_within_priority(self):
-        q = JobQueue()
-        for name in ("a", "b", "c"):
-            q.push(name, 100)
-        assert [q.pop(), q.pop(), q.pop()] == ["a", "b", "c"]
-
-    def test_lazy_cancellation(self):
-        q = JobQueue()
-        q.push("a", 1)
-        q.push("b", 2)
-        q.drop("a")
-        assert len(q) == 1
-        assert q.pop() == "b"
-        assert q.pop() is None
 
 
 class TestValidateSubmission:
@@ -161,7 +137,6 @@ class TestJobRecord:
             id="job-0007",
             experiment="fig8",
             kwargs={"benchmarks": ["505.mcf_r"]},
-            priority=5,
             key="abc",
             state="running",
             reused_items=2,
@@ -176,10 +151,14 @@ class TestJobRecord:
             Job.from_record({"experiment": "fig8"})
 
     def test_unknown_fields_ignored(self):
+        # Older ledgers' records carry a ``priority`` and a ``degraded``
+        # flag; they still load.
         job = Job.from_record(
-            {"id": "job-1", "experiment": "fig8", "future_field": 42}
+            {"id": "job-1", "experiment": "fig8", "future_field": 42,
+             "priority": 5, "degraded": True}
         )
         assert job.id == "job-1"
+        assert "priority" not in job.describe()
 
     def test_summarize(self):
         rows = summarize_jobs([Job(id="job-1", experiment="fig8")])
@@ -229,19 +208,21 @@ class TestServerLedger:
         second.close()
 
 
+@pytest.fixture
+def server(tmp_path):
+    """A booted CampaignServer driven as an object: no event loop."""
+    from repro.campaign.server import CampaignServer
+    from repro.parallel.store import ArtifactStore
+
+    store = ArtifactStore(tmp_path / "store")
+    srv = CampaignServer(store, tmp_path / "sock")
+    srv.boot()
+    yield srv
+    srv.ledger.close()
+
+
 class TestServerSubmitDedup:
     """Drive CampaignServer.submit directly — no event loop needed."""
-
-    @pytest.fixture
-    def server(self, tmp_path):
-        from repro.campaign.server import CampaignServer
-        from repro.parallel.store import ArtifactStore
-
-        store = ArtifactStore(tmp_path / "store")
-        srv = CampaignServer(store, tmp_path / "sock")
-        srv.boot()
-        yield srv
-        srv.ledger.close()
 
     def test_identical_submissions_dedup(self, server):
         first = server.submit("fig8", {"benchmarks": ["505.mcf_r"]})
@@ -289,10 +270,43 @@ class TestServerSubmitDedup:
         job_id = server.submit("fig8", {})["job"]["id"]
         job = server.cancel(job_id)
         assert job.state == "cancelled"
+        assert len(server._queue) == 0
         # A new identical submission is accepted (terminal-failed/
         # cancelled jobs don't hold the dedup slot).
         again = server.submit("fig8", {})
         assert again["deduped"] is False
+
+    def test_queued_jobs_start_in_submission_order(self, server,
+                                                   monkeypatch):
+        started = []
+        monkeypatch.setattr(
+            server, "_start_job", lambda job: started.append(job.id)
+        )
+        ids = [
+            server.submit("fig8", {"benchmarks": [name]})["job"]["id"]
+            for name in ("505.mcf_r", "520.omnetpp_r", "525.x264_r")
+        ]
+        server._tick()
+        assert started == ids
+        assert len(server._queue) == 0
+
+    def test_done_job_absorbs_resubmissions_only_while_stored(self, server):
+        from repro.experiments.registry import result_key_params
+
+        kwargs = {"benchmarks": ["505.mcf_r"]}
+        server.store.put_json(
+            "result", result_key_params("fig8", kwargs), {"any": "payload"}
+        )
+        done = server.submit("fig8", kwargs)["job"]
+        again = server.submit("fig8", kwargs)
+        assert again["deduped"] is True
+        assert again["job"]["id"] == done["id"]
+
+        server.store.path_for("result", done["key"], "json").unlink()
+        fresh = server.submit("fig8", kwargs)
+        assert fresh["deduped"] is False
+        assert fresh["job"]["id"] != done["id"]
+        assert fresh["job"]["state"] == "queued"
 
     def test_ledger_survives_for_resume(self, tmp_path, server):
         server.submit("fig8", {"benchmarks": ["505.mcf_r"]})
@@ -308,6 +322,26 @@ class TestServerSubmitDedup:
             assert reborn._adopted == 1
             jobs = list(reborn._jobs.values())
             assert jobs[0].state == "queued"
+        finally:
+            reborn.ledger.close()
+
+    def test_resume_hands_the_key_to_the_latest_job(self, tmp_path, server):
+        """Cancel, resubmit, reboot with ``--resume``: the resubmission
+        is the live job, and a further identical submission joins it."""
+        kwargs = {"benchmarks": ["505.mcf_r"]}
+        server.cancel(server.submit("fig8", kwargs)["job"]["id"])
+        live = server.submit("fig8", kwargs)["job"]["id"]
+        server.ledger.close()
+
+        from repro.campaign.server import CampaignServer
+
+        reborn = CampaignServer(server.store, tmp_path / "sock", resume=True)
+        reborn.boot()
+        try:
+            again = reborn.submit("fig8", kwargs)
+            assert again["deduped"] is True
+            assert again["job"]["id"] == live
+            assert list(reborn._queue) == [live]
         finally:
             reborn.ledger.close()
 
@@ -329,6 +363,63 @@ class TestServerSubmitDedup:
 
         with pytest.raises(CampaignServiceError, match="store"):
             CampaignServer(None, tmp_path / "sock")
+
+
+class TestReap:
+    """A child that reports success makes its job ``done`` only when the
+    job's result is in the store."""
+
+    KWARGS = {"benchmarks": ["505.mcf_r"]}
+
+    class ExitedChild:
+        exitcode = 0
+
+        def is_alive(self):
+            return False
+
+        def join(self):
+            pass
+
+    def run(self, server, monkeypatch, store_result: bool) -> Job:
+        """Submit, then start and reap one job whose child reported ok."""
+        from repro.campaign import worker
+        from repro.experiments.registry import result_key_params
+
+        def start(job):
+            job.state = "running"
+            server._running[job.id] = self.ExitedChild()
+            if store_result:
+                server.store.put_json(
+                    "result", result_key_params("fig8", self.KWARGS),
+                    {"any": "payload"},
+                )
+            status = worker.status_path(server.store.root, job.id)
+            status.parent.mkdir(parents=True, exist_ok=True)
+            status.write_text(json.dumps(
+                {"job_id": job.id, "ok": True, "error": None,
+                 "total_items": 1, "completed_items": 1}
+            ))
+
+        monkeypatch.setattr(server, "_start_job", start)
+        job_id = server.submit("fig8", self.KWARGS)["job"]["id"]
+        server._tick()
+        return server._jobs[job_id]
+
+    def test_ok_with_the_result_stored_is_done(self, server, monkeypatch):
+        job = self.run(server, monkeypatch, store_result=True)
+        assert job.state == "done"
+        assert job.error is None
+        assert server.stored_result(job) == {"any": "payload"}
+
+    def test_ok_without_a_stored_result_fails(self, server, monkeypatch):
+        job = self.run(server, monkeypatch, store_result=False)
+        assert job.state == "failed"
+        assert "result was not stored" in job.error
+        with pytest.raises(CampaignServiceError, match="is failed"):
+            server.stored_result(job)
+        # The failed job does not absorb the work: it queues again.
+        again = server.submit("fig8", self.KWARGS)
+        assert again["deduped"] is False
 
 
 class _StubClient:

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import errno
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -188,3 +191,42 @@ class TestFaultInjection:
         assert injecting_store.get_json("metrics", {"k": 0}) == {"v": 0}
         assert injecting_store.get_json("metrics", {"k": 1}) == {"v": 1}
         assert injecting_store.get_json("metrics", {"k": 2}) is None
+
+
+def _enospc(*args, **kwargs):
+    raise OSError(errno.ENOSPC, "No space left on device")
+
+
+#: The two calls a full disk fails before any byte is written.
+FULL_DISK_CALLS = {
+    "mkdir": (Path, "mkdir"),
+    "mkstemp": (tempfile, "mkstemp"),
+}
+
+
+class TestFullDisk:
+    """A full disk fails a write as StoreError wherever it strikes: at
+    the store root, the artifact's directory, or its temp file."""
+
+    @pytest.mark.parametrize("root", ["existing", "fresh"])
+    @pytest.mark.parametrize("call", ["mkdir", "mkstemp"])
+    def test_enospc_is_a_store_error(self, store, monkeypatch, call, root):
+        if root == "existing":
+            store.put_json("metrics", {"k": 0}, {"v": 0})
+        monkeypatch.setattr(*FULL_DISK_CALLS[call], _enospc)
+        with pytest.raises(StoreError, match="No space left"):
+            store.put_json("metrics", {"k": 1}, {"v": 1})
+        assert not store.has("metrics", {"k": 1})
+
+    @pytest.mark.parametrize("call", ["mkdir", "mkstemp"])
+    def test_memo_computes_uncached(self, tmp_path, monkeypatch, empty_memo,
+                                    call):
+        from repro.experiments.common import memo, set_store
+
+        previous = set_store(ArtifactStore(tmp_path / "store"))
+        try:
+            monkeypatch.setattr(*FULL_DISK_CALLS[call], _enospc)
+            assert memo("full-disk", {"k": 1}, lambda: {"v": 1}) == {"v": 1}
+        finally:
+            set_store(previous)
+

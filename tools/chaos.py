@@ -20,16 +20,16 @@ promises:
 * **repeat offenders poisoned** — a job whose worker dies every
   generation is quarantined as ``poisoned`` at the kill budget, with
   the kill count intact across server reboots;
-* **backpressure + degradation** — a bounded queue answers ``rejected``
-  when full, and a ``diskfull`` fault flips the server into no-cache
-  degraded mode instead of killing it.
+* **backpressure** — with no fault plan, a bounded queue answers
+  ``rejected`` when full, and every ``done`` job's result can be
+  fetched.
 
-Everything is deterministic modulo scheduling: the fault plan is the
-``ci-chaos`` preset (pure functions of item index and run generation),
-and the only random choice — when to pull the plug on the server — is
-drawn from ``random.Random(seed)``, so a failing run reproduces with
-its seed.  Violations accumulate in a list and are reported together;
-the process exits non-zero if any invariant broke.
+Everything is deterministic modulo scheduling: the crash phase's fault
+plan is the ``ci-chaos`` preset (pure functions of item index and run
+generation), and the only random choice — when to pull the plug on the
+server — is drawn from ``random.Random(seed)``, so a failing run
+reproduces with its seed.  Violations accumulate in a list and are
+reported together; the process exits non-zero if any invariant broke.
 """
 
 from __future__ import annotations
@@ -52,9 +52,6 @@ from repro.telemetry.clock import monotonic_ns, sleep_s
 #: Fault plan of the crash phase (see faults.PRESETS["ci-chaos"]).
 CHAOS_PLAN = "ci-chaos"
 
-#: Fault plan of the degradation phase: every free-disk probe reads 0.
-DEGRADED_PLAN = "diskfull:every=1"
-
 #: The three submissions of the crash phase.  One benchmark finishes
 #: untouched; three trip the gen-0 hang once and then complete; five
 #: reach item 4 every generation and exhaust the kill budget.
@@ -65,9 +62,9 @@ POISON_BENCH = [
     "548.exchange2_r", "557.xz_r",
 ]
 
-#: Degradation-phase benchmarks (disjoint from the crash phase so
+#: Backpressure-phase benchmarks (disjoint from the crash phase so
 #: nothing dedups against a stored result).
-DEGRADED_BENCH = ["600.perlbench_s", "602.gcc_s", "605.mcf_s"]
+BACKPRESSURE_BENCH = ["600.perlbench_s", "602.gcc_s", "605.mcf_s"]
 
 BOOT_TIMEOUT_S = 30.0
 JOB_TIMEOUT_S = 120.0
@@ -96,13 +93,19 @@ class ChaosRunner:
     def _client(self) -> CampaignClient:
         return CampaignClient(self.socket)
 
-    def _boot(self, plan: str, *extra: str) -> None:
-        """Start ``serve`` in its own session and wait for the ready file."""
+    def _boot(self, plan: Optional[str], *extra: str) -> None:
+        """Start ``serve`` in its own session and wait for the ready file.
+
+        ``plan`` is the server's ``REPRO_INJECT_FAULTS``; None boots it
+        with no fault plan.
+        """
         self._boots += 1
         ready = self.workdir / f"ready-{self._boots}.json"
         log = open(self.workdir / f"server-{self._boots}.log", "wb")
         env = dict(os.environ)
-        env["REPRO_INJECT_FAULTS"] = plan
+        env.pop("REPRO_INJECT_FAULTS", None)
+        if plan is not None:
+            env["REPRO_INJECT_FAULTS"] = plan
         self._server = subprocess.Popen(
             [
                 sys.executable, "-m", "repro", "serve",
@@ -352,34 +355,29 @@ class ChaosRunner:
                 if state == "done":
                     done.add(job_id)
 
-    def degraded_phase(self) -> None:
-        """diskfull flips no-cache mode; a bounded queue sheds load."""
-        print("chaos: phase 2 — degradation (plan: diskfull, --min-free-mb)")
-        self._boot(
-            DEGRADED_PLAN, "--resume",
-            "--min-free-mb", "1",
-            "--workers", "1",
-            "--max-queued", "1",
-        )
+    def backpressure_phase(self) -> None:
+        """A bounded queue sheds load; every done job's result fetches."""
+        print("chaos: phase 2 — backpressure (no fault plan, --max-queued)")
+        self._boot(None, "--resume", "--workers", "1", "--max-queued", "1")
         client = self._client()
         first = client.submit(
-            "fig8", {"benchmarks": DEGRADED_BENCH[:1], "jobs": 1}
+            "fig8", {"benchmarks": BACKPRESSURE_BENCH[:1], "jobs": 1}
         )["job"]["id"]
         # Let the single worker pick the first job up, so the second
         # lands in the (size-1) queue and the third overflows it.
         deadline = monotonic_ns() + int(BOOT_TIMEOUT_S * 1e9)
         while client.status(first).get("state") == "queued":
             if monotonic_ns() > deadline:
-                self._fail("first degraded-phase job never started")
+                self._fail("first backpressure-phase job never started")
                 break
             sleep_s(0.05)
         second = client.submit(
-            "fig8", {"benchmarks": DEGRADED_BENCH[1:2], "jobs": 1}
+            "fig8", {"benchmarks": BACKPRESSURE_BENCH[1:2], "jobs": 1}
         )["job"]["id"]
         rejected = False
         try:
             client.submit(
-                "fig8", {"benchmarks": DEGRADED_BENCH[2:3], "jobs": 1}
+                "fig8", {"benchmarks": BACKPRESSURE_BENCH[2:3], "jobs": 1}
             )
         except CampaignRejectedError as exc:
             rejected = True
@@ -389,24 +387,19 @@ class ChaosRunner:
                 "a submission beyond --max-queued was accepted instead "
                 "of rejected"
             )
-        status = client.status()
-        if not status.get("degraded"):
-            self._fail(
-                "diskfull reported zero free bytes but the server did "
-                "not enter degraded mode"
-            )
         for job_id in (first, second):
             job = client.wait(job_id, timeout_s=JOB_TIMEOUT_S)
             if job["state"] != "done":
                 self._fail(
-                    f"degraded-mode job {job_id} ended {job['state']!r}"
+                    f"backpressure-phase job {job_id} ended {job['state']!r}"
                 )
-            elif not job.get("degraded"):
-                self._fail(
-                    f"degraded-mode job {job_id} did not report running "
-                    "degraded (no-cache)"
-                )
-        print("chaos: degraded-mode jobs completed memory-only")
+        done = [job["id"] for job in client.ls() if job["state"] == "done"]
+        for job_id in done:
+            try:
+                client.result(job_id)
+            except CampaignServiceError as exc:
+                self._fail(f"done job {job_id} has no result to fetch: {exc}")
+        print(f"chaos: all {len(done)} done job(s) have a stored result")
 
     # -- entry ---------------------------------------------------------
 
@@ -420,7 +413,7 @@ class ChaosRunner:
             self.render_results(ids)
             self._shutdown()
             self.check_ledger(ids)
-            self.degraded_phase()
+            self.backpressure_phase()
             self._shutdown()
         finally:
             self._kill_server()

@@ -7,10 +7,11 @@
 # streams), SIGKILLs the whole server session mid-run, reboots with
 # --resume, and asserts the supervision invariants — no job lost, no
 # job double-completed, artifacts byte-identical to undisturbed direct
-# runs, the ledger still replayable, repeat offenders poisoned at the
-# kill budget, a full queue rejecting, and diskfull flipping degraded
-# mode.  The scenario's wall time is then gated against a 60 s budget
-# so supervision never silently regresses into a minutes-long CI stage.
+# runs, the ledger still replayable, and repeat offenders poisoned at
+# the kill budget.  A second phase, with no fault plan, checks that a
+# full queue rejects and that every done job's result can be fetched.
+# The scenario's wall time is then gated against a 60 s budget so
+# supervision never silently regresses into a minutes-long CI stage.
 #
 # Usage: tools/chaos_smoke.sh [workdir]
 set -euo pipefail
